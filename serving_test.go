@@ -2,6 +2,7 @@ package gpuleak
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpuleak/internal/channel"
 	"gpuleak/internal/serve"
 )
 
@@ -124,6 +126,82 @@ func TestServedEavesdropMatchesLibrary(t *testing.T) {
 			t.Fatalf("concurrent response %d differs from serial response:\n%s\nvs\n%s",
 				i, raw, serialRaw)
 		}
+	}
+}
+
+// TestEavesdropSessionMatchesServed pins the facade's multi-channel entry
+// point against the serving layer: EavesdropSession over the default
+// channel and over kgsl+proccount fusion yields, field for field, the
+// response /v1/eavesdrop serves for the same scenario and models.
+func TestEavesdropSessionMatchesServed(t *testing.T) {
+	srv := serve.NewServer(serve.Options{Shards: 1, TrainRepeats: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name     string
+		channels []string
+	}{
+		{"kgsl", nil},
+		{"kgsl+proccount", []string{"kgsl", "proccount"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := serve.EavesdropRequest{Text: "pa55word", Seed: 11, Channels: tc.channels}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRaw, _ := servedEavesdrop(t, ts.URL, string(body))
+
+			scen, err := serve.ResolveScenario(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := scen.Channels
+			if len(names) == 0 {
+				names = []string{"kgsl"}
+			}
+			var models []*Model
+			for _, name := range names {
+				m, err := srv.Registry().LookupChannel(serve.TrainConfig(scen.Cfg), channel.Canonical(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				models = append(models, m)
+			}
+			sess := NewVictim(scen.Cfg)
+			sess.Run(scen.Script())
+			fr, err := EavesdropSession(context.Background(), sess, models, 0, sess.End, WithChannels(names...))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			res := fr.Fused
+			got := serve.EavesdropResponse{
+				Schema: serve.Schema, Model: res.Model.String(), Text: res.Text,
+				Truth: sess.TypedText(), Keys: len(res.Keys), EstimatedLength: res.EstimatedLength,
+				Stats: res.Stats, Degraded: res.Degraded, Channel: scen.Primary(),
+			}
+			if res.Degraded {
+				rec := res.Recovery
+				got.Recovery = &rec
+			}
+			if len(names) > 1 {
+				got.Fusion = &serve.FusionInfo{
+					Channels: names, PrimaryText: fr.Primary.Text, SecondaryText: fr.Secondary.Text,
+					Recovered: fr.Recovered, Flipped: fr.Flipped,
+				}
+			}
+			var gotRaw bytes.Buffer
+			enc := json.NewEncoder(&gotRaw)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotRaw.Bytes(), wantRaw) {
+				t.Fatalf("EavesdropSession differs from the served response:\n%s\nvs\n%s", gotRaw.Bytes(), wantRaw)
+			}
+		})
 	}
 }
 

@@ -51,6 +51,15 @@
 #                   fig25's wall-time metrics are skipped by design) plus
 #                   the warn-only wall-clock comparison (shared runners
 #                   are too noisy to gate on timings)
+#  13. benchmark  — the benchmark's output pins: bench/ is its own Go
+#                   module, so the go vet, go test and gpuvet gates above
+#                   never compile it. Vet and test it, then run every
+#                   workload for 3 s (bash bench/run.sh -seconds 3, ~40 s
+#                   on a 2-core box); the run exits non-zero unless each
+#                   workload's replay checks pass and the output digests
+#                   of its first pinned ops match bench/expected.json, so
+#                   a refactor that breaks an API the benchmark uses, or
+#                   changes a served byte, fails here
 #
 # Run from the repo root: ./ci.sh
 #
@@ -345,5 +354,13 @@ fi
 if [ -n "${CI_ARTIFACTS:-}" ]; then
     cp "$smoke_dir/bench.json" "$CI_ARTIFACTS/bench.json"
 fi
+
+echo "==> benchmark output pins (blocking)"
+# bench/ is a separate module the gates above skip: compile, vet and test
+# it against this tree, then run every workload briefly. bench/run.sh
+# exits non-zero when a replay check fails or an output digest drifts from
+# bench/expected.json.
+(cd bench && go vet ./... && go test ./...)
+bash bench/run.sh -seconds 3
 
 echo "CI: all gates passed"

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -112,32 +113,26 @@ func main() {
 
 	// Online phase.
 	sess.Device.SetMetrics(tracer.Metrics())
-	f, err := sess.Open()
-	if err != nil {
-		log.Fatalf("opening /dev/kgsl-3d0: %v", err)
-	}
-	atk := attack.New(m)
-	atk.Obs = tracer
-	df := attack.DeviceFile(f)
-	var faultFile *fault.File
+	p := attack.Pipeline{Legs: []attack.Leg{{Model: m}}, Obs: tracer}
 	if *faults != "" {
-		p, ok := fault.ByName(*faults)
+		prof, ok := fault.ByName(*faults)
 		if !ok {
 			log.Fatalf("unknown fault profile %q (have %s)", *faults, strings.Join(fault.Names(), ","))
 		}
-		fs := *faultSeed
-		if fs == 0 {
-			fs = fault.Seed(*seed, 0)
+		p.Fault, p.FaultSeed = prof, *faultSeed
+		if p.FaultSeed == 0 {
+			p.FaultSeed = fault.Seed(*seed, 0)
 		}
-		faultFile = fault.NewFile(f, p, fs)
-		faultFile.Obs = tracer
-		df = faultFile
-		atk.Retry = attack.DefaultRetryPolicy()
-		log.Printf("fault injection: profile %s (rate %.3f, fault seed %d), retry policy armed", p.Name, p.Rate(), fs)
+		log.Printf("fault injection: profile %s (rate %.3f, fault seed %d), retry policy armed", prof.Name, prof.Rate(), p.FaultSeed)
 	}
+	st, err := p.Build(sess)
+	if err != nil {
+		log.Fatalf("opening /dev/kgsl-3d0: %v", err)
+	}
+	leg := st.Legs[0]
 	var res *attack.Result
 	if *monitor {
-		mr, err := atk.MonitorAndEavesdrop(df, 0, sess.End, attack.MonitorOptions{})
+		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End, attack.MonitorOptions{})
 		if err != nil {
 			log.Fatalf("monitoring failed: %v", err)
 		}
@@ -147,36 +142,26 @@ func main() {
 		log.Printf("monitor: target launch detected at %v after %d low-duty reads",
 			mr.LaunchDetectedAt, mr.IdleReads)
 		res = mr.Result
-	} else if *traceOut != "" {
-		// Collect explicitly so the raw trace can be archived.
-		smp, err := attack.NewSamplerRetry(df, atk.Interval, atk.Retry)
-		if err != nil {
-			log.Fatal(err)
-		}
-		smp.Obs = tracer
-		tr, err := smp.Collect(0, sess.End)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteCSV(out); err != nil {
-			log.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatalf("writing %s: %v", *traceOut, err)
-		}
-		log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
-		res, err = atk.EavesdropTrace(tr)
-		if err != nil {
-			log.Fatalf("eavesdropping failed: %v", err)
-		}
 	} else {
-		res, err = atk.Eavesdrop(df, 0, sess.End)
+		out, err := st.Run(context.Background(), 0, sess.End, nil)
 		if err != nil {
 			log.Fatalf("eavesdropping failed: %v", err)
+		}
+		res = out.Result
+		if *traceOut != "" {
+			// Archive the raw counter trace the inference ran on.
+			tr := out.Legs[0].Trace
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := tr.WriteCSV(f); err != nil {
+				log.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatalf("writing %s: %v", *traceOut, err)
+			}
+			log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
 		}
 	}
 
@@ -188,8 +173,8 @@ func main() {
 	fmt.Printf("  edit distance: %d\n", stats.Levenshtein(res.Text, truth))
 	fmt.Printf("  engine stats : %+v\n", res.Stats)
 	fmt.Printf("  ioctl calls  : %d\n", sess.Device.IoctlCount())
-	if faultFile != nil {
-		fmt.Printf("  injected     : %+v (total %d)\n", faultFile.Stats, faultFile.Stats.Total())
+	if leg.Fault != nil {
+		fmt.Printf("  injected     : %+v (total %d)\n", leg.Fault.Stats, leg.Fault.Stats.Total())
 		fmt.Printf("  recovery     : %+v (degraded=%v)\n", res.Recovery, res.Degraded)
 	}
 

@@ -120,9 +120,7 @@ func Example_defenseTournament() {
 	}
 	probe := inst.WrapProbe("kgsl", file)
 
-	atk := gpuleak.NewAttack(model)
-	atk.Retry = gpuleak.DefaultRetryPolicy()
-	result, err := atk.EavesdropProbe(context.Background(), probe, 0, session.End)
+	result, err := gpuleak.NewAttack(model).EavesdropContext(context.Background(), probe, 0, session.End)
 	if err != nil {
 		panic(err)
 	}

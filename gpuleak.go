@@ -14,7 +14,9 @@
 //     UI stack: keyboards, login screens, compositor, device models;
 //   - internal/attack — the paper's contribution: offline training,
 //     online inference (Algorithm 1), app-switch and correction handling;
-//   - internal/mitigate — §9 defenses (RBAC policies, obfuscation);
+//   - internal/defense — §9 defenses as a composable, strength-
+//     parameterized plane (rate limiting, quantization, noise, RBAC,
+//     jitter);
 //   - internal/fault — a deterministic fault plane for the device file
 //     (EBUSY bursts, counter revocation, missed ticks, wrapped reads);
 //   - internal/exp — one runner per paper table/figure.
@@ -87,7 +89,6 @@ import (
 	"gpuleak/internal/mitigate"
 	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
-	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 
 	// Register the built-in side channels so Channels, WithChannel and the
@@ -322,14 +323,8 @@ func EavesdropSession(ctx context.Context, sess *Session, models []*Model, start
 	if len(names) > 2 {
 		return nil, fmt.Errorf("gpuleak: EavesdropSession fuses at most two channels, got %d", len(names))
 	}
-	type run struct {
-		ch     channel.Channel
-		m      *Model
-		deltas []trace.Delta
-		res    *Result
-	}
-	runs := make([]run, len(names))
-	for i, name := range names {
+	p := attack.Pipeline{Obs: o.obs}
+	for _, name := range names {
 		ch, err := channel.Get(name)
 		if err != nil {
 			return nil, err
@@ -344,34 +339,14 @@ func EavesdropSession(ctx context.Context, sess *Session, models []*Model, start
 		if m == nil {
 			return nil, fmt.Errorf("gpuleak: no model for channel %q: %w", ch.Name(), attack.ErrModelNotTrained)
 		}
-		f, err := ch.Open(sess)
-		if err != nil {
-			return nil, fmt.Errorf("gpuleak: opening channel %q: %w", ch.Name(), err)
-		}
-		smp, err := attack.NewSamplerTaxonomy(f, ch.Interval(), attack.RetryPolicy{}, ch.Taxonomy())
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			smp.Obs = o.obs
-		}
-		tr, err := smp.CollectContext(ctx, start, end)
-		if err != nil {
-			return nil, err
-		}
-		a := &Attack{Models: []*Model{m}, Interval: ch.Interval(), Errors: ch.Taxonomy()}
-		if i == 0 {
-			a.Obs = o.obs
-		}
-		res, err := a.EavesdropTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = run{ch: ch, m: m, deltas: tr.Deltas(), res: res}
+		p.Legs = append(p.Legs, attack.Leg{Channel: name, Model: m})
 	}
-	if len(runs) == 1 {
-		return &FusionResult{Primary: runs[0].res, Fused: runs[0].res}, nil
+	out, err := p.Run(ctx, sess, start, end, nil)
+	if err != nil {
+		return nil, err
 	}
-	return attack.Fuse(runs[0].m, runs[0].deltas, runs[0].res,
-		runs[1].m, runs[1].res, runs[0].ch.Interval(), attack.FusionOptions{}), nil
+	if out.Fusion != nil {
+		return out.Fusion, nil
+	}
+	return &FusionResult{Primary: out.Result, Fused: out.Result}, nil
 }

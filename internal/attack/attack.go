@@ -52,12 +52,13 @@ type Attack struct {
 	Options OnlineOptions
 	// Retry bounds recovery from transient device errors during sampling.
 	// The zero value disables retrying — any device error aborts the run,
-	// the behavior every fault-free experiment relies on.
+	// the behavior every fault-free experiment relies on. Pipeline derives
+	// it from the stack it builds.
 	Retry RetryPolicy
 	// Errors is the transient-error taxonomy of the side channel the probe
 	// was opened on, governing retry classification and re-reservation.
-	// The zero value means the KGSL taxonomy — every legacy call site
-	// behaves identically.
+	// The zero value means the KGSL taxonomy; Pipeline sets each leg's
+	// from its channel.
 	Errors fault.Taxonomy
 	// Classify, when non-nil, overrides per-delta classification for every
 	// engine this attack builds (Eavesdrop, EavesdropTrace and the
@@ -171,13 +172,13 @@ func (a *Attack) EavesdropTrace(tr *trace.Trace) (*Result, error) {
 	return a.resultFrom(m, eng), nil
 }
 
-// Eavesdrop opens the sampling loop on a victim's GPU device file over
-// [start, end] and infers the typed credential. This is the full online
-// phase: poll counters, recognize the device, classify deltas. f is any
-// DeviceFile — a raw *kgsl.File, or a *fault.File when the run should
-// face an injected fault schedule. Probes from other channels go through
-// EavesdropProbe.
-func (a *Attack) Eavesdrop(f DeviceFile, start, end sim.Time) (*Result, error) {
+// Eavesdrop opens the sampling loop on a victim's probe over [start, end]
+// and infers the typed credential. This is the full online phase: poll
+// counters, recognize the device, classify deltas. f is any Probe — a raw
+// *kgsl.File, a *fault.File when the run should face an injected fault
+// schedule, or a defense-wrapped probe. Pipeline assembles such stacks
+// for any channel, with the retry policy and taxonomy they need.
+func (a *Attack) Eavesdrop(f Probe, start, end sim.Time) (*Result, error) {
 	return a.EavesdropContext(context.Background(), f, start, end)
 }
 
@@ -186,15 +187,7 @@ func (a *Attack) Eavesdrop(f DeviceFile, start, end sim.Time) (*Result, error) {
 // the context dies between sampling and inference. The result for a
 // completed run is byte-identical to Eavesdrop — the context is a control
 // channel, never an input to the inference.
-func (a *Attack) EavesdropContext(ctx context.Context, f DeviceFile, start, end sim.Time) (*Result, error) {
-	return a.EavesdropStreamContext(ctx, f, start, end, nil)
-}
-
-// EavesdropProbe is Eavesdrop over any channel probe — the generic entry
-// point of the channel plane. For a KGSL DeviceFile it is exactly
-// Eavesdrop; for narrower channels set a.Errors to the channel's
-// taxonomy so retries classify correctly.
-func (a *Attack) EavesdropProbe(ctx context.Context, f Probe, start, end sim.Time) (*Result, error) {
+func (a *Attack) EavesdropContext(ctx context.Context, f Probe, start, end sim.Time) (*Result, error) {
 	return a.EavesdropStreamContext(ctx, f, start, end, nil)
 }
 
@@ -224,22 +217,44 @@ type StreamEvent struct {
 // Result is byte-identical to EavesdropContext over the same inputs: the
 // emission is a tap on Algorithm 1, never a fork of it.
 func (a *Attack) EavesdropStreamContext(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, error) {
-	s, err := NewSamplerTaxonomy(f, a.Interval, a.Retry, a.Errors)
+	res, _, stats, err := a.run(ctx, f, start, end, emit)
 	if err != nil {
 		return nil, err
+	}
+	res.addRecovery(stats)
+	return res, nil
+}
+
+// addRecovery folds a run's sampler recovery work into its result.
+func (r *Result) addRecovery(s CollectStats) {
+	r.Recovery = s
+	r.Degraded = r.Degraded || s.Degraded()
+}
+
+// run is the one sample-then-infer loop: reserve f, collect [start, end],
+// recognize the device and run Algorithm 1, with emit tapping every
+// commit and retraction. It returns the engine's result — Recovery unset
+// and Degraded from gap segmentation only, exactly EavesdropTrace's shape
+// — plus the trace and the sampler's recovery stats (set even when
+// sampling fails). EavesdropStreamContext folds the stats into the
+// result; a fused leg keeps the shape Fuse consumes.
+func (a *Attack) run(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, *trace.Trace, CollectStats, error) {
+	s, err := NewSamplerTaxonomy(f, a.Interval, a.Retry, a.Errors)
+	if err != nil {
+		return nil, nil, CollectStats{}, err
 	}
 	s.Obs = a.Obs
 	tr, err := s.CollectContext(ctx, start, end)
 	if err != nil {
-		return nil, err
+		return nil, nil, s.Stats, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, s.Stats, err
 	}
 	ds := tr.Deltas()
 	m, err := a.Recognize(ds, tr.Interval)
 	if err != nil {
-		return nil, err
+		return nil, tr, s.Stats, err
 	}
 	eng := a.engineFor(m, tr.Interval)
 	emitted := 0
@@ -252,17 +267,14 @@ func (a *Attack) EavesdropStreamContext(ctx context.Context, f Probe, start, end
 		if len(keys) < emitted {
 			emitted = len(keys)
 			if err := emit(StreamEvent{At: d.At, Kind: "retract", Keys: len(keys)}); err != nil {
-				return nil, err
+				return nil, tr, s.Stats, err
 			}
 		}
 		for ; emitted < len(keys); emitted++ {
 			if err := emit(StreamEvent{At: d.At, Kind: "key", Key: keys[emitted], Keys: emitted + 1}); err != nil {
-				return nil, err
+				return nil, tr, s.Stats, err
 			}
 		}
 	}
-	res := a.resultFrom(m, eng)
-	res.Recovery = s.Stats
-	res.Degraded = res.Degraded || s.Stats.Degraded()
-	return res, nil
+	return a.resultFrom(m, eng), tr, s.Stats, nil
 }

@@ -56,11 +56,11 @@ type MonitorResult struct {
 
 // MonitorAndEavesdrop runs the full Figure-4 online phase: low-duty
 // polling until a target-app launch fingerprint appears, then full-rate
-// eavesdropping until end. f is any DeviceFile; with a.Retry enabled,
+// eavesdropping until end. f is any Probe; with a.Retry enabled,
 // transient device errors during the idle wait cost at most the missed
 // tick (plus a re-reservation when the counter group was revoked)
 // instead of aborting the watch.
-func (a *Attack) MonitorAndEavesdrop(f DeviceFile, start, end sim.Time, opts MonitorOptions) (*MonitorResult, error) {
+func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time, opts MonitorOptions) (*MonitorResult, error) {
 	interval := a.Interval
 	if interval <= 0 {
 		interval = DefaultInterval

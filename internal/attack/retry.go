@@ -4,39 +4,26 @@ import (
 	"errors"
 	"fmt"
 
-	"gpuleak/internal/adreno"
+	"gpuleak/internal/channel"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/sim"
 )
 
-// Probe is the channel surface the attack pipeline samples through: the
-// two calls the sampler issues per polling tick, on any registered side
-// channel. It matches channel.Probe; *kgsl.File, *fault.File and
-// *proccount.Probe all satisfy it structurally.
-type Probe interface {
-	ReserveSelected(t sim.Time) error
-	ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error)
-}
+// Probe is the channel surface the attack samples through: the two calls
+// the sampler issues per polling tick, on any registered side channel.
+// *kgsl.File, *fault.File and *proccount.Probe all satisfy it.
+type Probe = channel.Probe
 
 // DeviceFile is the KGSL-shaped superset of Probe: the device surface of
 // the original channel, with the raw ioctl entry point the §9 mitigation
-// experiments drive directly. *kgsl.File satisfies it directly;
-// *fault.File satisfies it with a fault plane in between. The generic
-// pipeline needs only the Probe subset.
-type DeviceFile interface {
-	Ioctl(t sim.Time, request uint32, arg any) error
-	Probe
-}
+// experiments drive directly — the surface the fault plane wraps.
+// *kgsl.File satisfies it directly; *fault.File satisfies it with a fault
+// plane in between.
+type DeviceFile = fault.Device
 
-// TickFaults is the optional clock-perturbation surface of a device
-// plane: before each poll the sampler asks whether this tick is dropped
-// (the monitoring process lost the CPU for the whole interval) or lands
-// late by delay. The sampler type-asserts its DeviceFile for this —
-// *fault.File implements it; a bare *kgsl.File does not, and pays
-// nothing.
-type TickFaults interface {
-	TickFault(tick int, t sim.Time) (delay sim.Time, drop bool)
-}
+// TickFaults is the optional clock-perturbation surface of a probe; see
+// channel.TickFaults.
+type TickFaults = channel.TickFaults
 
 // SampleError reports a device-plane failure during sampling, wrapping
 // the kgsl sentinel so callers can classify it with errors.Is/errors.As

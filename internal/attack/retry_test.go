@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpuleak/internal/adreno"
+	"gpuleak/internal/fault"
 	"gpuleak/internal/kgsl"
 	"gpuleak/internal/sim"
 )
@@ -143,7 +144,7 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 		2: kgsl.ErrBusy,
 		7: kgsl.ErrInval,
 	}}
-	s, err := NewSamplerRetry(f, DefaultInterval, DefaultRetryPolicy())
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 // sampler re-issues PERFCOUNTER_GET and resumes reading.
 func TestSamplerReReservesAfterRevocation(t *testing.T) {
 	f := &flakyFile{revokeAt: 4}
-	s, err := NewSamplerRetry(f, DefaultInterval, DefaultRetryPolicy())
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestSamplerReReservesAfterRevocation(t *testing.T) {
 // *SampleError wrapping the sentinel.
 func TestSamplerZeroPolicyIsFatal(t *testing.T) {
 	f := &flakyFile{failReads: map[int]error{2: kgsl.ErrBusy}}
-	s, err := NewSamplerRetry(f, DefaultInterval, RetryPolicy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, RetryPolicy{}, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestSamplerMaxBadTicksAbandons(t *testing.T) {
 	for i := 1; i < 200; i++ {
 		f.failReads[i] = kgsl.ErrBusy
 	}
-	s, err := NewSamplerRetry(f, DefaultInterval,
-		RetryPolicy{MaxAttempts: 2, MaxBadTicks: 3})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval,
+		RetryPolicy{MaxAttempts: 2, MaxBadTicks: 3}, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestSamplerMaxBadTicksAbandons(t *testing.T) {
 // with a typed reserve error.
 func TestSamplerReserveRetries(t *testing.T) {
 	f := &flakyFile{failReserve: kgsl.ErrBusy}
-	_, err := NewSamplerRetry(f, DefaultInterval, RetryPolicy{})
+	_, err := NewSamplerTaxonomy(f, DefaultInterval, RetryPolicy{}, fault.Taxonomy{})
 	var se *SampleError
 	if !errors.As(err, &se) || se.Op != "reserve" {
 		t.Fatalf("zero-policy reserve failure = %v, want *SampleError{Op: reserve}", err)
@@ -246,7 +247,7 @@ func TestSamplerReserveRetries(t *testing.T) {
 	// With a policy, the reservation succeeds once the device frees up.
 	n := 0
 	g := &gatedReserveFile{flakyFile: &flakyFile{}, failures: 2, count: &n}
-	s, err := NewSamplerRetry(g, DefaultInterval, DefaultRetryPolicy())
+	s, err := NewSamplerTaxonomy(g, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
 	if err != nil {
 		t.Fatalf("reserve with retry policy: %v", err)
 	}

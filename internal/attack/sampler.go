@@ -60,22 +60,15 @@ type Sampler struct {
 // PERFCOUNTER_GET) is reported as a *SampleError wrapping the driver
 // sentinel.
 func NewSampler(f Probe, interval sim.Time) (*Sampler, error) {
-	return NewSamplerRetry(f, interval, RetryPolicy{})
+	return NewSamplerTaxonomy(f, interval, RetryPolicy{}, fault.Taxonomy{})
 }
 
-// NewSamplerRetry is NewSampler with a retry policy: the initial
-// reservation itself is retried with sim-time backoff (a fault plane can
-// make even PERFCOUNTER_GET fail transiently), and the policy governs
-// every subsequent collection. Errors are classified under the KGSL
-// taxonomy; NewSamplerTaxonomy is the channel-aware variant.
-func NewSamplerRetry(f Probe, interval sim.Time, policy RetryPolicy) (*Sampler, error) {
-	return NewSamplerTaxonomy(f, interval, policy, fault.Taxonomy{})
-}
-
-// NewSamplerTaxonomy is NewSamplerRetry with an explicit channel error
-// taxonomy (zero value = KGSL): reservation retries, per-tick retry
-// classification and the re-reservation trigger all follow the given
-// channel's sentinels.
+// NewSamplerTaxonomy is NewSampler with a retry policy and an explicit
+// channel error taxonomy (zero value = KGSL). The initial reservation
+// itself is retried with sim-time backoff (a fault plane can make even
+// PERFCOUNTER_GET fail transiently), the policy governs every subsequent
+// collection, and reservation retries, per-tick retry classification and
+// the re-reservation trigger all follow the given channel's sentinels.
 func NewSamplerTaxonomy(f Probe, interval sim.Time, policy RetryPolicy, tax fault.Taxonomy) (*Sampler, error) {
 	if interval <= 0 {
 		interval = DefaultInterval

@@ -62,6 +62,16 @@ type Probe interface {
 	ReadSelected(t sim.Time) (trace.Raw, error)
 }
 
+// TickFaults is the optional clock-perturbation surface of a probe: before
+// each poll the sampler asks whether this tick is dropped (the monitoring
+// process lost the CPU for the whole interval) or lands late by delay.
+// The sampler type-asserts its probe for it — *fault.File implements it,
+// and every defense wrapper forwards it so a fault plane underneath keeps
+// its schedule; a bare probe does not, and pays nothing.
+type TickFaults interface {
+	TickFault(tick int, t sim.Time) (delay sim.Time, drop bool)
+}
+
 // Channel is one registered side channel.
 type Channel interface {
 	// Name is the registry key ("kgsl", "proccount").

@@ -228,19 +228,13 @@ func (in *instance) WrapProbe(channelName string, p channel.Probe) channel.Probe
 
 func (in *instance) Overhead() float64 { return in.overhead }
 
-// tickFaults mirrors attack.TickFaults structurally: the optional
-// clock-perturbation surface of a device plane. Every probe wrapper in
-// this package forwards it, so a defense layered over a fault plane
-// (serve allows both on one request) does not hide the fault schedule
-// from the sampler's type assertion.
-type tickFaults interface {
-	TickFault(tick int, t sim.Time) (delay sim.Time, drop bool)
-}
-
 // forwardTickFault resolves a wrapped probe's tick schedule: the inner
-// probe's if it has one, a clean tick otherwise.
+// probe's if it has one, a clean tick otherwise. Every probe wrapper in
+// this package forwards channel.TickFaults through it, so a defense
+// layered over a fault plane does not hide the fault schedule from the
+// sampler's type assertion.
 func forwardTickFault(inner channel.Probe, tick int, t sim.Time) (sim.Time, bool) {
-	if tf, ok := inner.(tickFaults); ok {
+	if tf, ok := inner.(channel.TickFaults); ok {
 		return tf.TickFault(tick, t)
 	}
 	return 0, false

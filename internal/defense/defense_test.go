@@ -289,7 +289,7 @@ func TestRBACMasksRestrictedDims(t *testing.T) {
 func TestWrappersForwardTickFaults(t *testing.T) {
 	for _, name := range []string{"jitter", "quantize", "ratelimit", "rbac"} {
 		wrapped := armWrap(t, name, 1, &faultyProbe{})
-		tf, ok := wrapped.(tickFaults)
+		tf, ok := wrapped.(channel.TickFaults)
 		if !ok {
 			t.Errorf("%s wrapper hides the inner probe's tick-fault schedule", name)
 			continue
@@ -298,7 +298,7 @@ func TestWrappersForwardTickFaults(t *testing.T) {
 			t.Errorf("%s: TickFault(3) = (%v, %v), want forwarded (3, true)", name, delay, drop)
 		}
 		// A plain inner probe resolves to a clean tick.
-		clean := armWrap(t, name, 1, &fakeProbe{}).(tickFaults)
+		clean := armWrap(t, name, 1, &fakeProbe{}).(channel.TickFaults)
 		if delay, drop := clean.TickFault(3, 0); delay != 0 || drop {
 			t.Errorf("%s: clean inner probe yielded TickFault (%v, %v)", name, delay, drop)
 		}

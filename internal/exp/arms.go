@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpuleak/internal/attack"
-	"gpuleak/internal/channel"
 	"gpuleak/internal/defense"
 	"gpuleak/internal/input"
 	"gpuleak/internal/obs"
@@ -12,14 +11,13 @@ import (
 	"gpuleak/internal/proccount"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
 
 // The arms experiment runs the attack-vs-defense tournament: every
 // registered defense, swept over strength levels, against the attack at
-// full power — retry/resync machinery armed on both channels plus
-// decision-level kgsl+proccount fusion. Each (defense, strength) cell
+// full power — retry/resync machinery armed on both channels under every
+// defense, plus decision-level kgsl+proccount fusion. Each (defense, strength) cell
 // replays the same victim sessions as the undefended baseline, so the
 // frontier reports paired accuracy drops, not sampling noise. The
 // deliverable is the accuracy-vs-overhead frontier (gpuleak-arms/v1):
@@ -96,11 +94,10 @@ type armsTrial struct {
 
 // armsOnce runs one victim session against one armed defense (nil pol =
 // undefended baseline): KGSL and proccount collected through the
-// defense's probe wraps with the default retry policy, inferred
-// independently, then fused at decision level. A failed KGSL collection
-// (or an all-masked trace the recognizer rejects) is a blocked trial —
-// the attacker degrades to the surviving channel instead of failing.
-func armsOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.Channel,
+// defense's probe wraps, inferred independently, then fused at decision
+// level. A failed KGSL leg is a blocked trial — the attacker degrades to
+// the surviving channel instead of failing.
+func armsOnce(o Options, cfg victim.Config, pm, sm *attack.Model,
 	text string, pol defense.Policy, strength float64, seed, defSeed int64, tr *obs.Tracer) (armsTrial, error) {
 
 	c := cfg
@@ -110,92 +107,41 @@ func armsOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.Ch
 		sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
 	out := armsTrial{truth: sess.TypedText()}
 
-	var inst defense.Instance = nil
+	p := attack.Pipeline{
+		Legs: []attack.Leg{{Model: pm}, {Channel: proccount.Name, Model: sm}},
+		Obs:  tr,
+	}
 	if pol != nil {
-		var err error
-		inst, err = pol.Arm(sess, strength, defSeed)
+		inst, err := pol.Arm(sess, strength, defSeed)
 		if err != nil {
 			return out, err
 		}
+		p.Defense = inst
 	}
-
-	retry := attack.DefaultRetryPolicy()
-
-	// Primary: the KGSL channel through the defense's read path.
-	f, err := sess.Open()
-	if err != nil {
+	run, err := p.Run(o.Context(), sess, 0, sess.End, nil)
+	if run == nil || (err != nil && o.Context().Err() != nil) {
 		return out, err
 	}
-	var pprobe channel.Probe = f
-	if inst != nil {
-		pprobe = inst.WrapProbe(channel.DefaultName, pprobe)
+	pri, sec := run.Legs[0], run.Legs[1]
+	out.blocked = pri.Err != nil
+	if pri.Err == nil {
+		out.kgsl = pri.Result.Text
+		out.degraded = pri.Stats.Degraded()
 	}
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: attack.DefaultInterval,
-		Retry: retry, Obs: tr}
-	var pres *attack.Result
-	var ptr *trace.Trace
-	ps, err := attack.NewSamplerRetry(pprobe, attack.DefaultInterval, retry)
-	if err != nil {
-		out.blocked = true
-	} else {
-		ps.Obs = tr
-		t, err := ps.CollectContext(o.Context(), 0, sess.End)
-		if err != nil {
-			if o.Context().Err() != nil {
-				return out, err
-			}
-			out.blocked = true
-		} else {
-			out.degraded = ps.Stats.Degraded()
-			r, err := pa.EavesdropTrace(t)
-			if err != nil {
-				// A fully masked or starved trace the recognizer rejects:
-				// the channel went dark, not the experiment.
-				out.blocked = true
-			} else {
-				pres, ptr = r, t
-				out.kgsl = r.Text
-			}
-		}
-	}
-
-	// Secondary: the proccount channel, same retry machinery (defenses
-	// that cover it deny with its own taxonomy).
-	sf, err := sch.Open(sess)
-	if err != nil {
-		return out, err
-	}
-	var sprobe channel.Probe = sf
-	if inst != nil {
-		sprobe = inst.WrapProbe(sch.Name(), sprobe)
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(),
-		Errors: sch.Taxonomy(), Retry: retry}
-	var sres *attack.Result
-	ss, err := attack.NewSamplerTaxonomy(sprobe, sch.Interval(), retry, sch.Taxonomy())
-	if err == nil {
-		str, err := ss.CollectContext(o.Context(), 0, sess.End)
-		if err != nil {
-			if o.Context().Err() != nil {
-				return out, err
-			}
-		} else if r, err := sa.EavesdropTrace(str); err == nil {
-			sres = r
-			out.proc = r.Text
-		}
+	if sec.Err == nil {
+		out.proc = sec.Result.Text
 	}
 
 	// Decision-level fusion, degrading to whichever channel survived.
 	switch {
-	case pres != nil && sres != nil:
-		fr := attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, attack.DefaultInterval, attack.FusionOptions{})
-		out.fused = fr.Fused.Text
-		out.recovered = fr.Recovered
-		out.flipped = fr.Flipped
-	case pres != nil:
-		out.fused = pres.Text
-	case sres != nil:
-		out.fused = sres.Text
+	case run.Fusion != nil:
+		out.fused = run.Fusion.Fused.Text
+		out.recovered = run.Fusion.Recovered
+		out.flipped = run.Fusion.Flipped
+	case pri.Err == nil:
+		out.fused = pri.Result.Text
+	case sec.Err == nil:
+		out.fused = sec.Result.Text
 	}
 	return out, nil
 }
@@ -230,11 +176,6 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 	if err != nil {
 		return nil, err
 	}
-	sch, err := channel.Get(proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-
 	rng := sim.NewRand(o.Seed)
 	texts := make([]string, trials)
 	for i := range texts {
@@ -267,7 +208,7 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 		if children != nil {
 			tr = children[i]
 		}
-		t, err := armsOnce(o, cfg, pm, sm, sch, texts[trial], pol, strength,
+		t, err := armsOnce(o, cfg, pm, sm, texts[trial], pol, strength,
 			o.Seed+int64(trial)*101, defense.Seed(o.Seed, i), tr)
 		if err != nil {
 			return err

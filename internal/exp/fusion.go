@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpuleak/internal/attack"
-	"gpuleak/internal/channel"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
 	"gpuleak/internal/parallel"
@@ -30,8 +29,10 @@ type fusionTrial struct {
 	fatal                    bool
 }
 
-// fusionOnce runs one session through all three readers.
-func fusionOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.Channel,
+// fusionOnce runs one session through all three readers: the pipeline's
+// KGSL leg sits under the fault plane, the proccount leg does not. A
+// failed KGSL leg is a fatal trial.
+func fusionOnce(o Options, cfg victim.Config, pm, sm *attack.Model,
 	text string, p fault.Profile, faultSeed, seed int64) (fusionTrial, error) {
 
 	c := cfg
@@ -41,55 +42,24 @@ func fusionOnce(o Options, cfg victim.Config, pm, sm *attack.Model, sch channel.
 		sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
 	out := fusionTrial{truth: sess.TypedText()}
 
-	// Primary: KGSL through the fault plane, retry policy armed.
-	f, err := sess.Open()
-	if err != nil {
+	run, err := attack.Pipeline{
+		Legs:      []attack.Leg{{Model: pm}, {Channel: proccount.Name, Model: sm}},
+		Fault:     p,
+		FaultSeed: faultSeed,
+	}.Run(o.Context(), sess, 0, sess.End, nil)
+	if run == nil || (err != nil && o.Context().Err() != nil) {
 		return out, err
 	}
-	ff := fault.NewFile(f, p, faultSeed)
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: attack.DefaultInterval,
-		Retry: attack.DefaultRetryPolicy()}
-	ps, err := attack.NewSamplerRetry(ff, attack.DefaultInterval, pa.Retry)
-	if err != nil {
+	if run.Legs[0].Err != nil {
 		out.fatal = true
 		return out, nil
 	}
-	ptr, err := ps.CollectContext(o.Context(), 0, sess.End)
-	if err != nil {
-		if o.Context().Err() != nil {
-			return out, err
-		}
-		out.fatal = true
-		return out, nil
-	}
-	pres, err := pa.EavesdropTrace(ptr)
 	if err != nil {
 		return out, err
 	}
-	out.kgsl = pres.Text
-
-	// Secondary: the OS-counter channel, no fault plane.
-	sf, err := sch.Open(sess)
-	if err != nil {
-		return out, err
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(),
-		Errors: sch.Taxonomy()}
-	ss, err := attack.NewSamplerTaxonomy(sf, sch.Interval(), attack.RetryPolicy{}, sch.Taxonomy())
-	if err != nil {
-		return out, err
-	}
-	str, err := ss.CollectContext(o.Context(), 0, sess.End)
-	if err != nil {
-		return out, err
-	}
-	sres, err := sa.EavesdropTrace(str)
-	if err != nil {
-		return out, err
-	}
-	out.proc = sres.Text
-
-	fr := attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, attack.DefaultInterval, attack.FusionOptions{})
+	fr := run.Fusion
+	out.kgsl = fr.Primary.Text
+	out.proc = fr.Secondary.Text
 	out.fused = fr.Fused.Text
 	out.recovered = fr.Recovered
 	out.flipped = fr.Flipped
@@ -111,11 +81,6 @@ func RunFusion(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch, err := channel.Get(proccount.Name)
-	if err != nil {
-		return nil, err
-	}
-
 	profiles := fault.Profiles()
 	trials := o.Trials(40)
 	textLen := 8
@@ -130,7 +95,7 @@ func RunFusion(o Options) (*Result, error) {
 	slots := make([]fusionTrial, n)
 	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
 		pIdx, trial := i/trials, i%trials
-		t, err := fusionOnce(o, cfg, pm, sm, sch, texts[trial], profiles[pIdx],
+		t, err := fusionOnce(o, cfg, pm, sm, texts[trial], profiles[pIdx],
 			fault.Seed(o.Seed, i), o.Seed+int64(trial)*101)
 		if err != nil {
 			return err

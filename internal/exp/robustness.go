@@ -84,29 +84,23 @@ type chaosTrial struct {
 func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text string,
 	p fault.Profile, faultSeed, seed int64) (chaosTrial, error) {
 
-	run := func(wrap bool, retry attack.RetryPolicy) (*attack.Result, *fault.File, error) {
+	session := func() *victim.Session {
 		c := cfg
 		c.Seed = seed
 		sess := victim.New(c)
-		script := input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond)
-		sess.Run(script)
-		f, err := sess.Open()
-		if err != nil {
-			return nil, nil, err
-		}
-		atk := &attack.Attack{Models: []*attack.Model{m}, Interval: attack.DefaultInterval, Retry: retry}
-		if !wrap {
-			res, err := atk.EavesdropContext(ctx, f, 0, sess.End)
-			return res, nil, err
-		}
-		ff := fault.NewFile(f, p, faultSeed)
-		res, err := atk.EavesdropContext(ctx, ff, 0, sess.End)
-		return res, ff, err
+		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
+			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
+		return sess
 	}
 
-	out := chaosTrial{baselineOK: true}
-	res, ff, err := run(true, attack.DefaultRetryPolicy())
+	sess := session()
+	out := chaosTrial{baselineOK: true, truth: sess.TypedText()}
+	run, err := attack.Pipeline{Legs: []attack.Leg{{Model: m}}, Fault: p, FaultSeed: faultSeed}.
+		Run(ctx, sess, 0, sess.End, nil)
+	if run == nil {
+		return out, err
+	}
+	out.injected = run.Legs[0].Injected
 	if err != nil {
 		if ctx.Err() != nil {
 			return out, err
@@ -115,37 +109,24 @@ func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text str
 		// experiment going — availability failures are a result, not an
 		// experiment error.
 		out.fatal = true
-		out.inferred = ""
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		out.truth = sess.TypedText()
-		if ff != nil {
-			out.injected = ff.Stats
-		}
 		return out, nil
 	}
+	res := run.Result
 	out.inferred = res.Text
 	out.degraded = res.Degraded
 	out.recovery = res.Recovery
 	out.gaps = res.Stats.Gaps
 	out.resyncs = res.Stats.Resyncs
-	out.injected = ff.Stats
-	{
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		out.truth = sess.TypedText()
-	}
 
 	if p.IsZero() {
 		// Passthrough check: the wrapped run must equal the raw legacy run
 		// in every observable.
-		raw, _, err := run(false, attack.RetryPolicy{})
+		rawSess := session()
+		f, err := rawSess.Open()
+		if err != nil {
+			return out, err
+		}
+		raw, err := attack.New(m).EavesdropContext(ctx, f, 0, rawSess.End)
 		if err != nil {
 			return out, fmt.Errorf("exp: chaos baseline raw run: %w", err)
 		}

@@ -8,9 +8,10 @@ import (
 )
 
 // Device is the KGSL-shaped surface the fault plane wraps: the three
-// calls the attack pipeline issues against an open device handle.
-// *kgsl.File satisfies it structurally, and so does *File itself, so
-// fault planes compose (wrap a wrap to union two profiles).
+// calls the attack pipeline issues against an open device handle, and
+// the type attack.DeviceFile names. *kgsl.File satisfies it structurally,
+// and so does *File itself, so fault planes compose (wrap a wrap to union
+// two profiles).
 type Device interface {
 	Ioctl(t sim.Time, request uint32, arg any) error
 	ReserveSelected(t sim.Time) error

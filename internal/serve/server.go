@@ -13,7 +13,6 @@ import (
 	"gpuleak/internal/channel"
 	"gpuleak/internal/defense"
 	"gpuleak/internal/exp"
-	"gpuleak/internal/fault"
 	"gpuleak/internal/kgsl"
 	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
@@ -452,113 +451,50 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 	}
 	endAt := sim.Time(0)
 	defer func() { span.End(endAt) }()
-	var m *attack.Model
-	var err error
-	if req.PretrainedOnly {
-		m, err = s.reg.LookupChannel(trainCfg, scen.Primary())
-	} else {
-		m, err = s.reg.GetChannel(ctx, trainCfg, scen.Primary())
+	names := scen.Channels
+	if len(names) == 0 {
+		names = []string{channel.DefaultName}
 	}
-	if err != nil {
-		return EavesdropResponse{}, err
+	p := attack.Pipeline{Fault: scen.Fault, FaultSeed: scen.FaultSeed, Obs: tr}
+	for _, name := range names {
+		m, err := s.model(ctx, req.PretrainedOnly, trainCfg, channel.Canonical(name))
+		if err != nil {
+			return EavesdropResponse{}, err
+		}
+		p.Legs = append(p.Legs, attack.Leg{Channel: name, Model: m})
 	}
 	sess := victim.New(scen.Cfg)
 	sess.Run(scen.Script())
 	endAt = sess.End
-	// A requested defense arms on the session before any probe opens:
-	// device hooks install here, probe wraps apply per channel below, and
-	// the sampler runs with the default retry policy so defense denials
-	// (rate-limit busy errors) degrade the result instead of failing the
-	// request — the same contract the fault plane set.
-	var inst defense.Instance
 	if scen.Defense != nil {
-		inst, err = scen.Defense.Arm(sess, scen.DefenseStrength, scen.DefenseSeed)
+		// Device hooks install on the session before any probe opens.
+		inst, err := scen.Defense.Arm(sess, scen.DefenseStrength, scen.DefenseSeed)
 		if err != nil {
 			return EavesdropResponse{}, err
 		}
+		p.Defense = inst
 	}
-	var res *attack.Result
-	var fr *attack.FusionResult
-	switch {
-	case len(scen.Channels) >= 2:
-		// Multi-channel request: the fusion pipeline collects and infers
-		// per channel, then merges at decision level.
-		fr, err = s.fuseEavesdrop(ctx, scen, req, m, sess, inst, tr)
-		if err != nil {
-			return EavesdropResponse{}, err
-		}
-		res = fr.Fused
-	case scen.Primary() != "":
-		// Single non-default channel: open its probe through the channel
-		// plane and run the same streaming engine under the channel's
-		// cadence and error taxonomy.
-		ch, cerr := channel.Get(scen.Channels[0])
-		if cerr != nil {
-			return EavesdropResponse{}, cerr
-		}
-		probe, perr := ch.Open(sess)
-		if perr != nil {
-			return EavesdropResponse{}, fmt.Errorf("serve: opening channel %q: %w", ch.Name(), perr)
-		}
-		atk := attack.New(m)
-		atk.Obs = tr
-		atk.Interval = ch.Interval()
-		atk.Errors = ch.Taxonomy()
-		if inst != nil {
-			probe = inst.WrapProbe(ch.Name(), probe)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		res, err = atk.EavesdropStreamContext(ctx, probe, 0, sess.End, emit)
-		if err != nil {
-			return EavesdropResponse{}, err
-		}
-	default:
-		f, ferr := sess.Open()
-		if ferr != nil {
-			return EavesdropResponse{}, fmt.Errorf("serve: opening device file: %w", ferr)
-		}
-		atk := attack.New(m)
-		atk.Obs = tr
-		if s.batcher != nil {
-			// Route per-delta classification through the model shard's
-			// micro-batch queue. Verdicts are unchanged (the batcher's identity
-			// contract); only the dispatch is shared. The trace instant is
-			// emitted here — the request goroutine — never by the dispatcher,
-			// and carries no batch-composition fields, so traces stay
-			// byte-identical however requests happen to coalesce.
-			atk.Classify = func(m *attack.Model, at sim.Time, v trace.Vec) attack.Verdict {
-				verdict := s.batcher.Classify(shard, m, at, v)
-				if tr.Enabled() {
-					btc := reqTC.Child(evBatchClassify, at)
-					tr.Emit(at, evBatchClassify, append(btc.Fields(), obs.Int("shard", shard))...)
-				}
-				return verdict
+	if s.batcher != nil {
+		// Route per-delta classification through the model shard's
+		// micro-batch queue. Verdicts are unchanged (the batcher's identity
+		// contract); only the dispatch is shared. The trace instant is
+		// emitted here — the request goroutine — never by the dispatcher,
+		// and carries no batch-composition fields, so traces stay
+		// byte-identical however requests happen to coalesce.
+		p.Classify = func(m *attack.Model, at sim.Time, v trace.Vec) attack.Verdict {
+			verdict := s.batcher.Classify(shard, m, at, v)
+			if tr.Enabled() {
+				btc := reqTC.Child(evBatchClassify, at)
+				tr.Emit(at, evBatchClassify, append(btc.Fields(), obs.Int("shard", shard))...)
 			}
-		}
-		var df attack.DeviceFile = f
-		if scen.Fault.Name != "" {
-			// The request asked for a fault plane: wrap the device and arm
-			// the retry policy, so injected bursts degrade the result
-			// instead of failing the request. Fault-free requests keep the
-			// zero policy and the raw file — their responses stay
-			// byte-identical to the pre-fault-plane wire format.
-			df = fault.NewFile(f, scen.Fault, scen.FaultSeed)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		var probe attack.Probe = df
-		if inst != nil {
-			// The defense filter sits above the ioctl path: a rate-limit
-			// denial happens before any (possibly faulted) device read.
-			// Wrappers forward TickFault, so a fault plane underneath keeps
-			// its clock schedule.
-			probe = inst.WrapProbe(channel.DefaultName, df)
-			atk.Retry = attack.DefaultRetryPolicy()
-		}
-		res, err = atk.EavesdropStreamContext(ctx, probe, 0, sess.End, emit)
-		if err != nil {
-			return EavesdropResponse{}, err
+			return verdict
 		}
 	}
+	out, err := p.Run(ctx, sess, 0, sess.End, emit)
+	if err != nil {
+		return EavesdropResponse{}, err
+	}
+	res := out.Result
 	if latMetric != "" {
 		exemplarTrace := ""
 		if traced {
@@ -581,7 +517,7 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 		rec := res.Recovery
 		resp.Recovery = &rec
 	}
-	if fr != nil {
+	if fr := out.Fusion; fr != nil {
 		resp.Fusion = &FusionInfo{
 			Channels:      append([]string(nil), scen.Channels...),
 			PrimaryText:   fr.Primary.Text,
@@ -593,95 +529,14 @@ func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropR
 	return resp, nil
 }
 
-// fuseEavesdrop runs the two-channel pipeline for a resolved
-// multi-channel request: collect a trace per channel, run the online
-// phase on each, then merge at decision level with attack.Fuse. pm is
-// the primary model (already fetched by runEavesdrop); the secondary
-// model comes from the registry under its own channel key. A requested
-// fault plane wraps the primary probe only — ResolveScenario guarantees
-// the primary is the KGSL channel in that case — with the default retry
-// policy armed, mirroring the single-channel degraded-mode contract. An
-// armed defense instance (inst non-nil) wraps both probes through its
-// per-channel applicability set and likewise arms the retry policy, so
-// a defense covering only one channel leaves the other's read path — and
-// the fused attacker's view of it — untouched.
-func (s *Server) fuseEavesdrop(ctx context.Context, scen Scenario, req EavesdropRequest, pm *attack.Model, sess *victim.Session, inst defense.Instance, tr *obs.Tracer) (*attack.FusionResult, error) {
-	trainCfg := TrainConfig(scen.Cfg)
-	secName := channel.Canonical(scen.Channels[1])
-	var sm *attack.Model
-	var err error
-	if req.PretrainedOnly {
-		sm, err = s.reg.LookupChannel(trainCfg, secName)
-	} else {
-		sm, err = s.reg.GetChannel(ctx, trainCfg, secName)
+// model fetches the classifier for one channel of a request: a registry
+// lookup when the request refuses on-miss training, a (possibly training)
+// fetch otherwise.
+func (s *Server) model(ctx context.Context, pretrainedOnly bool, cfg victim.Config, ch string) (*attack.Model, error) {
+	if pretrainedOnly {
+		return s.reg.LookupChannel(cfg, ch)
 	}
-	if err != nil {
-		return nil, err
-	}
-	pch, err := channel.Get(scen.Channels[0])
-	if err != nil {
-		return nil, err
-	}
-	sch, err := channel.Get(scen.Channels[1])
-	if err != nil {
-		return nil, err
-	}
-
-	pprobe, err := pch.Open(sess)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening channel %q: %w", pch.Name(), err)
-	}
-	retry := attack.RetryPolicy{}
-	if scen.Fault.Name != "" {
-		dev, ok := pprobe.(fault.Device)
-		if !ok {
-			return nil, fmt.Errorf("%w: channel %q cannot carry a fault profile", ErrBadRequest, pch.Name())
-		}
-		pprobe = fault.NewFile(dev, scen.Fault, scen.FaultSeed)
-		retry = attack.DefaultRetryPolicy()
-	}
-	if inst != nil {
-		pprobe = inst.WrapProbe(pch.Name(), pprobe)
-		retry = attack.DefaultRetryPolicy()
-	}
-	pa := &attack.Attack{Models: []*attack.Model{pm}, Interval: pch.Interval(),
-		Errors: pch.Taxonomy(), Retry: retry, Obs: tr}
-	ps, err := attack.NewSamplerTaxonomy(pprobe, pch.Interval(), retry, pch.Taxonomy())
-	if err != nil {
-		return nil, err
-	}
-	ptr, err := ps.CollectContext(ctx, 0, sess.End)
-	if err != nil {
-		return nil, err
-	}
-	pres, err := pa.EavesdropTrace(ptr)
-	if err != nil {
-		return nil, err
-	}
-
-	sprobe, err := sch.Open(sess)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening channel %q: %w", sch.Name(), err)
-	}
-	sretry := attack.RetryPolicy{}
-	if inst != nil {
-		sprobe = inst.WrapProbe(sch.Name(), sprobe)
-		sretry = attack.DefaultRetryPolicy()
-	}
-	sa := &attack.Attack{Models: []*attack.Model{sm}, Interval: sch.Interval(), Errors: sch.Taxonomy(), Retry: sretry}
-	ss, err := attack.NewSamplerTaxonomy(sprobe, sch.Interval(), sretry, sch.Taxonomy())
-	if err != nil {
-		return nil, err
-	}
-	str, err := ss.CollectContext(ctx, 0, sess.End)
-	if err != nil {
-		return nil, err
-	}
-	sres, err := sa.EavesdropTrace(str)
-	if err != nil {
-		return nil, err
-	}
-	return attack.Fuse(pm, ptr.Deltas(), pres, sm, sres, pch.Interval(), attack.FusionOptions{}), nil
+	return s.reg.GetChannel(ctx, cfg, ch)
 }
 
 // handleTrain serves POST /v1/train: warm the registry for a

@@ -190,8 +190,10 @@ func TestStreamedEavesdropMatchesOneShot(t *testing.T) {
 // TestBatchedServingMatchesUnbatched pins the micro-batcher's identity
 // contract end to end through HTTP: a server coalescing classification
 // into cross-request micro-batches answers byte-identically to one that
-// classifies inline, for one-shot and streamed requests alike, under
-// concurrency that actually exercises coalescing.
+// classifies inline, for one-shot and streamed requests alike, on every
+// single-channel request the batcher serves — the default KGSL channel
+// and the proccount channel — under concurrency that actually exercises
+// coalescing.
 func TestBatchedServingMatchesUnbatched(t *testing.T) {
 	plain := httptest.NewServer(serve.NewServer(serve.Options{Shards: 2, TrainRepeats: 2}))
 	defer plain.Close()
@@ -204,38 +206,63 @@ func TestBatchedServingMatchesUnbatched(t *testing.T) {
 	batched := httptest.NewServer(batchedSrv)
 	defer batchedSrv.Close()
 	defer batched.Close()
-	body := `{"text":"letmein9","seed":11}`
 
-	wantRaw, _ := servedEavesdrop(t, plain.URL, body)
-	wantFrames := streamSession(t, plain.URL, body)
-
-	const parallelism = 8
-	raws := make([][]byte, parallelism)
-	streams := make([][]sseFrame, parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < parallelism; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raws[i], _ = servedEavesdrop(t, batched.URL, body)
-			streams[i] = streamSession(t, batched.URL, body)
-		}(i)
+	// batchJobs reads how many classifications the batcher has served.
+	batchJobs := func() float64 {
+		t.Helper()
+		resp, err := http.Get(batched.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap map[string]float64
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap["serve.batch.jobs"]
 	}
-	wg.Wait()
-	for i := 0; i < parallelism; i++ {
-		if !bytes.Equal(raws[i], wantRaw) {
-			t.Fatalf("batched response %d differs from unbatched response:\n%s\nvs\n%s",
-				i, raws[i], wantRaw)
+
+	for _, body := range []string{
+		`{"text":"letmein9","seed":11}`,
+		`{"text":"letmein9","seed":11,"channel":"proccount"}`,
+	} {
+		jobs := batchJobs()
+		wantRaw, _ := servedEavesdrop(t, plain.URL, body)
+		wantFrames := streamSession(t, plain.URL, body)
+
+		const parallelism = 8
+		raws := make([][]byte, parallelism)
+		streams := make([][]sseFrame, parallelism)
+		var wg sync.WaitGroup
+		for i := 0; i < parallelism; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				raws[i], _ = servedEavesdrop(t, batched.URL, body)
+				streams[i] = streamSession(t, batched.URL, body)
+			}(i)
 		}
-		if len(streams[i]) != len(wantFrames) {
-			t.Fatalf("batched stream %d has %d frames, unbatched stream %d",
-				i, len(streams[i]), len(wantFrames))
-		}
-		for j := 1; j < len(wantFrames); j++ {
-			if !bytes.Equal(streams[i][j].Data, wantFrames[j].Data) {
-				t.Fatalf("batched stream %d frame %d differs from unbatched:\n%s\nvs\n%s",
-					i, j, streams[i][j].Data, wantFrames[j].Data)
+		wg.Wait()
+		for i := 0; i < parallelism; i++ {
+			if !bytes.Equal(raws[i], wantRaw) {
+				t.Fatalf("%s: batched response %d differs from unbatched response:\n%s\nvs\n%s",
+					body, i, raws[i], wantRaw)
 			}
+			if len(streams[i]) != len(wantFrames) {
+				t.Fatalf("%s: batched stream %d has %d frames, unbatched stream %d",
+					body, i, len(streams[i]), len(wantFrames))
+			}
+			for j := 1; j < len(wantFrames); j++ {
+				if !bytes.Equal(streams[i][j].Data, wantFrames[j].Data) {
+					t.Fatalf("%s: batched stream %d frame %d differs from unbatched:\n%s\nvs\n%s",
+						body, i, j, streams[i][j].Data, wantFrames[j].Data)
+				}
+			}
+		}
+		// The requests must really have gone through the batcher, or the
+		// comparison proves nothing about them.
+		if batchJobs() == jobs {
+			t.Fatalf("%s: the batched server classified nothing through its batcher", body)
 		}
 	}
 }

@@ -172,13 +172,12 @@ func (p Pipeline) Run(ctx context.Context, sess *victim.Session, start, end sim.
 func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamEvent) error) (*Outcome, error) {
 	out := &Outcome{Legs: make([]LegOutcome, len(st.Legs))}
 	single := len(st.Legs) == 1
+	if !single {
+		emit = nil
+	}
 	for i, l := range st.Legs {
 		lo := &out.Legs[i]
-		var legEmit func(StreamEvent) error
-		if single {
-			legEmit = emit
-		}
-		lo.Result, lo.Trace, lo.Stats, lo.Err = l.Attack.run(ctx, l.Probe, start, end, legEmit)
+		lo.Result, lo.Trace, lo.Stats, lo.Err = l.Attack.run(ctx, l.Probe, start, end, emit)
 		if l.Fault != nil {
 			lo.Injected = l.Fault.Stats
 		}

@@ -414,11 +414,13 @@ func (s *Server) handleEavesdrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // runEavesdrop is the one eavesdropping pipeline behind both the one-shot
-// endpoint and streaming sessions: fetch (or train) the model, simulate
-// the victim session, and run the online phase, forwarding engine events
-// to emit when non-nil. Sharing the implementation is what makes a
-// session's closing "result" frame byte-identical (modulo JSON
-// indentation) to the /v1/eavesdrop body for the same request. Callers
+// endpoint and streaming sessions: fetch (or train) each requested
+// channel's model, simulate the victim session, arm the defense, and run
+// the attack.Pipeline the request describes, forwarding engine events to
+// emit when non-nil; any failure fails the request. Sharing the
+// implementation is what makes a session's closing "result" frame
+// byte-identical (modulo JSON indentation) to the /v1/eavesdrop body for
+// the same request. Callers
 // hold a work-queue slot (s.do) for the model's shard and attach the
 // request's trace context to ctx; latMetric names the RED latency
 // histogram the run observes into on success ("" skips it).
@@ -426,11 +428,11 @@ func (s *Server) handleEavesdrop(w http.ResponseWriter, r *http.Request) {
 // When Options.Obs is set, the run records onto the trace's own track:
 // a router-hop instant if the context arrived over the wire, the
 // request span (0 → session end), the queue-admit instant, one instant
-// per micro-batched classification, and — through the attack engine's
-// tracer — the sampler and verdict events. Every event is emitted from
-// this goroutine, so a trace's events are in creation order and the
-// exported stream, filtered to one track, is byte-identical at any
-// worker count.
+// per micro-batched classification, and — through the pipeline's tracer
+// on the primary leg — the fault, sampler and verdict events. Every
+// event is emitted from this goroutine, so a trace's events are in
+// creation order and the exported stream, filtered to one track, is
+// byte-identical at any worker count.
 func (s *Server) runEavesdrop(ctx context.Context, scen Scenario, req EavesdropRequest, emit func(attack.StreamEvent) error, latMetric string) (EavesdropResponse, error) {
 	trainCfg := TrainConfig(scen.Cfg)
 	shard := s.reg.ShardFor(ChannelKey(trainCfg, scen.Primary()))

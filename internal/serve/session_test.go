@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -116,6 +117,9 @@ func TestSessionSingleUse(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		resp := doReq(t, http.MethodGet, ts.URL+sr.Stream)
+		// Read to the end: the body ends only once the handler has retired
+		// the session, which the attach-after-completion check relies on.
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // the status code is the signal
 		resp.Body.Close()
 		done <- resp.StatusCode
 	}()

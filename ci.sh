@@ -88,6 +88,38 @@ wait_file() {
     done
 }
 
+# Every temp dir and background daemon the script creates is recorded in
+# tmp_dirs / daemon_pids. One EXIT trap, set once, kills the daemons still
+# running and then removes the dirs, so a gate that fails mid-smoke (a
+# wait_file timeout, a failed load step) never leaks a daemon or deletes
+# its directory underneath it.
+tmp_dirs=""
+daemon_pids=""
+cleanup() {
+    for pid in $daemon_pids; do
+        kill "$pid" 2>/dev/null || true
+    done
+    for pid in $daemon_pids; do
+        wait "$pid" 2>/dev/null || true
+    done
+    for dir in $tmp_dirs; do
+        rm -rf "$dir"
+    done
+}
+trap cleanup EXIT
+
+# reap PID — wait for a recorded daemon and drop it from daemon_pids (a
+# reaped PID may be reused, so cleanup must not signal it); returns the
+# daemon's exit status.
+reap() {
+    _reap_keep=""
+    for _reap_pid in $daemon_pids; do
+        [ "$_reap_pid" = "$1" ] || _reap_keep="$_reap_keep $_reap_pid"
+    done
+    daemon_pids=$_reap_keep
+    wait "$1"
+}
+
 quick=0
 for arg in "$@"; do
     case "$arg" in
@@ -120,7 +152,7 @@ echo "==> gpuvet ./..."
 # finding is new), the waiver ledger reconciles every //gpuvet:ignore,
 # and the SARIF report is archived when CI_ARTIFACTS is set.
 gpuvet_dir=$(mktemp -d)
-trap 'rm -rf "$gpuvet_dir"' EXIT
+tmp_dirs="$tmp_dirs $gpuvet_dir"
 go run ./cmd/gpuvet \
     -sarif "$gpuvet_dir/gpuvet.sarif" \
     -baseline gpuvet-baseline.json \
@@ -146,7 +178,7 @@ echo "==> telemetry smoke"
 # stream; traceview exits non-zero on an empty or malformed file, and the
 # conversion exercises the Perfetto exporter.
 telemetry_dir=$(mktemp -d)
-trap 'rm -rf "$gpuvet_dir" "$telemetry_dir"' EXIT
+tmp_dirs="$tmp_dirs $telemetry_dir"
 go run ./cmd/attackd -seed 7 -text hunter2 \
     -telemetry "$telemetry_dir/telemetry.jsonl" >/dev/null 2>&1
 go run ./cmd/traceview -telemetry "$telemetry_dir/telemetry.jsonl" \
@@ -160,7 +192,7 @@ echo "==> gpuleakd smoke"
 # background daemon is a real process we can signal and wait on; the
 # kernel picks the port (-addr :0) and -addr-file publishes it.
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$gpuvet_dir" "$telemetry_dir" "$smoke_dir"' EXIT
+tmp_dirs="$tmp_dirs $smoke_dir"
 go build -o "$smoke_dir/gpuleakd" ./cmd/gpuleakd
 go build -o "$smoke_dir/loadgen" ./cmd/loadgen
 go build -o "$smoke_dir/gpuleakrouter" ./cmd/gpuleakrouter
@@ -168,16 +200,16 @@ go build -o "$smoke_dir/gpuleakstat" ./cmd/gpuleakstat
 "$smoke_dir/gpuleakd" -addr 127.0.0.1:0 -addr-file "$smoke_dir/gpuleakd.addr" \
     >"$smoke_dir/gpuleakd.log" 2>&1 &
 gpuleakd_pid=$!
+daemon_pids="$daemon_pids $gpuleakd_pid"
 wait_file "$smoke_dir/gpuleakd.addr"
 gpuleakd_addr=$(cat "$smoke_dir/gpuleakd.addr")
 if ! "$smoke_dir/loadgen" -smoke -addr "http://$gpuleakd_addr" -healthz-wait 30s; then
     echo "gpuleakd smoke failed; daemon log:" >&2
     cat "$smoke_dir/gpuleakd.log" >&2
-    kill "$gpuleakd_pid" 2>/dev/null || true
     exit 1
 fi
 kill -TERM "$gpuleakd_pid"
-if ! wait "$gpuleakd_pid"; then
+if ! reap "$gpuleakd_pid"; then
     echo "gpuleakd did not drain cleanly on SIGTERM; daemon log:" >&2
     cat "$smoke_dir/gpuleakd.log" >&2
     exit 1
@@ -193,11 +225,12 @@ echo "==> fleet smoke"
 # the gpuleak-load/v1 trajectory, and SIGTERM must drain the router and
 # the surviving replica to clean exits.
 fleet_dir=$(mktemp -d)
-trap 'rm -rf "$gpuvet_dir" "$telemetry_dir" "$smoke_dir" "$fleet_dir"' EXIT
+tmp_dirs="$tmp_dirs $fleet_dir"
 for i in 1 2; do
     "$smoke_dir/gpuleakd" -addr 127.0.0.1:0 -addr-file "$fleet_dir/replica$i.addr" \
         >"$fleet_dir/replica$i.log" 2>&1 &
     eval "replica${i}_pid=\$!"
+    daemon_pids="$daemon_pids $!"
     wait_file "$fleet_dir/replica$i.addr"
     eval "replica${i}_addr=\$(cat \"\$fleet_dir/replica$i.addr\")"
 done
@@ -208,6 +241,7 @@ printf 'http://%s %s\nhttp://%s %s\n' \
     -backends "http://$replica1_addr,http://$replica2_addr" -probe 100ms \
     >"$fleet_dir/router.log" 2>&1 &
 router_pid=$!
+daemon_pids="$daemon_pids $router_pid"
 wait_file "$fleet_dir/router.addr"
 router_addr=$(cat "$fleet_dir/router.addr")
 
@@ -222,7 +256,6 @@ if ! "$smoke_dir/loadgen" -fleet-smoke -addr "http://$router_addr" \
     -killed-file "$fleet_dir/killed.pid" -healthz-wait 30s; then
     echo "fleet smoke failed" >&2
     fleet_logs
-    kill "$router_pid" "$replica1_pid" "$replica2_pid" 2>/dev/null || true
     exit 1
 fi
 killed_pid=$(cat "$fleet_dir/killed.pid")
@@ -246,7 +279,6 @@ if ! "$smoke_dir/gpuleakstat" -router "http://$router_addr" -json -check \
     echo "gpuleakstat check failed; report:" >&2
     cat "$fleet_dir/stat-report.json" >&2 || true
     fleet_logs
-    kill "$router_pid" "$replica1_pid" "$replica2_pid" 2>/dev/null || true
     exit 1
 fi
 if [ -n "${CI_ARTIFACTS:-}" ]; then
@@ -257,20 +289,19 @@ fi
 # Drain: router first (it must finish relaying), then the survivor. The
 # SIGKILLed replica is reaped without judging its exit status.
 kill -TERM "$router_pid"
-if ! wait "$router_pid"; then
+if ! reap "$router_pid"; then
     echo "gpuleakrouter did not drain cleanly on SIGTERM" >&2
     fleet_logs
-    kill "$replica1_pid" "$replica2_pid" 2>/dev/null || true
     exit 1
 fi
 fleet_drained=0
 for pid in "$replica1_pid" "$replica2_pid"; do
     if [ "$pid" = "$killed_pid" ]; then
-        wait "$pid" 2>/dev/null || true
+        reap "$pid" 2>/dev/null || true
         continue
     fi
     kill -TERM "$pid"
-    if wait "$pid"; then
+    if reap "$pid"; then
         fleet_drained=$((fleet_drained + 1))
     fi
 done

@@ -19,10 +19,6 @@ import (
 	"gpuleak/internal/obs"
 	"gpuleak/internal/parallel"
 	"gpuleak/internal/victim"
-
-	// Channel implementations self-register from init.
-	_ "gpuleak/internal/kgslchan"
-	_ "gpuleak/internal/proccount"
 )
 
 // trainReport is the -json output: one machine-readable line of training
@@ -83,7 +79,7 @@ func main() {
 	// Non-default channels tag the default output filename so models for
 	// different channels never clobber each other.
 	chTag := ""
-	if t := channel.Canonical(ch.Name()); t != "" {
+	if t := channel.Canonical(ch.Name); t != "" {
 		chTag = "-" + t
 	}
 	copts := attack.CollectOptions{Repeats: *repeats, Workers: *workers, Channel: *chName}

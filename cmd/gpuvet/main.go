@@ -1,9 +1,10 @@
-// Command gpuvet runs the repository's static-analysis suite: stdlib-only
-// checks enforcing the invariants the reproduction's fidelity depends on
-// (deterministic sim.Time clocks and map serialization, end-to-end
-// context threading, msm_kgsl.h counter constants, float-comparison and
-// mutex hygiene, ioctl size consistency, the typed error taxonomy, and
-// the hot-path allocation budget).
+// Command gpuvet runs the repository's static-analysis suite: eleven
+// stdlib-only checks enforcing the invariants the reproduction's
+// fidelity depends on (deterministic sim.Time clocks, map serialization
+// and telemetry events, end-to-end context threading, msm_kgsl.h counter
+// constants, float-comparison and mutex hygiene, ioctl size consistency,
+// the typed error taxonomy, the hot-path allocation budget, and godoc on
+// the documented surface). -list prints them in suite order.
 //
 // Usage:
 //

@@ -22,8 +22,9 @@
 //	doccheck     - exported symbols on the documented surface (facade,
 //	               serve, obs, fault) must carry godoc comments
 //
-// Each check registers itself (Register) with metadata the driver shares
-// with the SARIF exporter, the baseline filter and the waiver ledger.
+// The checks form one ordered suite (DefaultAnalyzers) whose metadata the
+// driver shares with the SARIF exporter, the baseline filter and the
+// waiver ledger.
 // A finding can be suppressed with a trailing or preceding comment of the
 // form
 //
@@ -68,17 +69,16 @@ type Package struct {
 	ignores map[string]map[int][]string
 }
 
-// Analyzer is one named check, registered with Register so the driver,
-// the -list output, the SARIF rule table and the waiver ledger all share
-// one source of metadata.
+// Analyzer is one named check. The suite lists each one once, so the
+// driver, the -list output, the SARIF rule table and the waiver ledger
+// all share one source of metadata.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Category groups checks for reporting: "determinism",
 	// "driver-fidelity", "taxonomy", "hygiene", "performance" or "docs".
 	Category string
-	// Severity maps onto the SARIF level: "error" (the default when
-	// empty) or "warning".
+	// Severity maps onto the SARIF level: "error" or "warning".
 	Severity string
 	// Applies filters by package import path; nil runs everywhere.
 	Applies func(pkgPath string) bool

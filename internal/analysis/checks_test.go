@@ -173,40 +173,6 @@ func TestErrTaxonomyFixtures(t *testing.T) {
 	checkFixture(t, ErrTaxonomy, "errtaxonomy/good", "gpuleak")
 }
 
-func TestChannelRegFixtures(t *testing.T) {
-	checkFixture(t, ChannelReg, "channelreg/bad", "gpuleak/internal/crbad")
-	checkFixture(t, ChannelReg, "channelreg/good", "gpuleak/internal/crgood")
-}
-
-func TestChannelRegScope(t *testing.T) {
-	if ChannelReg.Applies("gpuleak/internal/channel") {
-		t.Error("channelreg must not apply to the registry package itself (its tests construct throwaway channels)")
-	}
-	if !ChannelReg.Applies("gpuleak/internal/serve") {
-		t.Error("channelreg must apply to channel consumers")
-	}
-	if !ChannelReg.Applies("gpuleak/internal/kgslchan") {
-		t.Error("channelreg must apply to channel implementations")
-	}
-}
-
-func TestDefenseRegFixtures(t *testing.T) {
-	checkFixture(t, DefenseReg, "defensereg/bad", "gpuleak/internal/drbad")
-	checkFixture(t, DefenseReg, "defensereg/good", "gpuleak/internal/drgood")
-}
-
-func TestDefenseRegScope(t *testing.T) {
-	if DefenseReg.Applies("gpuleak/internal/defense") {
-		t.Error("defensereg must not apply to the registry package itself (chains are derived at resolve time)")
-	}
-	if !DefenseReg.Applies("gpuleak/internal/serve") {
-		t.Error("defensereg must apply to defense consumers")
-	}
-	if !DefenseReg.Applies("gpuleak/internal/exp") {
-		t.Error("defensereg must apply to the tournament layer")
-	}
-}
-
 // checkHotAllocFixture is checkFixture for the hotalloc analyzer, which
 // needs a driver Config carrying the fixture's own budget file and the
 // module root (it shells out to go build).

@@ -17,6 +17,7 @@ import (
 var CounterGroup = &Analyzer{
 	Name:     "countergroup",
 	Category: "driver-fidelity",
+	Severity: "error",
 	Doc:      "require adreno.Group*/countable constants instead of magic counter IDs",
 	Run:      runCounterGroup,
 }
@@ -264,5 +265,3 @@ func (p *Pass) constUint(e ast.Expr) (uint64, bool) {
 	v, exact := constant.Uint64Val(constant.ToInt(tv.Value))
 	return v, exact
 }
-
-func init() { Register(CounterGroup) }

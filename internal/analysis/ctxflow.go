@@ -28,12 +28,11 @@ import (
 var CtxFlow = &Analyzer{
 	Name:     "ctxflow",
 	Category: "determinism",
+	Severity: "error",
 	Doc:      "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",
 	Applies:  isInternalPath,
 	Run:      runCtxFlow,
 }
-
-func init() { Register(CtxFlow) }
 
 func runCtxFlow(p *Pass) {
 	eachFuncDecl(p.Pkg, func(file *ast.File, fn *ast.FuncDecl) {

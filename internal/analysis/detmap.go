@@ -29,11 +29,10 @@ import (
 var DetMap = &Analyzer{
 	Name:     "detmap",
 	Category: "determinism",
+	Severity: "error",
 	Doc:      "map iteration feeding ordered output (serialization, report slices) must pass through a sort",
 	Run:      runDetMap,
 }
-
-func init() { Register(DetMap) }
 
 // serializeMethods are method names that commit bytes or rows in call
 // order. A map-range body calling one of these serializes in random

@@ -20,6 +20,7 @@ import (
 var DocCheck = &Analyzer{
 	Name:     "doccheck",
 	Category: "docs",
+	Severity: "error",
 	Doc:      "exported symbols on the documented surface (facade, serve, obs, fault, defense) must carry godoc comments",
 	Applies:  isDocumentedSurface,
 	Run:      runDocCheck,
@@ -167,5 +168,3 @@ func docStartsWith(text, name string, allowArticle bool) bool {
 	return strings.TrimRight(fields[0], ":,.") == name ||
 		strings.Trim(fields[0], "\"'`") == name
 }
-
-func init() { Register(DocCheck) }

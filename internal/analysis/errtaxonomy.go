@@ -30,11 +30,10 @@ import (
 var ErrTaxonomy = &Analyzer{
 	Name:     "errtaxonomy",
 	Category: "taxonomy",
+	Severity: "error",
 	Doc:      "error identity flows through errors.Is/As: no err.Error() matching, no == against non-sentinel errors, facade taxonomy lives in errors.go",
 	Run:      runErrTaxonomy,
 }
-
-func init() { Register(ErrTaxonomy) }
 
 // stringMatchFuncs are the strings/bytes/regexp helpers that turn a
 // rendered error into a match decision.

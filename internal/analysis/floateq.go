@@ -20,6 +20,7 @@ var floatEqPaths = map[string]bool{
 var FloatEq = &Analyzer{
 	Name:     "floateq",
 	Category: "hygiene",
+	Severity: "error",
 	Doc:      "forbid ==/!= on float-typed operands in internal/stats and internal/attack",
 	Applies:  func(path string) bool { return floatEqPaths[path] },
 	Run:      runFloatEq,
@@ -65,5 +66,3 @@ func containsFloat(t types.Type) bool {
 		return false
 	}
 }
-
-func init() { Register(FloatEq) }

@@ -31,11 +31,10 @@ import (
 var HotAlloc = &Analyzer{
 	Name:     "hotalloc",
 	Category: "performance",
+	Severity: "error",
 	Doc:      "hot-path functions must stay within the committed escape-site budget (gpuvet-hotalloc.json, via go build -gcflags=-m)",
 	Run:      runHotAlloc,
 }
-
-func init() { Register(HotAlloc) }
 
 // HotAllocBudget is the parsed gpuvet-hotalloc.json.
 type HotAllocBudget struct {

@@ -25,6 +25,7 @@ import (
 var IoctlSize = &Analyzer{
 	Name:     "ioctlsize",
 	Category: "driver-fidelity",
+	Severity: "error",
 	Doc:      "verify iowr(nr, size) sizes match the marshalled struct's kernel ABI size",
 	Run:      runIoctlSize,
 }
@@ -178,5 +179,3 @@ func roundUp(n, align uint64) uint64 {
 	}
 	return (n + align - 1) / align * align
 }
-
-func init() { Register(IoctlSize) }

@@ -16,6 +16,7 @@ import (
 var LockCheck = &Analyzer{
 	Name:     "lockcheck",
 	Category: "hygiene",
+	Severity: "error",
 	Doc:      "flag methods touching mutex-guarded fields without locking the mutex",
 	Run:      runLockCheck,
 }
@@ -200,5 +201,3 @@ func isSyncLockMethod(fn *types.Func) bool {
 	}
 	return false
 }
-
-func init() { Register(LockCheck) }

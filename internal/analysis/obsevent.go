@@ -29,6 +29,7 @@ import (
 var ObsEvent = &Analyzer{
 	Name:     "obsevent",
 	Category: "determinism",
+	Severity: "error",
 	Doc:      "obs event names must be package-level obs.NewName registrations; Emit/Start timestamps must not derive from the wall clock; metric names must be declared constants, not inline literals",
 	Applies: func(pkgPath string) bool {
 		// The obs package itself converts names when parsing streams.
@@ -191,5 +192,3 @@ func checkMetricName(p *Pass, call *ast.CallExpr, what string) {
 		return true
 	})
 }
-
-func init() { Register(ObsEvent) }

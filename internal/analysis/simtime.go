@@ -30,6 +30,7 @@ var wallClockFuncs = map[string]bool{
 var SimTime = &Analyzer{
 	Name:     "simtime",
 	Category: "determinism",
+	Severity: "error",
 	Doc:      "forbid wall-clock time.Now/Sleep/Since/Tick/... in internal/ packages; use sim.Time",
 	Applies:  isInternalPath,
 	Run:      runSimTime,
@@ -46,5 +47,3 @@ func runSimTime(p *Pass) {
 		}
 	}
 }
-
-func init() { Register(SimTime) }

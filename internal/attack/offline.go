@@ -9,12 +9,7 @@ import (
 	"gpuleak/internal/android"
 	"gpuleak/internal/channel"
 	"gpuleak/internal/input"
-
-	// Register the default channel: Collect with an empty Channel must
-	// work wherever the attack package does, or every pre-channel-plane
-	// call site would break at run time.
 	"gpuleak/internal/keyboard"
-	_ "gpuleak/internal/kgslchan"
 	"gpuleak/internal/obs"
 	"gpuleak/internal/parallel"
 	"gpuleak/internal/sim"
@@ -175,7 +170,7 @@ func sampleWindows(ch channel.Channel, sess *victim.Session, interval sim.Time, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("attack: offline phase: %w", err)
 	}
-	sampler, err := NewSamplerTaxonomy(f, interval, RetryPolicy{}, ch.Taxonomy())
+	sampler, err := NewSamplerTaxonomy(f, interval, RetryPolicy{}, ch.Taxonomy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -398,7 +393,7 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 		return nil, err
 	}
 
-	m := &Model{Key: ModelKeyForChannel(cfg, ch.Name()), Keys: make(map[string]trace.Vec)}
+	m := &Model{Key: ModelKeyForChannel(cfg, ch.Name), Keys: make(map[string]trace.Vec)}
 
 	// Key centroids: keep the smallest-magnitude repeat (a repeat whose
 	// window accidentally caught extra work sums high). Tasks are merged

@@ -123,22 +123,22 @@ func (p Pipeline) Build(sess *victim.Session) (*Stack, error) {
 		}
 		probe, err := ch.Open(sess)
 		if err != nil {
-			return nil, fmt.Errorf("attack: opening channel %q: %w", ch.Name(), err)
+			return nil, fmt.Errorf("attack: opening channel %q: %w", ch.Name, err)
 		}
 		primary := i == 0
-		a := &Attack{Models: []*Model{leg.Model}, Interval: ch.Interval(), Errors: ch.Taxonomy()}
+		a := &Attack{Models: []*Model{leg.Model}, Interval: ch.Interval, Errors: ch.Taxonomy}
 		sl := StackLeg{Channel: ch}
 		if primary && (p.Fault.Name != "" || !p.Fault.IsZero()) {
 			dev, ok := probe.(fault.Device)
-			if !ok || ch.Name() != channel.DefaultName {
-				return nil, fmt.Errorf("attack: channel %q cannot carry a fault profile", ch.Name())
+			if !ok || ch.Name != channel.DefaultName {
+				return nil, fmt.Errorf("attack: channel %q cannot carry a fault profile", ch.Name)
 			}
 			sl.Fault = fault.NewFile(dev, p.Fault, p.FaultSeed)
 			sl.Fault.Obs = p.Obs
 			probe = sl.Fault
 		}
 		if p.Defense != nil {
-			probe = p.Defense.WrapProbe(ch.Name(), probe)
+			probe = p.Defense.WrapProbe(ch.Name, probe)
 		}
 		if sl.Fault != nil || p.Defense != nil {
 			a.Retry = DefaultRetryPolicy()
@@ -197,7 +197,7 @@ func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamE
 	pl, sl := st.Legs[0], st.Legs[1]
 	pri, sec := out.Legs[0], out.Legs[1]
 	out.Fusion = Fuse(pl.Attack.Models[0], pri.Trace.Deltas(), pri.Result,
-		sl.Attack.Models[0], sec.Result, pl.Channel.Interval(), FusionOptions{})
+		sl.Attack.Models[0], sec.Result, pl.Channel.Interval, FusionOptions{})
 	out.Result = out.Fusion.Fused
 	return out, nil
 }

@@ -88,7 +88,7 @@ func TestPipelineBuildRules(t *testing.T) {
 				if got := l.Attack.Classify != nil; got != w.hooked {
 					t.Errorf("leg %d: classify hook = %v, want %v", i, got, w.hooked)
 				}
-				if l.Attack.Interval != l.Channel.Interval() || l.Attack.Errors != l.Channel.Taxonomy() {
+				if l.Attack.Interval != l.Channel.Interval || l.Attack.Errors != l.Channel.Taxonomy {
 					t.Errorf("leg %d: interval/taxonomy not the channel's", i)
 				}
 			}

@@ -1,4 +1,4 @@
-// Package channel defines the pluggable side-channel plane. The paper's
+// Package channel defines the side-channel plane. The paper's
 // attack shape — sample a cumulative counter surface, extract delta
 // vectors, segment them, centroid-classify — is not specific to GPU
 // performance counters: EavesDroid runs the same loop over /proc
@@ -8,20 +8,21 @@
 // victim session, how many feature dimensions the probe fills, which
 // error sentinels its driver surfaces, and the default polling cadence.
 //
-// Implementations self-register through Register from their package's
-// init function (the gpuvet channelreg analyzer enforces this); consumers
-// resolve them by name through Get and never construct them directly.
-// The KGSL perf-counter channel (internal/kgslchan) is the first and
-// default implementation; internal/proccount is the second.
+// The set of channels is closed: a fixed table built into the binary, in
+// the shape of exp.All and fault.Profiles. Consumers resolve channels by
+// name through Get, so which channels a binary can run never depends on
+// what it happens to import. The KGSL perf-counter channel is the first
+// and default entry; internal/proccount's OS-counter channel is the
+// second.
 //
 // # Determinism contract
 //
-// A Channel must be stateless and safe for concurrent use: all per-run
-// state lives in the Probe it opens. A Probe is owned by one sampling
-// goroutine and its reads must be pure functions of (session, read time)
-// — never of wall clock, read count, or scheduling — so a collection
-// replays byte-identically at any worker count. Probes fill the leading
-// Dims() entries of each trace.Raw read with cumulative, monotonically
+// A Channel's Open must be stateless and safe for concurrent use: all
+// per-run state lives in the Probe it opens. A Probe is owned by one
+// sampling goroutine and its reads must be pure functions of (session,
+// read time) — never of wall clock, read count, or scheduling — so a
+// collection replays byte-identically at any worker count. Probes fill the leading
+// Dims entries of each trace.Raw read with cumulative, monotonically
 // non-decreasing counters and leave the remaining dimensions zero; the
 // delta extraction, weighting and classification layers above are
 // width-agnostic because an all-zero dimension contributes nothing to
@@ -31,10 +32,9 @@ package channel
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"gpuleak/internal/fault"
+	"gpuleak/internal/proccount"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
@@ -46,7 +46,7 @@ import (
 // attack.ModelKey).
 const DefaultName = "kgsl"
 
-// ErrUnknownChannel reports a channel name absent from the registry.
+// ErrUnknownChannel reports a channel name absent from the table.
 // Match with errors.Is; the serving layer maps it onto HTTP 400.
 var ErrUnknownChannel = errors.New("channel: unknown channel")
 
@@ -58,7 +58,7 @@ type Probe interface {
 	// sampler retries it on the taxonomy's NotReserved sentinel.
 	ReserveSelected(t sim.Time) error
 	// ReadSelected reads the cumulative counters at t into the shared
-	// fixed-width feature space, leading Dims() entries meaningful.
+	// fixed-width feature space, leading Dims entries meaningful.
 	ReadSelected(t sim.Time) (trace.Raw, error)
 }
 
@@ -72,41 +72,46 @@ type TickFaults interface {
 	TickFault(tick int, t sim.Time) (delay sim.Time, drop bool)
 }
 
-// Channel is one registered side channel.
-type Channel interface {
-	// Name is the registry key ("kgsl", "proccount").
-	Name() string
+// Channel is one side channel of the table.
+type Channel struct {
+	// Name is the table key ("kgsl", "proccount").
+	Name string
 	// Dims is how many leading dimensions of trace.Raw the probe fills.
-	Dims() int
-	// Open returns a fresh probe on a materialized victim session, as the
-	// attacker's unprivileged process would acquire it.
-	Open(sess *victim.Session) (Probe, error)
+	Dims int
+	// Interval is the channel's default polling period.
+	Interval sim.Time
 	// Taxonomy is the channel's transient-error vocabulary: what the fault
 	// plane injects for it and what the sampler's retry policy recovers.
-	Taxonomy() fault.Taxonomy
-	// Interval is the channel's default polling period.
-	Interval() sim.Time
+	Taxonomy fault.Taxonomy
+	// Open returns a fresh probe on a materialized victim session, as the
+	// attacker's unprivileged process would acquire it.
+	Open func(sess *victim.Session) (Probe, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Channel{}
-)
-
-// Register adds a channel to the registry. It is called from the
-// implementing package's init function and panics on a duplicate or
-// empty name, mirroring the analyzer and experiment registries.
-func Register(c Channel) {
-	name := c.Name()
-	if name == "" {
-		panic("channel: Register with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("channel: duplicate Register(%q)", name))
-	}
-	registry[name] = c
+// table lists every channel, sorted by name.
+var table = []Channel{
+	{
+		// The paper's original attack surface. Opening a probe is exactly
+		// victim.Session.Open (an unprivileged handle on /dev/kgsl-3d0),
+		// all trace.Width dimensions carry the Table-1 counters, the error
+		// taxonomy is the KGSL errno family, and the interval is the §7
+		// default of one read every 8 ms (attack.DefaultInterval).
+		Name:     DefaultName,
+		Dims:     trace.Width,
+		Interval: 8 * sim.Millisecond,
+		Taxonomy: fault.KGSL(),
+		Open:     func(sess *victim.Session) (Probe, error) { return sess.Open() },
+	},
+	{
+		// EavesDroid-style /proc and /sys counters. The interval matches
+		// KGSL: /proc stats refresh faster than 8 ms, and a shared tick
+		// grid keeps the two channels' delta streams alignable for fusion.
+		Name:     proccount.Name,
+		Dims:     proccount.Dims,
+		Interval: 8 * sim.Millisecond,
+		Taxonomy: proccount.Taxonomy(),
+		Open:     func(sess *victim.Session) (Probe, error) { return proccount.NewProbe(sess), nil },
+	},
 }
 
 // Get resolves a channel by name. The empty name resolves to DefaultName,
@@ -116,24 +121,20 @@ func Get(name string) (Channel, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	regMu.RLock()
-	c, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownChannel, name, Names())
+	for _, c := range table {
+		if c.Name == name {
+			return c, nil
+		}
 	}
-	return c, nil
+	return Channel{}, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownChannel, name, Names())
 }
 
-// Names lists the registered channel names, sorted.
+// Names lists the channel names, sorted.
 func Names() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(table))
+	for i, c := range table {
+		out[i] = c.Name
 	}
-	regMu.RUnlock()
-	sort.Strings(out)
 	return out
 }
 

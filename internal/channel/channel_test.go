@@ -2,40 +2,56 @@ package channel
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
-	"gpuleak/internal/fault"
 	"gpuleak/internal/sim"
-	"gpuleak/internal/victim"
+	"gpuleak/internal/trace"
 )
 
-// fakeChannel is a registry-only throwaway: Open is never called.
-type fakeChannel struct{ name string }
-
-func (c fakeChannel) Name() string                             { return c.name }
-func (c fakeChannel) Dims() int                                { return 1 }
-func (c fakeChannel) Open(sess *victim.Session) (Probe, error) { return nil, nil }
-func (c fakeChannel) Taxonomy() fault.Taxonomy                 { return fault.Taxonomy{} }
-func (c fakeChannel) Interval() sim.Time                       { return sim.Millisecond }
-
+// TestRegistryRoundTrip pins the table's names, that Get resolves each
+// of them, and the exact unknown-name error text.
 func TestRegistryRoundTrip(t *testing.T) {
-	Register(fakeChannel{name: "test.roundtrip"})
-	c, err := Get("test.roundtrip")
-	if err != nil {
-		t.Fatalf("Get after Register: %v", err)
+	want := []string{"kgsl", "proccount"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	if c.Name() != "test.roundtrip" {
-		t.Errorf("Get returned %q", c.Name())
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test.roundtrip" {
-			found = true
+	for _, name := range want {
+		c, err := Get(name)
+		if err != nil {
+			t.Fatalf("Get(%q): %v", name, err)
+		}
+		if c.Name != name || c.Open == nil {
+			t.Errorf("Get(%q) = entry %q (Open set: %v)", name, c.Name, c.Open != nil)
 		}
 	}
-	if !found {
-		t.Errorf("Names() = %v does not list the registered channel", Names())
+	const wantErr = `channel: unknown channel: "x" (registered: [kgsl proccount])`
+	if _, err := Get("x"); err == nil || err.Error() != wantErr {
+		t.Errorf("Get(\"x\") error = %v, want %s", err, wantErr)
+	}
+}
+
+// TestTableNamesUnique pins that no two table entries share a name, so
+// Get resolves every name to exactly one channel.
+func TestTableNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range table {
+		if seen[c.Name] {
+			t.Errorf("table entry name %q is listed twice", c.Name)
+		}
+		seen[c.Name] = true
+	}
+}
+
+// TestTableNamesWellFormed pins that every table name is non-empty (the
+// empty name means "the default") and carries no "+" (the defense chain
+// separator).
+func TestTableNamesWellFormed(t *testing.T) {
+	for _, c := range table {
+		if c.Name == "" || strings.Contains(c.Name, "+") {
+			t.Errorf("table entry name %q must be non-empty and free of '+'", c.Name)
+		}
 	}
 }
 
@@ -50,33 +66,17 @@ func TestGetUnknown(t *testing.T) {
 }
 
 func TestGetEmptyResolvesDefault(t *testing.T) {
-	// The default channel is registered by its own package, which this
-	// package cannot import (it would invert the dependency); the empty
-	// name must at least normalize onto DefaultName's registry entry.
-	_, err := Get("")
-	_, errDefault := Get(DefaultName)
-	if (err == nil) != (errDefault == nil) {
-		t.Fatalf("Get(\"\") = %v but Get(%q) = %v; they must agree", err, DefaultName, errDefault)
+	c, err := Get("")
+	if err != nil {
+		t.Fatalf("Get(\"\"): %v", err)
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	Register(fakeChannel{name: "test.dup"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(fakeChannel{name: "test.dup"})
-}
-
-func TestRegisterEmptyNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-name Register did not panic")
-		}
-	}()
-	Register(fakeChannel{name: ""})
+	if c.Name != DefaultName || c.Dims != trace.Width || c.Interval != 8*sim.Millisecond {
+		t.Errorf("Get(\"\") = {Name: %q, Dims: %d, Interval: %v}, want {%q, %d, 8ms}",
+			c.Name, c.Dims, c.Interval, DefaultName, trace.Width)
+	}
+	if p, err := Get("proccount"); err != nil || p.Name != "proccount" {
+		t.Errorf("Get(\"proccount\") = %q, %v", p.Name, err)
+	}
 }
 
 func TestCanonical(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package defense is the composable counter-defense plane: a registry of
-// strength-parameterized policies that operators deploy against the
+// Package defense is the composable counter-defense plane: a fixed table
+// of strength-parameterized policies that operators deploy against the
 // paper's GPU perf-counter leak (§9) and its fused OS-counter sibling.
 // Where internal/fault models the environment fighting the attacker by
 // accident, this package models the platform fighting back on purpose —
@@ -17,11 +17,18 @@
 // a KGSL-only defense leaves the proccount probe untouched, and the
 // fused attacker keeps whatever the undefended channel still leaks.
 //
-// Implementations self-register through Register from their package's
-// init function (the gpuvet defensereg analyzer enforces this, mirroring
-// channelreg); consumers resolve them by name through Get. Get also
-// parses "a+b" into a chain: the combinator that arms several defenses
-// on one session, device hooks first-listed innermost.
+// The set of policies is closed, like internal/channel's table:
+// consumers resolve them by name through Get. Get also parses "a+b" into
+// a chain: the combinator that arms several defenses on one session,
+// device hooks first-listed innermost.
+//
+// The package also holds the paper's device-level §9 mechanisms that
+// the policies build on: RBACPolicy (§9.2 counter-group access control,
+// a kgsl.Policy), IoctlPolicy (the same control expressed as a SELinux
+// ioctl whitelist), and NoiseObfuscator (§9.3 background-workload
+// obfuscation, a kgsl.Obfuscator). Popup disabling (§9.1) is
+// victim.Config.DisablePopups, and decorative login animations (§9.3)
+// are the android.PNC app.
 //
 // # Determinism contract
 //
@@ -37,16 +44,14 @@ package defense
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"gpuleak/internal/channel"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
 )
 
-// ErrUnknownDefense reports a defense name absent from the registry.
+// ErrUnknownDefense reports a defense name absent from the table.
 // Match with errors.Is; the serving layer maps it onto HTTP 400.
 var ErrUnknownDefense = errors.New("defense: unknown defense")
 
@@ -54,16 +59,16 @@ var ErrUnknownDefense = errors.New("defense: unknown defense")
 // the serving layer maps it onto HTTP 400 through serve.ErrBadRequest.
 var ErrStrength = errors.New("defense: strength must be in [0, 1]")
 
-// Policy is one registered defense: a named, strength-parameterized
+// Policy is one defense: a named, strength-parameterized
 // countermeasure that can be armed on a victim session.
 type Policy interface {
-	// Name is the registry key ("ratelimit", "quantize", "noise", "rbac",
+	// Name is the table key ("ratelimit", "quantize", "noise", "rbac",
 	// "jitter"); chains join member names with "+".
 	Name() string
 	// Doc is a one-line operator-facing description of the mechanism and
 	// what its strength knob controls.
 	Doc() string
-	// Channels lists the side-channel registry names the defense covers,
+	// Channels lists the side-channel names the defense covers,
 	// sorted. Probes of channels outside the set pass through unchanged.
 	Channels() []string
 	// Overhead estimates the defense's cost to the platform at the given
@@ -91,30 +96,9 @@ type Instance interface {
 	Overhead() float64
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Policy{}
-)
-
-// Register adds a defense to the registry. It is called from the
-// implementing package's init function and panics on a duplicate, empty
-// or "+"-bearing name, mirroring the channel and analyzer registries
-// ("+" is the chain separator Get parses).
-func Register(p Policy) {
-	name := p.Name()
-	if name == "" {
-		panic("defense: Register with empty name")
-	}
-	if strings.Contains(name, "+") {
-		panic(fmt.Sprintf("defense: Register(%q): name must not contain the chain separator '+'", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("defense: duplicate Register(%q)", name))
-	}
-	registry[name] = p
-}
+// policies lists every defense, sorted by name. Chains are not listed:
+// Get derives them from "+"-joined names.
+var policies = []Policy{jitter{}, noise{}, quantize{}, rateLimit{}, rbac{}}
 
 // Get resolves a defense by name. A name containing "+" resolves every
 // part and returns their Chain ("quantize+jitter"), the composition
@@ -136,51 +120,21 @@ func Get(name string) (Policy, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty name (registered: %v)", ErrUnknownDefense, Names())
 	}
-	regMu.RLock()
-	p, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownDefense, name, Names())
-	}
-	return p, nil
-}
-
-// Names lists the registered defense names, sorted.
-func Names() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	regMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// All returns the registered defenses in Names order.
-func All() []Policy {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Policy, 0, len(names))
-	for _, name := range names {
-		out = append(out, registry[name])
-	}
-	return out
-}
-
-// AppliesTo reports whether a policy covers a channel registry name.
-func AppliesTo(p Policy, channelName string) bool {
-	for _, c := range p.Channels() {
-		if c == channelName {
-			return true
+	for _, p := range policies {
+		if p.Name() == name {
+			return p, nil
 		}
 	}
-	return false
+	return nil, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownDefense, name, Names())
+}
+
+// Names lists the defense names, sorted.
+func Names() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.Name()
+	}
+	return out
 }
 
 // Seed derives the deterministic defense seed for one scenario from a

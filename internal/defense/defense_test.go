@@ -1,51 +1,37 @@
 package defense
 
-// Tests of the registry contract (duplicate/empty/"+" names panic,
-// unknown names fail with the sentinel, "+" parses into a chain), the
-// strength-0 byte-identical passthrough, strength range validation, and
-// the per-wrapper behaviors: rate-limit denial taxonomy, jitter's
-// monotone snapshot clamp, quantize flooring, rbac masking, and
-// TickFault forwarding through every wrapper.
+// Tests of the table contract (names are pinned, unique, non-empty and
+// "+"-free, unknown names fail with the sentinel, "+" parses into a
+// chain), the strength-0 byte-identical passthrough, strength range
+// validation, and the per-wrapper behaviors: rate-limit denial
+// taxonomy, jitter's monotone snapshot clamp, quantize flooring, rbac
+// masking, and TickFault forwarding through every wrapper.
 
 import (
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/channel"
-	_ "gpuleak/internal/kgslchan" // registers the KGSL channel taxonomyOf resolves
 	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
 
-// stubPolicy lets the Register panic tests offer invalid names without
-// touching the real defense set.
-type stubPolicy struct{ name string }
-
-func (p stubPolicy) Name() string                      { return p.name }
-func (p stubPolicy) Doc() string                       { return "stub" }
-func (p stubPolicy) Channels() []string                { return nil }
-func (p stubPolicy) Overhead(strength float64) float64 { return 0 }
-func (p stubPolicy) Arm(sess *victim.Session, strength float64, seed int64) (Instance, error) {
-	return passthrough{}, nil
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", what)
+// TestTableNames pins the lookup invariants of the table: names are
+// unique, non-empty, and free of the chain separator Get parses.
+func TestTableNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range policies {
+		name := p.Name()
+		if name == "" || strings.Contains(name, "+") || seen[name] {
+			t.Errorf("table entry name %q must be unique, non-empty and free of '+'", name)
 		}
-	}()
-	fn()
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic(t, "empty name", func() { Register(stubPolicy{name: ""}) })
-	mustPanic(t, "chain separator in name", func() { Register(stubPolicy{name: "a+b"}) })
-	mustPanic(t, "duplicate name", func() { Register(stubPolicy{name: "jitter"}) })
+		seen[name] = true
+	}
 }
 
 func TestGetUnknown(t *testing.T) {
@@ -57,23 +43,13 @@ func TestGetUnknown(t *testing.T) {
 }
 
 func TestNamesCoverTheRegisteredSet(t *testing.T) {
-	names := Names()
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
+	want := []string{"jitter", "noise", "quantize", "ratelimit", "rbac"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for _, want := range []string{"jitter", "noise", "quantize", "ratelimit", "rbac"} {
-		if !found[want] {
-			t.Errorf("Names() = %v missing %q", names, want)
-		}
-	}
-	all := All()
-	if len(all) != len(names) {
-		t.Fatalf("All() has %d policies, Names() has %d", len(all), len(names))
-	}
-	for i, p := range all {
-		if p.Name() != names[i] {
-			t.Errorf("All()[%d].Name() = %q, want %q (Names order)", i, p.Name(), names[i])
+	for _, name := range want {
+		if p, err := Get(name); err != nil || p.Name() != name {
+			t.Errorf("Get(%q) = %v, %v", name, p, err)
 		}
 	}
 }
@@ -100,7 +76,7 @@ func TestGetChain(t *testing.T) {
 func TestZeroStrengthIsByteIdenticalPassthrough(t *testing.T) {
 	sess := victim.New(victim.Config{Device: android.OnePlus8Pro, Seed: 1})
 	probe := &fakeProbe{}
-	for _, p := range All() {
+	for _, p := range policies {
 		inst, err := p.Arm(sess, 0, 7)
 		if err != nil {
 			t.Fatalf("%s: Arm at strength 0: %v", p.Name(), err)
@@ -116,9 +92,7 @@ func TestZeroStrengthIsByteIdenticalPassthrough(t *testing.T) {
 
 func TestStrengthRange(t *testing.T) {
 	sess := victim.New(victim.Config{Device: android.OnePlus8Pro, Seed: 1})
-	policies := All()
-	policies = append(policies, Chain(policies[0], policies[1]))
-	for _, p := range policies {
+	for _, p := range append(slices.Clone(policies), Chain(policies[0], policies[1])) {
 		for _, s := range []float64{-0.1, 1.5} {
 			if _, err := p.Arm(sess, s, 7); !errors.Is(err, ErrStrength) {
 				t.Errorf("%s: Arm(strength=%v) = %v, want ErrStrength", p.Name(), s, err)
@@ -132,14 +106,14 @@ func TestStrengthRange(t *testing.T) {
 
 func TestAppliesTo(t *testing.T) {
 	nz, _ := Get("noise")
-	if !AppliesTo(nz, channel.DefaultName) {
+	if !slices.Contains(nz.Channels(), channel.DefaultName) {
 		t.Error("noise must cover the KGSL channel")
 	}
-	if AppliesTo(nz, "proccount") {
+	if slices.Contains(nz.Channels(), "proccount") {
 		t.Error("noise is device-level: it must not claim the proccount channel")
 	}
 	rl, _ := Get("ratelimit")
-	if !AppliesTo(rl, "proccount") {
+	if !slices.Contains(rl.Channels(), "proccount") {
 		t.Error("ratelimit covers every polled interface, proccount included")
 	}
 }
@@ -183,7 +157,7 @@ func (p *faultyProbe) TickFault(tick int, t sim.Time) (sim.Time, bool) {
 	return sim.Time(tick), tick%2 == 1
 }
 
-// armWrap arms one registry defense at a strength and wraps a probe for
+// armWrap arms one table defense at a strength and wraps a probe for
 // the KGSL channel.
 func armWrap(t *testing.T, name string, strength float64, p channel.Probe) channel.Probe {
 	t.Helper()
@@ -213,7 +187,7 @@ func TestRateLimitDeniesWithBusyTaxonomy(t *testing.T) {
 			t.Fatalf("burst read %d denied: %v", i, err)
 		}
 	}
-	if _, err := wrapped.ReadSelected(0); !errors.Is(err, ch.Taxonomy().Busy) {
+	if _, err := wrapped.ReadSelected(0); !errors.Is(err, ch.Taxonomy.Busy) {
 		t.Errorf("over-budget read = %v, want the channel's Busy sentinel", err)
 	}
 	// A read after one period replenishes one token.

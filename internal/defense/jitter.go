@@ -55,8 +55,6 @@ func (d jitter) Arm(sess *victim.Session, strength float64, seed int64) (Instanc
 	}, nil
 }
 
-func init() { Register(jitter{}) }
-
 // jitteredProbe perturbs the snapshot time of every read. The monotone
 // clamp (never at or before the previous snapshot) preserves the
 // cumulative-counter contract under retries and backoff re-reads.

@@ -58,5 +58,3 @@ func (d noise) Arm(sess *victim.Session, strength float64, seed int64) (Instance
 	})
 	return &instance{overhead: d.Overhead(strength)}, nil
 }
-
-func init() { Register(noise{}) }

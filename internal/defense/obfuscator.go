@@ -13,8 +13,7 @@ import (
 // a monotone random walk on top of real work. Amplitude is the mean extra
 // counter increment per vsync-sized bucket, expressed as a fraction of
 // Scale (the typical key-press delta of that counter). It implements
-// kgsl.Obfuscator and backs the registered "noise" defense; the historic
-// mitigate.NoiseObfuscator name aliases it.
+// kgsl.Obfuscator and backs the "noise" defense.
 type NoiseObfuscator struct {
 	// Amplitude is the obfuscation strength: 0 disables, 1 injects
 	// key-press-sized noise every bucket (heavy GPU cost).
@@ -124,7 +123,7 @@ func DefaultScale(meanKeyDelta [adreno.NumSelected]float64) [adreno.NumSelected]
 // processes whose SELinux context is on the allowlist may read global GPU
 // performance counter values; everything else gets EPERM. This is the
 // "SELinux Access Manager + ioctl command whitelisting" design. It
-// implements kgsl.Policy; the registered "rbac" defense is its graded
+// implements kgsl.Policy; the "rbac" defense is its graded
 // probe-level sibling (masking instead of refusing whole block reads).
 type RBACPolicy struct {
 	// AllowedContexts lists SELinux contexts with global PC access

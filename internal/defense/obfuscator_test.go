@@ -1,4 +1,8 @@
-package mitigate
+package defense
+
+// Tests of the device-level §9 mechanisms: RBACPolicy's allowlist and
+// group scoping, and NoiseObfuscator's monotone, seeded, amplitude-scaled
+// injected work and its GPU cost model.
 
 import (
 	"errors"

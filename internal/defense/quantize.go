@@ -78,8 +78,6 @@ func (d quantize) Arm(sess *victim.Session, strength float64, seed int64) (Insta
 	}, nil
 }
 
-func init() { Register(quantize{}) }
-
 // quantizedProbe floors every counter value to its quantum's grid.
 // Flooring preserves monotonicity, so the sampler's wrap check never
 // misfires on a quantized channel.

@@ -66,8 +66,6 @@ func (d rateLimit) Arm(sess *victim.Session, strength float64, seed int64) (Inst
 	}, nil
 }
 
-func init() { Register(rateLimit{}) }
-
 // taxonomyOf resolves a channel's error taxonomy so wrapped probes deny
 // with the sentinel family the channel's retry classification recovers.
 func taxonomyOf(channelName string) fault.Taxonomy {
@@ -75,7 +73,7 @@ func taxonomyOf(channelName string) fault.Taxonomy {
 	if err != nil {
 		return fault.KGSL()
 	}
-	return ch.Taxonomy()
+	return ch.Taxonomy
 }
 
 // rateLimitedProbe denies ReadSelected beyond the token budget with the

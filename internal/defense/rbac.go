@@ -97,8 +97,6 @@ func (d rbac) Arm(sess *victim.Session, strength float64, seed int64) (Instance,
 	}, nil
 }
 
-func init() { Register(rbac{}) }
-
 // maskedProbe zeroes restricted dimensions on every read. A constant
 // zero is monotone and delta-free: restricted counters contribute
 // nothing to the weighted distance, exactly like a channel that never

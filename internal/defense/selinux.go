@@ -1,4 +1,4 @@
-package mitigate
+package defense
 
 import (
 	"bufio"
@@ -177,7 +177,7 @@ neverallow untrusted_app kgsl_device ioctl { 0x3B }
 func NewGooglePatchPolicy() *IoctlPolicy {
 	p, err := ParsePolicy(strings.NewReader(GooglePatchPolicy))
 	if err != nil {
-		panic("mitigate: built-in policy failed to parse: " + err.Error())
+		panic("defense: built-in policy failed to parse: " + err.Error())
 	}
 	return p
 }

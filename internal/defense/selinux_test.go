@@ -1,4 +1,4 @@
-package mitigate
+package defense
 
 import (
 	"errors"

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"gpuleak/internal/attack"
+	"gpuleak/internal/defense"
 	"gpuleak/internal/input"
-	"gpuleak/internal/mitigate"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
@@ -106,7 +106,7 @@ func RunSec9Defenses(o Options) (*Result, error) {
 
 	// §9.2 RBAC via the SELinux ioctl whitelist (the shipped fix).
 	oc, err = run(nil, func(s *victim.Session) {
-		s.Device.SetPolicy(mitigate.NewGooglePatchPolicy())
+		s.Device.SetPolicy(defense.NewGooglePatchPolicy())
 	})
 	if err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func RunSec9Defenses(o Options) (*Result, error) {
 	// rises — the paper's open tuning question.
 	for _, amp := range []float64{0.0005, 0.002, 0.01} {
 		amp := amp
-		obf := &mitigate.NoiseObfuscator{Amplitude: amp, Seed: 31}
+		obf := &defense.NoiseObfuscator{Amplitude: amp, Seed: 31}
 		oc, err = run(nil, func(s *victim.Session) { s.Device.SetObfuscator(obf) })
 		if err != nil {
 			return nil, err

@@ -55,27 +55,6 @@ func NewName(s string) Name {
 	return n
 }
 
-// Registered reports whether a name has been registered; the JSONL reader
-// accepts unregistered names (a stream may outlive the binary's name set)
-// but exporters never invent them.
-func Registered(n Name) bool {
-	nameMu.Lock()
-	defer nameMu.Unlock()
-	return nameSet[n]
-}
-
-// RegisteredNames returns every registered name, sorted.
-func RegisteredNames() []string {
-	nameMu.Lock()
-	defer nameMu.Unlock()
-	out := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		out = append(out, string(n))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Field is one typed event attribute. Exactly one of Str/Num is active;
 // fields keep insertion order so exported streams are reproducible.
 type Field struct {

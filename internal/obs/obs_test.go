@@ -196,10 +196,10 @@ func TestMetricsConcurrent(t *testing.T) {
 
 // TestNameRegistry checks duplicate registration panics and lookups.
 func TestNameRegistry(t *testing.T) {
-	if !Registered(tnAlpha) {
+	if !nameSet[tnAlpha] {
 		t.Fatal("registered name not found")
 	}
-	if Registered(Name("test.never-registered")) {
+	if nameSet[Name("test.never-registered")] {
 		t.Fatal("unregistered name reported as registered")
 	}
 	defer func() {

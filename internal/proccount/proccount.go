@@ -1,4 +1,4 @@
-// Package proccount registers a fully simulated OS-level side channel in
+// Package proccount simulates an OS-level side channel in
 // the EavesDroid style (arXiv:2303.03700): instead of ioctl-gated GPU
 // performance counters, the attacker polls world-readable /proc and /sys
 // statistics — GPU job IRQ counts, render softirq work, context
@@ -20,23 +20,26 @@
 // starves the KGSL ioctl path, which is what the fusion classifier
 // exploits.
 //
+// The package holds the probe simulation and its error vocabulary only;
+// internal/channel lists the channel in its table, which is how the
+// pipeline resolves it by Name.
+//
 // Determinism: the probe materializes the whole event timeline from the
-// session's submitted frames at Open time; every read is a binary-search
-// prefix sum, a pure function of (session, read time).
+// session's submitted frames at NewProbe time; every read is a
+// binary-search prefix sum, a pure function of (session, read time).
 package proccount
 
 import (
 	"errors"
 	"sort"
 
-	"gpuleak/internal/channel"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
 
-// Name is the registry key of this channel.
+// Name is the channel-table key of this channel.
 const Name = "proccount"
 
 // Dims is how many leading feature dimensions the probe fills.
@@ -71,26 +74,11 @@ var (
 	ErrClosed = errors.New("proccount: EBADF: /proc handle closed")
 )
 
-type procChannel struct{}
-
-func (procChannel) Name() string { return Name }
-
-func (procChannel) Dims() int { return Dims }
-
-func (procChannel) Open(sess *victim.Session) (channel.Probe, error) {
-	return newProbe(sess), nil
-}
-
-func (procChannel) Taxonomy() fault.Taxonomy {
+// Taxonomy is the channel's fault taxonomy: the sentinels the fault
+// plane injects for it and the sampler's retry policy recovers.
+func Taxonomy() fault.Taxonomy {
 	return fault.Taxonomy{Busy: ErrAgain, Inval: ErrInval, NotReserved: ErrStale, Closed: ErrClosed}
 }
-
-// Interval matches the KGSL default: /proc stats refresh faster than the
-// 8 ms polling cadence, and a shared tick grid is what keeps the two
-// channels' delta streams alignable for fusion.
-func (procChannel) Interval() sim.Time { return 8 * sim.Millisecond }
-
-func init() { channel.Register(procChannel{}) }
 
 // event is one instantaneous increment of the cumulative counters.
 type event struct {
@@ -107,8 +95,9 @@ type Probe struct {
 	cum [][Dims]uint64
 }
 
-// newProbe materializes the event timeline from the session's frames.
-func newProbe(sess *victim.Session) *Probe {
+// NewProbe opens a probe on a victim session, materializing the event
+// timeline from the session's submitted frames.
+func NewProbe(sess *victim.Session) *Probe {
 	var evs []event
 	for _, f := range sess.GPU.Frames() {
 		q := uint64(f.Duration())

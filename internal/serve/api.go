@@ -29,11 +29,6 @@ import (
 	"gpuleak/internal/keyboard"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
-
-	// Register the built-in side channels so a bare server binary can
-	// resolve every advertised channel name.
-	_ "gpuleak/internal/kgslchan"
-	_ "gpuleak/internal/proccount"
 )
 
 // Schema identifies the wire format of every JSON response body.
@@ -357,7 +352,7 @@ func ResolveScenario(req EavesdropRequest) (Scenario, error) {
 			// maps onto 400.
 			return Scenario{}, fmt.Errorf("resolving request channel: %w", err)
 		}
-		scen.Channels = append(scen.Channels, ch.Name())
+		scen.Channels = append(scen.Channels, ch.Name)
 	}
 	if req.FaultProfile != "" {
 		p, ok := fault.ByName(req.FaultProfile)

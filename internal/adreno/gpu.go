@@ -214,20 +214,20 @@ func (g *GPU) readVec(t sim.Time) [numVec]uint64 {
 		copy(out[:], g.base[:])
 		return out
 	}
-	cum := g.cum[idx]
-	f := g.frames[idx]
-	v := g.scaledVec(f.Stats)
+	cum, next := &g.cum[idx], &g.cum[idx+1]
+	f := &g.frames[idx]
 	if t >= f.End {
 		for i := range out {
-			out[i] = g.base[i] + cum[i] + v[i]
+			out[i] = g.base[i] + next[i]
 		}
 		return out
 	}
-	// Linear ramp within the frame.
+	// Linear ramp within the frame; next-cum is exactly the scaled vector
+	// Submit added for it.
 	num := uint64(t - f.Start)
 	den := uint64(f.End - f.Start)
 	for i := range out {
-		out[i] = g.base[i] + cum[i] + v[i]*num/den
+		out[i] = g.base[i] + cum[i] + (next[i]-cum[i])*num/den
 	}
 	return out
 }

@@ -13,65 +13,73 @@ import (
 // Compositor is the SurfaceFlinger-like component: it owns the login UI,
 // the on-screen keyboard and the dynamic layers (popup, echo text, cursor,
 // notification icons, app-switch animation) and produces the FrameStats of
-// every UI change. Frames for identical UI states are cached, so sweeping
-// hundreds of thousands of key presses costs one render per distinct
-// state.
+// every UI change. Those stats come from the process-wide frame-stats memo
+// (see memoKey), so each distinct UI state of a configuration is rendered
+// once per process, however many compositors ask for it. The login UI and
+// keyboard geometry are built only when a state misses the memo. A
+// Compositor is not safe for concurrent use; the memo it reads is.
 type Compositor struct {
 	Device    DeviceModel
 	Screen    geom.Size
 	RefreshHz int
 	App       *App
 	KB        *keyboard.Layout
-	UI        *LoginUI
 
-	cfg    render.Config
-	geoms  map[keyboard.Page]*keyboard.Geometry
-	cache  map[stateKey]render.FrameStats
-	shared *StatsCache
+	cfg   render.Config
+	ui    *LoginUI
+	geoms map[keyboard.Page]*keyboard.Geometry
+	stats *statsTable
 }
 
-// StatsCache is a thread-safe FrameStats cache that many compositors can
-// share. Rendering is a pure function of the UI state, so sessions of the
-// IDENTICAL configuration (device, resolution, app, keyboard) — e.g. the
-// per-(key, repeat) workers of the parallel offline phase, or the
-// independent trials of one experiment batch — can pool their renders:
-// each distinct frame state is rasterized once per process instead of
-// once per session. Sharing a cache across differing configurations is a
-// caller bug (the state key does not encode the configuration).
-type StatsCache struct {
+// memoCap bounds the configurations the frame-stats memo holds. It covers
+// gpuleakd's default registry (4 shards of 8 models) with room to spare;
+// the frames of one fully trained configuration take ~40 KB.
+const memoCap = 64
+
+// memoKey is everything rendering reads of a configuration: the app and
+// Android version shape the login UI, the keyboard and screen the IME.
+// Counter scaling by GPU model (adreno) and per-session render jitter
+// (victim) apply after the lookup, so they are not part of the key.
+type memoKey struct {
+	app     *App
+	kb      *keyboard.Layout
+	screen  geom.Size
+	version int
+}
+
+// statsTable holds the rendered FrameStats of one configuration.
+type statsTable struct {
 	mu sync.Mutex
 	m  map[stateKey]render.FrameStats
 }
 
-// NewStatsCache returns an empty shareable render cache.
-func NewStatsCache() *StatsCache {
-	return &StatsCache{m: make(map[stateKey]render.FrameStats)}
-}
+// memo is the process-wide frame-stats memo; fifo lists its keys oldest
+// first. Past memoCap the oldest table is dropped: compositors holding it
+// keep using it, and later ones re-render the same stats into a new one,
+// so no output depends on what the memo holds.
+var memo = struct {
+	sync.Mutex
+	tables map[memoKey]*statsTable
+	fifo   []memoKey
+}{tables: make(map[memoKey]*statsTable)}
 
-func (sc *StatsCache) get(k stateKey) (render.FrameStats, bool) {
-	sc.mu.Lock()
-	st, ok := sc.m[k]
-	sc.mu.Unlock()
-	return st, ok
+// tableFor returns the memo table of a configuration, creating it on
+// first use.
+func tableFor(k memoKey) *statsTable {
+	memo.Lock()
+	defer memo.Unlock()
+	if t, ok := memo.tables[k]; ok {
+		return t
+	}
+	if len(memo.fifo) == memoCap {
+		delete(memo.tables, memo.fifo[0])
+		memo.fifo = memo.fifo[1:]
+	}
+	t := &statsTable{m: make(map[stateKey]render.FrameStats)}
+	memo.tables[k] = t
+	memo.fifo = append(memo.fifo, k)
+	return t
 }
-
-func (sc *StatsCache) put(k stateKey, st render.FrameStats) {
-	sc.mu.Lock()
-	sc.m[k] = st
-	sc.mu.Unlock()
-}
-
-// Len reports how many distinct frame states the cache holds.
-func (sc *StatsCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.m)
-}
-
-// ShareCache attaches a shared render cache; the compositor keeps its
-// lock-free private map as a first-level cache on top. Call before the
-// first frame is rendered.
-func (c *Compositor) ShareCache(sc *StatsCache) { c.shared = sc }
 
 type frameKind int
 
@@ -94,7 +102,8 @@ type stateKey struct {
 	on   bool
 }
 
-// NewCompositor builds the UI stack for one device configuration.
+// NewCompositor builds the UI stack for one device configuration and
+// resolves the configuration's table in the frame-stats memo.
 func NewCompositor(dev DeviceModel, screen geom.Size, refreshHz int, app *App, kb *keyboard.Layout) *Compositor {
 	return &Compositor{
 		Device:    dev,
@@ -102,10 +111,8 @@ func NewCompositor(dev DeviceModel, screen geom.Size, refreshHz int, app *App, k
 		RefreshHz: refreshHz,
 		App:       app,
 		KB:        kb,
-		UI:        app.BuildLoginUI(screen, dev.AndroidVersion),
 		cfg:       render.DefaultConfig(),
-		geoms:     make(map[keyboard.Page]*keyboard.Geometry),
-		cache:     make(map[stateKey]render.FrameStats),
+		stats:     tableFor(memoKey{app: app, kb: kb, screen: screen, version: dev.AndroidVersion}),
 	}
 }
 
@@ -123,10 +130,21 @@ func (c *Compositor) AlignVsync(t sim.Time) sim.Time {
 	return (t/p + 1) * p
 }
 
+// loginUI returns the app's login screen, laid out on first use.
+func (c *Compositor) loginUI() *LoginUI {
+	if c.ui == nil {
+		c.ui = c.App.BuildLoginUI(c.Screen, c.Device.AndroidVersion)
+	}
+	return c.ui
+}
+
 // Geometry returns (and caches) the keyboard geometry for a page.
 func (c *Compositor) Geometry(page keyboard.Page) *keyboard.Geometry {
 	if g, ok := c.geoms[page]; ok {
 		return g
+	}
+	if c.geoms == nil {
+		c.geoms = make(map[keyboard.Page]*keyboard.Geometry)
 	}
 	g := c.KB.Geometry(c.Screen, page)
 	c.geoms[page] = g
@@ -164,9 +182,10 @@ func (c *Compositor) popupLayer(page keyboard.Page, r rune) (render.Layer, geom.
 // per typed character plus an optional cursor bar. This is the physical
 // basis of the Figure-14 ±2 primitive steps.
 func (c *Compositor) echoLayer(n int, cursorOn bool) render.Layer {
-	prims := render.AtlasTextPrims(bullets(n), c.UI.EchoLine(), c.UI.EchoCharW)
+	ui := c.loginUI()
+	prims := render.AtlasTextPrims(bullets(n), ui.EchoLine(), ui.EchoCharW)
 	if cursorOn {
-		prims = append(prims, render.Quad(c.UI.CursorRect(n), false))
+		prims = append(prims, render.Quad(ui.CursorRect(n), false))
 	}
 	return render.Layer{Z: 6, Name: "echo", Prims: prims}
 }
@@ -181,7 +200,7 @@ func bullets(n int) string {
 
 // scene assembles the full current screen.
 func (c *Compositor) scene(page keyboard.Page, popupRune rune, echoLen int, cursorOn bool) render.Scene {
-	s := c.UI.Scene.Clone()
+	s := c.loginUI().Scene.Clone()
 	s.Add(c.echoLayer(echoLen, cursorOn))
 	s.Add(c.keyboardLayer(page))
 	if popupRune != 0 {
@@ -192,23 +211,21 @@ func (c *Compositor) scene(page keyboard.Page, popupRune rune, echoLen int, curs
 	return s
 }
 
+// cached returns the memoized stats of UI state k, rendering them with
+// build on a miss. Two sessions may miss on the same state at once and
+// both render it; rendering is pure, so both store the same value.
 func (c *Compositor) cached(k stateKey, build func() render.FrameStats) render.FrameStats {
-	if st, ok := c.cache[k]; ok {
+	t := c.stats
+	t.mu.Lock()
+	st, ok := t.m[k]
+	t.mu.Unlock()
+	if ok {
 		return st
 	}
-	if c.shared != nil {
-		if st, ok := c.shared.get(k); ok {
-			c.cache[k] = st
-			return st
-		}
-	}
-	st := build()
-	c.cache[k] = st
-	if c.shared != nil {
-		// Concurrent builders may both render a state; the results are
-		// identical (rendering is pure), so last-write-wins is benign.
-		c.shared.put(k, st)
-	}
+	st = build()
+	t.mu.Lock()
+	t.m[k] = st
+	t.mu.Unlock()
 	return st
 }
 
@@ -254,7 +271,7 @@ func (c *Compositor) PopupHideStats(page keyboard.Page, r rune) render.FrameStat
 func (c *Compositor) EchoStats(n int, cursorOn bool) render.FrameStats {
 	return c.cached(stateKey{kind: kindEcho, n: n, on: cursorOn}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, n, cursorOn)
-		return render.Render(&s, c.UI.Password, c.cfg)
+		return render.Render(&s, c.loginUI().Password, c.cfg)
 	})
 }
 
@@ -263,7 +280,7 @@ func (c *Compositor) EchoStats(n int, cursorOn bool) render.FrameStats {
 func (c *Compositor) CursorStats(n int, on bool) render.FrameStats {
 	return c.cached(stateKey{kind: kindCursor, n: n, on: on}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, n, on)
-		return render.Render(&s, c.UI.CursorRect(n).Inset(-2), c.cfg)
+		return render.Render(&s, c.loginUI().CursorRect(n).Inset(-2), c.cfg)
 	})
 }
 
@@ -271,7 +288,7 @@ func (c *Compositor) CursorStats(n int, on bool) render.FrameStats {
 func (c *Compositor) NotifStats(n int) render.FrameStats {
 	return c.cached(stateKey{kind: kindNotif, n: n}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, 0, false)
-		sb := c.UI.StatusBar
+		sb := c.loginUI().StatusBar
 		iconW := sb.H() - 8
 		prims := make([]render.Prim, 0, n)
 		for i := 0; i < n; i++ {
@@ -315,15 +332,16 @@ func (c *Compositor) SwitchFrameStats(i, total int) render.FrameStats {
 
 // AnimFrameStats renders one frame of a decorative login animation (PNC,
 // §9.3): an ornament sweeping through the animation band. Each phase has
-// different stats, so these frames obfuscate the per-key deltas.
+// different stats, so these frames obfuscate the per-key deltas. Apps
+// without an animation band render nothing.
 func (c *Compositor) AnimFrameStats(phase int) render.FrameStats {
-	band := c.UI.AnimBand
-	if band.Empty() {
-		return render.FrameStats{}
-	}
 	const phases = 24
 	phase = phase % phases
 	return c.cached(stateKey{kind: kindAnim, n: phase}, func() render.FrameStats {
+		band := c.loginUI().AnimBand
+		if band.Empty() {
+			return render.FrameStats{}
+		}
 		s := c.scene(keyboard.PageLower, 0, 0, false)
 		w := band.W() / 6
 		x := band.X0 + (band.W()-w)*phase/phases

@@ -2,7 +2,9 @@
 // models (§7.5), target applications and their login scenes (§3.1), and
 // the vsync-driven UI compositor that converts user/system events into GPU
 // frames. It is the glue between the keyboard/glyph/render substrates and
-// the adreno GPU model.
+// the adreno GPU model. A frame's statistics depend only on the
+// configuration and the UI state, so the package renders each state once
+// per process into a bounded memo that every compositor shares.
 package android
 
 import (

@@ -105,7 +105,7 @@ type FusionResult struct {
 //     guessed.
 func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, interval sim.Time, opts FusionOptions) *FusionResult {
 	opts = opts.withDefaults(interval)
-	pm.buildNoiseIndex()
+	pm.buildIndex()
 	out := &FusionResult{Primary: pres, Secondary: sres}
 
 	fused := append([]InferredKey(nil), pres.Keys...)

@@ -85,12 +85,19 @@ type Model struct {
 	// Launch is the app-launch frame fingerprint for device recognition.
 	Launch trace.Vec `json:"launch"`
 
-	// noiseByDim0 indexes noise centroids by their first weighted
-	// dimension for the denoising fast path (rebuilt lazily after
-	// deserialization); indexOnce makes the lazy build safe under
-	// concurrent classification.
+	// keysByRune flattens Keys in rune order, so the classify scans range
+	// over a slice and decode no map keys; noiseByDim0 indexes noise
+	// centroids by their first weighted dimension for the denoising fast
+	// path. Both are built lazily (so also after deserialization);
+	// indexOnce makes the build safe under concurrent classification.
 	indexOnce   sync.Once
+	keysByRune  []keyEntry
 	noiseByDim0 []noiseEntry
+}
+
+type keyEntry struct {
+	r rune
+	v trace.Vec
 }
 
 type noiseEntry struct {
@@ -123,13 +130,14 @@ type Verdict struct {
 // noise when a noise centroid matches within NoiseTol. Everything else
 // is unknown (typically a fragment of a split change).
 func (m *Model) Classify(v trace.Vec) Verdict {
+	m.buildIndex()
 	bestKey, altKey, d1, d2 := rune(0), rune(0), math.Inf(1), math.Inf(1)
-	for s, c := range m.Keys {
-		r := firstRune(s)
-		d := v.Dist(c, m.Weights)
+	for i := range m.keysByRune {
+		r := m.keysByRune[i].r
+		d := v.Dist(m.keysByRune[i].v, m.Weights)
 		// Exact distance ties break toward the smaller rune: on narrow
-		// channels whole key families share a centroid, and Go's random
-		// map order must never decide the verdict.
+		// channels whole key families share a centroid, and the scan
+		// order must never decide the verdict.
 		if d < d1 || (d <= d1 && r < bestKey) {
 			d2 = d1
 			altKey = bestKey
@@ -171,11 +179,10 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	if out.IsKey || out.IsNoise {
 		return out
 	}
-	m.buildNoiseIndex()
 	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
-	for s, c := range m.Keys {
-		r := firstRune(s)
-		d := m.nearestNoiseTo(v.Sub(c))
+	for i := range m.keysByRune {
+		r := m.keysByRune[i].r
+		d := m.nearestNoiseTo(v.Sub(m.keysByRune[i].v))
 		if d < d1 || (d <= d1 && r < bestKey) {
 			d2 = d1
 			d1 = d
@@ -190,11 +197,18 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	return out
 }
 
-// buildNoiseIndex sorts noise centroids by their first weighted dimension
-// so residual lookups can window instead of scanning. Safe for concurrent
-// callers.
-func (m *Model) buildNoiseIndex() {
+// buildIndex sorts key centroids by rune, and noise centroids by their
+// first weighted dimension so residual lookups can window instead of
+// scanning. Safe for concurrent callers.
+func (m *Model) buildIndex() {
 	m.indexOnce.Do(func() {
+		keys := make([]keyEntry, 0, len(m.Keys))
+		for s, c := range m.Keys {
+			keys = append(keys, keyEntry{r: firstRune(s), v: c})
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].r < keys[j].r })
+		m.keysByRune = keys
+
 		w0 := m.Weights[0]
 		if w0 <= 0 {
 			w0 = 1

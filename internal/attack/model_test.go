@@ -6,7 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gpuleak/internal/android"
+	"gpuleak/internal/channel"
+	"gpuleak/internal/input"
+	"gpuleak/internal/keyboard"
+	"gpuleak/internal/proccount"
+	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
+	"gpuleak/internal/victim"
 )
 
 func TestClassifyExactCentroids(t *testing.T) {
@@ -60,7 +67,7 @@ func TestClassifyDenoisedSubtractsEachNoiseClass(t *testing.T) {
 
 func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
 	m := tinyModel()
-	m.buildNoiseIndex()
+	m.buildIndex()
 	f := func(a, b, c, d uint16) bool {
 		var v trace.Vec
 		v[0] = float64(a % 200)
@@ -83,6 +90,143 @@ func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refClassify is Classify as a scan of the Keys map: the reference the
+// rune-sorted scan must reproduce verdict for verdict.
+func refClassify(m *Model, v trace.Vec) Verdict {
+	bestKey, altKey, d1, d2 := rune(0), rune(0), math.Inf(1), math.Inf(1)
+	for s, c := range m.Keys {
+		r := firstRune(s)
+		d := v.Dist(c, m.Weights)
+		if d < d1 || (d <= d1 && r < bestKey) {
+			d2, altKey, d1, bestKey = d1, bestKey, d, r
+		} else if d < d2 || (d <= d2 && r < altKey) {
+			d2, altKey = d, r
+		}
+	}
+	bestNoise, bestNoiseDist := NoiseClass(""), math.Inf(1)
+	for _, n := range m.Noise {
+		if d := v.Dist(n.V, m.Weights); d < bestNoiseDist {
+			bestNoiseDist, bestNoise = d, n.Class
+		}
+	}
+	if d1 <= m.Cth && d1 <= 0.65*d2 && d1 <= bestNoiseDist {
+		return Verdict{IsKey: true, R: bestKey, Dist: d1, Alt: altKey, AltDist: d2}
+	}
+	if bestNoiseDist <= m.noiseTol() && bestNoiseDist <= d1 {
+		return Verdict{IsNoise: true, Noise: bestNoise, Dist: bestNoiseDist}
+	}
+	return Verdict{Dist: math.Min(d1, bestNoiseDist)}
+}
+
+// refClassifyDenoised is ClassifyDenoised as a scan of the Keys map.
+func refClassifyDenoised(m *Model, v trace.Vec) Verdict {
+	out := refClassify(m, v)
+	if out.IsKey || out.IsNoise {
+		return out
+	}
+	m.buildIndex()
+	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
+	for s, c := range m.Keys {
+		r := firstRune(s)
+		d := m.nearestNoiseTo(v.Sub(c))
+		if d < d1 || (d <= d1 && r < bestKey) {
+			d2, d1, bestKey = d1, d, r
+		} else if d < d2 {
+			d2 = d
+		}
+	}
+	if d1 <= m.Cth && d1 <= 0.65*d2 {
+		return Verdict{IsKey: true, R: bestKey, Dist: d1}
+	}
+	return out
+}
+
+// TestClassifyMatchesMapScan pins both classify scans to the map-scan
+// reference over every counter delta of sessions on three configurations:
+// the default KGSL one, a loaded and jittered KGSL one (merged deltas
+// take the denoising path), and the proccount channel, whose key families
+// share centroids and so produce exact distance ties.
+func TestClassifyMatchesMapScan(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     victim.Config
+		channel string
+	}{
+		{"kgsl", baseVictimConfig(), ""},
+		{"kgsl-loaded", victim.Config{Device: android.Pixel5, App: android.Amex, Keyboard: keyboard.Swift, Seed: 11, RenderJitter: 0.005, GPULoad: 0.3}, ""},
+		{"proccount", baseVictimConfig(), proccount.Name},
+	}
+	denoised := 0
+	for _, c := range cases {
+		m, err := Collect(c.cfg, CollectOptions{Repeats: 1, Channel: c.channel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := channel.Get(c.channel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg
+		cfg.Seed += 1000
+		sess := victim.New(cfg)
+		sess.Run(input.Typing("Tr0ub4dor &3 horse", input.Volunteers[2], input.SpeedAny, sim.NewRand(cfg.Seed), 700*sim.Millisecond))
+		probe, err := ch.Open(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSamplerTaxonomy(probe, ch.Interval, RetryPolicy{}, ch.Taxonomy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := s.Collect(0, sess.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := tr.Deltas()
+		if len(ds) == 0 {
+			t.Fatalf("%s: session produced no deltas", c.name)
+		}
+		for _, d := range ds {
+			if got, want := m.Classify(d.V), refClassify(m, d.V); got != want {
+				t.Fatalf("%s: Classify(%v) = %+v, map scan gives %+v", c.name, d.V, got, want)
+			}
+			if got, want := m.ClassifyDenoised(d.V), refClassifyDenoised(m, d.V); got != want {
+				t.Fatalf("%s: ClassifyDenoised(%v) = %+v, map scan gives %+v", c.name, d.V, got, want)
+			}
+			if v := m.Classify(d.V); !v.IsKey && !v.IsNoise {
+				denoised++
+			}
+		}
+	}
+	if denoised == 0 {
+		t.Fatal("no delta reached the denoising scan")
+	}
+}
+
+// TestClassifyExactTiesPickSmallestRune crafts exact distance ties: three
+// keys sharing one centroid, and two keys whose residuals after removing
+// a noise signature coincide. The verdicts must name the smallest rune
+// (and the next one as runner-up), as the map-scan reference does, for
+// every map iteration order.
+func TestClassifyExactTiesPickSmallestRune(t *testing.T) {
+	shared := keyA()
+	for i := 0; i < 50; i++ {
+		m := tinyModel()
+		m.Keys = map[string]trace.Vec{"q": shared, "k": shared, "z": shared, "b": keyB()}
+		v := m.Classify(shared)
+		if !v.IsKey || v.R != 'k' || v.Alt != 'q' || v != refClassify(m, shared) {
+			t.Fatalf("three-way tie: %+v, want key 'k' with runner-up 'q' (reference %+v)", v, refClassify(m, shared))
+		}
+		m = tinyModel()
+		m.Keys = map[string]trace.Vec{"y": keyB(), "x": keyB(), "a": keyA()}
+		merged := keyB().Add(m.Noise[0].V)
+		v = m.ClassifyDenoised(merged)
+		if !v.IsKey || v.R != 'x' || v != refClassifyDenoised(m, merged) {
+			t.Fatalf("denoised tie: %+v, want key 'x' (reference %+v)", v, refClassifyDenoised(m, merged))
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"gpuleak/internal/android"
 	"gpuleak/internal/channel"
 	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
@@ -317,9 +316,10 @@ func collectKey(ch channel.Channel, cfg victim.Config, opts CollectOptions, r ru
 // The work is decomposed into 1 + len(alphabet)*Repeats independent
 // tasks — one noise/launch sweep plus one mini-session per (key, repeat) —
 // executed on opts.Workers goroutines. Task i seeds its RNG with
-// sim.TaskSeed(cfg.Seed, i) and all tasks of one call share a render
-// cache, so the model depends only on (cfg, opts minus Workers), never on
-// the worker count or scheduling.
+// sim.TaskSeed(cfg.Seed, i), and every task reads its frames from the
+// process-wide frame-stats memo (package android), so the model depends
+// only on (cfg, opts minus Workers), never on the worker count,
+// scheduling or what earlier calls rendered.
 func Collect(cfg victim.Config, opts CollectOptions) (*Model, error) {
 	return CollectContext(context.Background(), cfg, opts)
 }
@@ -340,11 +340,6 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 	cfg.NotifPerMinute = -1
 	cfg.CPULoad = 0
 	cfg.GPULoad = 0
-	if cfg.RenderCache == nil {
-		// All tasks share the identical configuration, so each distinct
-		// frame state is rasterized once per Collect, not once per task.
-		cfg.RenderCache = android.NewStatsCache()
-	}
 
 	baseSeed := cfg.Seed
 	taskCfg := func(i int) victim.Config {

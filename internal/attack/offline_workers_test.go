@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpuleak/internal/android"
+	"gpuleak/internal/keyboard"
 	"gpuleak/internal/victim"
 )
 
@@ -60,28 +61,22 @@ func TestCollectSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestCollectSharedCacheMatchesPrivate verifies that handing Collect a
-// pre-populated shared render cache cannot change the trained model:
-// rendering is pure, so cache hits and misses are indistinguishable.
-func TestCollectSharedCacheMatchesPrivate(t *testing.T) {
-	cfg := victim.Config{Device: android.OnePlus8Pro, Seed: 7, RenderJitter: 0.004}
-	a, err := Collect(cfg, CollectOptions{Repeats: 1})
+// TestCollectWarmMemoMatchesCold verifies that the process-wide
+// frame-stats memo cannot change the trained model: rendering is pure, so
+// hits and misses are indistinguishable. No other test of this package
+// uses the configuration, so the first Collect renders every frame and
+// the second reads every frame from the memo.
+func TestCollectWarmMemoMatchesCold(t *testing.T) {
+	cfg := victim.Config{Device: android.Pixel2, App: android.Schwab, Keyboard: keyboard.Grammarly, Seed: 7, RenderJitter: 0.004}
+	cold, err := Collect(cfg, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := android.NewStatsCache()
-	cfg.RenderCache = cache
-	if _, err := Collect(cfg, CollectOptions{Repeats: 1}); err != nil {
-		t.Fatal(err) // warm the cache
-	}
-	if cache.Len() == 0 {
-		t.Fatal("shared render cache unused by Collect")
-	}
-	b, err := Collect(cfg, CollectOptions{Repeats: 1})
+	warm, err := Collect(cfg, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(modelBytes(t, a), modelBytes(t, b)) {
-		t.Fatal("warm shared cache changed the trained model")
+	if !bytes.Equal(modelBytes(t, cold), modelBytes(t, warm)) {
+		t.Fatal("a warm frame-stats memo changed the trained model")
 	}
 }

@@ -234,6 +234,10 @@ type File struct {
 	dev    *Device
 	ctx    ProcContext
 	closed bool
+	// rd is ReadSelected's block-read request over reads, built once at
+	// Open and reused on every tick.
+	rd    PerfcounterRead
+	reads [adreno.NumSelected]PerfcounterReadGroup
 }
 
 // Open opens the device file for a process. Unprivileged apps succeed
@@ -243,7 +247,12 @@ func (d *Device) Open(ctx ProcContext) (*File, error) {
 	if d.OpenDenied {
 		return nil, ErrDeviceAccess
 	}
-	return &File{dev: d, ctx: ctx}, nil
+	f := &File{dev: d, ctx: ctx}
+	for i, k := range adreno.Selected {
+		f.reads[i] = PerfcounterReadGroup{GroupID: k.Group, Countable: k.Countable}
+	}
+	f.rd.Reads = f.reads[:]
+	return f, nil
 }
 
 // Close invalidates the handle.
@@ -328,6 +337,8 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 	if f.dev.ReadLatency != nil {
 		t = f.dev.ReadLatency(t)
 	}
+	// One register snapshot serves every entry of the block read.
+	vec := f.dev.gpu.ReadSelected(t)
 	for i := range rd.Reads {
 		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
 		if f.dev.reservations[k] == 0 {
@@ -338,7 +349,10 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 				return fmt.Errorf("%w (counter %v)", err, k)
 			}
 		}
-		v := f.dev.gpu.CounterValue(k, t)
+		var v uint64 // counters outside Table 1 read 0, as in CounterValue
+		if j := adreno.SelectedIndex(k); j >= 0 {
+			v = vec[j]
+		}
 		if f.dev.obfuscator != nil {
 			v = f.dev.obfuscator.Obfuscate(k, v, t)
 		}
@@ -374,19 +388,15 @@ func (f *File) ReserveSelected(t sim.Time) error {
 }
 
 // ReadSelected block-reads every Table-1 counter in one ioctl and returns
-// the values in adreno.Selected order.
+// the values in adreno.Selected order. It allocates nothing: the request
+// buffer belongs to the file.
 func (f *File) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error) {
 	var out [adreno.NumSelected]uint64
-	rd := PerfcounterRead{Reads: make([]PerfcounterReadGroup, adreno.NumSelected)}
-	for i, k := range adreno.Selected {
-		rd.Reads[i].GroupID = k.Group
-		rd.Reads[i].Countable = k.Countable
-	}
-	if err := f.Ioctl(t, IoctlPerfcounterRead, &rd); err != nil {
+	if err := f.Ioctl(t, IoctlPerfcounterRead, &f.rd); err != nil {
 		return out, err
 	}
 	for i := range out {
-		out[i] = rd.Reads[i].Value
+		out[i] = f.reads[i].Value
 	}
 	return out, nil
 }

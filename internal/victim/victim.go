@@ -57,14 +57,6 @@ type Config struct {
 	// DisableCursorBlink removes the cursor-blink noise source (used by
 	// controlled experiments).
 	DisableCursorBlink bool
-
-	// RenderCache, when non-nil, lets this session share rasterized frame
-	// statistics with other sessions of the IDENTICAL configuration (the
-	// parallel offline phase runs many short sessions that render the same
-	// states). Rendering is a pure function of UI state, so sharing never
-	// changes results; per-session RenderJitter is applied after the cache
-	// lookup.
-	RenderCache *android.StatsCache
 }
 
 func (c Config) withDefaults() Config {
@@ -157,9 +149,6 @@ func New(cfg Config) *Session {
 		GPU:    gpu,
 		Device: dev,
 		rng:    sim.NewRand(cfg.Seed),
-	}
-	if cfg.RenderCache != nil {
-		s.Comp.ShareCache(cfg.RenderCache)
 	}
 	if cfg.CPULoad > 0 {
 		latRng := s.rng.Split()

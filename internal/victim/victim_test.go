@@ -1,11 +1,14 @@
 package victim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"gpuleak/internal/adreno"
 	"gpuleak/internal/android"
 	"gpuleak/internal/input"
+	"gpuleak/internal/keyboard"
 	"gpuleak/internal/sim"
 )
 
@@ -286,6 +289,43 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	vb, _ := fb.ReadSelected(b.End)
 	if va != vb {
 		t.Fatal("final counter values differ across identical runs")
+	}
+}
+
+// TestConcurrentSessionsMatchSerial builds sessions of two configurations
+// on 8 goroutines at once, sharing the process-wide frame-stats memo
+// while it fills, and requires every GPU timeline to equal the same
+// session built serially afterwards from the warm memo.
+func TestConcurrentSessionsMatchSerial(t *testing.T) {
+	cfgs := []Config{
+		{Device: android.Pixel5, App: android.Amex, Keyboard: keyboard.Swift, Seed: 3},
+		{Device: android.LGV30, App: android.PNC, Keyboard: keyboard.Pinyin, Seed: 4, RenderJitter: 0.004, GPULoad: 0.3},
+	}
+	const sessions, workers = 16, 8
+	build := func(i int) []adreno.Frame {
+		cfg := cfgs[i%len(cfgs)]
+		cfg.Seed += int64(i)
+		s := New(cfg)
+		s.Run(input.Typing("Pa55 word!", input.Volunteers[i%5], input.SpeedAny, sim.NewRand(cfg.Seed), 500*sim.Millisecond))
+		return s.GPU.Frames()
+	}
+	concurrent := make([][]adreno.Frame, sessions)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < sessions; i += workers {
+				concurrent[i] = build(i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range concurrent {
+		if serial := build(i); !slices.Equal(concurrent[i], serial) {
+			t.Fatalf("session %d: concurrent build differs from the serial one (%d vs %d frames)",
+				i, len(concurrent[i]), len(serial))
+		}
 	}
 }
 

@@ -17,14 +17,12 @@
 //	               Emit/Start timestamps must never derive from the wall clock
 //	errtaxonomy  - error identity flows through errors.Is/As, never
 //	               string matching; the facade taxonomy lives in errors.go
-//	hotalloc     - hot-path functions stay within the committed
-//	               escape-site budget (go build -gcflags=-m)
 //	doccheck     - exported symbols on the documented surface (facade,
-//	               serve, obs, fault) must carry godoc comments
+//	               serve, obs, fault, defense) must carry godoc comments
 //
 // The checks form one ordered suite (DefaultAnalyzers) whose metadata the
-// driver shares with the SARIF exporter, the baseline filter and the
-// waiver ledger.
+// driver shares with the SARIF exporter and the waiver ledger. Only
+// production files are analyzed: the loader never reads _test.go files.
 // A finding can be suppressed with a trailing or preceding comment of the
 // form
 //
@@ -58,7 +56,6 @@ func (d Diagnostic) String() string {
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -76,7 +73,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Category groups checks for reporting: "determinism",
-	// "driver-fidelity", "taxonomy", "hygiene", "performance" or "docs".
+	// "driver-fidelity", "taxonomy", "hygiene" or "docs".
 	Category string
 	// Severity maps onto the SARIF level: "error" or "warning".
 	Severity string
@@ -85,25 +82,11 @@ type Analyzer struct {
 	Run     func(*Pass)
 }
 
-// Config carries driver-level inputs that individual analyzers need but
-// that do not belong to any one package: the module root for analyzers
-// that shell out to the go tool, and the hot-path allocation budget.
-// A nil *Config disables the analyzers that require one (hotalloc).
-type Config struct {
-	// ModuleRoot is the directory holding go.mod; commands run from here.
-	ModuleRoot string
-	// HotAlloc is the parsed per-function allocation budget
-	// (gpuvet-hotalloc.json). Nil disables the hotalloc analyzer.
-	HotAlloc *HotAllocBudget
-}
-
 // Pass carries one analyzer's run over one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	Fset     *token.FileSet
-	// Config is the driver configuration; nil outside RunConfig.
-	Config *Config
 
 	diags *[]Diagnostic
 }
@@ -188,23 +171,16 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) map[string]map[int
 	return idx
 }
 
-// Run applies the analyzers to the packages with no driver configuration
-// (analyzers needing one, like hotalloc, are skipped). Findings come back
-// in deterministic (position, check) order.
+// Run applies the analyzers to the packages. Findings come back in
+// deterministic (position, check) order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunConfig(nil, pkgs, analyzers)
-}
-
-// RunConfig is Run with a driver configuration for analyzers that need
-// module-level inputs (hotalloc's budget, the module root).
-func RunConfig(cfg *Config, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, Fset: pkg.Fset, Config: cfg, diags: &diags})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, Fset: pkg.Fset, diags: &diags})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -85,11 +85,9 @@ func TestLoadUnknownPattern(t *testing.T) {
 }
 
 // TestRepoClean is the acceptance gate as a unit test: the production
-// tree (non-test files) must carry zero unwaived findings under the full
-// driver config — all registered analyzers, the committed hot-path
-// allocation budget, the committed (empty) baseline, and an exactly
-// tallied waiver ledger — so a plain `go test` catches invariant
-// regressions even when ci.sh is skipped.
+// tree (non-test files) must carry zero unwaived findings under every
+// check in the suite, with an exactly tallied waiver ledger, so a plain
+// `go test` catches invariant regressions even when ci.sh is skipped.
 func TestRepoClean(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -102,26 +100,7 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-
-	budget, err := LoadHotAllocBudget(filepath.Join(l.ModuleRoot, "gpuvet-hotalloc.json"))
-	if err != nil {
-		t.Fatalf("loading committed hotalloc budget: %v", err)
-	}
-	cfg := &Config{ModuleRoot: l.ModuleRoot, HotAlloc: budget}
-	diags := RunConfig(cfg, pkgs, DefaultAnalyzers())
-
-	baseline, err := LoadBaseline(filepath.Join(l.ModuleRoot, "gpuvet-baseline.json"))
-	if err != nil {
-		t.Fatalf("loading committed baseline: %v", err)
-	}
-	if len(baseline.Findings) != 0 {
-		t.Errorf("committed baseline should be empty (the tree is clean); it lists %d findings", len(baseline.Findings))
-	}
-	diags, absorbed := baseline.Filter(l.ModuleRoot, diags)
-	if len(absorbed) != 0 {
-		t.Errorf("empty baseline absorbed %d findings", len(absorbed))
-	}
-	for _, d := range diags {
+	for _, d := range Run(pkgs, DefaultAnalyzers()) {
 		t.Errorf("%s", d)
 	}
 

@@ -173,58 +173,6 @@ func TestErrTaxonomyFixtures(t *testing.T) {
 	checkFixture(t, ErrTaxonomy, "errtaxonomy/good", "gpuleak")
 }
 
-// checkHotAllocFixture is checkFixture for the hotalloc analyzer, which
-// needs a driver Config carrying the fixture's own budget file and the
-// module root (it shells out to go build).
-func checkHotAllocFixture(t *testing.T, rel string, pkgPath string) {
-	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	dir := filepath.Join("testdata", rel)
-	pkg, err := l.LoadDir(dir, pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", rel, err)
-	}
-	budget, err := LoadHotAllocBudget(filepath.Join(dir, "budget.json"))
-	if err != nil {
-		t.Fatalf("loading fixture budget: %v", err)
-	}
-	cfg := &Config{ModuleRoot: l.ModuleRoot, HotAlloc: budget}
-	diags := RunConfig(cfg, []*Package{pkg}, []*Analyzer{HotAlloc})
-	got := map[string]bool{}
-	for _, d := range diags {
-		got[fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)] = true
-	}
-	want := fixtureWants(t, dir)
-	for k := range want {
-		if !got[k] {
-			t.Errorf("%s/%s: expected a hotalloc finding, got none", rel, k)
-		}
-	}
-	for k := range got {
-		if !want[k] {
-			t.Errorf("%s/%s: unexpected hotalloc finding", rel, k)
-		}
-	}
-}
-
-func TestHotAllocFixtures(t *testing.T) {
-	checkHotAllocFixture(t, "hotalloc/bad", "gpuleak/internal/habad")
-	checkHotAllocFixture(t, "hotalloc/good", "gpuleak/internal/hagood")
-}
-
-// TestHotAllocSkipsWithoutConfig pins that the analyzer is inert without
-// a driver config: plain Run() callers (older tests, fixtures for other
-// checks) never shell out to go build.
-func TestHotAllocSkipsWithoutConfig(t *testing.T) {
-	pkg := loadFixture(t, "hotalloc/bad", "gpuleak/internal/habad")
-	if diags := Run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
-		t.Errorf("hotalloc without a config produced findings: %v", diags)
-	}
-}
-
 func TestDocCheckScope(t *testing.T) {
 	if !DocCheck.Applies("gpuleak") {
 		t.Error("doccheck must apply to the facade package")

@@ -35,10 +35,7 @@ var CtxFlow = &Analyzer{
 }
 
 func runCtxFlow(p *Pass) {
-	eachFuncDecl(p.Pkg, func(file *ast.File, fn *ast.FuncDecl) {
-		if isTestFile(p, fn) {
-			return
-		}
+	eachFuncDecl(p.Pkg, func(fn *ast.FuncDecl) {
 		ctxParams := contextParams(p, fn)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -48,7 +48,7 @@ var serializeMethods = map[string]bool{
 }
 
 func runDetMap(p *Pass) {
-	eachFuncDecl(p.Pkg, func(file *ast.File, fn *ast.FuncDecl) {
+	eachFuncDecl(p.Pkg, func(fn *ast.FuncDecl) {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {

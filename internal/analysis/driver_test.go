@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// Driver-plane tests: the suite's presentation order, SARIF export,
-// baseline filtering/regeneration, and the waiver-budget ledger. The
-// fixture tests in checks_test.go cover the analyzers themselves.
+// Driver-plane tests: the suite's presentation order, SARIF export and
+// the waiver-budget ledger. The fixture tests in checks_test.go cover
+// the analyzers themselves.
 
 func fakeDiags() []Diagnostic {
 	return []Diagnostic{
@@ -23,7 +23,7 @@ func fakeDiags() []Diagnostic {
 func TestRegistryCanonicalOrder(t *testing.T) {
 	want := []string{
 		"simtime", "ctxflow", "detmap", "countergroup", "floateq", "lockcheck",
-		"ioctlsize", "obsevent", "errtaxonomy", "hotalloc", "doccheck",
+		"ioctlsize", "obsevent", "errtaxonomy", "doccheck",
 	}
 	all := DefaultAnalyzers()
 	if len(all) != len(want) {
@@ -104,60 +104,6 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	if loc.Region.StartLine != 3 {
 		t.Errorf("startLine = %d, want 3", loc.Region.StartLine)
-	}
-}
-
-func TestBaselineFilter(t *testing.T) {
-	diags := fakeDiags()
-	b := &Baseline{
-		Schema: BaselineSchema,
-		Findings: []BaselineFinding{
-			{Check: "detmap", File: "b.go", Message: "sort before emit", Count: 2},
-		},
-	}
-	newDiags, absorbed := b.Filter("/mod", diags)
-	if len(absorbed) != 2 {
-		t.Errorf("absorbed %d findings, want the 2 baselined detmap ones", len(absorbed))
-	}
-	if len(newDiags) != 1 || newDiags[0].Check != "simtime" {
-		t.Errorf("new findings = %v, want only the simtime one", newDiags)
-	}
-
-	// The count is a budget, not a pattern: a third identical finding is new.
-	extra := append(diags, Diagnostic{
-		Pos: token.Position{Filename: "/mod/b.go", Line: 30, Column: 1}, Check: "detmap", Message: "sort before emit",
-	})
-	newDiags, _ = b.Filter("/mod", extra)
-	if len(newDiags) != 2 {
-		t.Errorf("over-budget duplicate was absorbed; new findings = %v", newDiags)
-	}
-}
-
-func TestWriteBaselineRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, "/mod", fakeDiags()); err != nil {
-		t.Fatal(err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != BaselineSchema {
-		t.Errorf("schema = %q", b.Schema)
-	}
-	if len(b.Findings) != 2 {
-		t.Fatalf("findings = %+v, want 2 folded entries", b.Findings)
-	}
-	// Deterministic order: detmap sorts before simtime.
-	if b.Findings[0].Check != "detmap" || b.Findings[0].Count != 2 {
-		t.Errorf("first entry = %+v, want detmap with count 2", b.Findings[0])
-	}
-	if b.Findings[1].Check != "simtime" || b.Findings[1].Count != 0 {
-		t.Errorf("second entry = %+v, want simtime singleton (count omitted)", b.Findings[1])
-	}
-	// A written baseline must absorb exactly the findings it was built from.
-	if newDiags, _ := b.Filter("/mod", fakeDiags()); len(newDiags) != 0 {
-		t.Errorf("round-tripped baseline left findings unabsorbed: %v", newDiags)
 	}
 }
 

@@ -47,11 +47,6 @@ var stringMatchFuncs = map[string]map[string]bool{
 
 func runErrTaxonomy(p *Pass) {
 	for _, file := range p.Pkg.Files {
-		if isTestFile(p, file) {
-			// Tests legitimately pin rendered messages (asserting the
-			// exact text of a public error is a contract test).
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.BinaryExpr:

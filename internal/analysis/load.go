@@ -14,10 +14,11 @@ import (
 	"strings"
 )
 
-// Loader parses and type-checks packages of the enclosing module using
-// only the standard library: module-internal imports resolve against the
-// module tree, everything else through the stdlib source importer (the
-// build environment is offline, so export data may be absent).
+// Loader parses and type-checks the production (non-_test.go) files of
+// the enclosing module's packages using only the standard library:
+// module-internal imports resolve against the module tree, everything
+// else through the stdlib source importer (the build environment is
+// offline, so export data may be absent).
 type Loader struct {
 	// Fset is shared by every file the loader touches.
 	Fset *token.FileSet
@@ -25,13 +26,9 @@ type Loader struct {
 	ModuleRoot string
 	// ModulePath is the module path declared in go.mod.
 	ModulePath string
-	// IncludeTests merges in-package _test.go files into analyzed
-	// packages. External test packages (package foo_test) are skipped:
-	// they cannot be merged into the package under test.
-	IncludeTests bool
 
 	std     types.Importer
-	pkgs    map[string]*Package // import path -> loaded package (no tests)
+	pkgs    map[string]*Package // import path -> loaded package
 	loading map[string]bool     // cycle guard
 }
 
@@ -123,7 +120,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := l.load(dir, path, l.IncludeTests)
+		pkg, err := l.load(dir, path)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +137,7 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.load(abs, pkgPath, l.IncludeTests)
+	return l.load(abs, pkgPath)
 }
 
 // walkPackageDirs visits every directory under base holding at least one
@@ -184,21 +181,18 @@ func (l *Loader) pathForDir(dir string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// load parses and type-checks one package directory. The no-tests variant
-// is memoized because it doubles as the import target for dependents; the
-// test-augmented variant is built fresh per call.
-func (l *Loader) load(dir, path string, withTests bool) (*Package, error) {
-	if !withTests {
-		if p, ok := l.pkgs[path]; ok {
-			return p, nil
-		}
+// load parses and type-checks one package directory, memoized by import
+// path because it doubles as the import target for dependents.
+func (l *Loader) load(dir, path string) (*Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("analysis: import cycle through %s", path)
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
-	files, err := l.parseDir(dir, withTests)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -222,22 +216,18 @@ func (l *Loader) load(dir, path string, withTests bool) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:    path,
-		Dir:     dir,
 		Fset:    l.Fset,
 		Files:   files,
 		Types:   tpkg,
 		Info:    info,
 		ignores: buildIgnoreIndex(l.Fset, files),
 	}
-	if !withTests {
-		l.pkgs[path] = pkg
-	}
+	l.pkgs[path] = pkg
 	return pkg, nil
 }
 
-// parseDir parses the directory's .go files. With tests, in-package test
-// files are merged and external test-package files dropped.
-func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
+// parseDir parses the directory's non-test .go files.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -245,10 +235,8 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !withTests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -257,43 +245,18 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 		}
 		files = append(files, f)
 	}
-	if withTests {
-		files = dropExternalTestFiles(l.Fset, files)
-	}
 	return files, nil
 }
 
-// dropExternalTestFiles removes files whose package clause does not match
-// the non-test package name (package foo_test files).
-func dropExternalTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
-	base := ""
-	for _, f := range files {
-		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
-			base = f.Name.Name
-			break
-		}
-	}
-	if base == "" {
-		return files
-	}
-	out := files[:0]
-	for _, f := range files {
-		if f.Name.Name == base {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // importPkg resolves an import path: module-internal packages load from
-// the module tree (never with test files), the rest from stdlib source.
+// the module tree, the rest from stdlib source.
 func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
-		pkg, err := l.load(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), path, false)
+		pkg, err := l.load(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), path)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,6 @@ var suite = []*Analyzer{
 	IoctlSize,
 	ObsEvent,
 	ErrTaxonomy,
-	HotAlloc,
 	DocCheck,
 }
 

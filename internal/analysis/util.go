@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // This file holds the shared type-walk utilities every analyzer builds
@@ -28,20 +27,13 @@ func calledFunc(p *Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isTestFile reports whether the node's position lies in a _test.go file.
-// The loader only merges test files in -tests mode, but analyzers whose
-// rules exempt tests (ctxflow) must stay correct in that mode too.
-func isTestFile(p *Pass, n ast.Node) bool {
-	return strings.HasSuffix(p.Fset.Position(n.Pos()).Filename, "_test.go")
-}
-
 // eachFuncDecl visits every function declaration with a body in the
-// package, including the file it lives in.
-func eachFuncDecl(pkg *Package, visit func(file *ast.File, fn *ast.FuncDecl)) {
+// package.
+func eachFuncDecl(pkg *Package, visit func(fn *ast.FuncDecl)) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				visit(file, fn)
+				visit(fn)
 			}
 		}
 	}
@@ -131,22 +123,4 @@ func recvNamed(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// funcDisplayName renders a declaration as "Name" or "(Recv).Name" /
-// "(*Recv).Name" — the spelling the hotalloc budget file keys on.
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	recv := fn.Recv.List[0].Type
-	switch r := recv.(type) {
-	case *ast.StarExpr:
-		if id, ok := r.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fn.Name.Name
-		}
-	case *ast.Ident:
-		return "(" + r.Name + ")." + fn.Name.Name
-	}
-	return fn.Name.Name
 }

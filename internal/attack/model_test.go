@@ -206,6 +206,44 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 	}
 }
 
+// TestProcCountKeysCollapseIntoRowFamilies pins the proccount package
+// doc's claim: the OS counters see draw durations but not the per-counter
+// overdraw structure, so per-key signatures collapse into row-sized
+// families that share one centroid. The KGSL model of the same
+// configuration keeps every key apart.
+func TestProcCountKeysCollapseIntoRowFamilies(t *testing.T) {
+	pm, err := Collect(baseVictimConfig(), CollectOptions{Repeats: 2, Channel: proccount.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := func(m *Model) int {
+		set := map[trace.Vec]bool{}
+		for _, v := range m.Keys {
+			set[v] = true
+		}
+		return len(set)
+	}
+	if keys, d := len(pm.Keys), distinct(pm); keys != 95 || d != 11 {
+		t.Errorf("proccount model: %d keys in %d distinct centroids, want 95 in 11", keys, d)
+	}
+	if km := sharedModel(t); len(km.Keys) != 95 || distinct(km) != 95 {
+		t.Errorf("kgsl model: %d keys in %d distinct centroids, want 95 in 95", len(km.Keys), distinct(km))
+	}
+	rows := map[trace.Vec]bool{}
+	for _, row := range []string{"qwertyuiop", "asdfghjkl", "zxcvbnm"} {
+		c := pm.Keys[row[:1]]
+		for _, r := range row {
+			if pm.Keys[string(r)] != c {
+				t.Errorf("proccount: %q does not share the centroid of its row %q", r, row)
+			}
+		}
+		rows[c] = true
+	}
+	if len(rows) != 3 {
+		t.Errorf("proccount: the three letter rows share %d centroids, want 3", len(rows))
+	}
+}
+
 // TestClassifyExactTiesPickSmallestRune crafts exact distance ties: three
 // keys sharing one centroid, and two keys whose residuals after removing
 // a noise signature coincide. The verdicts must name the smallest rune

@@ -40,7 +40,8 @@ type Batcher struct {
 // classifyJob is one pending classification: the model to consult, the
 // delta vector and its sim-time, and the reply channel the caller blocks
 // on. Jobs are pooled — the coalesce/flush hot path allocates nothing
-// per call in steady state (pinned by the gpuvet hotalloc budget).
+// per call in steady state (pinned by the root package's
+// TestWarmPathAllocs).
 type classifyJob struct {
 	m     *attack.Model
 	at    sim.Time

@@ -181,7 +181,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// ReadCSV parses a trace written by WriteCSV. A CSV without sample rows
+// is an error: every parsed trace holds at least one sample.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -193,6 +194,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	}
 	if len(rows[0]) != adreno.NumSelected+1 {
 		return nil, fmt.Errorf("trace: want %d columns, got %d", adreno.NumSelected+1, len(rows[0]))
+	}
+	if len(rows) == 1 {
+		return nil, fmt.Errorf("trace: csv has a header but no samples")
 	}
 	t := &Trace{}
 	for _, row := range rows[1:] {

@@ -118,8 +118,12 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
 		t.Fatal("wrong column count accepted")
 	}
-	bad := "time_us" + strings.Repeat(",c", adreno.NumSelected) + "\nxx" + strings.Repeat(",1", adreno.NumSelected) + "\n"
+	header := "time_us" + strings.Repeat(",c", adreno.NumSelected) + "\n"
+	bad := header + "xx" + strings.Repeat(",1", adreno.NumSelected) + "\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("bad timestamp accepted")
+	}
+	if _, err := ReadCSV(strings.NewReader(header)); err == nil {
+		t.Fatal("header-only csv (no samples) accepted")
 	}
 }

@@ -14,8 +14,10 @@
 // ignores wall time entirely (shared CI runners make timings noisy) and
 // fails only on new experiment failures or headline-metric drift, which
 // with fixed seed+quick settings are deterministic and therefore
-// blocking. CI runs -metrics-only as a gate and the plain wall-clock
-// comparison warn-only.
+// blocking. Drift is a baseline metric whose value changed or that the
+// new report lacks; a metric only the new report has is not drift. CI
+// runs -metrics-only as a gate and the plain wall-clock comparison
+// warn-only.
 //
 // -skip excludes experiment/metric pairs (comma-separated path.Match
 // patterns) from the metrics diff. The one legitimate use is fig25, which
@@ -156,36 +158,39 @@ func skipped(patterns []string, expID, metric string) bool {
 	return false
 }
 
-// diffMetrics reports every headline metric whose value changed between
-// the runs. With identical seed/quick settings the suite is
-// deterministic, so any drift is a behavior change worth reading.
+// diffMetrics reports every baseline headline metric that changed or is
+// missing from the new run; a metric only the new run has is not drift.
+// With identical seed/quick settings the suite is deterministic, so any
+// drift is a behavior change worth reading.
 func diffMetrics(old, cur *report, skip []string) bool {
-	oldExp := map[string]experimentReport{}
-	for _, e := range old.Experiments {
-		oldExp[e.ID] = e
+	curExp := map[string]experimentReport{}
+	for _, e := range cur.Experiments {
+		curExp[e.ID] = e
 	}
 	drift := false
-	for _, e := range cur.Experiments {
-		prev, ok := oldExp[e.ID]
-		if !ok {
-			continue
-		}
+	for _, e := range old.Experiments {
+		next, ran := curExp[e.ID]
 		keys := make([]string, 0, len(e.Metrics))
 		for k := range e.Metrics {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			pv, had := prev.Metrics[k]
-			if !had {
-				continue
-			}
 			if skipped(skip, e.ID, k) {
 				continue
 			}
-			if pv != e.Metrics[k] {
-				fmt.Printf("METRIC DRIFT: %s/%s %.6f -> %.6f\n", e.ID, k, pv, e.Metrics[k])
-				drift = true
+			v, had := next.Metrics[k]
+			if had && v == e.Metrics[k] {
+				continue
+			}
+			drift = true
+			switch {
+			case !ran:
+				fmt.Printf("METRIC DRIFT: %s/%s %.6f -> experiment missing\n", e.ID, k, e.Metrics[k])
+			case !had:
+				fmt.Printf("METRIC DRIFT: %s/%s %.6f -> missing\n", e.ID, k, e.Metrics[k])
+			default:
+				fmt.Printf("METRIC DRIFT: %s/%s %.6f -> %.6f\n", e.ID, k, e.Metrics[k], v)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // strength-parameterized countermeasures (§9) — counter-read rate
 // limiting, value quantization, noise obfuscation, counter-group RBAC,
 // read-latency jitter — each reporting an overhead estimate, so the
-// cmd/arms tournament can chart the accuracy-vs-overhead frontier.
+// arms experiment can chart the accuracy-vs-overhead frontier.
 // Everything is deterministic: a fixed (defense, strength, seed) replays
 // bit-identically, and strength 0 is a byte-identical passthrough.
 
@@ -28,7 +28,7 @@ type (
 
 // Defenses returns the registered defense names, sorted — the values
 // accepted by DefenseByName and the "defense" serving-request field, and
-// the rows of the cmd/arms frontier.
+// the rows of the arms experiment's frontier.
 func Defenses() []string { return defense.Names() }
 
 // DefenseByName resolves a registered defense, or a "+"-joined chain of

@@ -93,7 +93,7 @@ func Example_faultInjection() {
 // Arming a registered defense on the victim session: strength-1
 // quantization floors every exported counter onto a key-press-sized
 // grid, and the attacker's inference collapses while the platform pays
-// half a percent of overhead. cmd/arms sweeps every registered defense
+// half a percent of overhead. The arms experiment sweeps every defense
 // over a strength grid this way and charts the frontier.
 func Example_defenseTournament() {
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 1}

@@ -53,7 +53,7 @@
 // *SampleError values classifiable with errors.As and IsRetryable. The
 // zero profile is a byte-identical passthrough, and a fixed (profile,
 // seed) replays the identical fault schedule at any worker count —
-// cmd/chaos runs recovery-rate experiments on exactly this contract.
+// the chaos experiment measures recovery rates on exactly this contract.
 //
 // # Serving
 //

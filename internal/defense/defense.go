@@ -6,8 +6,9 @@
 // rate limiting the counter interface, quantizing or noising its values,
 // masking counter groups behind RBAC, and jittering read latency — each
 // with a single strength knob in [0, 1] and a GPUCostFraction-style
-// overhead estimate, so the attack-vs-defense frontier (cmd/arms) can
-// trade attacker accuracy against defender cost.
+// overhead estimate, so the attack-vs-defense frontier (the arms
+// experiment in internal/exp) can trade attacker accuracy against
+// defender cost.
 //
 // A Policy describes one defense; Arm binds it to a victim session at a
 // strength and returns an Instance that (a) may have installed

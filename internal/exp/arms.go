@@ -27,10 +27,11 @@ import (
 // ArmsSchema identifies the tournament report's wire format.
 const ArmsSchema = "gpuleak-arms/v1"
 
-// ArmsReport is the gpuleak-arms/v1 JSON document cmd/arms emits: the
-// tournament inputs, the undefended fused baseline, and one frontier
-// point per (defense, strength). For a fixed seed the report is
-// bit-identical at any worker count.
+// ArmsReport is the gpuleak-arms/v1 JSON document: the tournament
+// inputs, the undefended fused baseline, and one frontier point per
+// (defense, strength). For a fixed seed the report is bit-identical at
+// any worker count; the committed arms-report.json is the seed-1,
+// 3-trial run.
 type ArmsReport struct {
 	Schema  string `json:"schema"`
 	Seed    int64  `json:"seed"`
@@ -41,7 +42,7 @@ type ArmsReport struct {
 	// Baseline is the undefended fused attack on the same sessions
 	// (strength 0, overhead 0) — the frontier's origin.
 	Baseline ArmsPoint `json:"baseline"`
-	// Defenses holds one frontier row per defense, in requested order.
+	// Defenses holds one frontier row per defense, in name order.
 	Defenses []ArmsDefenseResult `json:"defenses"`
 }
 
@@ -146,18 +147,14 @@ func armsOnce(o Options, cfg victim.Config, pm, sm *attack.Model,
 	return out, nil
 }
 
-// RunArmsTournament sweeps the named defenses over the strength grid,
-// trials victim sessions per cell plus the shared undefended baseline,
-// fanned out over o.Workers. Every session, credential and defense seed
-// derives from the cell and trial indices, so the report is
-// bit-identical at any worker count.
-func RunArmsTournament(o Options, names []string, strengths []float64, trials, textLen int) (*ArmsReport, error) {
-	if len(names) == 0 {
-		names = defense.Names()
-	}
-	if len(strengths) == 0 {
-		strengths = []float64{0.25, 0.5, 1}
-	}
+// runArmsTournament sweeps every defense over the strength grid, trials
+// victim sessions per cell plus the shared undefended baseline, fanned
+// out over o.Workers. Every session, credential and defense seed derives
+// from the cell and trial indices, so the report is bit-identical at any
+// worker count.
+func runArmsTournament(o Options, trials int) (*ArmsReport, error) {
+	const textLen = 8
+	names, strengths := defense.Names(), []float64{0.25, 0.5, 1}
 	pols := make([]defense.Policy, len(names))
 	for i, name := range names {
 		p, err := defense.Get(name)
@@ -248,7 +245,7 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 
 	rep := &ArmsReport{
 		Schema: ArmsSchema, Seed: o.Seed, Trials: trials, TextLen: textLen,
-		Strengths: append([]float64(nil), strengths...),
+		Strengths: strengths,
 	}
 	rep.Baseline = score(0, 0, 0, 0)
 	rep.Baseline.Drop = 0
@@ -268,11 +265,11 @@ func RunArmsTournament(o Options, names []string, strengths []float64, trials, t
 }
 
 // RunArms is the registry entry point: the quick-scale tournament over
-// every registered defense. The arms.best_drop metric is the largest
-// fused char-accuracy reduction bought at ≤ 10% reported overhead — the
-// headline the CI arms smoke gates on through cmd/arms -check.
+// every defense. The arms.best_drop metric is the largest fused
+// char-accuracy reduction bought at ≤ 10% reported overhead — the
+// headline TestArmsFrontierShape asserts on the committed frontier.
 func RunArms(o Options) (*Result, error) {
-	rep, err := RunArmsTournament(o, nil, nil, o.Trials(30), 8)
+	rep, err := runArmsTournament(o, o.Trials(30))
 	if err != nil {
 		return nil, err
 	}

@@ -1,44 +1,43 @@
 package exp
 
 // Tests of the arms tournament's contract: bit-identical reports at any
-// worker count, a strong undefended baseline, per-defense monotonicity
-// of the strength sweep, and at least one worthwhile frontier point
-// (large accuracy drop at small overhead) — the claim EXPERIMENTS.md
-// and the ci.sh smoke gate both rest on.
+// worker count that match the committed arms-report.json, a strong
+// undefended baseline, per-defense monotonicity of the strength sweep,
+// and at least one worthwhile frontier point (large accuracy drop at
+// small overhead) — the claim EXPERIMENTS.md rests on.
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
-// armsTestReport runs the tournament at the smoke configuration (seed 1,
-// 3 trials, 8-char credentials, the default defense set and strength
-// grid) — the same cell ci.sh replays.
+// armsTestReport runs the tournament at the canonical configuration of
+// arms-report.json: seed 1, 3 trials, 8-char credentials, every defense
+// over the full strength grid.
 func armsTestReport(t *testing.T, workers int) *ArmsReport {
 	t.Helper()
-	rep, err := RunArmsTournament(Options{Seed: 1, Workers: workers}, nil, nil, 3, 8)
+	rep, err := runArmsTournament(Options{Seed: 1, Workers: workers}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep
 }
 
+// TestArmsTournamentBitIdenticalAcrossWorkers pins the committed
+// arms-report.json: the tournament at workers 1 and 8 must both encode
+// to its exact bytes.
 func TestArmsTournamentBitIdenticalAcrossWorkers(t *testing.T) {
-	marshal := func(rep *ArmsReport) []byte {
-		b, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	serial := encodeReport(t, armsTestReport(t, 1))
+	if fanned := encodeReport(t, armsTestReport(t, 8)); !bytes.Equal(serial, fanned) {
+		t.Fatalf("tournament reports differ across worker counts:\nworkers=1: %s\nworkers=8: %s", serial, fanned)
 	}
-	serial := marshal(armsTestReport(t, 1))
-	fanned := marshal(armsTestReport(t, 8))
-	if !bytes.Equal(serial, fanned) {
-		t.Errorf("tournament reports differ across worker counts:\nworkers=1: %s\nworkers=8: %s", serial, fanned)
-	}
+	checkGoldenReport(t, "arms-report.json", serial)
 }
 
+// TestArmsFrontierShape asserts the defense plane's contracts on the
+// canonical tournament: the schema, a working undefended attack, at
+// least 4 defenses each swept over at least 3 strengths, overheads in
+// [0, 1], monotone sweeps and a worthwhile point.
 func TestArmsFrontierShape(t *testing.T) {
 	rep := armsTestReport(t, 0)
 	if rep.Schema != ArmsSchema {
@@ -48,7 +47,10 @@ func TestArmsFrontierShape(t *testing.T) {
 		t.Fatalf("undefended fused baseline char accuracy %.3f: the attack must work before defenses can be measured", rep.Baseline.CharAcc)
 	}
 	if len(rep.Defenses) < 4 {
-		t.Fatalf("only %d defenses swept, the registry holds at least 4", len(rep.Defenses))
+		t.Fatalf("only %d defenses swept, the table holds at least 4", len(rep.Defenses))
+	}
+	if len(rep.Strengths) < 3 {
+		t.Fatalf("strength grid %v: the frontier needs at least 3 strengths per defense", rep.Strengths)
 	}
 
 	// Each defense's sweep must be monotone: more strength never buys the

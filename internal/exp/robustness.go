@@ -139,18 +139,13 @@ func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text str
 	return out, nil
 }
 
-// RunChaosProfiles eavesdrops trials×len(profiles) sessions and builds
+// runChaosProfiles eavesdrops trials×len(profiles) sessions and builds
 // the gpuleak-chaos/v1 report. The model is trained (or fetched) once;
 // trials fan out across o.Workers with per-trial seeds derived from
 // (o.Seed, profile index, trial index), so the report is bit-identical
 // at any worker count.
-func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) (*ChaosReport, error) {
-	if trials < 1 {
-		trials = 1
-	}
-	if textLen < 1 {
-		textLen = 8
-	}
+func runChaosProfiles(o Options, profiles []fault.Profile, trials int) (*ChaosReport, error) {
+	const textLen = 8
 	cfg := DefaultConfig()
 	m, err := TrainModelWorkers(cfg, o.Workers)
 	if err != nil {
@@ -225,7 +220,7 @@ func RunChaosProfiles(o Options, profiles []fault.Profile, trials, textLen int) 
 // RunChaos is the registry entry point: every predefined profile at
 // quick-scaled trial counts, reported as a table plus chaos.* metrics.
 func RunChaos(o Options) (*Result, error) {
-	rep, err := RunChaosProfiles(o, fault.Profiles(), o.Trials(40), 8)
+	rep, err := runChaosProfiles(o, fault.Profiles(), o.Trials(40))
 	if err != nil {
 		return nil, err
 	}

@@ -2,38 +2,32 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"gpuleak/internal/fault"
 )
 
-// TestChaosReportDeterministicAcrossWorkers pins the replay contract the
-// chaos harness exists to demonstrate: one seed, one report — bit for
-// bit — no matter how the trials are scheduled across workers.
+// TestChaosReportDeterministicAcrossWorkers pins the committed
+// chaos-report.json — every predefined profile, seed 1, 10 trials, the
+// run EXPERIMENTS.md's Robustness table quotes — bit for bit at workers
+// 1 and 8, and asserts the fault plane's contracts on it: the zero-rate
+// profile is a pure passthrough that matches the raw library path, and
+// every faulty profile injects, recovers and loses no trial.
 func TestChaosReportDeterministicAcrossWorkers(t *testing.T) {
-	profiles := []fault.Profile{fault.None, fault.Moderate}
-	run := func(workers int) []byte {
-		rep, err := RunChaosProfiles(Options{Seed: 11, Workers: workers}, profiles, 3, 6)
+	run := func(workers int) *ChaosReport {
+		rep, err := runChaosProfiles(Options{Seed: 1, Workers: workers}, fault.Profiles(), 10)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+		return rep
 	}
-	serial := run(1)
-	parallel := run(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("chaos report differs across worker counts:\n%s\nvs\n%s", serial, parallel)
+	rep := run(1)
+	serial := encodeReport(t, rep)
+	if fanned := encodeReport(t, run(8)); !bytes.Equal(serial, fanned) {
+		t.Fatalf("chaos report differs across worker counts:\n%s\nvs\n%s", serial, fanned)
 	}
+	checkGoldenReport(t, "chaos-report.json", serial)
 
-	var rep ChaosReport
-	if err := json.Unmarshal(serial, &rep); err != nil {
-		t.Fatal(err)
-	}
 	if rep.Schema != ChaosSchema {
 		t.Errorf("schema %q, want %q", rep.Schema, ChaosSchema)
 	}
@@ -42,10 +36,23 @@ func TestChaosReportDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, pr := range rep.Profiles {
 		if pr.Fatal != 0 {
-			t.Errorf("profile %q: %d fatal trials under the default retry policy", pr.Profile, pr.Fatal)
+			t.Errorf("profile %q: %d/%d fatal trials under the default retry policy", pr.Profile, pr.Fatal, pr.Trials)
 		}
-		if pr.Rate > 0 && pr.Injected.Total() == 0 {
-			t.Errorf("profile %q injected nothing", pr.Profile)
+		if pr.Rate == 0 {
+			if pr.Injected.Total() != 0 || pr.Degraded != 0 {
+				t.Errorf("profile %q injected %d faults and degraded %d trials; want a pure passthrough",
+					pr.Profile, pr.Injected.Total(), pr.Degraded)
+			}
+			continue
+		}
+		if pr.Injected.Total() == 0 {
+			t.Errorf("profile %q (rate %.3f) injected nothing", pr.Profile, pr.Rate)
+		}
+		recovered := pr.Recovery.Retries + pr.Recovery.ReReservations +
+			pr.Recovery.DroppedTicks + pr.Recovery.WrappedRetries
+		if recovered == 0 {
+			t.Errorf("profile %q injected %d faults but the sampler recorded no recovery work",
+				pr.Profile, pr.Injected.Total())
 		}
 	}
 }
@@ -62,7 +69,7 @@ func TestChaosAccuracyDegradesMonotonically(t *testing.T) {
 		{Name: "drop30", PDropTick: 0.30},
 		{Name: "drop60", PDropTick: 0.60},
 	}
-	rep, err := RunChaosProfiles(Options{Seed: 3, Workers: 0}, profiles, 6, 8)
+	rep, err := runChaosProfiles(Options{Seed: 3, Workers: 0}, profiles, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,20 @@
-// Command gpuvet runs the repository's static-analysis suite: ten
+// Command gpuvet runs the repository's static-analysis suite: eight
 // stdlib-only checks enforcing the invariants the reproduction's
 // fidelity depends on (deterministic sim.Time clocks, map serialization
-// and telemetry events, end-to-end context threading, msm_kgsl.h counter
-// constants, float-comparison and mutex hygiene, ioctl size consistency,
-// the typed error taxonomy, and godoc on the documented surface) over
-// the module's production (non-test) files. -list prints them in suite
-// order.
+// and telemetry events, end-to-end context threading, float-comparison
+// and mutex hygiene, the typed error taxonomy, and godoc on the
+// documented surface) over the module's production (non-test) files.
+// -list prints them in suite order.
 //
 // Usage:
 //
-//	gpuvet [-list] [-sarif file] [-waivers file] [packages]
+//	gpuvet [-list] [-waivers file] [packages]
 //
 // Packages default to ./... (the whole module). Findings print as
-// file:line:col: [check] message and make the command exit nonzero.
-//
-//   - -sarif also renders the findings as a SARIF 2.1.0 log for CI
-//     upload and code-scanning consumers.
-//   - -waivers checks the //gpuvet:ignore directive counts against the
-//     committed gpuvet-waivers.json ledger, failing when waivers grow
-//     (or shrink) without a matching ledger edit.
+// file:line:col: [check] message, and any finding makes the command
+// exit nonzero. -waivers checks the //gpuvet:ignore directive counts
+// against the committed gpuvet-waivers.json ledger, failing when waivers
+// grow (or shrink) without a matching ledger edit.
 //
 // Suppress an intentional finding with a comment on or above the line:
 //
@@ -37,7 +33,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available checks and exit")
-	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	waiversPath := flag.String("waivers", "", "check //gpuvet:ignore counts against this gpuvet-waivers.json ledger")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: gpuvet [flags] [packages]\n\n")
@@ -48,9 +43,9 @@ func main() {
 
 	analyzers := analysis.DefaultAnalyzers()
 	if *list {
-		fmt.Printf("%-13s %-15s %-8s %s\n", "CHECK", "CATEGORY", "SEVERITY", "DOC")
+		fmt.Printf("%-13s %-12s %s\n", "CHECK", "CATEGORY", "DOC")
 		for _, a := range analyzers {
-			fmt.Printf("%-13s %-15s %-8s %s\n", a.Name, a.Category, a.Severity, a.Doc)
+			fmt.Printf("%-13s %-12s %s\n", a.Name, a.Category, a.Doc)
 		}
 		return
 	}
@@ -68,19 +63,6 @@ func main() {
 		fatal(err)
 	}
 	diags := analysis.Run(pkgs, analyzers)
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := analysis.WriteSARIF(f, loader.ModuleRoot, analyzers, diags); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
 
 	for _, d := range diags {
 		fmt.Println(d)

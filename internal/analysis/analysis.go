@@ -1,5 +1,5 @@
 // Package analysis is a stdlib-only static-analysis driver enforcing this
-// repository's simulation and KGSL invariants. It loads every package of
+// repository's simulation invariants. It loads every package of
 // the module with go/parser + go/types (no golang.org/x/tools dependency:
 // the build environment is offline) and runs repo-specific checks over
 // the typed syntax trees:
@@ -9,10 +9,8 @@
 //	               Background/TODO outside tests and documented legacy
 //	               wrappers; context holders must call *Context variants
 //	detmap       - map iteration feeding ordered output must sort first
-//	countergroup - counter group/countable IDs must use adreno constants
 //	floateq      - no ==/!= on floats in classifier distance math
 //	lockcheck    - mutex-guarded struct fields accessed without locking
-//	ioctlsize    - iowr(nr, size) sizes must match the marshalled structs
 //	obsevent     - obs event names must be package-level registrations;
 //	               Emit/Start timestamps must never derive from the wall clock
 //	errtaxonomy  - error identity flows through errors.Is/As, never
@@ -20,8 +18,10 @@
 //	doccheck     - exported symbols on the documented surface (facade,
 //	               serve, obs, fault, defense) must carry godoc comments
 //
-// The checks form one ordered suite (DefaultAnalyzers) whose metadata the
-// driver shares with the SARIF exporter and the waiver ledger. Only
+// A check belongs here only if it catches something no test does; the
+// invariants a test already holds (the msm_kgsl.h request codes, the
+// Table 1 counter IDs) live in those tests. The checks form one ordered
+// suite (DefaultAnalyzers), and every finding is an error. Only
 // production files are analyzed: the loader never reads _test.go files.
 // A finding can be suppressed with a trailing or preceding comment of the
 // form
@@ -67,16 +67,13 @@ type Package struct {
 }
 
 // Analyzer is one named check. The suite lists each one once, so the
-// driver, the -list output, the SARIF rule table and the waiver ledger
-// all share one source of metadata.
+// driver and the -list output share one source of metadata.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Category groups checks for reporting: "determinism",
-	// "driver-fidelity", "taxonomy", "hygiene" or "docs".
+	// Category groups checks for reporting: "determinism", "taxonomy",
+	// "hygiene" or "docs".
 	Category string
-	// Severity maps onto the SARIF level: "error" or "warning".
-	Severity string
 	// Applies filters by package import path; nil runs everywhere.
 	Applies func(pkgPath string) bool
 	Run     func(*Pass)

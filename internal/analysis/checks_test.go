@@ -95,11 +95,6 @@ func TestSimTimeScope(t *testing.T) {
 	}
 }
 
-func TestCounterGroupFixtures(t *testing.T) {
-	checkFixture(t, CounterGroup, "countergroup/bad", "gpuleak/internal/cgbad")
-	checkFixture(t, CounterGroup, "countergroup/good", "gpuleak/internal/cggood")
-}
-
 func TestFloatEqFixtures(t *testing.T) {
 	// The fixture paths reuse the real distance-math package paths so the
 	// scope filter admits them.
@@ -133,11 +128,6 @@ func TestObsEventScope(t *testing.T) {
 	if ObsEvent.Applies("gpuleak/cmd/attackd") {
 		t.Error("obsevent is scoped to internal/ like the other simulation invariants")
 	}
-}
-
-func TestIoctlSizeFixtures(t *testing.T) {
-	checkFixture(t, IoctlSize, "ioctlsize/bad", "gpuleak/internal/szbad")
-	checkFixture(t, IoctlSize, "ioctlsize/good", "gpuleak/internal/szgood")
 }
 
 func TestDocCheckFixtures(t *testing.T) {

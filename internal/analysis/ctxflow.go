@@ -28,7 +28,6 @@ import (
 var CtxFlow = &Analyzer{
 	Name:     "ctxflow",
 	Category: "determinism",
-	Severity: "error",
 	Doc:      "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",
 	Applies:  isInternalPath,
 	Run:      runCtxFlow,

@@ -29,7 +29,6 @@ import (
 var DetMap = &Analyzer{
 	Name:     "detmap",
 	Category: "determinism",
-	Severity: "error",
 	Doc:      "map iteration feeding ordered output (serialization, report slices) must pass through a sort",
 	Run:      runDetMap,
 }

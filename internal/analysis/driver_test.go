@@ -1,29 +1,18 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
-	"go/token"
 	"strings"
 	"testing"
 )
 
-// Driver-plane tests: the suite's presentation order, SARIF export and
-// the waiver-budget ledger. The fixture tests in checks_test.go cover
+// Driver-plane tests: the suite's presentation order and the
+// waiver-budget ledger. The fixture tests in checks_test.go cover
 // the analyzers themselves.
-
-func fakeDiags() []Diagnostic {
-	return []Diagnostic{
-		{Pos: token.Position{Filename: "/mod/a.go", Line: 3, Column: 7}, Check: "simtime", Message: "no wall clocks"},
-		{Pos: token.Position{Filename: "/mod/b.go", Line: 9, Column: 1}, Check: "detmap", Message: "sort before emit"},
-		{Pos: token.Position{Filename: "/mod/b.go", Line: 20, Column: 1}, Check: "detmap", Message: "sort before emit"},
-	}
-}
 
 func TestRegistryCanonicalOrder(t *testing.T) {
 	want := []string{
-		"simtime", "ctxflow", "detmap", "countergroup", "floateq", "lockcheck",
-		"ioctlsize", "obsevent", "errtaxonomy", "doccheck",
+		"simtime", "ctxflow", "detmap", "floateq", "lockcheck",
+		"obsevent", "errtaxonomy", "doccheck",
 	}
 	all := DefaultAnalyzers()
 	if len(all) != len(want) {
@@ -36,74 +25,6 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 		if a.Doc == "" || a.Category == "" || a.Run == nil {
 			t.Errorf("analyzer %q is missing metadata: doc=%q category=%q", a.Name, a.Doc, a.Category)
 		}
-		if a.Severity != "error" && a.Severity != "warning" {
-			t.Errorf("analyzer %q has severity %q, want error or warning", a.Name, a.Severity)
-		}
-	}
-}
-
-func TestWriteSARIF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, "/mod", DefaultAnalyzers(), fakeDiags()); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				RuleIndex int    `json:"ruleIndex"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI       string `json:"uri"`
-							URIBaseID string `json:"uriBaseId"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("emitted SARIF does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "gpuvet" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(suite) {
-		t.Errorf("rule table has %d rules, want %d", len(run.Tool.Driver.Rules), len(suite))
-	}
-	if len(run.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(run.Results))
-	}
-	first := run.Results[0]
-	if first.RuleID != "simtime" {
-		t.Errorf("first result ruleId = %q", first.RuleID)
-	}
-	if run.Tool.Driver.Rules[first.RuleIndex].ID != "simtime" {
-		t.Errorf("ruleIndex %d does not point at the simtime rule", first.RuleIndex)
-	}
-	loc := first.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "a.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
-		t.Errorf("artifact location = %q base %q, want module-relative a.go under %%SRCROOT%%", loc.ArtifactLocation.URI, loc.ArtifactLocation.URIBaseID)
-	}
-	if loc.Region.StartLine != 3 {
-		t.Errorf("startLine = %d, want 3", loc.Region.StartLine)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 var ErrTaxonomy = &Analyzer{
 	Name:     "errtaxonomy",
 	Category: "taxonomy",
-	Severity: "error",
 	Doc:      "error identity flows through errors.Is/As: no err.Error() matching, no == against non-sentinel errors, facade taxonomy lives in errors.go",
 	Run:      runErrTaxonomy,
 }

@@ -29,7 +29,6 @@ import (
 var ObsEvent = &Analyzer{
 	Name:     "obsevent",
 	Category: "determinism",
-	Severity: "error",
 	Doc:      "obs event names must be package-level obs.NewName registrations; Emit/Start timestamps must not derive from the wall clock; metric names must be declared constants, not inline literals",
 	Applies: func(pkgPath string) bool {
 		// The obs package itself converts names when parsing streams.

@@ -30,7 +30,6 @@ var wallClockFuncs = map[string]bool{
 var SimTime = &Analyzer{
 	Name:     "simtime",
 	Category: "determinism",
-	Severity: "error",
 	Doc:      "forbid wall-clock time.Now/Sleep/Since/Tick/... in internal/ packages; use sim.Time",
 	Applies:  isInternalPath,
 	Run:      runSimTime,

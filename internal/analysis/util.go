@@ -39,23 +39,6 @@ func eachFuncDecl(pkg *Package, visit func(fn *ast.FuncDecl)) {
 	}
 }
 
-// enclosingFunc returns the innermost function declaration whose body
-// spans pos (nil when pos sits at package level).
-func enclosingFunc(pkg *Package, n ast.Node) *ast.FuncDecl {
-	for _, file := range pkg.Files {
-		if n.Pos() < file.Pos() || file.End() < n.Pos() {
-			continue
-		}
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil &&
-				fn.Pos() <= n.Pos() && n.End() <= fn.End() {
-				return fn
-			}
-		}
-	}
-	return nil
-}
-
 // isContextType reports whether t is exactly context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)

@@ -19,7 +19,7 @@ func TestIoctlUnknownRequestCode(t *testing.T) {
 	}
 	// A request code with the right type byte but an unassigned nr still
 	// has to be rejected.
-	bogus := iowr(0x7F, 16)
+	bogus := ioc(iocRead|iocWrite, 0x7F, 16)
 	if err := f.Ioctl(0, bogus, &PerfcounterGet{}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown request code: got %v, want ErrBadRequest", err)
 	}

@@ -24,7 +24,6 @@ const (
 	iocWrite   = 1
 	iocRead    = 2
 	iocTypeBit = 8
-	iocNrBits  = 8
 	iocSizeBit = 16
 	iocDirBit  = 30
 
@@ -32,26 +31,27 @@ const (
 	KGSLIocType = 0x09
 )
 
-// iowr builds an _IOWR request code.
-func iowr(nr, size uint32) uint32 {
-	return (iocRead|iocWrite)<<iocDirBit | size<<iocSizeBit | KGSLIocType<<iocTypeBit | nr
+// ioc builds a KGSL request code the way Linux's _IOC(dir, type, nr,
+// size) does, with the type byte fixed to KGSLIocType.
+func ioc(dir, nr, size uint32) uint32 {
+	return dir<<iocDirBit | size<<iocSizeBit | KGSLIocType<<iocTypeBit | nr
 }
 
 // Request codes from msm_kgsl.h (Figure 9 of the paper). Struct sizes use
-// the 64-bit kernel ABI layouts.
+// the 64-bit kernel ABI layouts; TestRequestCodeEncoding pins each one.
 var (
 	// IoctlPerfcounterGet reserves a performance counter
 	// (_IOWR(KGSL_IOC_TYPE, 0x38, struct kgsl_perfcounter_get)).
-	IoctlPerfcounterGet = iowr(0x38, 16)
+	IoctlPerfcounterGet = ioc(iocRead|iocWrite, 0x38, 16)
 	// IoctlPerfcounterPut releases a reserved counter
 	// (_IOW(KGSL_IOC_TYPE, 0x39, struct kgsl_perfcounter_put)).
-	IoctlPerfcounterPut = iowr(0x39, 16)
+	IoctlPerfcounterPut = ioc(iocWrite, 0x39, 16)
 	// IoctlPerfcounterQuery lists countables in a group
 	// (_IOWR(KGSL_IOC_TYPE, 0x3A, struct kgsl_perfcounter_query)).
-	IoctlPerfcounterQuery = iowr(0x3A, 24)
+	IoctlPerfcounterQuery = ioc(iocRead|iocWrite, 0x3A, 24)
 	// IoctlPerfcounterRead block-reads counter values
 	// (_IOWR(KGSL_IOC_TYPE, 0x3B, struct kgsl_perfcounter_read)).
-	IoctlPerfcounterRead = iowr(0x3B, 16)
+	IoctlPerfcounterRead = ioc(iocRead|iocWrite, 0x3B, 16)
 )
 
 // PerfcounterGet mirrors struct kgsl_perfcounter_get.

@@ -2,6 +2,8 @@ package kgsl
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gpuleak/internal/adreno"
@@ -27,17 +29,90 @@ func openTestFile(t *testing.T, d *Device) *File {
 	return f
 }
 
+// abiMember is one member of a msm_kgsl.h struct under the 64-bit kernel
+// ABI, and the Go field that mirrors it. A slice field mirrors two
+// members: the user pointer and the u32 element count after it.
+type abiMember struct {
+	goField     string
+	size, align uintptr
+}
+
+// abiSize lays members out under the 64-bit kernel ABI: each member
+// aligns to its own alignment, and the struct pads to its widest one.
+func abiSize(members []abiMember) uintptr {
+	var off, widest uintptr = 0, 1
+	for _, m := range members {
+		off = (off+m.align-1)/m.align*m.align + m.size
+		widest = max(widest, m.align)
+	}
+	return (off + widest - 1) / widest * widest
+}
+
+// TestRequestCodeEncoding pins every request code to msm_kgsl.h. Each row
+// decodes the code's dir, type, nr and size bits, and compares the size
+// with the 64-bit ABI layout of the struct the code marshals, written
+// out member by member. reflect then checks that the Go mirror has
+// exactly those fields, each as wide as its members, so a drifted size
+// argument or a field added to a struct fails here.
 func TestRequestCodeEncoding(t *testing.T) {
-	// _IOWR(0x09, 0x38, 16) = dir(3)<<30 | 16<<16 | 0x09<<8 | 0x38
-	want := uint32(3)<<30 | 16<<16 | 0x09<<8 | 0x38
-	if IoctlPerfcounterGet != want {
-		t.Fatalf("GET code = %#x, want %#x", IoctlPerfcounterGet, want)
+	const (
+		iow  = 1 // _IOC_WRITE
+		iowr = 3 // _IOC_READ | _IOC_WRITE
+	)
+	u32 := func(f string) abiMember { return abiMember{f, 4, 4} }
+	userPtr := func(f string) abiMember { return abiMember{f, 8, 8} }
+	rows := []struct {
+		name    string
+		code    uint32
+		dir, nr uint32
+		mirror  any
+		members []abiMember
+	}{
+		{"GET", IoctlPerfcounterGet, iowr, 0x38, PerfcounterGet{},
+			[]abiMember{u32("GroupID"), u32("Countable"), u32("OffsetLo"), u32("OffsetHi")}},
+		{"PUT", IoctlPerfcounterPut, iow, 0x39, PerfcounterPut{},
+			[]abiMember{u32("GroupID"), u32("Countable"), {"Pad", 8, 4}}},
+		{"QUERY", IoctlPerfcounterQuery, iowr, 0x3A, PerfcounterQuery{},
+			[]abiMember{u32("GroupID"), userPtr("Countables"), u32("Countables"), u32("MaxCounters")}},
+		{"READ", IoctlPerfcounterRead, iowr, 0x3B, PerfcounterRead{},
+			[]abiMember{userPtr("Reads"), u32("Reads")}},
 	}
-	if IoctlPerfcounterRead&0xFF != 0x3B {
-		t.Fatalf("READ nr = %#x, want 0x3B", IoctlPerfcounterRead&0xFF)
-	}
-	if (IoctlPerfcounterGet>>8)&0xFF != KGSLIocType {
-		t.Fatal("ioc type byte wrong")
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			dir, size := r.code>>30, r.code>>16&0x3FFF
+			typ, nr := r.code>>8&0xFF, r.code&0xFF
+			if dir != r.dir || typ != 0x09 || nr != r.nr {
+				t.Errorf("code %#x decodes to dir %d type %#x nr %#x, want dir %d type 0x09 nr %#x",
+					r.code, dir, typ, nr, r.dir, r.nr)
+			}
+			if want := abiSize(r.members); uintptr(size) != want {
+				t.Errorf("code %#x declares size %d, but the struct is %d bytes under the 64-bit ABI",
+					r.code, size, want)
+			}
+
+			st := reflect.TypeOf(r.mirror)
+			var fields []string
+			widths := map[string]uintptr{}
+			for _, m := range r.members {
+				if len(fields) == 0 || fields[len(fields)-1] != m.goField {
+					fields = append(fields, m.goField)
+				}
+				widths[m.goField] += m.size
+			}
+			var got []string
+			for i := range st.NumField() {
+				f := st.Field(i)
+				got = append(got, f.Name)
+				// A slice stands for the pointer + count pair its row sizes.
+				w, ok := widths[f.Name]
+				if ok && f.Type.Kind() != reflect.Slice && f.Type.Size() != w {
+					t.Errorf("%s.%s is %d bytes, the row says %d", st.Name(), f.Name, f.Type.Size(), w)
+				}
+			}
+			if !slices.Equal(got, fields) {
+				t.Errorf("%s has fields %v, the row lays out %v", st.Name(), got, fields)
+			}
+		})
 	}
 }
 

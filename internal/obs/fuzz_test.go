@@ -43,3 +43,32 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTraceparent hardens the parser of the traceparent header a
+// client sends. An accepted value renders back to the same first 53
+// bytes (everything but the flags byte, which this repo always sends as
+// 01), and parsing that rendering again yields the same ids. A rejected
+// value yields the zero TraceContext, never a half-filled one.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(NewTrace(42).Traceparent())
+	for _, s := range rejectedTraceparents {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		hdr := tc.Traceparent()
+		if hdr[:53] != s[:53] {
+			t.Fatalf("accepted %q but renders %q", s, hdr)
+		}
+		again, ok := ParseTraceparent(hdr)
+		if !ok || again.TraceID != tc.TraceID || again.SpanID != tc.SpanID {
+			t.Fatalf("rendering %q of %q reparses to %+v, %v", hdr, s, again, ok)
+		}
+	})
+}

@@ -26,6 +26,18 @@ func TestNewTraceDeterministic(t *testing.T) {
 	}
 }
 
+// rejectedTraceparents are malformed header values ParseTraceparent must
+// refuse; FuzzParseTraceparent seeds from them too.
+var rejectedTraceparents = []string{
+	"",
+	"00-abc-def-01",
+	"01-0123456789abcdef0123456789abcdef-0123456789abcdef-01", // wrong version
+	"00-00000000000000000000000000000000-0123456789abcdef-01", // zero trace id
+	"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span id
+	"00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-01", // uppercase hex
+	"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0g",
+}
+
 // TestTraceparentRoundTrip pins the wire format both ways.
 func TestTraceparentRoundTrip(t *testing.T) {
 	tc := NewTrace(42)
@@ -47,16 +59,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatal("Local/Child failed to clear the Remote mark")
 	}
 
-	bad := []string{
-		"",
-		"00-abc-def-01",
-		"01-0123456789abcdef0123456789abcdef-0123456789abcdef-01", // wrong version
-		"00-00000000000000000000000000000000-0123456789abcdef-01", // zero trace id
-		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span id
-		"00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-01", // uppercase hex
-		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0g",
-	}
-	for _, s := range bad {
+	for _, s := range rejectedTraceparents {
 		if _, ok := ParseTraceparent(s); ok {
 			t.Errorf("ParseTraceparent accepted %q", s)
 		}

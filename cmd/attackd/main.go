@@ -7,8 +7,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -27,43 +29,52 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("attackd: ")
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	device := flag.String("device", "OnePlus 8 Pro", "victim device model")
-	app := flag.String("app", "Chase", "target application")
-	kb := flag.String("keyboard", "gboard", "on-screen keyboard")
-	text := flag.String("text", "hunter2pass", "credential the victim types")
-	volunteer := flag.Int("volunteer", 0, "typing profile 0-4")
-	modelPath := flag.String("model", "", "pretrained model JSON (default: train on the fly)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	practical := flag.Bool("practical", false, "inject corrections/app switches (§8 behavior)")
-	traceOut := flag.String("trace", "", "write the raw counter trace as CSV")
-	monitor := flag.Bool("monitor", false, "start with the Figure-4 monitoring service: the victim uses another app first, the attack waits for the target launch")
-	faults := flag.String("faults", "", "inject device faults from this profile (none,mild,moderate,severe,starve) and arm the retry policy")
-	faultSeed := flag.Int64("fault-seed", 0, "fault schedule seed (default: derived from -seed)")
+// run trains (or loads) a classifier, simulates the victim session the
+// flags in args describe, eavesdrops on it, and prints the outcome to
+// stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("attackd", flag.ExitOnError)
+	device := fs.String("device", "OnePlus 8 Pro", "victim device model")
+	app := fs.String("app", "Chase", "target application")
+	kb := fs.String("keyboard", "gboard", "on-screen keyboard")
+	text := fs.String("text", "hunter2pass", "credential the victim types")
+	volunteer := fs.Int("volunteer", 0, "typing profile 0-4")
+	modelPath := fs.String("model", "", "pretrained model JSON (default: train on the fly)")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	practical := fs.Bool("practical", false, "inject corrections/app switches (§8 behavior)")
+	traceOut := fs.String("trace", "", "write the raw counter trace as CSV")
+	monitor := fs.Bool("monitor", false, "start with the Figure-4 monitoring service: the victim uses another app first, the attack waits for the target launch")
+	faults := fs.String("faults", "", "inject device faults from this profile (none,mild,moderate,severe,starve) and arm the retry policy")
+	faultSeed := fs.Int64("fault-seed", 0, "fault schedule seed (default: derived from -seed)")
 	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	stopProfiles, err := obsFlags.StartProfiles()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tracer := obsFlags.Tracer()
 
 	dev, ok := android.DeviceByName(*device)
 	if !ok {
-		log.Fatalf("unknown device %q", *device)
+		return fmt.Errorf("unknown device %q", *device)
 	}
 	layout := keyboard.ByName(*kb)
 	if layout == nil {
-		log.Fatalf("unknown keyboard %q", *kb)
+		return fmt.Errorf("unknown keyboard %q", *kb)
 	}
 	target, ok := android.AppByName(*app)
 	if !ok {
-		log.Fatalf("unknown app %q", *app)
+		return fmt.Errorf("unknown app %q", *app)
 	}
 	if *volunteer < 0 || *volunteer >= len(input.Volunteers) {
-		log.Fatalf("volunteer must be 0-%d", len(input.Volunteers)-1)
+		return fmt.Errorf("volunteer must be 0-%d", len(input.Volunteers)-1)
 	}
 
 	cfg := victim.Config{Device: dev, Keyboard: layout, App: target,
@@ -77,12 +88,12 @@ func main() {
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m, err = attack.ReadModel(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("loaded model %s (%d keys)", m.Key, len(m.Keys))
 	} else {
@@ -90,9 +101,9 @@ func main() {
 		train := cfg
 		train.RenderJitter = 0
 		var err error
-		m, err = attack.Collect(train, attack.CollectOptions{Repeats: 2, Obs: tracer})
+		m, err = attack.CollectContext(ctx, train, attack.CollectOptions{Repeats: 2, Obs: tracer})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("trained %d key centroids, %d noise signatures", len(m.Keys), len(m.Noise))
 	}
@@ -117,7 +128,7 @@ func main() {
 	if *faults != "" {
 		prof, ok := fault.ByName(*faults)
 		if !ok {
-			log.Fatalf("unknown fault profile %q (have %s)", *faults, strings.Join(fault.Names(), ","))
+			return fmt.Errorf("unknown fault profile %q (have %s)", *faults, strings.Join(fault.Names(), ","))
 		}
 		p.Fault, p.FaultSeed = prof, *faultSeed
 		if p.FaultSeed == 0 {
@@ -127,25 +138,25 @@ func main() {
 	}
 	st, err := p.Build(sess)
 	if err != nil {
-		log.Fatalf("opening /dev/kgsl-3d0: %v", err)
+		return fmt.Errorf("opening /dev/kgsl-3d0: %w", err)
 	}
 	leg := st.Legs[0]
 	var res *attack.Result
 	if *monitor {
 		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End, attack.MonitorOptions{})
 		if err != nil {
-			log.Fatalf("monitoring failed: %v", err)
+			return fmt.Errorf("monitoring failed: %w", err)
 		}
 		if !mr.Detected {
-			log.Fatalf("target app launch never detected")
+			return errors.New("target app launch never detected")
 		}
 		log.Printf("monitor: target launch detected at %v after %d low-duty reads",
 			mr.LaunchDetectedAt, mr.IdleReads)
 		res = mr.Result
 	} else {
-		out, err := st.Run(context.Background(), 0, sess.End, nil)
+		out, err := st.Run(ctx, 0, sess.End, nil)
 		if err != nil {
-			log.Fatalf("eavesdropping failed: %v", err)
+			return fmt.Errorf("eavesdropping failed: %w", err)
 		}
 		res = out.Result
 		if *traceOut != "" {
@@ -153,39 +164,40 @@ func main() {
 			tr := out.Legs[0].Trace
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := tr.WriteCSV(f); err != nil {
-				log.Fatal(err)
+				f.Close()
+				return fmt.Errorf("writing %s: %w", *traceOut, err)
 			}
 			if err := f.Close(); err != nil {
-				log.Fatalf("writing %s: %v", *traceOut, err)
+				return fmt.Errorf("writing %s: %w", *traceOut, err)
 			}
 			log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
 		}
 	}
 
 	truth := sess.TypedText()
-	fmt.Println()
-	fmt.Printf("  victim typed : %q\n", truth)
-	fmt.Printf("  eavesdropped : %q\n", res.Text)
-	fmt.Printf("  exact match  : %v\n", res.Text == truth)
-	fmt.Printf("  edit distance: %d\n", stats.Levenshtein(res.Text, truth))
-	fmt.Printf("  engine stats : %+v\n", res.Stats)
-	fmt.Printf("  ioctl calls  : %d\n", sess.Device.IoctlCount())
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "  victim typed : %q\n", truth)
+	fmt.Fprintf(stdout, "  eavesdropped : %q\n", res.Text)
+	fmt.Fprintf(stdout, "  exact match  : %v\n", res.Text == truth)
+	fmt.Fprintf(stdout, "  edit distance: %d\n", stats.Levenshtein(res.Text, truth))
+	fmt.Fprintf(stdout, "  engine stats : %+v\n", res.Stats)
+	fmt.Fprintf(stdout, "  ioctl calls  : %d\n", sess.Device.IoctlCount())
 	if leg.Fault != nil {
-		fmt.Printf("  injected     : %+v (total %d)\n", leg.Fault.Stats, leg.Fault.Stats.Total())
-		fmt.Printf("  recovery     : %+v (degraded=%v)\n", res.Recovery, res.Degraded)
+		fmt.Fprintf(stdout, "  injected     : %+v (total %d)\n", leg.Fault.Stats, leg.Fault.Stats.Total())
+		fmt.Fprintf(stdout, "  recovery     : %+v (degraded=%v)\n", res.Recovery, res.Degraded)
 	}
 
 	if tracer != nil {
 		if err := obsFlags.Write(tracer); err != nil {
-			log.Fatalf("writing telemetry: %v", err)
+			return fmt.Errorf("writing telemetry: %w", err)
 		}
-		log.Printf("wrote telemetry to %s (%d events, %s)",
-			obsFlags.Path, tracer.Len(), obsFlags.Format)
+		log.Printf("wrote telemetry to %s (%d events)", obsFlags.Path, tracer.Len())
 	}
 	if err := stopProfiles(); err != nil {
-		log.Fatalf("writing profiles: %v", err)
+		return fmt.Errorf("writing profiles: %w", err)
 	}
+	return nil
 }

@@ -21,13 +21,14 @@
 // process exits 0.
 //
 // With -addr "127.0.0.1:0" the kernel picks a free port; -addr-file
-// publishes the bound address for scripts (the CI smoke tests use both
-// instead of hard-coding ports).
+// publishes the bound address for scripts that start the daemon without
+// hard-coding a port.
 package main
 
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -45,24 +46,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gpuleakd: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
-	addrFile := flag.String("addr-file", "", "write the bound host:port to this file once listening")
-	shards := flag.Int("shards", 4, "registry shards / work queues")
-	cache := flag.Int("cache", 8, "trained models kept per shard (LRU beyond)")
-	workers := flag.Int("queue-workers", 2, "concurrent runs per shard")
-	queue := flag.Int("queue-depth", 8, "waiting requests per shard before 429")
-	trainWorkers := flag.Int("train-workers", 0, "collection workers per training (0 = one per CPU)")
-	trainRepeats := flag.Int("train-repeats", 2, "offline-phase repeats per key")
-	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline cap (0 = none)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-	maxSessions := flag.Int("max-sessions", 64, "resident streaming sessions (oldest unattached evicted beyond)")
-	sessionIdle := flag.Duration("session-idle", 30*time.Second, "reap sessions not attached within this window (0 = never)")
-	batchWindow := flag.Duration("batch-window", 8*time.Millisecond, "sim-time coalescing window for cross-request classification micro-batches")
-	batchMax := flag.Int("batch-max", 16, "classifications per micro-batch flush (0 = batching off)")
-	telemetry := flag.Bool("telemetry", false, "record deterministic trace spans for every traced request")
-	traceOut := flag.String("trace-out", "", "write the recorded trace as JSONL to this file at shutdown (implies -telemetry)")
-	flag.Parse()
+// run serves the flags in args until ctx is done, then drains: it stops
+// admitting, waits for in-flight runs (bounded by -drain-timeout), closes
+// the HTTP side, writes -trace-out, and returns nil.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gpuleakd", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
+	addrFile := fs.String("addr-file", "", "write the bound host:port to this file once listening")
+	shards := fs.Int("shards", 4, "registry shards / work queues")
+	cache := fs.Int("cache", 8, "trained models kept per shard (LRU beyond)")
+	workers := fs.Int("queue-workers", 2, "concurrent runs per shard")
+	queue := fs.Int("queue-depth", 8, "waiting requests per shard before 429")
+	trainWorkers := fs.Int("train-workers", 0, "collection workers per training (0 = one per CPU)")
+	trainRepeats := fs.Int("train-repeats", 2, "offline-phase repeats per key")
+	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline cap (0 = none)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
+	maxSessions := fs.Int("max-sessions", 64, "resident streaming sessions (oldest unattached evicted beyond)")
+	sessionIdle := fs.Duration("session-idle", 30*time.Second, "reap sessions not attached within this window (0 = never)")
+	batchWindow := fs.Duration("batch-window", 8*time.Millisecond, "sim-time coalescing window for cross-request classification micro-batches")
+	batchMax := fs.Int("batch-max", 16, "classifications per micro-batch flush (0 = batching off)")
+	telemetry := fs.Bool("telemetry", false, "record deterministic trace spans for every traced request")
+	traceOut := fs.String("trace-out", "", "write the recorded trace as JSONL to this file at shutdown (implies -telemetry)")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	// -telemetry hangs a tracer off the server: requests that arrive with
 	// (or mint) a trace context record their span tree under the trace's
@@ -89,18 +101,10 @@ func main() {
 		MaxSessions:     *maxSessions,
 		BatchWindow:     sim.Time(batchWindow.Microseconds()),
 		BatchMax:        *batchMax,
-		// The serving package is wall-clock-free by policy; the daemon owns
-		// the real timers and injects them.
-		Pacer: func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		},
 	}
 	if *sessionIdle > 0 {
+		// The serving package is wall-clock-free by policy; the daemon
+		// owns the real timer and injects it.
 		idle := *sessionIdle
 		opts.SessionTimer = func(reap func()) func() {
 			t := time.AfterFunc(idle, reap)
@@ -111,53 +115,47 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			log.Fatal(err)
+			ln.Close()
+			return err
 		}
 	}
 	httpSrv := &http.Server{Handler: srv}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Printf("shutdown: draining in-flight runs (bound %v)", *drainTimeout)
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		// Stop admitting first (healthz flips to draining/503), then drain
-		// the work queues, then close the HTTP side.
-		if err := srv.Shutdown(dctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := httpSrv.Shutdown(dctx); err != nil {
-			log.Printf("shutdown: http: %v", err)
-		}
-		srv.Close()
-	}()
-
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
 	log.Printf("listening on http://%s (%d shards, %d workers + %d queued per shard)",
 		ln.Addr(), *shards, *workers, *queue)
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
+
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-drained
+	log.Printf("shutdown: draining in-flight runs (bound %v)", *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
+	defer cancel()
+	// Stop admitting first (healthz flips to draining/503), then drain
+	// the work queues, then close the HTTP side.
+	if err := srv.Shutdown(dctx); err != nil {
+		log.Printf("shutdown: %v", err)
+	}
+	if err := httpSrv.Shutdown(dctx); err != nil {
+		log.Printf("shutdown: http: %v", err)
+	}
+	srv.Close()
+	if err := <-served; err != http.ErrServerClosed {
+		return err
+	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("trace export: %v", err)
-		}
-		if err := obs.WriteJSONL(f, tracer.Events()); err != nil {
-			log.Fatalf("trace export: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace export: %v", err)
+		out := obs.Flags{Path: *traceOut}
+		if err := out.Write(tracer); err != nil {
+			return fmt.Errorf("trace export: %w", err)
 		}
 		log.Printf("trace: %d events written to %s", tracer.Len(), *traceOut)
 	}
 	log.Printf("drained cleanly")
+	return nil
 }

@@ -56,8 +56,8 @@ import (
 const routerSchema = "gpuleak-router/v1"
 
 // backendHeader names the response header reporting which replica served
-// (or will serve) a routed request — observability for clients and the
-// hook the fleet smoke test uses to find the replica to kill.
+// (or will serve) a routed request, so a client can tell which replica
+// answered.
 const backendHeader = "X-Gpuleak-Backend"
 
 // Metric-name vocabulary of the router (declared constants, matching the
@@ -83,16 +83,27 @@ const (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gpuleakrouter: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "127.0.0.1:8090", "listen address (port 0 = ephemeral)")
-	addrFile := flag.String("addr-file", "", "write the bound host:port to this file once listening")
-	backends := flag.String("backends", "", "comma-separated gpuleakd base URLs (required)")
-	probe := flag.Duration("probe", 500*time.Millisecond, "health-probe interval")
-	downAfter := flag.Int("down-after", 2, "consecutive failed probes before a replica leaves the ring")
-	upAfter := flag.Int("up-after", 1, "consecutive healthy probes before a replica (re)joins")
-	failovers := flag.Int("failovers", 2, "max alternate replicas tried per request/stream")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-	flag.Parse()
+// run routes over the -backends fleet until ctx is done, then drains: it
+// refuses new requests, waits for in-flight proxies and streams (bounded
+// by -drain-timeout), closes the HTTP side, and returns nil.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("gpuleakrouter", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8090", "listen address (port 0 = ephemeral)")
+	addrFile := fs.String("addr-file", "", "write the bound host:port to this file once listening")
+	backends := fs.String("backends", "", "comma-separated gpuleakd base URLs (required)")
+	probe := fs.Duration("probe", 500*time.Millisecond, "health-probe interval")
+	downAfter := fs.Int("down-after", 2, "consecutive failed probes before a replica leaves the ring")
+	upAfter := fs.Int("up-after", 1, "consecutive healthy probes before a replica (re)joins")
+	failovers := fs.Int("failovers", 2, "max alternate replicas tried per request/stream")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	var urls []string
 	for _, b := range strings.Split(*backends, ",") {
@@ -101,47 +112,55 @@ func main() {
 		}
 	}
 	if len(urls) == 0 {
-		log.Fatal("no -backends given")
+		return errors.New("no -backends given")
 	}
 
 	rt := newRouter(urls, *downAfter, *upAfter, *failovers)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go rt.probeLoop(ctx, *probe)
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			log.Fatal(err)
+			ln.Close()
+			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: rt.handler()}
-
-	drained := make(chan struct{})
+	probeCtx, stopProbes := context.WithCancel(ctx)
+	probed := make(chan struct{})
 	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Printf("shutdown: draining in-flight requests (bound %v)", *drainTimeout)
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := rt.drain(dctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := httpSrv.Shutdown(dctx); err != nil {
-			log.Printf("shutdown: http: %v", err)
-		}
+		defer close(probed)
+		rt.probeLoop(probeCtx, *probe)
 	}()
-
+	defer func() {
+		stopProbes()
+		<-probed
+	}()
+	httpSrv := &http.Server{Handler: rt.handler()}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
 	log.Printf("listening on http://%s, routing %d backends: %s",
 		ln.Addr(), len(urls), strings.Join(urls, ", "))
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
+
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-drained
+	log.Printf("shutdown: draining in-flight requests (bound %v)", *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
+	defer cancel()
+	if err := rt.drain(dctx); err != nil {
+		log.Printf("shutdown: %v", err)
+	}
+	if err := httpSrv.Shutdown(dctx); err != nil {
+		log.Printf("shutdown: http: %v", err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		return err
+	}
 	log.Printf("drained cleanly")
+	return nil
 }
 
 // router is the fleet front-end: health-checked membership, the warmth
@@ -684,9 +703,13 @@ func (rt *router) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		}
 		if attempt > 0 {
 			rt.m.Add(mSessionsFailovers, 1)
-			fmt.Fprintf(w, ": failover to %s after %d frames\n\n", owner, sess.relayed)
-			if flusher != nil {
-				flusher.Flush()
+			// Before the client stream starts there is nothing to splice:
+			// this attempt serves the whole stream, headers included.
+			if started {
+				fmt.Fprintf(w, ": failover to %s after %d frames\n\n", owner, sess.relayed)
+				if flusher != nil {
+					flusher.Flush()
+				}
 			}
 		}
 		done, err := rt.relayOnce(r.Context(), w, flusher, sess, owner, &started)
@@ -784,7 +807,43 @@ func (rt *router) relayOnce(ctx context.Context, w http.ResponseWriter, flusher 
 		}
 	}
 
-	sc := bufio.NewScanner(stream.Body)
+	relayed, done, err := relayFrames(stream.Body, frameWriter{w, flusher, rt.m}, sess.relayed)
+	sess.relayed = relayed
+	return done, err
+}
+
+// frameWriter is the client side of a relay: each frame written is
+// flushed to the client at once and counted.
+type frameWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+	m       *obs.Metrics
+}
+
+func (fw frameWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	if err != nil {
+		return n, err
+	}
+	if fw.flusher != nil {
+		fw.flusher.Flush()
+	}
+	fw.m.Add(mFrames, 1)
+	return n, nil
+}
+
+// relayFrames reads a backend SSE stream from src and writes to dst, byte
+// for byte and one Write per frame, each complete frame the client does
+// not hold yet. The backend numbers frames from 1 (its own open frame,
+// never relayed: the router speaks its own), so with relayed frames
+// delivered the client holds every backend id up to relayed+1. It returns
+// the new relayed count and done, true once a complete result or error
+// frame was read; it stops at that frame and writes nothing after it. A
+// failed dst write also ends the relay with done true and the write
+// error: the client is gone, so there is nothing to fail over to.
+// Otherwise err says why the backend stream broke off.
+func relayFrames(src io.Reader, dst io.Writer, relayed int) (int, bool, error) {
+	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var frame bytes.Buffer
 	frameID, frameEvent := 0, ""
@@ -801,31 +860,22 @@ func (rt *router) relayOnce(ctx context.Context, w http.ResponseWriter, flusher 
 			}
 			continue
 		}
-		// Blank line: the frame is complete. The backend numbers frames
-		// from 1 (its open frame); the client already holds everything up
-		// to backend id sess.relayed+1.
-		relay := frameEvent != "open" && frameID > sess.relayed+1
-		if relay {
+		// Blank line: the frame is complete.
+		if frameEvent != "open" && frameID > relayed+1 {
 			frame.WriteByte('\n')
-			if _, err := w.Write(frame.Bytes()); err != nil {
-				// The downstream client went away; nothing to fail over to.
-				return true, nil
+			if _, err := dst.Write(frame.Bytes()); err != nil {
+				return relayed, true, err
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sess.relayed = frameID - 1
-			rt.m.Add(mFrames, 1)
+			relayed = frameID - 1
 		}
-		finished := frameEvent == "result" || frameEvent == "error"
+		if frameEvent == "result" || frameEvent == "error" {
+			return relayed, true, nil
+		}
 		frame.Reset()
 		frameID, frameEvent = 0, ""
-		if finished {
-			return true, nil
-		}
 	}
 	if err := sc.Err(); err != nil {
-		return false, err
+		return relayed, false, err
 	}
-	return false, errors.New("backend stream ended without a result frame")
+	return relayed, false, errors.New("backend stream ended without a result frame")
 }

@@ -1,0 +1,375 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gpuleak/internal/obs"
+	"gpuleak/internal/serve"
+)
+
+// sessionBody is the session every test streams: 10 frames from a
+// replica (the traceparent comment, open, 7 keys, result).
+const sessionBody = `{"text":"hunter2","seed":7}`
+
+// clientTraceparent is the trace context the test client mints. Its seed
+// differs from the request's, so a stream that announces it proves the
+// client's header won over the router minting its own.
+var clientTraceparent = obs.NewTrace(99).Traceparent()
+
+// frameKiller is a replica that dies mid-stream: once it has written k
+// SSE frames (blank-line-terminated blocks, the ": traceparent" comment
+// included), its next write panics with http.ErrAbortHandler, and every
+// later request aborts the same way. k < 0 never kills.
+type frameKiller struct {
+	h http.Handler
+
+	mu     sync.Mutex
+	k      int
+	frames int
+}
+
+func (fk *frameKiller) arm(k int) {
+	fk.mu.Lock()
+	defer fk.mu.Unlock()
+	fk.k = k
+}
+
+func (fk *frameKiller) written() int {
+	fk.mu.Lock()
+	defer fk.mu.Unlock()
+	return fk.frames
+}
+
+// dead reports whether the replica has written its k frames; otherwise
+// it counts the frames p ends.
+func (fk *frameKiller) dead(p []byte) bool {
+	fk.mu.Lock()
+	defer fk.mu.Unlock()
+	if fk.k >= 0 && fk.frames >= fk.k {
+		return true
+	}
+	fk.frames += bytes.Count(p, []byte("\n\n"))
+	return false
+}
+
+func (fk *frameKiller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if fk.dead(nil) {
+		panic(http.ErrAbortHandler)
+	}
+	fk.h.ServeHTTP(killWriter{w, fk}, r)
+}
+
+// killWriter routes a replica's response writes through its frameKiller.
+type killWriter struct {
+	http.ResponseWriter
+	fk *frameKiller
+}
+
+func (kw killWriter) Write(p []byte) (int, error) {
+	if kw.fk.dead(p) {
+		panic(http.ErrAbortHandler)
+	}
+	return kw.ResponseWriter.Write(p)
+}
+
+func (kw killWriter) Flush() { kw.ResponseWriter.(http.Flusher).Flush() }
+
+// replica is one in-process gpuleakd behind a frameKiller.
+type replica struct {
+	kill *frameKiller
+	m    *obs.Metrics
+}
+
+// testFleet is two replicas and a router over them, every member up as
+// if one probe round had passed (the probe loop does not run).
+type testFleet struct {
+	rt       *router
+	url      string // the router
+	replicas map[string]*replica
+}
+
+func newTestFleet(t *testing.T) *testFleet {
+	t.Helper()
+	f := &testFleet{replicas: map[string]*replica{}}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		m := obs.NewMetrics()
+		fk := &frameKiller{h: serve.NewServer(serve.Options{Shards: 1, Metrics: m}), k: -1}
+		ts := httptest.NewServer(fk)
+		t.Cleanup(ts.Close)
+		f.replicas[ts.URL] = &replica{kill: fk, m: m}
+		urls = append(urls, ts.URL)
+	}
+	f.rt = newRouter(urls, 2, 1, 2)
+	for _, u := range urls {
+		f.rt.ms.ReportSuccess(u)
+	}
+	ts := httptest.NewServer(f.rt.handler())
+	t.Cleanup(ts.Close)
+	f.url = ts.URL
+	return f
+}
+
+// owner returns the replica the ring assigns the session to, and the
+// other one.
+func (f *testFleet) owner(t *testing.T) (owner, survivor *replica) {
+	t.Helper()
+	var req serve.EavesdropRequest
+	if err := json.Unmarshal([]byte(sessionBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	key, err := serve.RoutingKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, ok := f.rt.ms.Owner(key)
+	if !ok {
+		t.Fatal("no owner for the session key")
+	}
+	for u, r := range f.replicas {
+		if u != name {
+			survivor = r
+		}
+	}
+	return f.replicas[name], survivor
+}
+
+// stream creates the session through the router with the client's trace
+// context, attaches its stream and reads it to the end.
+func (f *testFleet) stream(t *testing.T) (*http.Response, []byte) {
+	t.Helper()
+	create, err := http.NewRequest(http.MethodPost, f.url+"/v1/sessions", strings.NewReader(sessionBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create.Header.Set(serve.TraceparentHeader, clientTraceparent)
+	resp, err := http.DefaultClient.Do(create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr serve.SessionResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("session create: status %d, decode error %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(f.url + sr.Stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the stream: %v", err)
+	}
+	return resp, body
+}
+
+var failoverComment = regexp.MustCompile(`(?m)^: failover [^\n]*\n\n`)
+
+// checkUndisturbed pins what every failover row is compared against: the
+// stream opens with the client's trace context and its result frame
+// reports an inference equal to the truth.
+func checkUndisturbed(t *testing.T, stream []byte) {
+	t.Helper()
+	frames := strings.Split(string(stream), "\n\n")
+	if want := ": traceparent " + clientTraceparent; frames[0] != want {
+		t.Fatalf("stream opens with %q, want %q", frames[0], want)
+	}
+	for _, fr := range frames {
+		_, data, ok := strings.Cut(fr, "\nevent: result\ndata: ")
+		if !ok {
+			continue
+		}
+		var res serve.EavesdropResponse
+		if err := json.Unmarshal([]byte(data), &res); err != nil {
+			t.Fatalf("result frame: %v", err)
+		}
+		if res.Truth != "hunter2" || res.Text != res.Truth {
+			t.Fatalf("result eavesdropped %q, truth %q: want both %q", res.Text, res.Truth, "hunter2")
+		}
+		return
+	}
+	t.Fatalf("undisturbed stream has no result frame:\n%s", stream)
+}
+
+// firstDiff names the first frame at which two differing streams part.
+func firstDiff(got, want []byte) string {
+	g := append(strings.Split(string(got), "\n\n"), "(end of stream)")
+	w := append(strings.Split(string(want), "\n\n"), "(end of stream)")
+	i := 0
+	for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+		i++
+	}
+	return fmt.Sprintf("frame %d:\n--- got\n%s\n--- want\n%s", i, g[i], w[i])
+}
+
+// TestFailoverAtEveryFrame kills the session's owning replica after each
+// frame k it could write, from k = 0 (down before the client attaches) to
+// the last frame before its result. The router must splice the replay on
+// the survivor so that, without its ": failover" comments, the client's
+// stream is byte-identical to the undisturbed one, count exactly one
+// failover and no error. With every replica down the stream answers 503.
+func TestFailoverAtEveryFrame(t *testing.T) {
+	f := newTestFleet(t)
+	owner, _ := f.owner(t)
+	resp, want := f.stream(t)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("undisturbed stream: status %d\n%s", resp.StatusCode, want)
+	}
+	checkUndisturbed(t, want)
+	n := owner.kill.written()
+	if n < 3 {
+		t.Fatalf("owner wrote %d frames, want at least traceparent, open and result", n)
+	}
+
+	for k := 0; k < n; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			f := newTestFleet(t)
+			owner, survivor := f.owner(t)
+			owner.kill.arm(k)
+			resp, got := f.stream(t)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200\n%s", resp.StatusCode, got)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+				t.Fatalf("Content-Type %q, want text/event-stream", ct)
+			}
+			if got := failoverComment.ReplaceAll(got, nil); !bytes.Equal(got, want) {
+				t.Fatalf("spliced stream differs from the undisturbed one at %s", firstDiff(got, want))
+			}
+			snap := f.rt.m.Snapshot()
+			if v := snap[mSessionsFailovers]; v != 1 {
+				t.Errorf("%s = %v, want 1", mSessionsFailovers, v)
+			}
+			if v := snap[mErrors]; v != 0 {
+				t.Errorf("%s = %v, want 0", mErrors, v)
+			}
+			if v := survivor.m.Snapshot()["serve.errors.stream"]; v != 0 {
+				t.Errorf("survivor serve.errors.stream = %v, want 0", v)
+			}
+		})
+	}
+
+	t.Run("all down", func(t *testing.T) {
+		f := newTestFleet(t)
+		for _, r := range f.replicas {
+			r.kill.arm(0)
+		}
+		resp, body := f.stream(t)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503\n%s", resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("503 without Retry-After")
+		}
+	})
+}
+
+// waitAddr polls addrFile until run has published its bound address (the
+// newline ends the write), failing fast if run returns first.
+func waitAddr(t *testing.T, addrFile string, done <-chan error) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if b, err := os.ReadFile(addrFile); err == nil && strings.HasSuffix(string(b), "\n") {
+			return strings.TrimSpace(string(b))
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never published its address")
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before listening: %v", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// postEavesdrop posts sessionBody to base's /v1/eavesdrop and returns the
+// reply.
+func postEavesdrop(t *testing.T, base string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/eavesdrop", "application/json", strings.NewReader(sessionBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s/v1/eavesdrop: status %d\n%s", base, resp.StatusCode, body)
+	}
+	return resp, body
+}
+
+// TestRunRoutesAndDrains starts the router's run over two replicas: once
+// its probes report both up, a routed one-shot eavesdrop returns the same
+// bytes the owning replica returns directly, and cancelling ctx, as
+// SIGTERM does, drains run to nil.
+func TestRunRoutesAndDrains(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(serve.NewServer(serve.Options{Shards: 1}))
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-addr-file", addrFile,
+			"-backends", strings.Join(urls, ","), "-probe", "100ms"})
+	}()
+	base := "http://" + waitAddr(t, addrFile, done)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct {
+			Up int `json:"up"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err == nil && h.Up == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router /healthz reports %d replicas up, want 2 (decode error %v)", h.Up, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	resp, routed := postEavesdrop(t, base)
+	owner := resp.Header.Get(backendHeader)
+	if owner != urls[0] && owner != urls[1] {
+		t.Fatalf("routed reply names backend %q, want one of %v", owner, urls)
+	}
+	if _, direct := postEavesdrop(t, owner); !bytes.Equal(routed, direct) {
+		t.Fatalf("routed reply differs from the owner's direct reply:\n--- routed\n%s\n--- direct\n%s", routed, direct)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run after cancel: %v, want a clean drain", err)
+	}
+}

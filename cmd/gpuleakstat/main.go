@@ -8,17 +8,11 @@
 //	gpuleakstat -router http://127.0.0.1:8090            # one-shot table
 //	gpuleakstat -router ... -watch 2s                    # live console
 //	gpuleakstat -router ... -json -out report.json       # gpuleak-metrics/v1
-//	gpuleakstat -router ... -json -check                 # CI gate: exit 1
 //
 // Replicas are discovered from the router's /healthz backend list (only
-// backends the ring reports up are scraped — a deliberately killed
-// replica in the failover smoke must not fail the scrape); -targets
-// adds replicas the router does not know about.
-//
-// -check evaluates fleet health thresholds — per-endpoint error rate
-// and p99 latency (simulated milliseconds; the serving stack is
-// wall-clock-free) — and exits non-zero when any fails, which is how
-// ci.sh gates the fleet smoke on observability instead of just liveness.
+// backends the ring reports up are scraped — a replica the router has
+// evicted must not fail the scrape); -targets adds replicas the router
+// does not know about.
 package main
 
 import (
@@ -64,9 +58,6 @@ func main() {
 	targets := flag.String("targets", "", "comma-separated replica base URLs scraped in addition to discovery")
 	jsonOut := flag.Bool("json", false, "emit the gpuleak-metrics/v1 report instead of the table")
 	watch := flag.Duration("watch", 0, "re-scrape and re-render at this interval (table mode)")
-	check := flag.Bool("check", false, "evaluate fleet health thresholds; exit 1 when any fails")
-	maxErrorRate := flag.Float64("max-error-rate", 0.05, "check: max per-endpoint error rate")
-	maxP99 := flag.Float64("max-p99-ms", 60000, "check: max per-endpoint p99 latency (simulated ms)")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout")
 	flag.Parse()
@@ -84,7 +75,6 @@ func main() {
 
 	for {
 		rep := scrapeFleet(client, *router, extra)
-		evaluate(rep, *check, *maxErrorRate, *maxP99)
 		if *jsonOut {
 			if err := writeReport(rep, *out); err != nil {
 				log.Fatal(err)
@@ -93,14 +83,6 @@ func main() {
 			renderTable(os.Stdout, rep)
 		}
 		if *watch <= 0 {
-			if *check && !rep.Pass {
-				for _, c := range rep.Checks {
-					if !c.Pass {
-						log.Printf("check failed: %s = %g (limit %g)", c.Name, c.Value, c.Limit)
-					}
-				}
-				os.Exit(1)
-			}
 			return
 		}
 		time.Sleep(*watch)
@@ -108,7 +90,8 @@ func main() {
 }
 
 // scrapeFleet probes and scrapes every target — the router plus its
-// live backends plus the explicit extras — and merges the snapshots.
+// live backends plus the explicit extras — and merges the snapshots. The
+// report passes when every target was scraped and answered healthy.
 func scrapeFleet(client *http.Client, router string, extra []string) *obs.MetricsReport {
 	rep := &obs.MetricsReport{
 		Schema: obs.MetricsSchema,
@@ -133,8 +116,12 @@ func scrapeFleet(client *http.Client, router string, extra []string) *obs.Metric
 	for _, t := range extra {
 		add(t, "replica")
 	}
+	rep.Pass = len(rep.Targets) > 0
 	for _, t := range rep.Targets {
 		obs.MergeSnapshots(rep.Fleet, t.Metrics)
+		if !t.Healthy || t.Error != "" {
+			rep.Pass = false
+		}
 	}
 	for _, ep := range endpoints {
 		requests := rep.Fleet[ep.success] + rep.Fleet[ep.errors]
@@ -161,8 +148,7 @@ func scrapeFleet(client *http.Client, router string, extra []string) *obs.Metric
 
 // discoverBackends reads the router's /healthz backend list and returns
 // the base URLs the ring currently reports up. A down or draining
-// backend is deliberately absent: it cannot be scraped, and the fleet
-// smoke kills one on purpose.
+// backend is deliberately absent: it cannot be scraped.
 func discoverBackends(client *http.Client, router string) []string {
 	resp, err := client.Get(router + "/healthz")
 	if err != nil {
@@ -214,48 +200,6 @@ func scrapeOne(client *http.Client, url, role string) obs.TargetMetrics {
 		t.Error = fmt.Sprintf("/metrics: %v", err)
 	}
 	return t
-}
-
-// evaluate fills the report's checks and pass verdict. Without -check
-// the verdict only requires every scrape to have succeeded on a healthy
-// process.
-func evaluate(rep *obs.MetricsReport, check bool, maxErrorRate, maxP99 float64) {
-	rep.Pass = len(rep.Targets) > 0
-	for _, t := range rep.Targets {
-		if !t.Healthy || t.Error != "" {
-			rep.Pass = false
-		}
-	}
-	if !check {
-		return
-	}
-	names := make([]string, 0, len(rep.RED))
-	for name := range rep.RED {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		red := rep.RED[name]
-		rep.Checks = append(rep.Checks, obs.CheckResult{
-			Name:  "error_rate." + name,
-			Value: red.ErrorRate,
-			Limit: maxErrorRate,
-			Pass:  red.ErrorRate <= maxErrorRate,
-		})
-		if red.P99MS > 0 {
-			rep.Checks = append(rep.Checks, obs.CheckResult{
-				Name:  "p99_ms." + name,
-				Value: red.P99MS,
-				Limit: maxP99,
-				Pass:  red.P99MS <= maxP99,
-			})
-		}
-	}
-	for _, c := range rep.Checks {
-		if !c.Pass {
-			rep.Pass = false
-		}
-	}
 }
 
 func writeReport(rep *obs.MetricsReport, out string) error {
@@ -322,13 +266,6 @@ func renderTable(w io.Writer, rep *obs.MetricsReport) {
 		}
 		if tail := bs.Count - prev; tail > 0 {
 			fmt.Fprintf(tw, "> %g\t%g\n", bs.Bounds[len(bs.Bounds)-1], tail)
-		}
-	}
-	if len(rep.Checks) > 0 {
-		fmt.Fprintln(tw)
-		fmt.Fprintln(tw, "CHECK\tVALUE\tLIMIT\tPASS")
-		for _, c := range rep.Checks {
-			fmt.Fprintf(tw, "%s\t%g\t%g\t%v\n", c.Name, c.Value, c.Limit, c.Pass)
 		}
 	}
 	tw.Flush() //nolint:errcheck // console output

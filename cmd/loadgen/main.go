@@ -9,22 +9,11 @@
 //
 //	loadgen -addr http://127.0.0.1:8080 -rate 20 -duration 5s > load.json
 //
-// With -smoke, loadgen instead performs the CI liveness check: wait for
-// /healthz, run one eavesdrop, verify the inference round-trips, exit
-// non-zero on any failure.
-//
 // With -fleet, the load is streaming sessions instead of one-shot
 // requests: each unit of work creates a session, attaches its SSE
 // stream, replays the key/retract frames, and checks the closing result
 // against ground truth. The report gains sessions/frames/failovers
 // counters (same gpuleak-load/v1 schema, additive fields).
-//
-// With -fleet-smoke, loadgen performs the fleet CI gate end-to-end: one
-// paced streaming session through the router, SIGKILL the replica that
-// owns it mid-stream (found via the X-Gpuleak-Backend header and the
-// -replica-pids map), and assert the router fails over — the stream must
-// finish with a result matching ground truth and the frame replay must
-// reconstruct it exactly.
 package main
 
 import (
@@ -38,10 +27,8 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"gpuleak/internal/obs"
@@ -61,7 +48,6 @@ type eavesdropRequest struct {
 	Seed         int64  `json:"seed"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
 	FaultProfile string `json:"fault_profile,omitempty"`
-	PaceMS       int64  `json:"pace_ms,omitempty"`
 }
 
 type eavesdropResponse struct {
@@ -126,37 +112,17 @@ func main() {
 	faults := flag.String("faults", "", "ask the server to inject device faults from this profile (none,mild,moderate,severe,starve)")
 	reqTimeout := flag.Duration("timeout", 60*time.Second, "per-request client timeout")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	smoke := flag.Bool("smoke", false, "liveness check: wait for /healthz, one eavesdrop, exit")
 	wait := flag.Duration("healthz-wait", 30*time.Second, "how long to poll /healthz before giving up")
 	fleet := flag.Bool("fleet", false, "drive streaming sessions instead of one-shot eavesdrops")
-	fleetSmoke := flag.Bool("fleet-smoke", false, "fleet CI gate: stream one session, kill the owning replica mid-stream, assert failover")
-	paceMS := flag.Int64("pace-ms", 0, "ask the server to pace stream frames (ms per frame; fleet modes)")
-	replicaPids := flag.String("replica-pids", "", "file of 'url pid' lines mapping replicas to processes (fleet smoke)")
-	killedFile := flag.String("killed-file", "", "write the killed replica's pid here (fleet smoke)")
 	flag.Parse()
 
 	client := &http.Client{Timeout: *reqTimeout}
-	if *smoke {
-		if err := runSmoke(client, *addr, *text, *seed, *wait); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("smoke: ok")
-		return
-	}
-	if *fleetSmoke {
-		if err := runFleetSmoke(client, *addr, *text, *seed, *paceMS, *replicaPids, *killedFile, *wait); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("fleet smoke: ok")
-		return
-	}
-
 	if err := waitHealthy(client, *addr, *wait); err != nil {
 		log.Fatal(err)
 	}
 	var rep *report
 	if *fleet {
-		rep = runFleetLoad(client, *addr, *rate, *duration, *text, *seed, *device, *app, *kb, *paceMS)
+		rep = runFleetLoad(client, *addr, *rate, *duration, *text, *seed, *device, *app, *kb)
 	} else {
 		rep = runLoad(client, *addr, *rate, *duration, *text, *seed, *device, *app, *kb, *faults)
 	}
@@ -347,22 +313,17 @@ type streamEvent struct {
 
 // sessionOutcome aggregates one streamed session.
 type sessionOutcome struct {
-	status      int // session-create status (0 = transport error)
-	correct     bool
-	frames      int
-	failovers   int
-	lat         time.Duration
-	backend     string
-	traceparent string // trace context the stream announced in its opening comment
-	err         error
+	status    int // session-create status (0 = transport error)
+	correct   bool
+	frames    int
+	failovers int
+	lat       time.Duration
+	err       error
 }
 
 // runSession creates one streaming session, attaches its SSE stream, and
-// replays it to completion. onBackend (optional) receives the owning
-// replica named by the create response before the stream attaches;
-// onEvent (optional) observes every data frame as it arrives — the fleet
-// smoke uses the pair to time the replica kill.
-func runSession(client *http.Client, addr string, req eavesdropRequest, onBackend func(string), onEvent func(event string, data []byte)) sessionOutcome {
+// replays it to completion.
+func runSession(client *http.Client, addr string, req eavesdropRequest) sessionOutcome {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return sessionOutcome{err: err}
@@ -378,10 +339,7 @@ func runSession(client *http.Client, addr string, req eavesdropRequest, onBacken
 	if err != nil {
 		return sessionOutcome{err: err}
 	}
-	o := sessionOutcome{status: resp.StatusCode, backend: resp.Header.Get("X-Gpuleak-Backend")}
-	if onBackend != nil && o.backend != "" {
-		onBackend(o.backend)
-	}
+	o := sessionOutcome{status: resp.StatusCode}
 	var sr sessionResponse
 	decErr := json.NewDecoder(resp.Body).Decode(&sr)
 	resp.Body.Close()
@@ -415,9 +373,6 @@ func runSession(client *http.Client, addr string, req eavesdropRequest, onBacken
 		case strings.HasPrefix(line, ": failover"):
 			o.failovers++
 			continue
-		case strings.HasPrefix(line, ": traceparent "):
-			o.traceparent = strings.TrimPrefix(line, ": traceparent ")
-			continue
 		case strings.HasPrefix(line, "event: "):
 			event = strings.TrimPrefix(line, "event: ")
 			continue
@@ -428,9 +383,6 @@ func runSession(client *http.Client, addr string, req eavesdropRequest, onBacken
 			continue
 		}
 		// Blank line: one frame complete.
-		if onEvent != nil && event != "" {
-			onEvent(event, data)
-		}
 		switch event {
 		case "key", "retract":
 			o.frames++
@@ -475,7 +427,7 @@ func runSession(client *http.Client, addr string, req eavesdropRequest, onBacken
 // runFleetLoad drives open-loop streaming-session load and aggregates
 // the gpuleak-load/v1 report with the fleet counters filled in.
 func runFleetLoad(client *http.Client, addr string, rate float64, duration time.Duration,
-	text string, seed int64, device, app, kb string, paceMS int64) *report {
+	text string, seed int64, device, app, kb string) *report {
 
 	if rate <= 0 {
 		rate = 1
@@ -503,8 +455,8 @@ func runFleetLoad(client *http.Client, addr string, rate float64, duration time.
 			defer wg.Done()
 			o := runSession(client, addr, eavesdropRequest{
 				Device: device, App: app, Keyboard: kb,
-				Text: text, Seed: seed + int64(i), PaceMS: paceMS,
-			}, nil, nil)
+				Text: text, Seed: seed + int64(i),
+			})
 			mu.Lock()
 			outcomes = append(outcomes, o)
 			mu.Unlock()
@@ -545,136 +497,4 @@ func runFleetLoad(client *http.Client, addr string, rate float64, duration time.
 	}
 	rep.LatencyMS = summarize(lats)
 	return rep
-}
-
-// readReplicaPids parses the 'url pid' map the fleet smoke uses to find
-// the process behind a backend URL.
-func readReplicaPids(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	pids := map[string]int{}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		pid, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("replica-pids line %q: %w", line, err)
-		}
-		pids[strings.TrimRight(fields[0], "/")] = pid
-	}
-	if len(pids) == 0 {
-		return nil, fmt.Errorf("no 'url pid' entries in %s", path)
-	}
-	return pids, nil
-}
-
-// runFleetSmoke is the fleet CI gate: stream one paced session through
-// the router, SIGKILL the replica that owns it after the first verdict
-// frame, and require the router to splice a failover — the stream must
-// still finish with a correct, replay-consistent result.
-func runFleetSmoke(client *http.Client, addr, text string, seed, paceMS int64, replicaPids, killedFile string, wait time.Duration) error {
-	if replicaPids == "" {
-		return fmt.Errorf("fleet smoke needs -replica-pids")
-	}
-	pids, err := readReplicaPids(replicaPids)
-	if err != nil {
-		return err
-	}
-	if err := waitHealthy(client, addr, wait); err != nil {
-		return err
-	}
-	log.Printf("fleet smoke: router /healthz ok")
-	if paceMS <= 0 {
-		paceMS = 150
-	}
-
-	// Warm the model everywhere it can land before pulling the trigger:
-	// the smoke measures failover, not cold training.
-	warm := oneRequest(client, addr, eavesdropRequest{Text: text, Seed: seed})
-	if warm.status != http.StatusOK {
-		return fmt.Errorf("fleet smoke: warm-up eavesdrop status %d", warm.status)
-	}
-	if !warm.correct {
-		return fmt.Errorf("fleet smoke: warm-up inference did not match ground truth")
-	}
-	log.Printf("fleet smoke: routed one-shot ok")
-
-	var (
-		killOnce sync.Once
-		owner    string
-		killed   int
-		killErr  error
-	)
-	o := runSession(client, addr, eavesdropRequest{Text: text, Seed: seed, PaceMS: paceMS},
-		func(b string) { owner = b },
-		func(event string, data []byte) {
-			if event != "key" {
-				return
-			}
-			// The first live verdict frame proves the owner is streaming:
-			// kill it now, mid-session, and let the router recover.
-			killOnce.Do(func() {
-				pid, ok := pids[owner]
-				if !ok {
-					killErr = fmt.Errorf("owner %q not in replica map %v", owner, pids)
-					return
-				}
-				log.Printf("fleet smoke: killing owner %s (pid %d) mid-stream", owner, pid)
-				if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
-					killErr = err
-					return
-				}
-				killed = pid
-			})
-		})
-	if killErr != nil {
-		return fmt.Errorf("fleet smoke: %w", killErr)
-	}
-	if killed == 0 {
-		return fmt.Errorf("fleet smoke: stream finished before any key frame; nothing was killed")
-	}
-	if o.err != nil {
-		return fmt.Errorf("fleet smoke: streamed session: %w", o.err)
-	}
-	if o.failovers < 1 {
-		return fmt.Errorf("fleet smoke: owner died but the stream shows no failover splice")
-	}
-	if !o.correct {
-		return fmt.Errorf("fleet smoke: post-failover result does not match ground truth")
-	}
-	// Trace continuity: the stream's announced trace context must be the
-	// one this client minted — a failover that re-minted the trace would
-	// split one session across two trace ids.
-	wantTP := obs.NewTrace(seed).Traceparent()
-	if o.traceparent != wantTP {
-		return fmt.Errorf("fleet smoke: stream announced traceparent %q, want the client-minted %q", o.traceparent, wantTP)
-	}
-	log.Printf("fleet smoke: stream survived the kill (%d frames, %d failover[s], result matches truth, trace id held)",
-		o.frames, o.failovers)
-	if killedFile != "" {
-		if err := os.WriteFile(killedFile, []byte(fmt.Sprintf("%d\n", killed)), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-func runSmoke(client *http.Client, addr, text string, seed int64, wait time.Duration) error {
-	if err := waitHealthy(client, addr, wait); err != nil {
-		return err
-	}
-	log.Printf("smoke: /healthz ok")
-	o := oneRequest(client, addr, eavesdropRequest{Text: text, Seed: seed})
-	if o.status != http.StatusOK {
-		return fmt.Errorf("smoke: eavesdrop status %d", o.status)
-	}
-	if !o.correct {
-		return fmt.Errorf("smoke: inference did not match ground truth")
-	}
-	log.Printf("smoke: /v1/eavesdrop ok (%.0f ms, inference matches truth)",
-		float64(o.lat)/float64(time.Millisecond))
-	return nil
 }

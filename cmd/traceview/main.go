@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -28,79 +30,88 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceview: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	tracePath := flag.String("trace", "", "counter trace CSV")
-	modelPath := flag.String("model", "", "classifier model JSON (optional: adds classifications)")
-	deltasOnly := flag.Bool("deltas", false, "print only changes, not every sample")
-	offline := flag.Bool("offline", false, "use whole-trace segmentation instead of the streaming engine")
-	telemetryPath := flag.String("telemetry", "", "telemetry JSONL stream (overlays recorded verdicts; without -trace, prints a summary)")
-	telemetryChrome := flag.String("telemetry-chrome", "", "also convert the telemetry stream to a Chrome trace file at this path")
-	flag.Parse()
+// run loads the trace and telemetry the flags in args name and prints
+// its views to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("traceview", flag.ExitOnError)
+	tracePath := fs.String("trace", "", "counter trace CSV")
+	modelPath := fs.String("model", "", "classifier model JSON (optional: adds classifications)")
+	deltasOnly := fs.Bool("deltas", false, "print only changes, not every sample")
+	offline := fs.Bool("offline", false, "use whole-trace segmentation instead of the streaming engine")
+	telemetryPath := fs.String("telemetry", "", "telemetry JSONL stream (overlays recorded verdicts; without -trace, prints a summary)")
+	telemetryChrome := fs.String("telemetry-chrome", "", "also convert the telemetry stream to a Chrome trace file at this path")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	var telem []obs.Event
 	if *telemetryPath != "" {
 		tf, err := os.Open(*telemetryPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		telem, err = obs.ReadJSONL(tf)
 		tf.Close()
 		if err != nil {
-			log.Fatalf("reading telemetry %s: %v", *telemetryPath, err)
+			return fmt.Errorf("reading telemetry %s: %w", *telemetryPath, err)
 		}
 		if len(telem) == 0 {
-			log.Fatalf("telemetry %s is empty", *telemetryPath)
+			return fmt.Errorf("telemetry %s is empty", *telemetryPath)
 		}
 		if *telemetryChrome != "" {
 			cf, err := os.Create(*telemetryChrome)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := obs.WriteChromeTrace(cf, telem); err != nil {
-				log.Fatal(err)
+				cf.Close()
+				return fmt.Errorf("writing %s: %w", *telemetryChrome, err)
 			}
 			if err := cf.Close(); err != nil {
-				log.Fatalf("writing %s: %v", *telemetryChrome, err)
+				return fmt.Errorf("writing %s: %w", *telemetryChrome, err)
 			}
-			fmt.Printf("wrote Chrome trace to %s\n", *telemetryChrome)
+			fmt.Fprintf(stdout, "wrote Chrome trace to %s\n", *telemetryChrome)
 		}
 	}
 
 	if *tracePath == "" {
 		if telem != nil {
-			summarizeTelemetry(telem)
-			return
+			summarizeTelemetry(stdout, telem)
+			return nil
 		}
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("nothing to view: give -trace and/or -telemetry")
 	}
 	tf, err := os.Open(*tracePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tr, err := trace.ReadCSV(tf)
 	tf.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if tr.Interval == 0 && tr.Len() > 1 {
 		tr.Interval = tr.Samples[1].At - tr.Samples[0].At
 	}
-	fmt.Printf("trace: %d samples, %v span, interval %v\n",
+	fmt.Fprintf(stdout, "trace: %d samples, %v span, interval %v\n",
 		tr.Len(), tr.Samples[tr.Len()-1].At-tr.Samples[0].At, tr.Interval)
 
 	var m *attack.Model
 	if *modelPath != "" {
 		mf, err := os.Open(*modelPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m, err = attack.ReadModel(mf)
 		mf.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("model: %s (%d keys, %d noise signatures)\n", m.Key, len(m.Keys), len(m.Noise))
+		fmt.Fprintf(stdout, "model: %s (%d keys, %d noise signatures)\n", m.Key, len(m.Keys), len(m.Noise))
 	}
 
 	// Recorded engine verdicts, indexed by timestamp, overlay the listing:
@@ -123,10 +134,10 @@ func main() {
 	}
 
 	ds := tr.Deltas()
-	fmt.Printf("changes: %d\n\n", len(ds))
+	fmt.Fprintf(stdout, "changes: %d\n\n", len(ds))
 	if !*deltasOnly {
-		fmt.Println("time        prims      pixels     classification")
-		fmt.Println("----------  ---------  ---------  --------------")
+		fmt.Fprintln(stdout, "time        prims      pixels     classification")
+		fmt.Fprintln(stdout, "----------  ---------  ---------  --------------")
 	}
 	for _, d := range ds {
 		label := ""
@@ -144,11 +155,11 @@ func main() {
 		if rec, ok := verdicts[d.At]; ok {
 			label += fmt.Sprintf("  [recorded: %s]", rec)
 		}
-		fmt.Printf("%-10v  %9.0f  %9.0f  %s\n", d.At, d.V[0], d.V[3], label)
+		fmt.Fprintf(stdout, "%-10v  %9.0f  %9.0f  %s\n", d.At, d.V[0], d.V[3], label)
 	}
 
 	if m == nil {
-		return
+		return nil
 	}
 	atk := attack.New(m)
 	atk.Interval = tr.Interval
@@ -159,17 +170,18 @@ func main() {
 		res, err = atk.EavesdropTrace(tr)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nrecoverable credential: %q (%d keys)\n", res.Text, len(res.Keys))
+	fmt.Fprintf(stdout, "\nrecoverable credential: %q (%d keys)\n", res.Text, len(res.Keys))
 	if res.EstimatedLength >= 0 {
-		fmt.Printf("input length from echo redraws: %d\n", res.EstimatedLength)
+		fmt.Fprintf(stdout, "input length from echo redraws: %d\n", res.EstimatedLength)
 	}
+	return nil
 }
 
 // summarizeTelemetry prints the stream's shape: span, tracks, and
 // per-event-name counts in name order.
-func summarizeTelemetry(evs []obs.Event) {
+func summarizeTelemetry(w io.Writer, evs []obs.Event) {
 	var span sim.Time
 	tracks := map[string]bool{}
 	counts := map[string]int{}
@@ -180,13 +192,13 @@ func summarizeTelemetry(evs []obs.Event) {
 		tracks[e.Track] = true
 		counts[string(e.Name)]++
 	}
-	fmt.Printf("telemetry: %d events, %d tracks, %v span\n\n", len(evs), len(tracks), span)
+	fmt.Fprintf(w, "telemetry: %d events, %d tracks, %v span\n\n", len(evs), len(tracks), span)
 	names := make([]string, 0, len(counts))
 	for n := range counts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Printf("  %-28s %6d\n", n, counts[n])
+		fmt.Fprintf(w, "  %-28s %6d\n", n, counts[n])
 	}
 }

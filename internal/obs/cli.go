@@ -2,7 +2,6 @@ package obs
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -12,20 +11,20 @@ import (
 // in this repo exposes, so attackd, collect and benchpaper wire the layer
 // identically:
 //
-//	-telemetry out.jsonl            (sim-time event stream)
-//	-telemetry-format jsonl|chrome  (chrome = Perfetto-loadable)
+//	-telemetry out.jsonl            (sim-time event stream, JSONL)
 //	-cpuprofile / -memprofile       (opt-in pprof dumps)
+//
+// traceview -telemetry-chrome converts a captured stream into a
+// Perfetto-loadable Chrome trace.
 type Flags struct {
 	Path    string
-	Format  string
 	CPUProf string
 	MemProf string
 }
 
 // Register installs the flags on a FlagSet (flag.CommandLine in main).
 func (fl *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&fl.Path, "telemetry", "", "write the deterministic sim-time telemetry stream to this file")
-	fs.StringVar(&fl.Format, "telemetry-format", "jsonl", "telemetry format: jsonl or chrome (Perfetto-loadable trace)")
+	fs.StringVar(&fl.Path, "telemetry", "", "write the deterministic sim-time telemetry stream (JSONL) to this file")
 	fs.StringVar(&fl.CPUProf, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&fl.MemProf, "memprofile", "", "write a heap profile to this file on exit")
 }
@@ -77,8 +76,8 @@ func (fl *Flags) StartProfiles() (stop func() error, err error) {
 	}, nil
 }
 
-// Write exports a tracer's merged event stream to the configured path in
-// the configured format. A nil tracer (telemetry disabled) is a no-op.
+// Write exports a tracer's merged event stream to the configured path as
+// JSONL. A nil tracer (telemetry disabled) is a no-op.
 func (fl *Flags) Write(tr *Tracer) error {
 	if tr == nil || fl.Path == "" {
 		return nil
@@ -87,15 +86,7 @@ func (fl *Flags) Write(tr *Tracer) error {
 	if err != nil {
 		return err
 	}
-	evs := tr.Events()
-	switch fl.Format {
-	case "", "jsonl":
-		err = WriteJSONL(f, evs)
-	case "chrome":
-		err = WriteChromeTrace(f, evs)
-	default:
-		err = fmt.Errorf("obs: unknown telemetry format %q (want jsonl or chrome)", fl.Format)
-	}
+	err = WriteJSONL(f, tr.Events())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

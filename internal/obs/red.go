@@ -18,13 +18,12 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // MetricsReport is the gpuleak-metrics/v1 document: per-target raw
 // snapshots, the fleet-merged snapshot, per-endpoint RED rollups, and
-// the results of any -check thresholds evaluated against them.
+// whether every target answered healthy.
 type MetricsReport struct {
 	Schema  string                `json:"schema"`
 	Targets []TargetMetrics       `json:"targets"`
 	Fleet   map[string]float64    `json:"fleet"`
 	RED     map[string]REDSummary `json:"red,omitempty"`
-	Checks  []CheckResult         `json:"checks,omitempty"`
 	Pass    bool                  `json:"pass"`
 }
 
@@ -51,14 +50,6 @@ type REDSummary struct {
 	P90MS     float64 `json:"p90_ms,omitempty"`
 	P99MS     float64 `json:"p99_ms,omitempty"`
 	MaxMS     float64 `json:"max_ms,omitempty"`
-}
-
-// CheckResult is one -check threshold evaluation.
-type CheckResult struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Limit float64 `json:"limit"`
-	Pass  bool    `json:"pass"`
 }
 
 // BucketSeries is one histogram's cumulative bucket view, reconstructed

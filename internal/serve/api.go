@@ -90,13 +90,6 @@ type EavesdropRequest struct {
 	// derives it from Seed, so the same request always faces the same
 	// bit-identical defense.
 	DefenseSeed int64 `json:"defense_seed,omitempty"`
-	// PaceMS, honored only by streaming sessions, inserts a wall-clock
-	// pause of this many milliseconds after every key/retract frame —
-	// a demo/debug knob that makes the stream observable in real time and
-	// gives fleet smoke tests a window to kill a replica mid-session. It
-	// never affects verdicts: the pacing happens between emissions, outside
-	// the sim-time inference. One-shot /v1/eavesdrop ignores it.
-	PaceMS int64 `json:"pace_ms,omitempty"`
 }
 
 // EavesdropResponse is the result of one served eavesdropping run.

@@ -17,7 +17,7 @@ func FuzzResolveScenario(f *testing.F) {
 	f.Add(`{"device":"OnePlus 8 Pro","app":"Chase","keyboard":"gboard","text":"hunter2","seed":7,` +
 		`"volunteer":4,"practical":true,"pretrained_only":true,"timeout_ms":500,"fault_profile":"mild",` +
 		`"fault_seed":3,"channel":"kgsl","channels":["kgsl","proccount"],"defense":"quantize+jitter",` +
-		`"defense_strength":0.5,"defense_seed":9,"pace_ms":1}`)
+		`"defense_strength":0.5,"defense_seed":9}`)
 	f.Add(`{"text":"a"}`)
 	f.Add(`{"text":"a","volunteer":-1}`)
 	f.Add(`{"text":"a","channels":["kgsl","kgsl","kgsl"]}`)

@@ -153,6 +153,9 @@ func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel st
 			delete(sh.entries, key)
 		}
 	}
+	// The insert-time eviction skipped every entry still training, so a
+	// shard can sit above its cap until trainings land; trim it now.
+	sh.evict(r.cap)
 	sh.mu.Unlock()
 	close(e.ready)
 	if err != nil {
@@ -190,9 +193,10 @@ func (r *Registry) LookupChannel(cfg victim.Config, channel string) (*attack.Mod
 
 // evict removes least-recently-used trained entries until the shard is
 // within capacity. In-flight trainings are never evicted (their waiters
-// hold the entry anyway); a shard may therefore transiently exceed cap by
-// its number of concurrent trainings, which the serving layer's bounded
-// queues keep finite.
+// hold the entry anyway); a shard may therefore exceed cap by its number
+// of concurrent trainings until they land, which the serving layer's
+// bounded queues keep finite. Get calls it on every insert and every
+// landing, so a quiescent shard is within capacity.
 func (sh *regShard) evict(cap int) {
 	//gpuvet:ignore lockcheck -- held by caller (Get locks sh.mu)
 	for len(sh.entries) > cap {

@@ -119,6 +119,44 @@ func TestRegistryRaceHammer(t *testing.T) {
 	}
 }
 
+// TestRegistryCapAfterOverlappingTrainings pins the cap once trainings
+// land: 8 distinct keys miss a cap-2 shard together, so every insert-time
+// eviction finds only in-flight entries to skip. The last landing must
+// still leave the shard within its cap.
+func TestRegistryCapAfterOverlappingTrainings(t *testing.T) {
+	const keys = 8
+	var started sync.WaitGroup
+	started.Add(keys)
+	release := make(chan struct{})
+	r := NewRegistry(1, 2, func(ctx context.Context, cfg victim.Config, _ string) (*attack.Model, error) {
+		started.Done()
+		<-release
+		return &attack.Model{Key: attack.ModelKey{Device: cfg.App.Name}}, nil
+	}, obs.NewMetrics())
+
+	var wg sync.WaitGroup
+	for i := 0; i < keys; i++ {
+		wg.Add(1)
+		go func(app string) {
+			defer wg.Done()
+			if _, err := r.Get(context.Background(), cfgForApp(app)); err != nil {
+				t.Errorf("Get(%s): %v", app, err)
+			}
+		}(fmt.Sprintf("app%d", i))
+	}
+	started.Wait()
+	close(release)
+	wg.Wait()
+
+	models, training := r.Stats()
+	if training != 0 {
+		t.Fatalf("training = %d after quiescence, want 0", training)
+	}
+	if models > 2 {
+		t.Fatalf("models resident = %d, above shard cap 2", models)
+	}
+}
+
 // TestRegistryFailureNotCached pins the retry contract: a failed
 // training is dropped from the shard so the next Get retrains instead of
 // replaying the stale error.

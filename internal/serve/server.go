@@ -82,11 +82,6 @@ type Options struct {
 	// cmd/gpuleakd — this package stays simtime-clean. Nil disables idle
 	// reaping (the MaxSessions eviction policy still bounds state).
 	SessionTimer func(reap func()) (stop func())
-	// Pacer, when non-nil, implements the stream pacing requested by a
-	// session's pace_ms: it must block for about d or until ctx is done.
-	// Injected by the daemon for the same wall-clock reason as
-	// SessionTimer. Nil ignores pace_ms.
-	Pacer func(ctx context.Context, d time.Duration)
 	// BatchWindow is the micro-batcher's sim-time coalescing window: only
 	// pending classifications whose delta timestamps lie within it may
 	// share one flush. Meaningful only with BatchMax > 0.

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
-	"gpuleak/internal/attack"
 	"gpuleak/internal/obs"
 )
 
@@ -289,20 +287,8 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		st.flush = f
 	}
-	pace := time.Duration(sess.req.PaceMS) * time.Millisecond
 	err = s.do(ctx, s.reg.ShardFor(ChannelKey(TrainConfig(sess.scen.Cfg), sess.scen.Primary())), func(ctx context.Context) error {
-		resp, err := s.runEavesdrop(ctx, sess.scen, sess.req, func(ev attack.StreamEvent) error {
-			if err := st.event(ev); err != nil {
-				return err
-			}
-			if pace > 0 && s.opts.Pacer != nil {
-				s.opts.Pacer(ctx, pace)
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, mLatencyStream)
+		resp, err := s.runEavesdrop(ctx, sess.scen, sess.req, st.event, mLatencyStream)
 		if err != nil {
 			return err
 		}

@@ -14,9 +14,9 @@ import (
 // per-session or per-tick allocations fails here instead of drifting in
 // a benchmark. Every path runs warm: the model is trained and the
 // frame-stats memo holds every frame the script renders. The per-stage
-// rows replay the deltas of one sampled session through the engine,
-// segmentation and classify calls; a ceiling of 0 pins a stage to no
-// allocation at all.
+// rows re-sample one session, re-extract its deltas and replay them
+// through the engine, segmentation and classify calls; a ceiling of 0
+// pins a stage to no allocation at all.
 func TestWarmPathAllocs(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 13}
 	m, err := TrainWith(cfg, CollectOptions{Repeats: 1})
@@ -62,7 +62,7 @@ func TestWarmPathAllocs(t *testing.T) {
 		runs int
 		run  func()
 	}{
-		{"eavesdrop", 150, 10, func() {
+		{"eavesdrop", 75, 10, func() {
 			sess := NewVictim(cfg)
 			sess.Run(script)
 			f, err := sess.Open()
@@ -74,6 +74,12 @@ func TestWarmPathAllocs(t *testing.T) {
 			}
 		}},
 		{"victim session", 75, 10, func() { NewVictim(cfg).Run(script) }},
+		{"Sampler.Collect", 3, 10, func() {
+			if _, err := s.Collect(0, sess.End); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Trace.Deltas", 1, 10, func() { tr.Deltas() }},
 		{"Model.Classify", 0, 10, func() {
 			for _, d := range ds {
 				m.Classify(d.V)

@@ -123,10 +123,7 @@ func BenchmarkFig23Interval(b *testing.B) {
 	experimentBench(b, "fig23", "60hz_8ms_text", "120hz_12ms_text")
 }
 func BenchmarkFig24Adaptability(b *testing.B) { experimentBench(b, "fig24", "text_acc_spread") }
-func BenchmarkFig25InferenceTime(b *testing.B) {
-	experimentBench(b, "fig25", "frac_under_0.1ms", "p95_ms")
-}
-func BenchmarkFig26Power(b *testing.B) { experimentBench(b, "fig26", "max_extra_pct_2h") }
+func BenchmarkFig26Power(b *testing.B)        { experimentBench(b, "fig26", "max_extra_pct_2h") }
 func BenchmarkFig28Practical(b *testing.B) {
 	experimentBench(b, "fig28", "avg_trace_acc", "avg_char_acc")
 }

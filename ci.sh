@@ -18,9 +18,9 @@
 #                   (fixed seed+quick metrics are deterministic, so any
 #                   drift vs BENCH_baseline.json, a changed value or a
 #                   baseline metric gone missing, is a behavior change;
-#                   fig25's wall-time metrics are skipped by design) plus
-#                   the warn-only wall-clock comparison (shared runners
-#                   are too noisy to gate on timings)
+#                   no metric is skipped) plus the warn-only wall-clock
+#                   comparison (shared runners are too noisy to gate on
+#                   timings)
 #   7. benchmark  — the benchmark's output pins: bench/ is its own Go
 #                   module, so the go vet, go test and gpuvet gates above
 #                   never compile it. Vet and test it, then run every
@@ -94,11 +94,9 @@ echo "==> bench metrics gate (blocking)"
 # BENCH_baseline.json (a changed value, or a baseline metric or experiment
 # the new report lacks) is a behavior change that must be reviewed (and
 # the baseline regenerated in the same PR if intended). Wall time is excluded
-# here, as are fig25's metrics — that experiment measures the attacker's
-# real classification wall time by design.
+# here; every metric is compared.
 go run ./cmd/benchpaper -json > "$bench_dir/bench.json"
-go run ./cmd/benchcmp -metrics-only -skip 'fig25/*' \
-    BENCH_baseline.json "$bench_dir/bench.json"
+go run ./cmd/benchcmp -metrics-only BENCH_baseline.json "$bench_dir/bench.json"
 
 echo "==> bench wall-clock compare (warn-only)"
 # Perf trajectory visibility, not a gate: wall-clock thresholds are a

@@ -8,7 +8,7 @@
 //
 //	benchcmp BENCH_baseline.json bench-new.json
 //	benchcmp -max-regress 2.0 old.json new.json
-//	benchcmp -metrics-only -skip 'fig25/*' BENCH_baseline.json bench-new.json
+//	benchcmp -metrics-only BENCH_baseline.json bench-new.json
 //
 // -metrics-only splits the determinism gate from the perf watch: it
 // ignores wall time entirely (shared CI runners make timings noisy) and
@@ -17,13 +17,8 @@
 // blocking. Drift is a baseline metric whose value changed or that the
 // new report lacks; a metric only the new report has is not drift. CI
 // runs -metrics-only as a gate and the plain wall-clock comparison
-// warn-only.
-//
-// -skip excludes experiment/metric pairs (comma-separated path.Match
-// patterns) from the metrics diff. The one legitimate use is fig25, which
-// measures the attacker's real classification wall time by design
-// (simtime-waived) — its ms metrics drift run to run and belong to the
-// warn-only perf watch, not the determinism gate.
+// warn-only. Every experiment's metrics are sim-time results, so the
+// gate compares all of them.
 //
 // Exit status: 0 when the new report is within tolerance, 1 on a
 // wall-clock regression beyond -max-regress (unless -metrics-only), new
@@ -36,9 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path"
 	"sort"
-	"strings"
 )
 
 // report mirrors the benchpaper -json schema; unknown fields are
@@ -65,7 +58,6 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 1.5, "fail when new wall time exceeds baseline by this factor")
 	checkMetrics := flag.Bool("metrics", false, "also diff headline metrics (same seed+quick runs are deterministic, so drift means a behavior change)")
 	metricsOnly := flag.Bool("metrics-only", false, "gate on failures and metric drift only; ignore wall time (implies -metrics)")
-	skip := flag.String("skip", "", "comma-separated experiment/metric patterns excluded from the metrics diff (path.Match syntax)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: benchcmp [flags] baseline.json new.json\n")
 		flag.PrintDefaults()
@@ -125,7 +117,7 @@ func main() {
 	}
 
 	if *checkMetrics || *metricsOnly {
-		failed = diffMetrics(old, cur, splitPatterns(*skip)) || failed
+		failed = diffMetrics(old, cur) || failed
 	}
 
 	if failed {
@@ -134,35 +126,11 @@ func main() {
 	fmt.Println("within tolerance")
 }
 
-// splitPatterns parses the -skip flag into its pattern list.
-func splitPatterns(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// skipped reports whether an experiment/metric pair matches any -skip
-// pattern. A malformed pattern matches nothing (path.Match errors are
-// treated as no-match, not fatal).
-func skipped(patterns []string, expID, metric string) bool {
-	name := expID + "/" + metric
-	for _, p := range patterns {
-		if ok, err := path.Match(p, name); err == nil && ok {
-			return true
-		}
-	}
-	return false
-}
-
 // diffMetrics reports every baseline headline metric that changed or is
 // missing from the new run; a metric only the new run has is not drift.
 // With identical seed/quick settings the suite is deterministic, so any
 // drift is a behavior change worth reading.
-func diffMetrics(old, cur *report, skip []string) bool {
+func diffMetrics(old, cur *report) bool {
 	curExp := map[string]experimentReport{}
 	for _, e := range cur.Experiments {
 		curExp[e.ID] = e
@@ -176,9 +144,6 @@ func diffMetrics(old, cur *report, skip []string) bool {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if skipped(skip, e.ID, k) {
-				continue
-			}
 			v, had := next.Metrics[k]
 			if had && v == e.Metrics[k] {
 				continue

@@ -3,8 +3,8 @@ package main
 import "testing"
 
 // TestDiffMetrics pins what the blocking metrics gate calls drift: every
-// baseline metric that is not skipped must be present in the new report
-// with an equal value, and a metric only the new report has is not drift.
+// baseline metric must be present in the new report with an equal value,
+// and a metric only the new report has is not drift.
 func TestDiffMetrics(t *testing.T) {
 	baseline := &report{Experiments: []experimentReport{
 		{ID: "fusion", Metrics: map[string]float64{"fusion.win": 0.19, "fusion.char_acc.fused.none": 1}},
@@ -13,7 +13,6 @@ func TestDiffMetrics(t *testing.T) {
 	cases := []struct {
 		name  string
 		cur   []experimentReport
-		skip  []string
 		drift bool
 	}{
 		{
@@ -47,13 +46,6 @@ func TestDiffMetrics(t *testing.T) {
 			drift: true,
 		},
 		{
-			name: "missing but skipped",
-			cur: []experimentReport{
-				{ID: "fusion", Metrics: map[string]float64{"fusion.win": 0.19, "fusion.char_acc.fused.none": 1}},
-			},
-			skip: []string{"arms/*"},
-		},
-		{
 			name: "new metric",
 			cur: []experimentReport{
 				{ID: "fusion", Metrics: map[string]float64{"fusion.win": 0.19, "fusion.char_acc.fused.none": 1, "fusion.extra": 2}},
@@ -64,7 +56,7 @@ func TestDiffMetrics(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := diffMetrics(baseline, &report{Experiments: c.cur}, c.skip); got != c.drift {
+			if got := diffMetrics(baseline, &report{Experiments: c.cur}); got != c.drift {
 				t.Errorf("diffMetrics = %v, want %v", got, c.drift)
 			}
 		})

@@ -18,7 +18,7 @@
 //
 // Suppress an intentional finding with a comment on or above the line:
 //
-//	//gpuvet:ignore simtime -- measuring attacker-side wall-clock cost
+//	//gpuvet:ignore lockcheck -- held by caller (Get locks sh.mu)
 //
 // and record it in the waiver ledger.
 package main

@@ -200,7 +200,8 @@ func recoverKey(pm, sm *Model, pds []trace.Delta, s InferredKey, attributed map[
 			score := d.V.Dist(c, pm.Weights)
 			// Residual-through-noise match for gap-merged deltas; the
 			// index's Cth bound keeps this within the valid range.
-			if dn := pm.nearestNoiseTo(d.V.Sub(c)); dn < pm.Cth && dn < score {
+			res := d.V.Sub(c)
+			if dn := pm.nearestNoiseTo(&res); dn < pm.Cth && dn < score {
 				score = dn
 			}
 			if score < bestScore || (score <= bestScore && (bestR == 0 || r < bestR)) {

@@ -88,11 +88,15 @@ type Model struct {
 	// keysByRune flattens Keys in rune order, so the classify scans range
 	// over a slice and decode no map keys; noiseByDim0 indexes noise
 	// centroids by their first weighted dimension for the denoising fast
-	// path. Both are built lazily (so also after deserialization);
+	// path; weights is Weights.Clamped(), the weights the scans pass to
+	// trace.DistSqWithin. All three are built lazily (so also after
+	// deserialization) at the first classification, which freezes
+	// Weights, Keys and Noise for this model: derive variants with Clone.
 	// indexOnce makes the build safe under concurrent classification.
 	indexOnce   sync.Once
 	keysByRune  []keyEntry
 	noiseByDim0 []noiseEntry
+	weights     trace.Vec
 }
 
 type keyEntry struct {
@@ -133,25 +137,37 @@ func (m *Model) Classify(v trace.Vec) Verdict {
 	m.buildIndex()
 	bestKey, altKey, d1, d2 := rune(0), rune(0), math.Inf(1), math.Inf(1)
 	for i := range m.keysByRune {
-		r := m.keysByRune[i].r
-		d := v.Dist(m.keysByRune[i].v, m.Weights)
+		k := &m.keysByRune[i]
+		// A centroid whose partial sum reaches the runner-up's squared
+		// distance cannot displace either verdict: the sum only grows,
+		// Sqrt is monotone and maps d2*d2 back to d2, and scanning in
+		// rune order means a later key never wins a tie.
+		ss, ok := trace.DistSqWithin(&v, &k.v, &m.weights, d2*d2)
+		if !ok {
+			continue
+		}
+		d := math.Sqrt(ss)
 		// Exact distance ties break toward the smaller rune: on narrow
 		// channels whole key families share a centroid, and the scan
 		// order must never decide the verdict.
-		if d < d1 || (d <= d1 && r < bestKey) {
+		if d < d1 || (d <= d1 && k.r < bestKey) {
 			d2 = d1
 			altKey = bestKey
 			d1 = d
-			bestKey = r
-		} else if d < d2 || (d <= d2 && r < altKey) {
+			bestKey = k.r
+		} else if d < d2 || (d <= d2 && k.r < altKey) {
 			d2 = d
-			altKey = r
+			altKey = k.r
 		}
 	}
 	bestNoise, bestNoiseDist := NoiseClass(""), math.Inf(1)
-	for _, n := range m.Noise {
-		d := v.Dist(n.V, m.Weights)
-		if d < bestNoiseDist {
+	for i := range m.Noise {
+		n := &m.Noise[i]
+		ss, ok := trace.DistSqWithin(&v, &n.V, &m.weights, bestNoiseDist*bestNoiseDist)
+		if !ok {
+			continue
+		}
+		if d := math.Sqrt(ss); d < bestNoiseDist {
 			bestNoiseDist = d
 			bestNoise = n.Class
 		}
@@ -181,12 +197,16 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	}
 	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
 	for i := range m.keysByRune {
-		r := m.keysByRune[i].r
-		d := m.nearestNoiseTo(v.Sub(m.keysByRune[i].v))
-		if d < d1 || (d <= d1 && r < bestKey) {
+		k := &m.keysByRune[i]
+		var res trace.Vec // v.Sub(k.v), without copying either operand
+		for j := range res {
+			res[j] = v[j] - k.v[j]
+		}
+		d := m.nearestNoiseTo(&res)
+		if d < d1 || (d <= d1 && k.r < bestKey) {
 			d2 = d1
 			d1 = d
-			bestKey = r
+			bestKey = k.r
 		} else if d < d2 {
 			d2 = d
 		}
@@ -199,7 +219,7 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 
 // buildIndex sorts key centroids by rune, and noise centroids by their
 // first weighted dimension so residual lookups can window instead of
-// scanning. Safe for concurrent callers.
+// scanning, and clamps the weights once. Safe for concurrent callers.
 func (m *Model) buildIndex() {
 	m.indexOnce.Do(func() {
 		keys := make([]keyEntry, 0, len(m.Keys))
@@ -209,13 +229,10 @@ func (m *Model) buildIndex() {
 		sort.Slice(keys, func(i, j int) bool { return keys[i].r < keys[j].r })
 		m.keysByRune = keys
 
-		w0 := m.Weights[0]
-		if w0 <= 0 {
-			w0 = 1
-		}
+		m.weights = m.Weights.Clamped()
 		idx := make([]noiseEntry, 0, len(m.Noise))
 		for _, n := range m.Noise {
-			idx = append(idx, noiseEntry{key0: n.V[0] * w0, v: n.V})
+			idx = append(idx, noiseEntry{key0: n.V[0] * m.weights[0], v: n.V})
 		}
 		sort.Slice(idx, func(i, j int) bool { return idx[i].key0 < idx[j].key0 })
 		m.noiseByDim0 = idx
@@ -224,14 +241,11 @@ func (m *Model) buildIndex() {
 
 // nearestNoiseTo returns the distance from r to the nearest noise
 // centroid, bounded by Cth: entries whose first weighted dimension is
-// already farther than the current bound cannot beat it (per-dimension
-// distance lower-bounds the Euclidean distance).
-func (m *Model) nearestNoiseTo(r trace.Vec) float64 {
-	w0 := m.Weights[0]
-	if w0 <= 0 {
-		w0 = 1
-	}
-	target := r[0] * w0
+// already farther than the current bound cannot beat it. The key and the
+// target share the clamped weight, so |key0 - target| is |w0·Δ0|, which
+// lower-bounds the distance for a weight of either sign.
+func (m *Model) nearestNoiseTo(r *trace.Vec) float64 {
+	target := r[0] * m.weights[0]
 	idx := sort.Search(len(m.noiseByDim0), func(i int) bool {
 		return m.noiseByDim0[i].key0 >= target
 	})
@@ -242,21 +256,28 @@ func (m *Model) nearestNoiseTo(r trace.Vec) float64 {
 	for {
 		advanced := false
 		if hi < len(m.noiseByDim0) && m.noiseByDim0[hi].key0-target <= best {
-			if d := r.Dist(m.noiseByDim0[hi].v, m.Weights); d < best {
-				best = d
-			}
+			best = m.nearer(r, &m.noiseByDim0[hi].v, best)
 			hi++
 			advanced = true
 		}
 		if lo >= 0 && target-m.noiseByDim0[lo].key0 <= best {
-			if d := r.Dist(m.noiseByDim0[lo].v, m.Weights); d < best {
-				best = d
-			}
+			best = m.nearer(r, &m.noiseByDim0[lo].v, best)
 			lo--
 			advanced = true
 		}
 		if !advanced {
 			break
+		}
+	}
+	return best
+}
+
+// nearer returns r's distance to c when it is below best, and best
+// otherwise.
+func (m *Model) nearer(r, c *trace.Vec, best float64) float64 {
+	if ss, ok := trace.DistSqWithin(r, c, &m.weights, best*best); ok {
+		if d := math.Sqrt(ss); d < best {
+			return d
 		}
 	}
 	return best

@@ -65,31 +65,66 @@ func TestClassifyDenoisedSubtractsEachNoiseClass(t *testing.T) {
 	}
 }
 
-func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
+// negWeightModel is tinyModel read back through ReadModel with a negative
+// first weight. Dist clamps only a zero weight, so the noise index must
+// window dim 0 by the signed weight too: clamping it to 1 made the window
+// skip the nearest noise centroid.
+func negWeightModel(t testing.TB) *Model {
+	t.Helper()
 	m := tinyModel()
-	m.buildIndex()
-	f := func(a, b, c, d uint16) bool {
-		var v trace.Vec
-		v[0] = float64(a % 200)
-		v[1] = float64(b % 80)
-		v[2] = float64(c % 30)
-		v[3] = float64(d % 1500)
-		got := m.nearestNoiseTo(v)
-		brute := math.Inf(1)
-		for _, n := range m.Noise {
-			if dd := v.Dist(n.V, m.Weights); dd < brute {
-				brute = dd
-			}
-		}
-		if brute > m.Cth {
-			// Beyond the bound the indexed search may return any value
-			// above Cth.
-			return got > m.Cth
-		}
-		return math.Abs(got-brute) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	m.Weights[0] = -0.01
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	back, err := ReadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// bruteNearestNoise is nearestNoiseTo as a scan of every noise centroid:
+// min(Cth+1, Dist to each).
+func bruteNearestNoise(m *Model, r trace.Vec) float64 {
+	best := m.Cth + 1
+	for _, n := range m.Noise {
+		if d := r.Dist(n.V, m.Weights); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{{"tiny", tinyModel()}, {"negative-w0", negWeightModel(t)}} {
+		m := c.m
+		m.buildIndex()
+		check := func(v trace.Vec) bool {
+			return math.Float64bits(m.nearestNoiseTo(&v)) == math.Float64bits(bruteNearestNoise(m, v))
+		}
+		// 300 raw units from the popup-hide signature in dim 0 and 4 in
+		// dim 3: distance 5 under w0 = -0.01, but 13 (Cth+1) from a
+		// window that weighs dim 0 by 1.
+		var far trace.Vec
+		far[0], far[1], far[2], far[3] = 390, 35, 8, 904
+		if !check(far) {
+			t.Errorf("%s: nearestNoiseTo(%v) = %v, brute force %v", c.name, far, m.nearestNoiseTo(&far), bruteNearestNoise(m, far))
+		}
+		f := func(a, b, c, d uint16) bool {
+			var v trace.Vec
+			v[0] = float64(a % 200)
+			v[1] = float64(b % 80)
+			v[2] = float64(c % 30)
+			v[3] = float64(d % 1500)
+			return check(v)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 
@@ -121,17 +156,18 @@ func refClassify(m *Model, v trace.Vec) Verdict {
 	return Verdict{Dist: math.Min(d1, bestNoiseDist)}
 }
 
-// refClassifyDenoised is ClassifyDenoised as a scan of the Keys map.
+// refClassifyDenoised is ClassifyDenoised as a scan of the Keys map, with
+// each residual's nearest noise found by brute force, so that it shares
+// neither the noise index nor the pruning with the code under test.
 func refClassifyDenoised(m *Model, v trace.Vec) Verdict {
 	out := refClassify(m, v)
 	if out.IsKey || out.IsNoise {
 		return out
 	}
-	m.buildIndex()
 	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
 	for s, c := range m.Keys {
 		r := firstRune(s)
-		d := m.nearestNoiseTo(v.Sub(c))
+		d := bruteNearestNoise(m, v.Sub(c))
 		if d < d1 || (d <= d1 && r < bestKey) {
 			d2, d1, bestKey = d1, d, r
 		} else if d < d2 {

@@ -109,11 +109,16 @@ func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 // CollectContext is Collect with cancellation honored at sampler-tick
 // granularity: the polling loop checks ctx before every counter read and
 // aborts with the context's error, so a canceled request never completes
-// a sweep it no longer needs.
+// a sweep it no longer needs. The trace is allocated once, with room for
+// a sample at every tick of [start, end].
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
 	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
 	s.Stats = CollectStats{}
-	tr := &trace.Trace{Interval: s.Interval}
+	ticks := 0
+	if s.Interval > 0 && end >= start {
+		ticks = int((end-start)/s.Interval) + 1
+	}
+	tr := &trace.Trace{Interval: s.Interval, Samples: make([]trace.Sample, 0, ticks)}
 	tf, hasTF := s.File.(TickFaults)
 	var prev [adreno.NumSelected]uint64
 	havePrev := false

@@ -26,7 +26,7 @@ func quick(t *testing.T, id string) *Result {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig5", "fig6", "fig11", "fig13", "fig14", "fig16", "fig17",
 		"fig18", "table2", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
-		"fig25", "fig26", "fig28", "fig29", "modelsize"}
+		"fig26", "fig28", "fig29", "modelsize"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s missing from registry", id)
@@ -155,13 +155,6 @@ func TestModelSizeShape(t *testing.T) {
 	}
 	if mb := r.Metric("bundle_mb"); mb > 120 {
 		t.Errorf("3000-model bundle %vMB exceeds store limits", mb)
-	}
-}
-
-func TestFig25Shape(t *testing.T) {
-	r := quick(t, "fig25")
-	if f := r.Metric("frac_under_0.1ms"); f < 0.90 {
-		t.Errorf("only %v of inferences under 0.1ms (paper >95%%)", f)
 	}
 }
 

@@ -2,67 +2,12 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
-	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
-	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
 )
-
-// RunFig25 reproduces Figure 25: the attacker-side computing cost of
-// inferring one key press. Paper: >95% of key presses are inferred within
-// 0.1 ms. We measure the real wall-clock time of the classification the
-// online engine performs per delta.
-func RunFig25(o Options) (*Result, error) {
-	res := newResult("fig25", "Figure 25: computing time per key press inference",
-		"bucket (ms)", "count")
-
-	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Build a pool of realistic popup deltas to classify.
-	cfg.Seed = o.Seed + 25
-	sess := victim.New(cfg)
-	text := input.RandomText(sim.NewRand(o.Seed), LowerDigits, 24)
-	sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny, sim.NewRand(o.Seed+1), 700*sim.Millisecond))
-	f, err := sess.Open()
-	if err != nil {
-		return nil, err
-	}
-	smp, err := attack.NewSampler(f, attack.DefaultInterval)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := smp.Collect(0, sess.End)
-	if err != nil {
-		return nil, err
-	}
-	deltas := tr.Deltas()
-
-	n := o.Trials(3300)
-	times := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		d := deltas[i%len(deltas)]
-		start := time.Now() //gpuvet:ignore simtime -- Fig 25 measures the attacker's real computation cost
-		_ = m.ClassifyDenoised(d.V)
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e6) //gpuvet:ignore simtime -- wall-clock span of the attacker's own classification
-	}
-	h := stats.NewHistogram(times, 15, 0, 0.15)
-	for i, c := range h.Counts {
-		lo := float64(i) * 0.01
-		res.Table.AddRow(fmt.Sprintf("%.2f-%.2f", lo, lo+0.01), fmt.Sprintf("%d", c))
-	}
-	res.Metrics["frac_under_0.1ms"] = h.FractionBelow(0.1)
-	res.Metrics["p95_ms"] = stats.Percentile(times, 95)
-	res.Metrics["mean_ms"] = stats.Mean(times)
-	return res, nil
-}
 
 // RunFig26 reproduces Figure 26: extra battery consumption over two hours
 // of monitoring on four phones. Paper: at most ~4% after 2 h.

@@ -39,7 +39,6 @@ var All = []Experiment{
 	{"fig22", "CPU<50%/GPU<25% negligible; 75% load drops accuracy toward 60%", RunFig22},
 	{"fig23", "12ms sampling costs ~20% text accuracy; 120Hz needs 4ms", RunFig23},
 	{"fig24", "similar accuracy across GPUs, resolutions, models, OS versions", RunFig24},
-	{"fig25", ">95% of inferences within 0.1ms", RunFig25},
 	{"fig26", "at most ~4% extra battery after 2h", RunFig26},
 	{"fig27", "practical sessions interleave typing with corrections, switches, glances", RunFig27},
 	{"fig28", "practical sessions: per-key 97.1%, trace 78.0%", RunFig28},

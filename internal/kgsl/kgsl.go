@@ -146,6 +146,11 @@ type Device struct {
 	// device file entirely.
 	OpenDenied bool
 
+	// reserved counts the PERFCOUNTER_GETs held on each Table-1 counter,
+	// by adreno.Selected index, so the per-tick block read consults no
+	// map; reservations counts them for every other countable. Both are
+	// device-wide: a PUT from any file releases a GET from any other.
+	reserved     [adreno.NumSelected]int
 	reservations map[adreno.CounterKey]int
 	ioctlCount   uint64
 	// metrics, when non-nil, receives per-request ioctl counts and an
@@ -314,7 +319,11 @@ func (f *File) perfcounterGet(get *PerfcounterGet) error {
 	if _, ok := adreno.CounterString(k); !ok {
 		return ErrNoEnt
 	}
-	f.dev.reservations[k]++
+	if j := adreno.SelectedIndex(k); j >= 0 {
+		f.dev.reserved[j]++
+	} else {
+		f.dev.reservations[k]++
+	}
 	// Return a plausible register offset, as the real driver does.
 	get.OffsetLo = 0xA000 + get.GroupID*0x100 + get.Countable*8
 	get.OffsetHi = get.OffsetLo + 4
@@ -323,11 +332,25 @@ func (f *File) perfcounterGet(get *PerfcounterGet) error {
 
 func (f *File) perfcounterPut(put *PerfcounterPut) error {
 	k := adreno.CounterKey{Group: put.GroupID, Countable: put.Countable}
-	if f.dev.reservations[k] == 0 {
+	j := adreno.SelectedIndex(k)
+	if f.dev.reservedCount(k, j) == 0 {
 		return ErrNotReserved
 	}
-	f.dev.reservations[k]--
+	if j >= 0 {
+		f.dev.reserved[j]--
+	} else {
+		f.dev.reservations[k]--
+	}
 	return nil
+}
+
+// reservedCount returns how many PERFCOUNTER_GETs hold k, whose Table-1
+// index is j (-1 outside Table 1).
+func (d *Device) reservedCount(k adreno.CounterKey, j int) int {
+	if j >= 0 {
+		return d.reserved[j]
+	}
+	return d.reservations[k]
 }
 
 func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
@@ -341,7 +364,13 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 	vec := f.dev.gpu.ReadSelected(t)
 	for i := range rd.Reads {
 		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
-		if f.dev.reservations[k] == 0 {
+		// ReadSelected lays entry i out as Table-1 counter i; any other
+		// buffer takes the linear lookup.
+		j := i
+		if j >= len(adreno.Selected) || adreno.Selected[j] != k {
+			j = adreno.SelectedIndex(k)
+		}
+		if f.dev.reservedCount(k, j) == 0 {
 			return ErrNotReserved
 		}
 		if f.dev.policy != nil {
@@ -350,7 +379,7 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 			}
 		}
 		var v uint64 // counters outside Table 1 read 0, as in CounterValue
-		if j := adreno.SelectedIndex(k); j >= 0 {
+		if j >= 0 {
 			v = vec[j]
 		}
 		if f.dev.obfuscator != nil {

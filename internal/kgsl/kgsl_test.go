@@ -359,30 +359,67 @@ func TestBusyPercentage(t *testing.T) {
 	}
 }
 
+// TestReservationRefcount pins the GET/PUT refcount on every path a read
+// entry takes: a Table-1 counter at its own index (ReadSelected's
+// layout), a Table-1 counter off its index (the linear lookup), and a
+// countable outside Table 1 (the map; it reads 0). Each row GETs twice,
+// PUTs once (the read still succeeds) and PUTs again (the read fails).
+// Reservations are device-wide, so in the last row another file's PUTs
+// revoke the reader's GETs.
 func TestReservationRefcount(t *testing.T) {
-	d := newTestDevice()
-	f := openTestFile(t, d)
-	get := PerfcounterGet{GroupID: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}
-	if err := f.Ioctl(0, IoctlPerfcounterGet, &get); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		k        adreno.CounterKey
+		otherPut bool
+	}{
+		{"table-1 at its index", adreno.Selected[0], false},
+		{"table-1 off its index", adreno.CounterKey{Group: adreno.GroupLRZ, Countable: adreno.LRZVisiblePixelAfterLRZ}, false},
+		{"outside table 1", adreno.CounterKey{Group: adreno.GroupLRZ, Countable: 17}, false},
+		{"device-wide", adreno.Selected[0], true},
 	}
-	if err := f.Ioctl(0, IoctlPerfcounterGet, &get); err != nil {
-		t.Fatal(err)
-	}
-	put := PerfcounterPut{GroupID: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}
-	if err := f.Ioctl(0, IoctlPerfcounterPut, &put); err != nil {
-		t.Fatal(err)
-	}
-	// One reference remains: reads still succeed.
-	rd := PerfcounterRead{Reads: []PerfcounterReadGroup{{GroupID: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}}}
-	if err := f.Ioctl(5000, IoctlPerfcounterRead, &rd); err != nil {
-		t.Fatalf("read after single PUT of double GET: %v", err)
-	}
-	if err := f.Ioctl(0, IoctlPerfcounterPut, &put); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Ioctl(6000, IoctlPerfcounterRead, &rd); err == nil {
-		t.Fatal("read after final PUT succeeded")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := newTestDevice()
+			f := openTestFile(t, d)
+			putter := f
+			if c.otherPut {
+				var err error
+				if putter, err = d.Open(UntrustedApp(4321)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			get := PerfcounterGet{GroupID: c.k.Group, Countable: c.k.Countable}
+			for i := 0; i < 2; i++ {
+				if err := f.Ioctl(0, IoctlPerfcounterGet, &get); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put := PerfcounterPut{GroupID: c.k.Group, Countable: c.k.Countable}
+			rd := PerfcounterRead{Reads: []PerfcounterReadGroup{{GroupID: c.k.Group, Countable: c.k.Countable}}}
+			if err := putter.Ioctl(0, IoctlPerfcounterPut, &put); err != nil {
+				t.Fatal(err)
+			}
+			// One reference remains: the read succeeds with the counter's
+			// value (0 outside Table 1).
+			if err := f.Ioctl(5000, IoctlPerfcounterRead, &rd); err != nil {
+				t.Fatalf("read after single PUT of double GET: %v", err)
+			}
+			var want uint64
+			if j := adreno.SelectedIndex(c.k); j >= 0 {
+				if want = d.GPU().ReadSelected(5000)[j]; want == 0 {
+					t.Fatalf("%v reads 0 on the test device; the row checks nothing", c.k)
+				}
+			}
+			if got := rd.Reads[0].Value; got != want {
+				t.Fatalf("read %v = %d, want %d", c.k, got, want)
+			}
+			if err := putter.Ioctl(0, IoctlPerfcounterPut, &put); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Ioctl(6000, IoctlPerfcounterRead, &rd); !errors.Is(err, ErrNotReserved) {
+				t.Fatalf("read after final PUT: %v, want ErrNotReserved", err)
+			}
+		})
 	}
 }
 

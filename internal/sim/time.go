@@ -3,8 +3,10 @@
 // and a small discrete-event queue.
 //
 // All experiments in this repository are driven by simulated time so that
-// results are bit-for-bit reproducible for a given seed. Wall-clock time is
-// only used when measuring the attacker's own computation cost (Fig 25).
+// results are bit-for-bit reproducible for a given seed. No internal
+// package reads the wall clock: the attacker's own computation cost
+// (Fig 25) is timed by the root package's TestFig25InferenceBudget and
+// BenchmarkFig25InferenceTime.
 package sim
 
 import (

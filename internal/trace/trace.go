@@ -71,6 +71,35 @@ func (v Vec) Dist(o Vec, w Vec) float64 {
 	return math.Sqrt(ss)
 }
 
+// Clamped returns w with every zero weight replaced by 1, the rule Dist
+// applies to its weights. DistSqWithin takes its weights clamped this way.
+func (w Vec) Clamped() Vec {
+	for i := range w {
+		if w[i] == 0 {
+			w[i] = 1
+		}
+	}
+	return w
+}
+
+// DistSqWithin returns the squared weighted distance between v and o,
+// adding Dist's terms in Dist's order with w already Clamped, so that
+// math.Sqrt of a completed sum equals Dist. It reports false, with the
+// partial sum, as soon as that sum reaches bound: every term is
+// non-negative, so the full sum could only be larger. A NaN sum never
+// reaches a bound.
+func DistSqWithin(v, o, w *Vec, bound float64) (float64, bool) {
+	var ss float64
+	for i := range v {
+		d := (v[i] - o[i]) * w[i]
+		ss += d * d
+		if ss >= bound {
+			return ss, false
+		}
+	}
+	return ss, true
+}
+
 // Norm returns the weighted Euclidean norm.
 func (v Vec) Norm(w Vec) float64 { return v.Dist(Vec{}, w) }
 
@@ -119,28 +148,46 @@ type Delta struct {
 
 // Deltas extracts the non-zero changes between consecutive samples — the
 // "PC value changes" of §3.4. Samples with no change produce nothing,
-// matching the flat segments of Figure 5.
+// matching the flat segments of Figure 5. The result is allocated once,
+// at its final length.
 func (t *Trace) Deltas() []Delta {
-	var out []Delta
+	n := 0
 	for i := 1; i < len(t.Samples); i++ {
-		var v Vec
-		changed := false
-		for j := range v {
-			d := float64(t.Samples[i].Values[j]) - float64(t.Samples[i-1].Values[j])
-			v[j] = d
-			if d != 0 {
-				changed = true
-			}
-		}
-		if changed {
-			out = append(out, Delta{
-				At:  t.Samples[i].At,
-				V:   v,
-				Gap: t.Samples[i].At - t.Samples[i-1].At,
-			})
+		if t.changed(i) {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Delta, 0, n)
+	for i := 1; i < len(t.Samples); i++ {
+		if !t.changed(i) {
+			continue
+		}
+		cur, prev := &t.Samples[i], &t.Samples[i-1]
+		d := Delta{At: cur.At, Gap: cur.At - prev.At}
+		for j := range d.V {
+			d.V[j] = float64(cur.Values[j]) - float64(prev.Values[j])
+		}
+		out = append(out, d)
+	}
 	return out
+}
+
+// changed reports whether any counter moves from sample i-1 to sample i,
+// by the float difference Deltas records.
+func (t *Trace) changed(i int) bool {
+	cur, prev := &t.Samples[i].Values, &t.Samples[i-1].Values
+	if *cur == *prev {
+		return false // the common flat poll, settled without conversions
+	}
+	for j := range cur {
+		if float64(cur[j])-float64(prev[j]) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // CounterSeries extracts the raw time series of one counter by its index

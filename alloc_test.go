@@ -62,7 +62,7 @@ func TestWarmPathAllocs(t *testing.T) {
 		runs int
 		run  func()
 	}{
-		{"eavesdrop", 75, 10, func() {
+		{"eavesdrop", 62, 10, func() {
 			sess := NewVictim(cfg)
 			sess.Run(script)
 			f, err := sess.Open()
@@ -73,7 +73,7 @@ func TestWarmPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"victim session", 75, 10, func() { NewVictim(cfg).Run(script) }},
+		{"victim session", 38, 10, func() { NewVictim(cfg).Run(script) }},
 		{"Sampler.Collect", 3, 10, func() {
 			if _, err := s.Collect(0, sess.End); err != nil {
 				t.Fatal(err)

@@ -146,12 +146,19 @@ func TestSubmitSerializesOverlap(t *testing.T) {
 	}
 }
 
+// readAt returns g's Table-1 snapshot at t.
+func readAt(g *GPU, t sim.Time) [NumSelected]uint64 {
+	var v [NumSelected]uint64
+	g.ReadSelected(t, &v)
+	return v
+}
+
 func TestIdleCountersFlat(t *testing.T) {
 	// Paper Fig 5: counters unchanged while the screen is static.
 	g := NewGPU(A650)
 	g.Submit(Frame{Start: 100, End: 200, Stats: frameStats(10, 10)})
-	v1 := g.ReadSelected(1000)
-	v2 := g.ReadSelected(9_000_000)
+	v1 := readAt(g, 1000)
+	v2 := readAt(g, 9_000_000)
 	if v1 != v2 {
 		t.Fatal("counters drifted while idle")
 	}
@@ -165,11 +172,11 @@ func TestModelScalingDiffers(t *testing.T) {
 	b := NewGPU(A660)
 	a.Submit(Frame{Start: 0, End: 100, Stats: st})
 	b.Submit(Frame{Start: 0, End: 100, Stats: st})
-	ka := a.ReadSelected(1000)
-	kb := b.ReadSelected(1000)
+	ka := readAt(a, 1000)
+	kb := readAt(b, 1000)
 	// SP components index 9 must differ between models (beyond base offset).
-	da := ka[9] - NewGPU(A540).ReadSelected(0)[9]
-	db := kb[9] - NewGPU(A660).ReadSelected(0)[9]
+	da := ka[9] - readAt(NewGPU(A540), 0)[9]
+	db := kb[9] - readAt(NewGPU(A660), 0)[9]
 	if da == db {
 		t.Fatalf("model scaling identical: %d vs %d", da, db)
 	}
@@ -214,10 +221,10 @@ func TestFillRateOrdering(t *testing.T) {
 func TestAccumulationProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		g := NewGPU(A650)
-		base := g.ReadSelected(0)
+		base := readAt(g, 0)
 		g.Submit(Frame{Start: 10, End: 20, Stats: frameStats(uint64(a), uint64(a)*3)})
 		g.Submit(Frame{Start: 30, End: 40, Stats: frameStats(uint64(b), uint64(b)*3)})
-		got := g.ReadSelected(100)
+		got := readAt(g, 100)
 		return got[0]-base[0] == uint64(a)+uint64(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -2,6 +2,7 @@ package adreno
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpuleak/internal/render"
@@ -173,6 +174,13 @@ func (g *GPU) scaledVec(st render.FrameStats) [numVec]uint64 {
 	return out
 }
 
+// Grow makes room for n more frames, so that submitting them does not
+// reallocate the timeline.
+func (g *GPU) Grow(n int) {
+	g.frames = slices.Grow(g.frames, n)
+	g.cum = slices.Grow(g.cum, n)
+}
+
 // Submit appends a frame to the timeline. Frames must be submitted in
 // start order; if a frame would overlap the previous one it is queued to
 // begin when the GPU frees up, exactly as a real command processor does.
@@ -202,17 +210,18 @@ func (g *GPU) FrameCount() int { return len(g.frames) }
 // Frames exposes the timeline (read-only use).
 func (g *GPU) Frames() []Frame { return g.frames }
 
-// readVec returns the full counter vector at simulated time t, including
-// the partial contribution of an in-flight frame. This partial visibility
-// is the physical source of the paper's "split" artifact (§5.1): a read
-// that lands mid-draw observes only part of the frame's delta.
-func (g *GPU) readVec(t sim.Time) [numVec]uint64 {
+// ReadSelected reads all Table-1 counters at simulated time t into out, in
+// one snapshot (one ioctl with a multi-entry read buffer, as in Figure 10
+// of the paper). The snapshot includes the partial contribution of an
+// in-flight frame. This partial visibility is the physical source of the
+// paper's "split" artifact (§5.1): a read that lands mid-draw observes
+// only part of the frame's delta.
+func (g *GPU) ReadSelected(t sim.Time, out *[NumSelected]uint64) {
 	// Find the last frame with Start <= t.
 	idx := sort.Search(len(g.frames), func(i int) bool { return g.frames[i].Start > t }) - 1
-	var out [numVec]uint64
 	if idx < 0 {
-		copy(out[:], g.base[:])
-		return out
+		*out = g.base
+		return
 	}
 	cum, next := &g.cum[idx], &g.cum[idx+1]
 	f := &g.frames[idx]
@@ -220,7 +229,7 @@ func (g *GPU) readVec(t sim.Time) [numVec]uint64 {
 		for i := range out {
 			out[i] = g.base[i] + next[i]
 		}
-		return out
+		return
 	}
 	// Linear ramp within the frame; next-cum is exactly the scaled vector
 	// Submit added for it.
@@ -229,7 +238,6 @@ func (g *GPU) readVec(t sim.Time) [numVec]uint64 {
 	for i := range out {
 		out[i] = g.base[i] + cum[i] + (next[i]-cum[i])*num/den
 	}
-	return out
 }
 
 // CounterValue reads one counter at simulated time t. Unknown counters
@@ -239,13 +247,9 @@ func (g *GPU) CounterValue(k CounterKey, t sim.Time) uint64 {
 	if i < 0 {
 		return 0
 	}
-	return g.readVec(t)[i]
-}
-
-// ReadSelected reads all Table-1 counters at once (one ioctl with a
-// multi-entry read buffer, as in Figure 10 of the paper).
-func (g *GPU) ReadSelected(t sim.Time) [NumSelected]uint64 {
-	return g.readVec(t)
+	var vals [NumSelected]uint64
+	g.ReadSelected(t, &vals)
+	return vals[i]
 }
 
 // BusyFraction reports the fraction of [t0, t1] during which the GPU was

@@ -199,9 +199,8 @@ func recoverKey(pm, sm *Model, pds []trace.Delta, s InferredKey, attributed map[
 			}
 			score := d.V.Dist(c, pm.Weights)
 			// Residual-through-noise match for gap-merged deltas; the
-			// index's Cth bound keeps this within the valid range.
-			res := d.V.Sub(c)
-			if dn := pm.nearestNoiseTo(&res); dn < pm.Cth && dn < score {
+			// Cth+1 bound keeps this within the valid range.
+			if dn := pm.nearestNoiseTo(&d.V, &c, pm.Cth+1); dn < pm.Cth && dn < score {
 				score = dn
 			}
 			if score < bestScore || (score <= bestScore && (bestR == 0 || r < bestR)) {

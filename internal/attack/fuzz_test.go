@@ -98,6 +98,42 @@ func FuzzClassifyMatchesMapScan(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint16(1), bits(math.NaN()))
 	f.Add(uint8(0), uint8(9), uint16(0), bits(math.Inf(1), 0, math.Inf(-1)))
 	f.Add(uint8(1), uint8(2), uint16(0x7ff), bits(1e308, -1e308, 5e-324, 0, math.MaxFloat64))
+	// Merged deltas: a key centroid plus one of the model's own noise
+	// centroids, exactly or 0.3 sigma off in every dimension, on the KGSL
+	// and proccount models. The reference picks up to three of each kind
+	// per model that Classify leaves unresolved and the denoising scan
+	// accepts; each key starts at its own noise centroid, so the seeds mix
+	// noise classes. An exact merge is accepted at distance 0, an offset
+	// one only when its runner-up is far enough, which is what a wrong
+	// search bound gets wrong. On proccount a whole key family shares the
+	// residual, so only exact merges are accepted, through exact ties.
+	for mi, m := range models[:2] {
+		w := m.Weights.Clamped()
+		seeded := 0
+		runes := m.Runes()
+		for _, off := range []float64{0, 0.3} {
+			n := 0
+			for ki := 0; ki < len(runes) && n < 3; ki++ {
+				for j := range m.Noise {
+					x := m.Noise[(ki+j)%len(m.Noise)].V
+					for i := range x {
+						x[i] += off / w[i]
+					}
+					v := m.Keys[string(runes[ki])].Add(x)
+					if out := refClassify(m, v); out.IsKey || out.IsNoise || !refClassifyDenoised(m, v).IsKey {
+						continue
+					}
+					f.Add(uint8(mi), uint8(ki), uint16(0), bits(x[:]...))
+					n++
+					break
+				}
+			}
+			seeded += n
+		}
+		if seeded == 0 {
+			f.Fatalf("model %d: no key plus noise centroid is an accepted merged delta", mi)
+		}
+	}
 	f.Fuzz(func(t *testing.T, model, key uint8, replace uint16, raw []byte) {
 		m := models[int(model)%len(models)]
 		runes := m.Runes()

@@ -86,13 +86,14 @@ type Model struct {
 	Launch trace.Vec `json:"launch"`
 
 	// keysByRune flattens Keys in rune order, so the classify scans range
-	// over a slice and decode no map keys; noiseByDim0 indexes noise
-	// centroids by their first weighted dimension for the denoising fast
-	// path; weights is Weights.Clamped(), the weights the scans pass to
-	// trace.DistSqWithin. All three are built lazily (so also after
-	// deserialization) at the first classification, which freezes
-	// Weights, Keys and Noise for this model: derive variants with Clone.
-	// indexOnce makes the build safe under concurrent classification.
+	// over a slice and decode no map keys; noiseByDim0 sorts the noise
+	// centroids by their first weighted dimension, which the denoising
+	// scan binary-searches for each residual's window; weights is
+	// Weights.Clamped(), the weights every scan multiplies by. All three
+	// are built lazily (so also after deserialization) at the first
+	// classification, which freezes Weights, Keys and Noise for this
+	// model: derive variants with Clone. indexOnce makes the build safe
+	// under concurrent classification.
 	indexOnce   sync.Once
 	keysByRune  []keyEntry
 	noiseByDim0 []noiseEntry
@@ -186,10 +187,10 @@ func (m *Model) Classify(v trace.Vec) Verdict {
 // classification after subtracting each learned noise signature and
 // accepts the best resulting key verdict. Only key verdicts are promoted
 // this way — declaring compound noise from a subtraction would swallow
-// split key fragments. A component of a merged delta cannot be larger
-// than the delta itself, so noise centroids above the observation's
-// magnitude are skipped, keeping the fallback within the paper's §7.6
-// sub-0.1 ms inference budget.
+// split key fragments. Each residual's noise search is windowed on the
+// first weighted dimension and bounded by the runner-up found so far,
+// keeping the fallback within the paper's §7.6 sub-0.1 ms inference
+// budget.
 func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	out := m.Classify(v)
 	if out.IsKey || out.IsNoise {
@@ -198,11 +199,10 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
 	for i := range m.keysByRune {
 		k := &m.keysByRune[i]
-		var res trace.Vec // v.Sub(k.v), without copying either operand
-		for j := range res {
-			res[j] = v[j] - k.v[j]
-		}
-		d := m.nearestNoiseTo(&res)
+		// Each search starts from the runner-up: a key whose residual
+		// cannot beat d2 changes neither d1 nor d2, because the scan runs
+		// in rune order, so a later key never wins a tie.
+		d := m.nearestNoiseTo(&v, &k.v, min(m.Cth+1, d2))
 		if d < d1 || (d <= d1 && k.r < bestKey) {
 			d2 = d1
 			d1 = d
@@ -239,29 +239,38 @@ func (m *Model) buildIndex() {
 	})
 }
 
-// nearestNoiseTo returns the distance from r to the nearest noise
-// centroid, bounded by Cth: entries whose first weighted dimension is
-// already farther than the current bound cannot beat it. The key and the
-// target share the clamped weight, so |key0 - target| is |w0·Δ0|, which
-// lower-bounds the distance for a weight of either sign.
-func (m *Model) nearestNoiseTo(r *trace.Vec) float64 {
-	target := r[0] * m.weights[0]
-	idx := sort.Search(len(m.noiseByDim0), func(i int) bool {
-		return m.noiseByDim0[i].key0 >= target
-	})
-	best := m.Cth + 1
+// nearestNoiseTo returns the distance from the residual v − k to the
+// nearest noise centroid when that is below bound, and bound otherwise:
+// entries whose first weighted dimension is already farther than the
+// current bound cannot beat it. The index and the target share the
+// clamped weight, so |key0 − target| is |w0·Δ0|, which lower-bounds the
+// distance for a weight of either sign.
+func (m *Model) nearestNoiseTo(v, k *trace.Vec, bound float64) float64 {
+	idx := m.noiseByDim0
+	target := (v[0] - k[0]) * m.weights[0]
+	// The first entry with key0 >= target, by sort.Search's rule.
+	lo, hi := 0, len(idx)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(idx[mid].key0 >= target) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	best := bound
 	// Expand outward from the insertion point until dim-0 alone exceeds
 	// the best bound.
-	lo, hi := idx-1, idx
+	lo = hi - 1
 	for {
 		advanced := false
-		if hi < len(m.noiseByDim0) && m.noiseByDim0[hi].key0-target <= best {
-			best = m.nearer(r, &m.noiseByDim0[hi].v, best)
+		if hi < len(idx) && idx[hi].key0-target <= best {
+			best = m.nearer(v, k, &idx[hi].v, best)
 			hi++
 			advanced = true
 		}
-		if lo >= 0 && target-m.noiseByDim0[lo].key0 <= best {
-			best = m.nearer(r, &m.noiseByDim0[lo].v, best)
+		if lo >= 0 && target-idx[lo].key0 <= best {
+			best = m.nearer(v, k, &idx[lo].v, best)
 			lo--
 			advanced = true
 		}
@@ -272,13 +281,22 @@ func (m *Model) nearestNoiseTo(r *trace.Vec) float64 {
 	return best
 }
 
-// nearer returns r's distance to c when it is below best, and best
-// otherwise.
-func (m *Model) nearer(r, c *trace.Vec, best float64) float64 {
-	if ss, ok := trace.DistSqWithin(r, c, &m.weights, best*best); ok {
-		if d := math.Sqrt(ss); d < best {
-			return d
+// nearer returns the distance from the residual v − k to c when it is
+// below best, and best otherwise. It adds trace.DistSqWithin's terms
+// over v.Sub(*k) without building the residual: each term's difference
+// is (v[i] − k[i]) − c[i], so a completed sum equals Dist's bit for bit.
+func (m *Model) nearer(v, k, c *trace.Vec, best float64) float64 {
+	bound := best * best
+	var ss float64
+	for i := range v {
+		d := (v[i] - k[i] - c[i]) * m.weights[i]
+		ss += d * d
+		if ss >= bound {
+			return best
 		}
+	}
+	if d := math.Sqrt(ss); d < best {
+		return d
 	}
 	return best
 }

@@ -103,8 +103,10 @@ func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
 	}{{"tiny", tinyModel()}, {"negative-w0", negWeightModel(t)}} {
 		m := c.m
 		m.buildIndex()
+		var zero trace.Vec
+		nearest := func(v trace.Vec) float64 { return m.nearestNoiseTo(&v, &zero, m.Cth+1) }
 		check := func(v trace.Vec) bool {
-			return math.Float64bits(m.nearestNoiseTo(&v)) == math.Float64bits(bruteNearestNoise(m, v))
+			return math.Float64bits(nearest(v)) == math.Float64bits(bruteNearestNoise(m, v))
 		}
 		// 300 raw units from the popup-hide signature in dim 0 and 4 in
 		// dim 3: distance 5 under w0 = -0.01, but 13 (Cth+1) from a
@@ -112,7 +114,7 @@ func TestNearestNoiseToMatchesBruteForce(t *testing.T) {
 		var far trace.Vec
 		far[0], far[1], far[2], far[3] = 390, 35, 8, 904
 		if !check(far) {
-			t.Errorf("%s: nearestNoiseTo(%v) = %v, brute force %v", c.name, far, m.nearestNoiseTo(&far), bruteNearestNoise(m, far))
+			t.Errorf("%s: nearestNoiseTo(%v) = %v, brute force %v", c.name, far, nearest(far), bruteNearestNoise(m, far))
 		}
 		f := func(a, b, c, d uint16) bool {
 			var v trace.Vec
@@ -195,7 +197,7 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 		{"kgsl-loaded", victim.Config{Device: android.Pixel5, App: android.Amex, Keyboard: keyboard.Swift, Seed: 11, RenderJitter: 0.005, GPULoad: 0.3}, ""},
 		{"proccount", baseVictimConfig(), proccount.Name},
 	}
-	denoised := 0
+	denoised, accepted := 0, 0
 	for _, c := range cases {
 		m, err := Collect(c.cfg, CollectOptions{Repeats: 1, Channel: c.channel})
 		if err != nil {
@@ -234,11 +236,17 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 			}
 			if v := m.Classify(d.V); !v.IsKey && !v.IsNoise {
 				denoised++
+				if m.ClassifyDenoised(d.V).IsKey {
+					accepted++
+				}
 			}
 		}
 	}
 	if denoised == 0 {
 		t.Fatal("no delta reached the denoising scan")
+	}
+	if accepted == 0 {
+		t.Fatalf("the denoising scan accepted none of the %d deltas it saw", denoised)
 	}
 }
 

@@ -444,17 +444,6 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 	return m, nil
 }
 
-func (m *Model) meanKeyNorm() float64 {
-	var sum float64
-	for _, c := range m.Keys {
-		sum += c.Norm(m.Weights)
-	}
-	if len(m.Keys) == 0 {
-		return 1
-	}
-	return sum / float64(len(m.Keys))
-}
-
 // weightsFor computes noise-aware per-dimension weights. Each counter's
 // observation noise has two parts: a quantization floor (counters are
 // integers; partial-frame reads truncate) and a component proportional to

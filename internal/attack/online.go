@@ -136,8 +136,6 @@ type Engine struct {
 	echoPrims     float64
 	haveEchoPrims bool
 	lastEchoAt    sim.Time
-
-	meanKeyNorm float64
 }
 
 // NewEngine builds an engine for one classification model. interval is
@@ -150,10 +148,9 @@ func NewEngine(m *Model, interval sim.Time, opts OnlineOptions) *Engine {
 		}
 	}
 	e := &Engine{
-		model:       m,
-		opts:        opts.withDefaults(interval),
-		meanKeyNorm: m.meanKeyNorm(),
-		bigPx:       1.25 * maxPx,
+		model: m,
+		opts:  opts.withDefaults(interval),
+		bigPx: 1.25 * maxPx,
 	}
 	e.classify = func(_ sim.Time, v trace.Vec) Verdict { return m.ClassifyDenoised(v) }
 	return e

@@ -92,10 +92,14 @@ func TestSampleError(t *testing.T) {
 
 // flakyFile is a scripted DeviceFile for retry tests: reads fail with
 // failErr while the script says so, reservations are tracked so
-// revocation recovery is observable.
+// revocation recovery is observable. A good read returns the next 11
+// values of one increasing sequence (read 0 returns 1…11), so every
+// counter grows on every good read; a failed or wrapped read consumes
+// none of the sequence.
 type flakyFile struct {
 	reads       int
 	failReads   map[int]error // read index -> injected error
+	wrapReads   map[int]bool  // read index -> a truncated read: every counter 0
 	revokeAt    int           // read index that revokes (0 = never)
 	reserved    bool
 	reserves    int
@@ -126,6 +130,9 @@ func (f *flakyFile) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error)
 	}
 	if err := f.failReads[i]; err != nil {
 		return zero, err
+	}
+	if f.wrapReads[i] {
+		return zero, nil
 	}
 	var v [adreno.NumSelected]uint64
 	for j := range v {
@@ -163,6 +170,82 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 	}
 	if !s.Stats.Degraded() {
 		t.Error("a retried collection must report Degraded")
+	}
+}
+
+// TestSamplerWrapCheckStoresReRead pins the wrap check on the sampler's
+// in-place slot: a read that regresses below the previous sample is
+// re-read after one backoff and counted in WrappedRetries, and the
+// tick's sample holds the re-read values, not the regressed ones.
+func TestSamplerWrapCheckStoresReRead(t *testing.T) {
+	f := &flakyFile{wrapReads: map[int]bool{3: true}}
+	policy := DefaultRetryPolicy()
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, policy, fault.Taxonomy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Collect(0, 80*sim.Millisecond)
+	if err != nil {
+		t.Fatalf("collect across a wrapped read: %v", err)
+	}
+	if s.Stats.WrappedRetries != 1 || s.Stats.DroppedTicks != 0 {
+		t.Errorf("Stats = %+v, want 1 wrapped retry and no dropped tick", s.Stats)
+	}
+	if tr.Len() != s.Stats.Ticks {
+		t.Fatalf("trace has %d samples for %d ticks", tr.Len(), s.Stats.Ticks)
+	}
+	// Reads 0–2 returned 1…33; read 4 re-reads tick 3 and returns 34…44.
+	sm := tr.Samples[3]
+	if want := 3*DefaultInterval + policy.BackoffAt(0); sm.At != want {
+		t.Errorf("tick 3 sampled at %v, want %v (after one backoff)", sm.At, want)
+	}
+	if sm.Values[0] != 34 || sm.Values[adreno.NumSelected-1] != 44 {
+		t.Errorf("tick 3 stored %v, want the re-read 34…44", sm.Values)
+	}
+}
+
+// TestSamplerExhaustedTickLeavesGap pins a tick that runs out of
+// attempts, whether on device errors or on wrapped reads: it leaves no
+// sample, not even a partly written one, and the next delta's Gap spans
+// the lost tick.
+func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    *flakyFile
+	}{
+		{"busy", &flakyFile{failReads: map[int]error{3: kgsl.ErrBusy, 4: kgsl.ErrBusy}}},
+		{"wrapped", &flakyFile{wrapReads: map[int]bool{3: true, 4: true}}},
+	} {
+		s, err := NewSamplerTaxonomy(c.f, DefaultInterval,
+			RetryPolicy{MaxAttempts: 2, MaxBadTicks: 4, WrapCheck: true}, fault.Taxonomy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := s.Collect(0, 80*sim.Millisecond)
+		if err != nil {
+			t.Fatalf("%s: collect: %v", c.name, err)
+		}
+		if s.Stats.DroppedTicks != 1 || tr.Len() != s.Stats.Ticks-1 {
+			t.Fatalf("%s: %d samples, %d dropped of %d ticks; want tick 3 alone dropped",
+				c.name, tr.Len(), s.Stats.DroppedTicks, s.Stats.Ticks)
+		}
+		// Reads 3 and 4 were tick 3's two attempts; read 5 is tick 4's.
+		if sm := tr.Samples[3]; sm.At != 4*DefaultInterval || sm.Values[0] != 34 {
+			t.Errorf("%s: sample after the gap = %+v, want tick 4 holding 34…44", c.name, sm)
+		}
+		ds := tr.Deltas()
+		if len(ds) != tr.Len()-1 {
+			t.Fatalf("%s: %d deltas from %d samples", c.name, len(ds), tr.Len())
+		}
+		for _, d := range ds {
+			want := DefaultInterval
+			if d.At == 4*DefaultInterval {
+				want = 2 * DefaultInterval
+			}
+			if d.Gap != want {
+				t.Errorf("%s: delta at %v spans %v, want %v", c.name, d.At, d.Gap, want)
+			}
+		}
 	}
 }
 

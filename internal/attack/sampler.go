@@ -110,7 +110,8 @@ func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 // granularity: the polling loop checks ctx before every counter read and
 // aborts with the context's error, so a canceled request never completes
 // a sweep it no longer needs. The trace is allocated once, with room for
-// a sample at every tick of [start, end].
+// a sample at every tick of [start, end], and each tick's read is written
+// straight into its sample; a tick that yields no read leaves none.
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
 	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
 	s.Stats = CollectStats{}
@@ -120,8 +121,6 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 	}
 	tr := &trace.Trace{Interval: s.Interval, Samples: make([]trace.Sample, 0, ticks)}
 	tf, hasTF := s.File.(TickFaults)
-	var prev [adreno.NumSelected]uint64
-	havePrev := false
 	badTicks := 0
 	t := start
 	for tick := 0; t <= end; t, tick = t+s.Interval, tick+1 {
@@ -149,8 +148,17 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 				}
 			}
 		}
-		vals, at, serr := s.readTick(readAt, t+s.Interval, prev, havePrev)
+		// The read lands in the trace's next sample; the previous sample
+		// is the last successful read, the wrap check's reference.
+		n := len(tr.Samples)
+		tr.Samples = append(tr.Samples, trace.Sample{})
+		var prev *trace.Raw
+		if n > 0 {
+			prev = &tr.Samples[n-1].Values
+		}
+		at, serr := s.readTick(readAt, t+s.Interval, &tr.Samples[n].Values, prev)
 		if serr != nil {
+			tr.Samples = tr.Samples[:n]
 			if !s.Retry.Enabled() || !s.retryable(serr.Err) {
 				if s.Obs != nil {
 					s.Obs.Emit(at, evSamplerReadError, obs.Str("err", serr.Err.Error()))
@@ -173,12 +181,7 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 			continue
 		}
 		badTicks = 0
-		prev = vals
-		havePrev = true
-		var sm trace.Sample
-		sm.At = at
-		copy(sm.Values[:], vals[:])
-		tr.Append(sm)
+		tr.Samples[n].At = at
 	}
 	if s.Obs != nil {
 		s.Obs.Metrics().Add(mSamplerReads, int64(tr.Len()))
@@ -198,12 +201,13 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 }
 
 // readTick performs one poll at readAt with bounded retry inside the
-// tick budget [readAt, deadline). On success the returned time is when
-// the read actually landed (after any backoff). On failure it returns a
-// *SampleError carrying the last driver error; the caller classifies it
-// as a droppable gap (retryable, policy enabled) or fatal.
-func (s *Sampler) readTick(readAt, deadline sim.Time, prev [adreno.NumSelected]uint64, havePrev bool) ([adreno.NumSelected]uint64, sim.Time, *SampleError) {
-	var zero [adreno.NumSelected]uint64
+// tick budget [readAt, deadline), writing the counters into dst. prev is
+// the previous successful read, nil before the first. On success the
+// returned time is when the read actually landed (after any backoff). On
+// failure dst holds no valid read, and readTick returns a *SampleError
+// carrying the last driver error; the caller classifies it as a
+// droppable gap (retryable, policy enabled) or fatal.
+func (s *Sampler) readTick(readAt, deadline sim.Time, dst, prev *trace.Raw) (sim.Time, *SampleError) {
 	tryAt := readAt
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -213,7 +217,7 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, prev [adreno.NumSelected]u
 			wait := s.Retry.BackoffAt(attempt - 1)
 			next := tryAt + wait
 			if attempt >= s.Retry.MaxAttempts || next >= deadline {
-				return zero, tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt, Err: lastErr}
+				return tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt, Err: lastErr}
 			}
 			tryAt = next
 			s.Stats.Retries++
@@ -226,7 +230,7 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, prev [adreno.NumSelected]u
 				// issued PERFCOUNTER_PUT/GET); re-reserve before re-reading.
 				if rerr := s.File.ReserveSelected(tryAt); rerr != nil {
 					if !s.retryable(rerr) {
-						return zero, tryAt, &SampleError{At: tryAt, Op: "reserve", Attempts: attempt, Err: rerr}
+						return tryAt, &SampleError{At: tryAt, Op: "reserve", Attempts: attempt, Err: rerr}
 					}
 					lastErr = rerr
 					continue
@@ -237,28 +241,28 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, prev [adreno.NumSelected]u
 				}
 			}
 		}
-		vals, err := s.File.ReadSelected(tryAt)
-		if err != nil {
+		var err error
+		if *dst, err = s.File.ReadSelected(tryAt); err != nil {
 			if !s.Retry.Enabled() || !s.retryable(err) {
-				return zero, tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt + 1, Err: err}
+				return tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt + 1, Err: err}
 			}
 			lastErr = err
 			continue
 		}
-		if s.Retry.WrapCheck && havePrev && regressed(vals, prev) {
+		if s.Retry.WrapCheck && prev != nil && regressed(dst, prev) {
 			// Cumulative counters never decrease; a regression is a
 			// truncated register read. Re-read rather than poison the delta.
 			s.Stats.WrappedRetries++
 			lastErr = ErrWrappedRead
 			continue
 		}
-		return vals, tryAt, nil
+		return tryAt, nil
 	}
 }
 
 // regressed reports whether any counter value moved backwards between
 // consecutive reads.
-func regressed(cur, prev [adreno.NumSelected]uint64) bool {
+func regressed(cur, prev *trace.Raw) bool {
 	for i := range cur {
 		if cur[i] < prev[i] {
 			return true

@@ -357,24 +357,29 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 	if len(rd.Reads) == 0 {
 		return ErrInval
 	}
-	if f.dev.ReadLatency != nil {
-		t = f.dev.ReadLatency(t)
+	d := f.dev
+	if d.ReadLatency != nil {
+		t = d.ReadLatency(t)
 	}
 	// One register snapshot serves every entry of the block read.
-	vec := f.dev.gpu.ReadSelected(t)
-	for i := range rd.Reads {
-		k := adreno.CounterKey{Group: rd.Reads[i].GroupID, Countable: rd.Reads[i].Countable}
+	var vec [adreno.NumSelected]uint64
+	d.gpu.ReadSelected(t, &vec)
+	reads, selected := rd.Reads, adreno.Selected
+	policy, obfuscator := d.policy, d.obfuscator
+	for i := range reads {
+		e := &reads[i]
+		k := adreno.CounterKey{Group: e.GroupID, Countable: e.Countable}
 		// ReadSelected lays entry i out as Table-1 counter i; any other
 		// buffer takes the linear lookup.
 		j := i
-		if j >= len(adreno.Selected) || adreno.Selected[j] != k {
+		if j >= len(selected) || selected[j] != k {
 			j = adreno.SelectedIndex(k)
 		}
-		if f.dev.reservedCount(k, j) == 0 {
+		if d.reservedCount(k, j) == 0 {
 			return ErrNotReserved
 		}
-		if f.dev.policy != nil {
-			if err := f.dev.policy.AllowPerfcounterRead(f.ctx, k); err != nil {
+		if policy != nil {
+			if err := policy.AllowPerfcounterRead(f.ctx, k); err != nil {
 				return fmt.Errorf("%w (counter %v)", err, k)
 			}
 		}
@@ -382,10 +387,10 @@ func (f *File) perfcounterRead(t sim.Time, rd *PerfcounterRead) error {
 		if j >= 0 {
 			v = vec[j]
 		}
-		if f.dev.obfuscator != nil {
-			v = f.dev.obfuscator.Obfuscate(k, v, t)
+		if obfuscator != nil {
+			v = obfuscator.Obfuscate(k, v, t)
 		}
-		rd.Reads[i].Value = v
+		e.Value = v
 	}
 	return nil
 }
@@ -418,10 +423,10 @@ func (f *File) ReserveSelected(t sim.Time) error {
 
 // ReadSelected block-reads every Table-1 counter in one ioctl and returns
 // the values in adreno.Selected order. It allocates nothing: the request
-// buffer belongs to the file.
-func (f *File) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error) {
-	var out [adreno.NumSelected]uint64
-	if err := f.Ioctl(t, IoctlPerfcounterRead, &f.rd); err != nil {
+// buffer belongs to the file, and the values go straight into the named
+// result.
+func (f *File) ReadSelected(t sim.Time) (out [adreno.NumSelected]uint64, err error) {
+	if err = f.Ioctl(t, IoctlPerfcounterRead, &f.rd); err != nil {
 		return out, err
 	}
 	for i := range out {

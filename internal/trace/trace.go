@@ -127,9 +127,6 @@ type Trace struct {
 	Samples  []Sample
 }
 
-// Append adds a sample (must be chronologically ordered).
-func (t *Trace) Append(s Sample) { t.Samples = append(t.Samples, s) }
-
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.Samples) }
 
@@ -260,7 +257,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			}
 			s.Values[i] = v
 		}
-		t.Append(s)
+		t.Samples = append(t.Samples, s)
 	}
 	return t, nil
 }

@@ -53,7 +53,7 @@ func mkTrace() *Trace {
 			s.Values[i] = 1000 + uint64(i)*10
 		}
 		s.Values[0] = v0
-		tr.Append(s)
+		tr.Samples = append(tr.Samples, s)
 	}
 	add(0, 100)
 	add(8000, 100)  // no change

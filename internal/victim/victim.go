@@ -395,6 +395,7 @@ func (s *Session) Run(script input.Script) {
 	// Submit chronologically, applying render jitter.
 	sort.SliceStable(frames, func(i, j int) bool { return frames[i].at < frames[j].at })
 	jitterRng := s.rng.Split()
+	s.GPU.Grow(len(frames))
 	for _, f := range frames {
 		st := f.stats
 		if s.Cfg.RenderJitter > 0 {

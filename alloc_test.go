@@ -48,9 +48,6 @@ func TestWarmPathAllocs(t *testing.T) {
 	b := serve.NewBatcher(1, 0, 16, obs.NewMetrics())
 	defer b.Close()
 	next := 0
-	stream := attack.NewStream(m, attack.DefaultInterval, OnlineOptions{}, nil)
-	reading := tr.Samples[0].Values
-	stream.Push(0, reading)
 
 	for _, c := range []struct {
 		name    string
@@ -95,7 +92,6 @@ func TestWarmPathAllocs(t *testing.T) {
 			next++
 			b.Classify(0, m, d.At, d.V)
 		}},
-		{"Stream.Push unchanged", 0, 10, func() { stream.Push(sess.End, reading) }},
 		{"Engine.ProcessAll", 20, 10, func() {
 			attack.NewEngine(m, attack.DefaultInterval, OnlineOptions{}).ProcessAll(ds)
 		}},

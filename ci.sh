@@ -37,8 +37,7 @@
 #   --quick          skip the race detector (plain `go test`); for fast
 #                    local iteration — CI always runs the full gate
 #   GOTESTFLAGS      extra flags appended to the test invocation, e.g.
-#                    GOTESTFLAGS=-short ./ci.sh  (CI's benchmark-smoke
-#                    job uses this to keep the wall clock bounded)
+#                    GOTESTFLAGS=-short ./ci.sh
 #   GOFLAGS          honored as usual by the go tool itself
 set -eu
 cd "$(dirname "$0")"

@@ -84,6 +84,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Offline phase (or load a preloaded model).
+	train := cfg
+	train.RenderJitter = 0
 	var m *attack.Model
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
@@ -95,11 +97,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// The online phase reads KGSL deltas on this victim's device, so a
+		// model trained on another channel or configuration would classify
+		// them against the wrong centroids.
+		if want := attack.ModelKeyForChannel(train, ""); m.Key != want {
+			return fmt.Errorf("model %s was trained for %s, not for this victim's %s", *modelPath, m.Key, want)
+		}
 		log.Printf("loaded model %s (%d keys)", m.Key, len(m.Keys))
 	} else {
 		log.Printf("offline phase: training classifier for %s / %s ...", dev.Name, layout.Name)
-		train := cfg
-		train.RenderJitter = 0
 		var err error
 		m, err = attack.CollectContext(ctx, train, attack.CollectOptions{Repeats: 2, Obs: tracer})
 		if err != nil {

@@ -11,7 +11,6 @@
 //	benchpaper -run fig17          # a single experiment
 //	benchpaper -workers 8          # fan experiments and trials across 8 workers
 //	benchpaper -json > bench.json  # machine-readable report
-//	benchpaper -json -baseline prev.json   # also compute speedup vs prev
 package main
 
 import (
@@ -39,7 +38,6 @@ type report struct {
 	Quick       bool               `json:"quick"`
 	Seed        int64              `json:"seed"`
 	WallSeconds float64            `json:"wall_seconds"`
-	Speedup     float64            `json:"speedup_vs_baseline,omitempty"`
 	Failures    int                `json:"failures"`
 	Experiments []experimentReport `json:"experiments"`
 	// Telemetry is the metrics-registry snapshot of the run (engine.*,
@@ -67,7 +65,6 @@ func main() {
 	markdown := flag.Bool("md", false, "emit GitHub-flavored markdown tables")
 	workers := flag.Int("workers", 0, "worker pool size (1 = serial, 0 = one per CPU); results are identical at any value")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout instead of tables")
-	baseline := flag.String("baseline", "", "previous -json report to compute speedup_vs_baseline against")
 	var obsFlags obs.Flags
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -156,13 +153,6 @@ func main() {
 			Experiments: reports,
 			Telemetry:   tracer.Metrics().Snapshot(),
 		}
-		if *baseline != "" {
-			if prev, err := readBaseline(*baseline); err != nil {
-				log.Printf("baseline %s: %v", *baseline, err)
-			} else if wall > 0 {
-				rep.Speedup = prev.WallSeconds / wall
-			}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -217,19 +207,4 @@ func finish(fl *obs.Flags, tracer *obs.Tracer, stopProfiles func() error, quiet 
 	if err := stopProfiles(); err != nil {
 		log.Fatalf("writing profiles: %v", err)
 	}
-}
-
-func readBaseline(path string) (*report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != "gpuleak-bench/v1" {
-		return nil, fmt.Errorf("unsupported schema %q", rep.Schema)
-	}
-	return &rep, nil
 }

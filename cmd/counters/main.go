@@ -5,16 +5,29 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 
 	"gpuleak/internal/adreno"
 )
 
 func main() {
-	onlySelected := flag.Bool("selected", false, "print only the Table-1 counters the attack uses")
-	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("counters: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the counter listing the flags in args select to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("counters", flag.ExitOnError)
+	onlySelected := fs.Bool("selected", false, "print only the Table-1 counters the attack uses")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	selected := map[adreno.CounterKey]bool{}
 	for _, k := range adreno.Selected {
@@ -22,19 +35,19 @@ func main() {
 	}
 
 	if *onlySelected {
-		fmt.Println("Table-1 counters selected for eavesdropping:")
+		fmt.Fprintln(stdout, "Table-1 counters selected for eavesdropping:")
 		for _, k := range adreno.Selected {
 			s, _ := adreno.CounterString(k)
-			fmt.Printf("  group %-4s (0x%02X)  countable %2d  %s\n",
+			fmt.Fprintf(stdout, "  group %-4s (0x%02X)  countable %2d  %s\n",
 				adreno.GroupName(k.Group), k.Group, k.Countable, s)
 		}
-		return
+		return nil
 	}
 
-	fmt.Println("Adreno performance counter enumeration (GetPerfMonitorCounterStringAMD):")
+	fmt.Fprintln(stdout, "Adreno performance counter enumeration (GetPerfMonitorCounterStringAMD):")
 	total := 0
 	for _, g := range adreno.Groups() {
-		fmt.Printf("group %s (0x%02X):\n", adreno.GroupName(g), g)
+		fmt.Fprintf(stdout, "group %s (0x%02X):\n", adreno.GroupName(g), g)
 		for _, c := range adreno.CountersInGroup(g) {
 			k := adreno.CounterKey{Group: g, Countable: c}
 			s, ok := adreno.CounterString(k)
@@ -45,13 +58,13 @@ func main() {
 			if selected[k] {
 				mark = "*"
 			}
-			fmt.Printf("  %s [%2d] %s\n", mark, c, s)
+			fmt.Fprintf(stdout, "  %s [%2d] %s\n", mark, c, s)
 			total++
 		}
 	}
-	fmt.Printf("\n%d counters; * = overdraw-related counters used by the attack (Table 1)\n", total)
+	fmt.Fprintf(stdout, "\n%d counters; * = overdraw-related counters used by the attack (Table 1)\n", total)
 	if len(adreno.SelectOverdrawCounters()) != adreno.NumSelected {
-		fmt.Fprintln(os.Stderr, "warning: discovery did not find all Table-1 counters")
-		os.Exit(1)
+		return errors.New("discovery did not find all Table-1 counters")
 	}
+	return nil
 }

@@ -147,33 +147,50 @@ func (f *testFleet) owner(t *testing.T) (owner, survivor *replica) {
 	return f.replicas[name], survivor
 }
 
-// stream creates the session through the router with the client's trace
-// context, attaches its stream and reads it to the end.
-func (f *testFleet) stream(t *testing.T) (*http.Response, []byte) {
-	t.Helper()
-	create, err := http.NewRequest(http.MethodPost, f.url+"/v1/sessions", strings.NewReader(sessionBody))
+// openStream creates the session through the router at base with the
+// client's trace context, then attaches its stream and reads it to the
+// end. A create that does not answer 201 is returned as the response.
+func openStream(base string) (*http.Response, []byte, error) {
+	create, err := http.NewRequest(http.MethodPost, base+"/v1/sessions", strings.NewReader(sessionBody))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	create.Header.Set(serve.TraceparentHeader, clientTraceparent)
 	resp, err := http.DefaultClient.Do(create)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	var sr serve.SessionResponse
-	err = json.NewDecoder(resp.Body).Decode(&sr)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("session create: status %d, decode error %v", resp.StatusCode, err)
+		return resp, body, err
 	}
-	resp, err = http.Get(f.url + sr.Stream)
+	var sr serve.SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		return nil, nil, fmt.Errorf("session create: %w", err)
+	}
+	resp, err = http.Get(base + sr.Stream)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading the stream: %w", err)
+	}
+	return resp, body, nil
+}
+
+// stream opens the session's stream through the router; a session create
+// that does not answer 201 fails the test.
+func (f *testFleet) stream(t *testing.T) (*http.Response, []byte) {
+	t.Helper()
+	resp, body, err := openStream(f.url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading the stream: %v", err)
+	if resp.Request.Method == http.MethodPost {
+		t.Fatalf("session create: status %d\n%s", resp.StatusCode, body)
 	}
 	return resp, body
 }

@@ -62,11 +62,10 @@
 // and serves concurrent /v1/eavesdrop, /v1/train and /v1/experiment
 // requests through bounded per-shard work queues that reject with 429
 // when full. Responses are byte-identical to the library path for the
-// same seed at any concurrency; cmd/loadgen drives open-loop load
-// against it. Requests may opt into fault injection (fault_profile);
-// recovered runs answer 200 with a degraded flag rather than 5xx. See
-// the README's "Serving" section and ARCHITECTURE.md for the request
-// lifecycle.
+// same seed at any concurrency. Requests may opt into fault injection
+// (fault_profile); recovered runs answer 200 with a degraded flag rather
+// than 5xx. See the README's "Serving" section and ARCHITECTURE.md for
+// the request lifecycle.
 //
 // This code exists to let defenders study and quantify the leak; the
 // "hardware" is a simulator and the package cannot read real GPU

@@ -182,28 +182,6 @@ func TestModelScalingDiffers(t *testing.T) {
 	}
 }
 
-func TestBusyFraction(t *testing.T) {
-	g := NewGPU(A650)
-	g.Submit(Frame{Start: 0, End: 1000, Stats: frameStats(1, 1)})
-	g.Submit(Frame{Start: 3000, End: 4000, Stats: frameStats(1, 1)})
-	got := g.BusyFraction(0, 4000)
-	if got < 0.49 || got > 0.51 {
-		t.Fatalf("busy = %v, want 0.5", got)
-	}
-	if g.BusyFraction(4000, 4000) != 0 {
-		t.Fatal("degenerate window not zero")
-	}
-}
-
-func TestBusyFractionPartialOverlap(t *testing.T) {
-	g := NewGPU(A650)
-	g.Submit(Frame{Start: 0, End: 2000, Stats: frameStats(1, 1)})
-	got := g.BusyFraction(1000, 3000)
-	if got < 0.49 || got > 0.51 {
-		t.Fatalf("busy = %v, want 0.5", got)
-	}
-}
-
 func TestUnknownCounterReadsZero(t *testing.T) {
 	g := NewGPU(A650)
 	if v := g.CounterValue(CounterKey{GroupSP, 0}, 1000); v != 0 {

@@ -161,9 +161,6 @@ func NewGPU(model Model) *GPU {
 	return g
 }
 
-// Model returns the GPU generation.
-func (g *GPU) Model() Model { return g.model }
-
 // scaledVec applies the per-model counter scaling.
 func (g *GPU) scaledVec(st render.FrameStats) [numVec]uint64 {
 	raw := vecOf(st)
@@ -250,32 +247,6 @@ func (g *GPU) CounterValue(k CounterKey, t sim.Time) uint64 {
 	var vals [NumSelected]uint64
 	g.ReadSelected(t, &vals)
 	return vals[i]
-}
-
-// BusyFraction reports the fraction of [t0, t1] during which the GPU was
-// drawing; this backs the /sys/class/kgsl/.../gpu_busy_percentage model.
-func (g *GPU) BusyFraction(t0, t1 sim.Time) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	var busy sim.Time
-	for _, f := range g.frames {
-		if f.End <= t0 {
-			continue
-		}
-		if f.Start >= t1 {
-			break
-		}
-		s, e := f.Start, f.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		busy += e - s
-	}
-	return float64(busy) / float64(t1-t0)
 }
 
 // LastEnd returns the completion time of the final submitted frame.

@@ -18,7 +18,11 @@ func loadFixture(t *testing.T, rel, pkgPath string) *Package {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", rel), pkgPath)
+	dir, err := filepath.Abs(filepath.Join("testdata", rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.load(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", rel, err)
 	}

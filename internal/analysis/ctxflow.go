@@ -25,6 +25,11 @@ import (
 //     context-free variant of a callee with a *Context/*Ctx sibling
 //     drops the context on the floor mid-chain: the callee runs
 //     uncancellable even though the caller could have threaded it.
+//
+// Only this check catches calling atk.Eavesdrop instead of
+// atk.EavesdropContext in exp's eavesdropOnce, so that a canceled
+// experiment samples each in-flight trial to its end: TestRepoClean
+// (which runs this suite) is the one test that fails.
 var CtxFlow = &Analyzer{
 	Name:     "ctxflow",
 	Category: "determinism",

@@ -26,6 +26,11 @@ import (
 //
 // Order-independent bodies (building another map, summing, counting,
 // min/max folds) stay silent.
+//
+// Only this check catches deleting the sort of moves in the router's
+// reshard, which then fires its warm trainings and logs them in map
+// order: TestRepoClean (which runs this suite) is the one test that
+// fails.
 var DetMap = &Analyzer{
 	Name:     "detmap",
 	Category: "determinism",

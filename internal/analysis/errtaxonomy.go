@@ -27,6 +27,12 @@ import (
 //     package-level error value of the root package must be declared
 //     there, so the whole surface a caller can errors.Is against is
 //     readable from one file.
+//
+// Only this check catches replacing errors.Is(err,
+// exp.ErrUnknownExperiment) in serve's statusFor with
+// strings.Contains(err.Error(), "unknown experiment"), which answers 404
+// for any error whose text mentions one: TestRepoClean (which runs this
+// suite) is the one test that fails.
 var ErrTaxonomy = &Analyzer{
 	Name:     "errtaxonomy",
 	Category: "taxonomy",

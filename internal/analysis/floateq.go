@@ -18,9 +18,9 @@ var floatEqPaths = map[string]bool{
 // FloatEq forbids ==/!= between floating-point operands (including
 // arrays/structs with float components) in the distance-math packages.
 //
-// Only this check catches changing max <= min to max == min in
-// stats.NewHistogram, which lets a reversed range bin with a negative
-// width: TestRepoClean (which runs this suite) is the one test that
+// Only this check catches changing p >= 100 to p == 100 in
+// stats.Percentile, which then indexes past the sorted copy for any p
+// above 100: TestRepoClean (which runs this suite) is the one test that
 // fails.
 var FloatEq = &Analyzer{
 	Name:     "floateq",

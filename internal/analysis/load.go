@@ -129,17 +129,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir loads a single directory as a package with an explicit import
-// path, bypassing module path mapping. Fixture tests use it to place
-// snippets under paths a scoped analyzer applies to.
-func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(abs, pkgPath)
-}
-
 // walkPackageDirs visits every directory under base holding at least one
 // non-test .go file, skipping testdata, hidden and underscore dirs.
 func walkPackageDirs(base string, visit func(string)) error {

@@ -14,10 +14,11 @@ import (
 // methods intentionally called with the lock already held should carry
 // //gpuvet:ignore lockcheck -- held by caller.
 //
-// Only this check catches removing rt.mu.Lock()/Unlock() from
-// (*router).isDraining: cmd/gpuleakrouter has no Go test, so go test
-// -race never runs it, and TestRepoClean (which runs this suite) is the
-// one test that fails.
+// Only this check catches removing m.mu.Lock()/Unlock() from
+// (*ring.Membership).Epoch: the router's probe loop reads the epoch while
+// request handlers evict members, but no test runs the two at once, so
+// go test -race stays green and TestRepoClean (which runs this suite) is
+// the one test that fails.
 var LockCheck = &Analyzer{
 	Name:     "lockcheck",
 	Category: "hygiene",

@@ -26,6 +26,11 @@ import (
 //     ObserveExemplar/Counter call sites scatter the metric namespace
 //     across the code — names must come from declared constants (or
 //     functions over them), one greppable block per package.
+//
+// Only this check catches replacing mQueueDepth with the misspelled
+// literal "parallel.queue_dept" in the worker pool's Observe call, which
+// splits the queue-depth series in two: TestRepoClean (which runs this
+// suite) is the one test that fails.
 var ObsEvent = &Analyzer{
 	Name:     "obsevent",
 	Category: "determinism",

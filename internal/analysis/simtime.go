@@ -28,6 +28,12 @@ var wallClockFuncs = map[string]bool{
 // package reads the wall clock, and the waiver ledger budgets no simtime
 // waiver: real computation cost, such as Fig 25's per-inference time, is
 // timed in tests, benchmarks and commands, which this check never loads.
+//
+// Only this check catches adding
+// time.Sleep(time.Duration(policy.BackoffAt(attempt)) * time.Microsecond)
+// to NewSamplerTaxonomy's reservation retry, which makes every faulted
+// reservation wait out its backoff in real time: TestRepoClean (which
+// runs this suite) is the one test that fails.
 var SimTime = &Analyzer{
 	Name:     "simtime",
 	Category: "determinism",

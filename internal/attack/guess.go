@@ -113,39 +113,3 @@ func GuessRank(keys []InferredKey, truth string, k int) int {
 	}
 	return 0
 }
-
-// RankWithPrior reorders guess candidates using an attacker-supplied
-// prior (e.g. a leaked-password frequency list): candidates present in
-// the prior move ahead of unlisted ones, preserving margin order within
-// each class. Real credential-stuffing tooling combines side-channel
-// evidence with population statistics exactly this way, which is why the
-// paper's "small number of guesses" remark understates the practical
-// risk for dictionary-derived passwords.
-func RankWithPrior(candidates []string, prior map[string]float64) []string {
-	type scored struct {
-		text string
-		p    float64
-		idx  int
-	}
-	out := make([]scored, len(candidates))
-	for i, c := range candidates {
-		out[i] = scored{text: c, p: prior[c], idx: i}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if (out[i].p > 0) != (out[j].p > 0) {
-			return out[i].p > 0
-		}
-		if out[i].p > out[j].p {
-			return true
-		}
-		if out[j].p > out[i].p {
-			return false
-		}
-		return out[i].idx < out[j].idx
-	})
-	texts := make([]string, len(out))
-	for i, s := range out {
-		texts[i] = s.text
-	}
-	return texts
-}

@@ -106,22 +106,3 @@ func TestGuessRecoversSingleError(t *testing.T) {
 	}
 	_ = m
 }
-
-func TestRankWithPrior(t *testing.T) {
-	cands := []string{"abc", "ayc", "abz", "ayz"}
-	prior := map[string]float64{"abz": 0.9, "ayz": 0.2}
-	got := RankWithPrior(cands, prior)
-	want := []string{"abz", "ayz", "abc", "ayc"}
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("rank %d = %q, want %q (all %q)", i, got[i], w, got)
-		}
-	}
-	// Without a prior the order is untouched.
-	same := RankWithPrior(cands, nil)
-	for i, c := range cands {
-		if same[i] != c {
-			t.Fatal("empty prior changed order")
-		}
-	}
-}

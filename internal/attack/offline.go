@@ -56,12 +56,6 @@ func (o CollectOptions) withDefaults(vsync sim.Time) CollectOptions {
 	return o
 }
 
-// ModelKeyFor derives the classifier identity from a victim
-// configuration, on the default (KGSL) channel.
-func ModelKeyFor(cfg victim.Config) ModelKey {
-	return ModelKeyForChannel(cfg, "")
-}
-
 // ModelKeyForChannel derives the classifier identity from a victim
 // configuration and a channel name; the default channel canonicalizes to
 // an empty tag so legacy keys are unchanged.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"gpuleak/internal/adreno"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
@@ -276,13 +275,4 @@ func (s *Sampler) emitGap(t sim.Time, reason string) {
 		return
 	}
 	s.Obs.Emit(t, evSamplerGap, obs.Str("reason", reason))
-}
-
-// VecOf converts a raw counter array into a feature vector.
-func VecOf(vals [adreno.NumSelected]uint64) trace.Vec {
-	var v trace.Vec
-	for i, x := range vals {
-		v[i] = float64(x)
-	}
-	return v
 }

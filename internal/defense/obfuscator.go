@@ -105,20 +105,6 @@ func (o *NoiseObfuscator) GPUCostFraction() float64 {
 	return cost
 }
 
-// DefaultScale derives per-counter reference magnitudes from a trained
-// attack model's mean key delta (what the OS vendor would measure on a
-// reference device).
-func DefaultScale(meanKeyDelta [adreno.NumSelected]float64) [adreno.NumSelected]uint64 {
-	var out [adreno.NumSelected]uint64
-	for i, v := range meanKeyDelta {
-		if v < 0 {
-			v = -v
-		}
-		out[i] = uint64(v)
-	}
-	return out
-}
-
 // RBACPolicy is the §9.2 fine-grained role-based access control: only
 // processes whose SELinux context is on the allowlist may read global GPU
 // performance counter values; everything else gets EPERM. This is the

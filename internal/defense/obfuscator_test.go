@@ -120,13 +120,3 @@ func TestGPUCostTradeoff(t *testing.T) {
 		t.Fatalf("cost model wrong: %v, %v", small, big)
 	}
 }
-
-func TestDefaultScale(t *testing.T) {
-	var mean [adreno.NumSelected]float64
-	mean[0] = 1600
-	mean[3] = -2.5e6
-	s := DefaultScale(mean)
-	if s[0] != 1600 || s[3] != 2_500_000 {
-		t.Fatalf("scale = %v", s)
-	}
-}

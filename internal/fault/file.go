@@ -130,12 +130,6 @@ func NewFileTaxonomy(dev Device, p Profile, seed int64, tax Taxonomy) *File {
 	return &File{dev: dev, p: p, tax: tax, rng: sim.NewRand(seed)}
 }
 
-// Profile returns the (defaulted) profile driving this plane.
-func (f *File) Profile() Profile { return f.p }
-
-// Taxonomy returns the error taxonomy this plane injects.
-func (f *File) Taxonomy() Taxonomy { return f.tax }
-
 // faultMetric maps an injected fault kind onto its counter name. The
 // counter namespace is the closed set of kinds this plane injects — a
 // named mapping rather than ad-hoc concatenation, so the obsevent

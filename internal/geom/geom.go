@@ -12,9 +12,6 @@ type Size struct {
 
 func (s Size) String() string { return fmt.Sprintf("%dx%d", s.W, s.H) }
 
-// Area returns W*H.
-func (s Size) Area() int { return s.W * s.H }
-
 // Rect is a half-open pixel rectangle [X0,X1) x [Y0,Y1).
 type Rect struct {
 	X0, Y0, X1, Y1 int

@@ -223,17 +223,6 @@ func (d *Device) GPU() *adreno.GPU { return d.gpu }
 // malware-detection discussion (§9.1) uses it.
 func (d *Device) IoctlCount() uint64 { return d.ioctlCount }
 
-// BusyPercentage models /sys/class/kgsl/kgsl-3d0/gpu_busy_percentage over
-// the 100 ms window preceding t.
-func (d *Device) BusyPercentage(t sim.Time) float64 {
-	const window = 100 * sim.Millisecond
-	t0 := t - window
-	if t0 < 0 {
-		t0 = 0
-	}
-	return 100 * d.gpu.BusyFraction(t0, t)
-}
-
 // File is an open handle on the device, bound to a process context.
 type File struct {
 	dev    *Device

@@ -348,17 +348,6 @@ func TestIoctlCountTracksCalls(t *testing.T) {
 	}
 }
 
-func TestBusyPercentage(t *testing.T) {
-	gpu := adreno.NewGPU(adreno.A650)
-	// 50 ms of drawing in the last 100 ms.
-	gpu.Submit(adreno.Frame{Start: 0, End: 50 * sim.Millisecond, Stats: render.FrameStats{TotalPixels: 1}})
-	d := NewDevice(gpu)
-	got := d.BusyPercentage(100 * sim.Millisecond)
-	if got < 49 || got > 51 {
-		t.Fatalf("busy%% = %v, want ~50", got)
-	}
-}
-
 // TestReservationRefcount pins the GET/PUT refcount on every path a read
 // entry takes: a Table-1 counter at its own index (ReadSelected's
 // layout), a Table-1 counter off its index (the linear lookup), and a

@@ -12,8 +12,8 @@ import (
 // every histogram in the registry. Fixed global boundaries (rather than
 // per-histogram config) keep snapshots pure functions of the observed
 // values — two processes that observe the same samples emit the same
-// bucket counts — which is what lets benchcmp's -metrics-only gate and
-// gpuleakstat's fleet merge treat bucket series as deterministic data.
+// bucket counts — which is what lets benchcmp's -metrics-only gate treat
+// bucket series as deterministic data.
 // The boundaries are tuned for sim-time latencies in milliseconds but
 // apply to every histogram; an implicit +Inf bucket catches overflow.
 var DefaultBuckets = []float64{
@@ -77,9 +77,6 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{count: map[string]int64{}, hist: map[string]*histogram{}}
 }
-
-// Enabled reports whether the registry records anything.
-func (m *Metrics) Enabled() bool { return m != nil }
 
 // Add increments a named counter.
 func (m *Metrics) Add(name string, delta int64) {
@@ -177,13 +174,6 @@ func (m *Metrics) Snapshot() map[string]float64 {
 	return out
 }
 
-// WriteJSON renders the Snapshot as one sorted-key JSON object, so two
-// snapshots of identical registries are byte-identical regardless of map
-// iteration order. This is the /metrics wire format of the serving layer.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	return WriteSnapshotJSON(w, m.Snapshot())
-}
-
 // WriteSnapshotJSON renders any snapshot-shaped map (metric name → value)
 // as one sorted-key JSON object; callers may fold extra gauges into a
 // Snapshot before rendering.
@@ -208,22 +198,4 @@ func WriteSnapshotJSON(w io.Writer, snap map[string]float64) error {
 	}
 	_, err := io.WriteString(w, "\n}\n")
 	return err
-}
-
-// Names returns every metric name (counters and histograms), sorted.
-func (m *Metrics) Names() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.count)+len(m.hist))
-	for k := range m.count {
-		out = append(out, k)
-	}
-	for k := range m.hist {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

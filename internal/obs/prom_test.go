@@ -2,14 +2,14 @@ package obs
 
 import (
 	"bytes"
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestSnapshotBucketSeries pins the flat-key bucket encoding satellite 2
-// adds: cumulative counts under <name>_bucket_le_<boundary>, one key per
-// fixed boundary, byte-stable through WriteSnapshotJSON.
+// TestSnapshotBucketSeries pins Snapshot's flat-key bucket encoding:
+// cumulative counts under <name>_bucket_le_<boundary>, one key per
+// fixed boundary, independent of the order of the samples.
 func TestSnapshotBucketSeries(t *testing.T) {
 	m := NewMetrics()
 	for _, v := range []float64{0.5, 3, 3, 40, 70000} {
@@ -34,20 +34,14 @@ func TestSnapshotBucketSeries(t *testing.T) {
 			t.Fatalf("missing bucket key for boundary %v", b)
 		}
 	}
-	// Two registries fed the same samples render byte-identically.
+	// Two registries fed the same samples in another order snapshot
+	// identically.
 	m2 := NewMetrics()
-	for _, v := range []float64{70000, 40, 3, 3, 0.5} { // different order
+	for _, v := range []float64{70000, 40, 3, 3, 0.5} {
 		m2.Observe("lat", v)
 	}
-	var a, b bytes.Buffer
-	if err := m.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("snapshot JSON order-dependent:\n%s\nvs\n%s", a.String(), b.String())
+	if snap2 := m2.Snapshot(); !reflect.DeepEqual(snap, snap2) {
+		t.Fatalf("snapshot order-dependent:\n%v\nvs\n%v", snap, snap2)
 	}
 }
 
@@ -114,83 +108,5 @@ func TestWritePromRendering(t *testing.T) {
 	}
 	if got := nilBuf.String(); got != "# TYPE gpuleak_up gauge\ngpuleak_up 1\n" {
 		t.Fatalf("nil registry prom output:\n%s", got)
-	}
-}
-
-// TestHistogramFromSnapshotAndQuantile pins the scrape-side math
-// gpuleakstat runs: reassembling a bucket series from flat keys and
-// estimating quantiles by in-bucket interpolation.
-func TestHistogramFromSnapshotAndQuantile(t *testing.T) {
-	m := NewMetrics()
-	for i := 0; i < 90; i++ {
-		m.Observe("lat", 4) // 2.5–5 bucket
-	}
-	for i := 0; i < 10; i++ {
-		m.Observe("lat", 200) // 100–250 bucket
-	}
-	bs, ok := HistogramFromSnapshot(m.Snapshot(), "lat")
-	if !ok {
-		t.Fatal("histogram not found in snapshot")
-	}
-	if len(bs.Bounds) != len(DefaultBuckets) || bs.Count != 100 {
-		t.Fatalf("series shape: %d bounds, count %v", len(bs.Bounds), bs.Count)
-	}
-	if !sortedAscending(bs.Bounds) {
-		t.Fatalf("bounds unsorted: %v", bs.Bounds)
-	}
-	p50 := bs.Quantile(0.50)
-	if p50 < 2.5 || p50 > 5 {
-		t.Fatalf("p50 = %v, want within the 2.5–5 bucket", p50)
-	}
-	p99 := bs.Quantile(0.99)
-	if p99 < 100 || p99 > 250 {
-		t.Fatalf("p99 = %v, want within the 100–250 bucket", p99)
-	}
-	if got := (BucketSeries{}).Quantile(0.99); got != 0 {
-		t.Fatalf("empty series quantile = %v", got)
-	}
-	if _, ok := HistogramFromSnapshot(m.Snapshot(), "missing"); ok {
-		t.Fatal("found a histogram that was never observed")
-	}
-}
-
-func sortedAscending(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestMergeSnapshots pins the fleet-merge aggregation rules: sums for
-// counters and bucket series, min/max respected, means recomputed.
-func TestMergeSnapshots(t *testing.T) {
-	a := NewMetrics()
-	a.Add("serve.eavesdrops", 3)
-	a.Observe("lat", 2)
-	a.Observe("lat", 4)
-	b := NewMetrics()
-	b.Add("serve.eavesdrops", 1)
-	b.Observe("lat", 10)
-
-	fleet := map[string]float64{}
-	MergeSnapshots(fleet, a.Snapshot())
-	MergeSnapshots(fleet, b.Snapshot())
-
-	if fleet["serve.eavesdrops"] != 4 {
-		t.Fatalf("counter merge: %v", fleet["serve.eavesdrops"])
-	}
-	if fleet["lat.count"] != 3 || fleet["lat.sum"] != 16 {
-		t.Fatalf("histogram scalar merge: count=%v sum=%v", fleet["lat.count"], fleet["lat.sum"])
-	}
-	if fleet["lat.min"] != 2 || fleet["lat.max"] != 10 {
-		t.Fatalf("min/max merge: min=%v max=%v", fleet["lat.min"], fleet["lat.max"])
-	}
-	if math.Abs(fleet["lat.mean"]-16.0/3) > 1e-12 {
-		t.Fatalf("mean not recomputed from merged sum/count: %v", fleet["lat.mean"])
-	}
-	if fleet["lat_bucket_le_5"] != 2 || fleet["lat_bucket_le_10"] != 3 {
-		t.Fatalf("bucket merge: le_5=%v le_10=%v", fleet["lat_bucket_le_5"], fleet["lat_bucket_le_10"])
 	}
 }

@@ -120,9 +120,6 @@ func (r *Ring) rebuild() {
 // callers must not mutate).
 func (r *Ring) Members() []string { return r.members }
 
-// Len reports the member count.
-func (r *Ring) Len() int { return len(r.members) }
-
 // Owner maps a key to its owning member: the first virtual node at or
 // clockwise after the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (owner string, ok bool) {

@@ -78,14 +78,12 @@ func NewRegistry(nShards, capPerShard int, train TrainFunc, m *obs.Metrics) *Reg
 	return r
 }
 
-// Key derives the registry key of a victim configuration: the classifier
-// identity (device, resolution, keyboard, refresh rate) plus the target
-// app, whose login screen shapes the learned noise signatures.
-func Key(cfg victim.Config) string { return ChannelKey(cfg, "") }
-
-// ChannelKey is Key for a model trained on a named side channel. The
-// default KGSL channel ("" or "kgsl") yields exactly Key(cfg), so
-// pre-channel-plane registry contents and shard routing are unchanged.
+// ChannelKey derives the registry key of a victim configuration and a
+// side channel: the classifier identity (device, resolution, keyboard,
+// refresh rate, channel) plus the target app, whose login screen shapes
+// the learned noise signatures. The default KGSL channel ("" or "kgsl")
+// adds no channel tag, so pre-channel-plane registry contents and shard
+// routing are unchanged.
 func ChannelKey(cfg victim.Config, channel string) string {
 	app := "Chase"
 	if cfg.App != nil {
@@ -106,17 +104,12 @@ func (r *Registry) ShardFor(key string) int {
 // Shards returns the number of shards.
 func (r *Registry) Shards() int { return len(r.shards) }
 
-// Get returns the model for a configuration, training it on miss. The
-// first caller of a key trains with the shard lock released; concurrent
-// callers of the same key wait for that training (or their own context),
-// and callers of other keys proceed independently. A failed training is
-// not cached — the entry is removed so a later request retries.
-func (r *Registry) Get(ctx context.Context, cfg victim.Config) (*attack.Model, error) {
-	return r.GetChannel(ctx, cfg, "")
-}
-
-// GetChannel is Get for a model trained on a named side channel
-// (canonical name; "" = KGSL).
+// GetChannel returns the model for a configuration and a side channel
+// (canonical name; "" = KGSL), training it on miss. The first caller of
+// a key trains with the shard lock released; concurrent callers of the
+// same key wait for that training (or their own context), and callers of
+// other keys proceed independently. A failed training is not cached —
+// the entry is removed so a later request retries.
 func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, error) {
 	key := ChannelKey(cfg, channel)
 	sh := r.shards[r.ShardFor(key)]

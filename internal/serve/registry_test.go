@@ -52,7 +52,7 @@ func TestRegistrySingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := r.Get(context.Background(), cfg)
+			m, err := r.GetChannel(context.Background(), cfg, "")
 			if err != nil {
 				t.Errorf("Get: %v", err)
 				return
@@ -64,7 +64,7 @@ func TestRegistrySingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	n, ok := calls.Load(Key(cfg))
+	n, ok := calls.Load(ChannelKey(cfg, ""))
 	if !ok || n.(*atomic.Int64).Load() != 1 {
 		t.Fatalf("train ran %v times for one key, want exactly 1", n)
 	}
@@ -93,7 +93,7 @@ func TestRegistryRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				app := fmt.Sprintf("app%d", (g+i)%keys)
-				m, err := r.Get(context.Background(), cfgForApp(app))
+				m, err := r.GetChannel(context.Background(), cfgForApp(app), "")
 				if err != nil {
 					t.Errorf("Get(%s): %v", app, err)
 					return
@@ -139,7 +139,7 @@ func TestRegistryCapAfterOverlappingTrainings(t *testing.T) {
 		wg.Add(1)
 		go func(app string) {
 			defer wg.Done()
-			if _, err := r.Get(context.Background(), cfgForApp(app)); err != nil {
+			if _, err := r.GetChannel(context.Background(), cfgForApp(app), ""); err != nil {
 				t.Errorf("Get(%s): %v", app, err)
 			}
 		}(fmt.Sprintf("app%d", i))
@@ -171,10 +171,10 @@ func TestRegistryFailureNotCached(t *testing.T) {
 	}, obs.NewMetrics())
 	cfg := cfgForApp("flaky")
 
-	if _, err := r.Get(context.Background(), cfg); !errors.Is(err, boom) {
+	if _, err := r.GetChannel(context.Background(), cfg, ""); !errors.Is(err, boom) {
 		t.Fatalf("first Get: %v, want wrapped %v", err, boom)
 	}
-	if _, err := r.Get(context.Background(), cfg); err != nil {
+	if _, err := r.GetChannel(context.Background(), cfg, ""); err != nil {
 		t.Fatalf("second Get should retrain after a failure: %v", err)
 	}
 	if got := attempts.Load(); got != 2 {
@@ -201,7 +201,7 @@ func TestRegistryLookupMiss(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Get(context.Background(), cfg)
+		_, err := r.GetChannel(context.Background(), cfg, "")
 		done <- err
 	}()
 	<-started
@@ -229,17 +229,17 @@ func TestRegistryGetCanceledWaiter(t *testing.T) {
 	}, obs.NewMetrics())
 	cfg := cfgForApp("slow")
 
-	go r.Get(context.Background(), cfg) //nolint:errcheck // released below
+	go r.GetChannel(context.Background(), cfg, "") //nolint:errcheck // released below
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.Get(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := r.GetChannel(ctx, cfg, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter: %v, want context.Canceled", err)
 	}
 
 	close(release)
-	if _, err := r.Get(context.Background(), cfg); err != nil {
+	if _, err := r.GetChannel(context.Background(), cfg, ""); err != nil {
 		t.Fatalf("Get after release: %v", err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TraceparentHeader is the W3C-style header that carries trace context
-// between loadgen, the router, and replicas. Comment frames carry the
+// between a client, the router, and replicas. Comment frames carry the
 // same value in-band on SSE streams (": traceparent <value>"), because
 // SSE comment frames have no id and are never replayed across a
 // failover — each hop speaks its own.
@@ -84,8 +84,8 @@ func traceFor(r *http.Request, seed int64) obs.TraceContext {
 }
 
 // failRequest answers an error and attributes it to one endpoint's
-// error counter (the RED "E" series gpuleakstat rolls up), on top of
-// the endpoint-agnostic serve.errors that writeError itself counts.
+// error counter (the RED "E" series of /metrics), on top of the
+// endpoint-agnostic serve.errors that writeError itself counts.
 func (s *Server) failRequest(w http.ResponseWriter, errMetric string, err error) {
 	s.m.Add(errMetric, 1)
 	s.writeError(w, err)

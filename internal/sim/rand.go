@@ -93,9 +93,6 @@ func (r *Rand) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Jitter returns a uniform value in [-amp, +amp].
-func (r *Rand) Jitter(amp float64) float64 { return (r.Float64()*2 - 1) * amp }
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

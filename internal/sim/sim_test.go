@@ -4,24 +4,17 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeUnits(t *testing.T) {
 	if Second != 1_000_000 {
 		t.Fatalf("Second = %d", Second)
 	}
-	if Millis(2.5) != 2500 {
-		t.Fatalf("Millis(2.5) = %d", Millis(2.5))
+	if got := (2500 * Microsecond).Millis(); got != 2.5 {
+		t.Fatalf("Millis() = %v", got)
 	}
-	if Seconds(0.25) != 250_000 {
-		t.Fatalf("Seconds(0.25) = %d", Seconds(0.25))
-	}
-	if got := FromDuration(3 * time.Millisecond); got != 3000 {
-		t.Fatalf("FromDuration = %d", got)
-	}
-	if (3 * Millisecond).Duration() != 3*time.Millisecond {
-		t.Fatal("Duration roundtrip failed")
+	if got := (250 * Millisecond).Seconds(); got != 0.25 {
+		t.Fatalf("Seconds() = %v", got)
 	}
 }
 
@@ -179,54 +172,5 @@ func TestPick(t *testing.T) {
 		if counts[x] == 0 {
 			t.Fatalf("Pick never chose %q", x)
 		}
-	}
-}
-
-func TestQueueOrdering(t *testing.T) {
-	var q Queue
-	q.Push(Event{At: 30, Kind: "c"})
-	q.Push(Event{At: 10, Kind: "a"})
-	q.Push(Event{At: 20, Kind: "b"})
-	q.Push(Event{At: 10, Kind: "a2"}) // tie: insertion order
-	got := q.Drain()
-	kinds := []string{"a", "a2", "b", "c"}
-	if len(got) != 4 {
-		t.Fatalf("drained %d events", len(got))
-	}
-	for i, k := range kinds {
-		if got[i].Kind != k {
-			t.Fatalf("event %d = %q, want %q", i, got[i].Kind, k)
-		}
-	}
-}
-
-func TestQueuePeek(t *testing.T) {
-	var q Queue
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue returned ok")
-	}
-	q.Push(Event{At: 5, Kind: "x"})
-	e, ok := q.Peek()
-	if !ok || e.Kind != "x" || q.Len() != 1 {
-		t.Fatalf("Peek = %+v ok=%v len=%d", e, ok, q.Len())
-	}
-}
-
-func TestQueueStableUnderInterleaving(t *testing.T) {
-	var q Queue
-	for i := 0; i < 100; i++ {
-		q.Push(Event{At: Time(i % 10), Kind: "k", Payload: i})
-	}
-	prev := Time(-1)
-	prevPayload := -1
-	for q.Len() > 0 {
-		e := q.Pop()
-		if e.At < prev {
-			t.Fatal("queue not time ordered")
-		}
-		if e.At == prev && e.Payload.(int) < prevPayload {
-			t.Fatal("queue not insertion-stable within equal times")
-		}
-		prev, prevPayload = e.At, e.Payload.(int)
 	}
 }

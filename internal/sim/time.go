@@ -1,6 +1,6 @@
 // Package sim provides the simulation foundation shared by every substrate:
-// a microsecond-resolution simulated clock, a deterministic random source,
-// and a small discrete-event queue.
+// a microsecond-resolution simulated clock and a deterministic random
+// source.
 //
 // All experiments in this repository are driven by simulated time so that
 // results are bit-for-bit reproducible for a given seed. No internal
@@ -9,10 +9,7 @@
 // BenchmarkFig25InferenceTime.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated timestamp in microseconds since the start of the
 // simulation. Microsecond resolution comfortably resolves both vsync
@@ -27,12 +24,6 @@ const (
 	Minute      Time = 60 * Second
 	Hour        Time = 60 * Minute
 )
-
-// FromDuration converts a wall-clock duration into simulated time.
-func FromDuration(d time.Duration) Time { return Time(d.Microseconds()) }
-
-// Duration converts simulated time into a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) * time.Microsecond }
 
 // Millis reports t as fractional milliseconds.
 func (t Time) Millis() float64 { return float64(t) / 1000 }
@@ -51,9 +42,3 @@ func (t Time) String() string {
 		return fmt.Sprintf("%.4gs", t.Seconds())
 	}
 }
-
-// Millis constructs a Time from fractional milliseconds.
-func Millis(ms float64) Time { return Time(ms * 1000) }
-
-// Seconds constructs a Time from fractional seconds.
-func Seconds(s float64) Time { return Time(s * 1e6) }

@@ -59,51 +59,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Histogram bins values into n equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram builds a histogram of xs with n buckets spanning [min, max].
-// Values outside the range clamp to the edge buckets.
-func NewHistogram(xs []float64, n int, min, max float64) *Histogram {
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-	if max <= min || n <= 0 {
-		return h
-	}
-	w := (max - min) / float64(n)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h
-}
-
-// FractionBelow returns the fraction of samples in buckets entirely below x.
-func (h *Histogram) FractionBelow(x float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	n := 0
-	for i, c := range h.Counts {
-		hi := h.Min + float64(i+1)*w
-		if hi <= x {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.Total)
-}
-
 // Levenshtein returns the edit distance between two rune strings.
 func Levenshtein(a, b string) int {
 	ra, rb := []rune(a), []rune(b)

@@ -35,22 +35,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.05, 0.05, 0.15, 0.95, -1, 2}, 10, 0, 1)
-	if h.Total != 6 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if h.Counts[0] != 3 { // two 0.05s plus clamped -1
-		t.Fatalf("bucket 0 = %d", h.Counts[0])
-	}
-	if h.Counts[9] != 2 { // 0.95 plus clamped 2
-		t.Fatalf("bucket 9 = %d", h.Counts[9])
-	}
-	if f := h.FractionBelow(0.2); math.Abs(f-4.0/6) > 1e-9 {
-		t.Fatalf("FractionBelow(0.2) = %v", f)
-	}
-}
-
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {
 		a, b string

@@ -187,18 +187,6 @@ func (t *Trace) changed(i int) bool {
 	return false
 }
 
-// CounterSeries extracts the raw time series of one counter by its index
-// in adreno.Selected.
-func (t *Trace) CounterSeries(idx int) ([]sim.Time, []uint64) {
-	ts := make([]sim.Time, len(t.Samples))
-	vs := make([]uint64, len(t.Samples))
-	for i, s := range t.Samples {
-		ts[i] = s.At
-		vs[i] = s.Values[idx]
-	}
-	return ts, vs
-}
-
 // WriteCSV persists the trace with a header of counter string identifiers.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

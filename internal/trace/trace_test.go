@@ -77,17 +77,6 @@ func TestDeltasSkipFlatSegments(t *testing.T) {
 	}
 }
 
-func TestCounterSeries(t *testing.T) {
-	tr := mkTrace()
-	ts, vs := tr.CounterSeries(0)
-	if len(ts) != 5 || len(vs) != 5 {
-		t.Fatal("series length wrong")
-	}
-	if vs[2] != 150 {
-		t.Fatalf("series value = %d", vs[2])
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := mkTrace()
 	var buf bytes.Buffer

@@ -111,47 +111,6 @@ func TestRunExperimentContextCanceled(t *testing.T) {
 	}
 }
 
-// TestOpenSamplerOptions pins the configurable sampler entry point:
-// WithInterval overrides the polling period, the default matches
-// NewSamplerOn, and WithObs attaches the tracer.
-func TestOpenSamplerOptions(t *testing.T) {
-	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 1}
-	sess := NewVictim(cfg)
-	sess.Run(TypeText("x", 1))
-	f, err := sess.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer()
-	s, err := OpenSampler(f, WithInterval(4*1000), WithObs(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Interval != 4*1000 {
-		t.Fatalf("sampler interval %v, want 4000", s.Interval)
-	}
-	if s.Obs != tr {
-		t.Fatal("WithObs tracer not attached to sampler")
-	}
-
-	f2, err := sess.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sDefault, err := OpenSampler(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sLegacy, err := NewSamplerOn(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sDefault.Interval != sLegacy.Interval {
-		t.Fatalf("OpenSampler default interval %v differs from NewSamplerOn %v",
-			sDefault.Interval, sLegacy.Interval)
-	}
-}
-
 // TestRunExperimentContextMatchesLegacy pins that the context-aware
 // experiment runner returns the same table as the legacy signature.
 func TestRunExperimentContextMatchesLegacy(t *testing.T) {

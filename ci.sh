@@ -6,26 +6,25 @@
 #                   fixtures deliberately hold un-idiomatic code)
 #   2. go vet     — the stock toolchain analyzers
 #   3. go build   — everything compiles
-#   4. gpuvet     — the repo's own invariants (see README "Static
-#                   analysis & CI"); production packages only, any
-#                   finding fails and prints in the log, with the
-#                   //gpuvet:ignore count reconciled against
-#                   gpuvet-waivers.json. No report file is written.
-#   5. go test    — full test suite under the race detector; the
+#   4. go test    — full test suite under the race detector; the
 #                   commands' own tests start the daemons in-process,
-#                   kill a replica mid-stream and drain on cancel
-#   6. bench      — two-part: a BLOCKING `benchcmp -metrics-only` gate
+#                   kill a replica mid-stream and drain on cancel, and
+#                   internal/analysis.TestRepoClean runs the repo's own
+#                   invariant checks (see README "Static analysis & CI")
+#                   and reconciles gpuvet-waivers.json
+#   5. bench      — two-part: a BLOCKING `benchcmp -metrics-only` gate
 #                   (fixed seed+quick metrics are deterministic, so any
 #                   drift vs BENCH_baseline.json, a changed value or a
 #                   baseline metric gone missing, is a behavior change;
 #                   no metric is skipped) plus the warn-only wall-clock
 #                   comparison (shared runners are too noisy to gate on
 #                   timings)
-#   7. benchmark  — the benchmark's output pins: bench/ is its own Go
-#                   module, so the go vet, go test and gpuvet gates above
-#                   never compile it. Vet and test it, then run every
-#                   workload for 3 s (bash bench/run.sh -seconds 3, ~40 s
-#                   on a 2-core box); the run exits non-zero unless each
+#   6. benchmark  — the benchmark's output pins: bench/ is its own Go
+#                   module, so the go vet and go test gates above, and
+#                   the checks TestRepoClean runs, never compile it. Vet
+#                   and test it, then run every workload for 3 s
+#                   (bash bench/run.sh -seconds 3, ~40 s on a 2-core
+#                   box); the run exits non-zero unless each
 #                   workload's replay checks pass and the output digests
 #                   of its first pinned ops match bench/expected.json, so
 #                   a refactor that breaks an API the benchmark uses, or
@@ -68,11 +67,6 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
-
-echo "==> gpuvet ./..."
-# Any finding fails and prints here; the waiver ledger reconciles every
-# //gpuvet:ignore.
-go run ./cmd/gpuvet -waivers gpuvet-waivers.json ./...
 
 if [ "$quick" = 1 ]; then
     echo "==> go test ./... (quick: race detector skipped)"

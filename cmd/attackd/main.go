@@ -149,7 +149,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	leg := st.Legs[0]
 	var res *attack.Result
 	if *monitor {
-		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End, attack.MonitorOptions{})
+		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End)
 		if err != nil {
 			return fmt.Errorf("monitoring failed: %w", err)
 		}

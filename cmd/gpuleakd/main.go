@@ -65,10 +65,9 @@ func run(ctx context.Context, args []string) error {
 	workers := fs.Int("queue-workers", 2, "concurrent runs per shard")
 	queue := fs.Int("queue-depth", 8, "waiting requests per shard before 429")
 	trainWorkers := fs.Int("train-workers", 0, "collection workers per training (0 = one per CPU)")
-	trainRepeats := fs.Int("train-repeats", 2, "offline-phase repeats per key")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-request deadline cap (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound")
-	maxSessions := fs.Int("max-sessions", 64, "resident streaming sessions (oldest unattached evicted beyond)")
+	maxSessions := fs.Int("max-sessions", serve.DefaultMaxSessions, "resident streaming sessions (oldest unattached evicted beyond)")
 	sessionIdle := fs.Duration("session-idle", 30*time.Second, "reap sessions not attached within this window (0 = never)")
 	batchWindow := fs.Duration("batch-window", 8*time.Millisecond, "sim-time coalescing window for cross-request classification micro-batches")
 	batchMax := fs.Int("batch-max", 16, "classifications per micro-batch flush (0 = batching off)")
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string) error {
 		WorkersPerShard: *workers,
 		QueuePerShard:   *queue,
 		TrainWorkers:    *trainWorkers,
-		TrainRepeats:    *trainRepeats,
 		RequestTimeout:  *reqTimeout,
 		Metrics:         metrics,
 		Obs:             tracer,

@@ -70,6 +70,7 @@ const (
 	mProxied           = "router.proxied"
 	mFrames            = "router.frames"
 	mSessionsCreated   = "router.sessions.created"
+	mSessionsEvicted   = "router.sessions.evicted"
 	mSessionsFailovers = "router.sessions.failovers"
 	mSessionsStreamed  = "router.sessions.streamed"
 
@@ -170,6 +171,11 @@ type router struct {
 	client    *http.Client
 	m         *obs.Metrics
 	failovers int
+	// maxSessions caps the session table at what the backends hold
+	// together (serve.DefaultMaxSessions each). At the cap, creating a
+	// session evicts the oldest never-attached one; when every resident
+	// session is streaming, creation answers 429.
+	maxSessions int
 
 	mu       sync.Mutex
 	inflight int
@@ -185,6 +191,7 @@ type router struct {
 // replica) and how many verdict frames the client already holds.
 type routedSession struct {
 	id      string
+	seq     uint64 // creation order: the oldest unattached is evicted first
 	body    []byte
 	key     string
 	state   int // 0 created, 1 streaming, 2 done
@@ -205,13 +212,14 @@ type warmEntry struct {
 
 func newRouter(urls []string, downAfter, upAfter, failovers int) *router {
 	rt := &router{
-		ms:        ring.NewMembership(0, downAfter, upAfter),
-		client:    &http.Client{}, // no global timeout: streams are long-lived
-		m:         obs.NewMetrics(),
-		failovers: failovers,
-		idle:      make(chan struct{}),
-		sessions:  map[string]*routedSession{},
-		warm:      map[string]*warmEntry{},
+		ms:          ring.NewMembership(downAfter, upAfter),
+		client:      &http.Client{}, // no global timeout: streams are long-lived
+		m:           obs.NewMetrics(),
+		failovers:   failovers,
+		maxSessions: serve.DefaultMaxSessions * len(urls),
+		idle:        make(chan struct{}),
+		sessions:    map[string]*routedSession{},
+		warm:        map[string]*warmEntry{},
 	}
 	for _, u := range urls {
 		rt.ms.Add(u)
@@ -612,7 +620,9 @@ func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleSessionCreate registers a streaming session with the router (the
 // backend session is created lazily at attach, so a failover between
 // create and attach costs nothing). The response names the predicted
-// serving replica in the backend header.
+// serving replica in the backend header. At maxSessions the oldest
+// never-attached session is evicted; with every resident session
+// streaming, the create answers 429.
 func (rt *router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.isDraining() {
 		rt.writeError(w, http.StatusServiceUnavailable, errors.New("router: draining"))
@@ -634,9 +644,26 @@ func (rt *router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.mu.Lock()
+	if len(rt.sessions) >= rt.maxSessions {
+		var victim *routedSession
+		for _, s := range rt.sessions {
+			if s.state == 0 && (victim == nil || s.seq < victim.seq) {
+				victim = s
+			}
+		}
+		if victim == nil {
+			n := len(rt.sessions)
+			rt.mu.Unlock()
+			rt.writeError(w, http.StatusTooManyRequests, fmt.Errorf("router: %d sessions resident, all streaming", n))
+			return
+		}
+		delete(rt.sessions, victim.id)
+		rt.m.Add(mSessionsEvicted, 1)
+	}
 	rt.nextSess++
 	sess := &routedSession{
 		id:          fmt.Sprintf("r-%08d", rt.nextSess),
+		seq:         rt.nextSess,
 		body:        body,
 		key:         key,
 		traceparent: traceparentFor(r, req.Seed),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,13 +33,48 @@ var clientTraceparent = obs.NewTrace(99).Traceparent()
 // frameKiller is a replica that dies mid-stream: once it has written k
 // SSE frames (blank-line-terminated blocks, the ": traceparent" comment
 // included), its next write panics with http.ErrAbortHandler, and every
-// later request aborts the same way. k < 0 never kills.
+// later request aborts the same way. k < 0 never kills. After
+// holdCreates, it also parks every session create until released.
 type frameKiller struct {
 	h http.Handler
 
-	mu     sync.Mutex
-	k      int
-	frames int
+	mu      sync.Mutex
+	k       int
+	frames  int
+	hold    chan struct{}
+	arrived chan struct{}
+}
+
+// holdCreates parks the replica's session creates until release is
+// called: each one is announced on arrived. The test's cleanup releases
+// them too, so a failing test never leaves a request parked.
+func (fk *frameKiller) holdCreates(t *testing.T) (arrived <-chan struct{}, release func()) {
+	fk.mu.Lock()
+	defer fk.mu.Unlock()
+	hold := make(chan struct{})
+	fk.hold, fk.arrived = hold, make(chan struct{}, 1)
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	return fk.arrived, release
+}
+
+// waitHeld blocks a session create while holdCreates is in force.
+func (fk *frameKiller) waitHeld(r *http.Request) {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/sessions" {
+		return
+	}
+	fk.mu.Lock()
+	hold, arrived := fk.hold, fk.arrived
+	fk.mu.Unlock()
+	if hold == nil {
+		return
+	}
+	select {
+	case arrived <- struct{}{}:
+	default:
+	}
+	<-hold
 }
 
 func (fk *frameKiller) arm(k int) {
@@ -69,6 +105,7 @@ func (fk *frameKiller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if fk.dead(nil) {
 		panic(http.ErrAbortHandler)
 	}
+	fk.waitHeld(r)
 	fk.h.ServeHTTP(killWriter{w, fk}, r)
 }
 
@@ -147,29 +184,40 @@ func (f *testFleet) owner(t *testing.T) (owner, survivor *replica) {
 	return f.replicas[name], survivor
 }
 
-// openStream creates the session through the router at base with the
-// client's trace context, then attaches its stream and reads it to the
-// end. A create that does not answer 201 is returned as the response.
-func openStream(base string) (*http.Response, []byte, error) {
+// createSession registers sessionBody with the router at base, with the
+// client's trace context. stream is the session's stream path, empty
+// when the create does not answer 201.
+func createSession(base string) (resp *http.Response, body []byte, stream string, err error) {
 	create, err := http.NewRequest(http.MethodPost, base+"/v1/sessions", strings.NewReader(sessionBody))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, "", err
 	}
 	create.Header.Set(serve.TraceparentHeader, clientTraceparent)
-	resp, err := http.DefaultClient.Do(create)
+	resp, err = http.DefaultClient.Do(create)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, "", err
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusCreated {
-		return resp, body, err
+		return resp, body, "", err
 	}
 	var sr serve.SessionResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, nil, fmt.Errorf("session create: %w", err)
+		return nil, nil, "", fmt.Errorf("session create: %w", err)
 	}
-	resp, err = http.Get(base + sr.Stream)
+	return resp, body, sr.Stream, nil
+}
+
+// openStream creates the session through the router at base, then
+// attaches its stream and reads it to the end. A create that does not
+// answer 201 is returned as the response.
+func openStream(base string) (*http.Response, []byte, error) {
+	resp, body, stream, err := createSession(base)
+	if err != nil || stream == "" {
+		return resp, body, err
+	}
+	resp, err = http.Get(base + stream)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,6 +342,189 @@ func TestFailoverAtEveryFrame(t *testing.T) {
 			t.Fatal("503 without Retry-After")
 		}
 	})
+}
+
+// mustCreate is createSession on the test's goroutine.
+func mustCreate(t *testing.T, base string) (*http.Response, []byte, string) {
+	t.Helper()
+	resp, body, stream, err := createSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body, stream
+}
+
+// get fetches url and reads its body to the end.
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// healthSessions reads the router's resident session count.
+func healthSessions(t *testing.T, base string) int {
+	t.Helper()
+	_, body := get(t, base+"/healthz")
+	var h struct {
+		Sessions int `json:"sessions"`
+	}
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, body)
+	}
+	return h.Sessions
+}
+
+// TestSessionTableBounded pins the router's session cap: the backends'
+// default session capacity together. Sessions created and never attached
+// are evicted oldest first, so cap+1 creates leave cap resident, the
+// first one's stream is gone and the newest still streams its result.
+// With every resident session streaming, a create answers 429.
+func TestSessionTableBounded(t *testing.T) {
+	f := newTestFleet(t)
+	limit := f.rt.maxSessions
+	if limit != 2*serve.DefaultMaxSessions {
+		t.Fatalf("router caps %d sessions over 2 replicas, want %d", limit, 2*serve.DefaultMaxSessions)
+	}
+	var streams []string
+	for i := 0; i <= limit; i++ {
+		resp, _, stream := mustCreate(t, f.url)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %d: status %d, want 201", i, resp.StatusCode)
+		}
+		streams = append(streams, stream)
+	}
+	if n := healthSessions(t, f.url); n != limit {
+		t.Fatalf("/healthz reports %d sessions after %d creates, want %d", n, limit+1, limit)
+	}
+	if v := f.rt.m.Snapshot()[mSessionsEvicted]; v != 1 {
+		t.Errorf("%s = %v, want 1", mSessionsEvicted, v)
+	}
+	if resp, body := get(t, f.url+streams[0]); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted session's stream: status %d, want 404\n%s", resp.StatusCode, body)
+	}
+	resp, body := get(t, f.url+streams[limit])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("newest session's stream: status %d, want 200\n%s", resp.StatusCode, body)
+	}
+	checkUndisturbed(t, body)
+
+	t.Run("all streaming", func(t *testing.T) {
+		f := newTestFleet(t)
+		f.rt.maxSessions = 1
+		owner, _ := f.owner(t)
+		arrived, release := owner.kill.holdCreates(t)
+		_, _, stream := mustCreate(t, f.url)
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Get(f.url + stream)
+			if err != nil {
+				t.Error(err)
+				done <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // only the status matters
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		select {
+		case <-arrived:
+		case code := <-done:
+			t.Fatalf("stream answered %d before reaching the owner", code)
+		}
+		resp, _, _ := mustCreate(t, f.url)
+		release()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("create with the only session streaming: status %d, Retry-After %q; want 429 with Retry-After",
+				resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("streaming session: status %d, want 200", code)
+		}
+	})
+}
+
+// TestDrainDuringFailover drains the router across a session's
+// failover. The drain starts while the stream is parked at the owner's
+// session create; the owner then dies after 4 frames, and the replay
+// parks at the survivor's. The drain waits for the stream throughout,
+// which completes byte-identical to the undisturbed one but for its
+// ": failover" comment, while new sessions answer 503 and /healthz
+// reports draining.
+func TestDrainDuringFailover(t *testing.T) {
+	_, want := newTestFleet(t).stream(t)
+
+	f := newTestFleet(t)
+	owner, survivor := f.owner(t)
+	owner.kill.arm(4)
+	atOwner, releaseOwner := owner.kill.holdCreates(t)
+	atSurvivor, releaseSurvivor := survivor.kill.holdCreates(t)
+	type result struct {
+		resp *http.Response
+		body []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, body, err := openStream(f.url)
+		done <- result{resp, body, err}
+	}()
+	reach := func(held <-chan struct{}, where string) {
+		t.Helper()
+		select {
+		case <-held:
+		case res := <-done:
+			t.Fatalf("stream ended before reaching the %s: %v\n%s", where, res.err, res.body)
+		}
+	}
+	waiting := func() {
+		t.Helper()
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := f.rt.drain(canceled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("drain with a stream in flight returned %v, want it to wait (context.Canceled)", err)
+		}
+	}
+
+	reach(atOwner, "owner")
+	waiting()
+	releaseOwner()
+	reach(atSurvivor, "survivor")
+	waiting()
+	if resp, body, _ := mustCreate(t, f.url); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("create while draining: status %d, Retry-After %q; want 503 with Retry-After\n%s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if resp, body := get(t, f.url+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `"draining"`) {
+		t.Errorf("/healthz while draining: status %d, want 503 draining\n%s", resp.StatusCode, body)
+	}
+
+	releaseSurvivor()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: status %d, want 200\n%s", res.resp.StatusCode, res.body)
+	}
+	if !failoverComment.Match(res.body) {
+		t.Fatalf("stream has no failover comment:\n%s", res.body)
+	}
+	if got := failoverComment.ReplaceAll(res.body, nil); !bytes.Equal(got, want) {
+		t.Fatalf("stream drained across a failover differs from the undisturbed one at %s", firstDiff(got, want))
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	if err := f.rt.drain(ctx); err != nil {
+		t.Fatalf("drain after the stream ended: %v", err)
+	}
 }
 
 // waitAddr polls addrFile until run has published its bound address (the

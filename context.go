@@ -12,8 +12,8 @@ import (
 // per-(key, repeat) task boundaries, the online phase at sampler ticks —
 // and a run that completes is byte-identical to its context-free
 // counterpart: the context is a control channel, never an input to the
-// simulation. The legacy signatures (Train, TrainWith, RunExperiment,
-// NewSamplerOn) remain as context.Background wrappers.
+// simulation. The legacy signatures (Train, TrainWith, RunExperiment)
+// remain as context.Background wrappers.
 
 // TrainContext runs the offline phase with cancellation and functional
 // options:
@@ -26,20 +26,6 @@ import (
 // partial model.
 func TrainContext(ctx context.Context, cfg VictimConfig, opts ...Option) (*Model, error) {
 	return attack.CollectContext(ctx, cfg, buildOptions(opts).collect())
-}
-
-// OpenSampler reserves the Table-1 counters on a device file and returns
-// the sampler, like NewSamplerOn but configurable with WithInterval and
-// WithObs. Collect the trace with Sampler.CollectContext to sample under
-// a deadline.
-func OpenSampler(f *KGSLFile, opts ...Option) (*attack.Sampler, error) {
-	o := buildOptions(opts)
-	s, err := attack.NewSampler(f, o.samplerInterval())
-	if err != nil {
-		return nil, err
-	}
-	s.Obs = o.obs
-	return s, nil
 }
 
 // RunExperimentContext executes one experiment by figure/table ID with

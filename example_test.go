@@ -135,7 +135,7 @@ func Example_defenseTournament() {
 // with a degraded flag and recovery accounting — faults cost accuracy,
 // never availability.
 func Example_degradedServing() {
-	srv := serve.NewServer(serve.Options{Shards: 1, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -55,7 +55,7 @@ func FaultProfileByName(name string) (FaultProfile, bool) { return fault.ByName(
 
 // InjectFaults wraps a device file in a fault plane driven by the
 // profile and seed. Pass the result anywhere a DeviceFile is accepted —
-// Attack.Eavesdrop, OpenSampler — and arm Attack.Retry (for example with
+// Attack.Eavesdrop, NewSamplerOn — and arm Attack.Retry (for example with
 // DefaultRetryPolicy) so injected faults are recovered rather than
 // fatal. For a fixed (profile, seed) the schedule replays
 // bit-identically.

@@ -29,7 +29,7 @@ func fig25Pool(tb testing.TB) (*attack.Model, []trace.Delta) {
 	tb.Helper()
 	const seed = 20260705 // the quick experiment suite's seed
 	cfg := exp.DefaultConfig()
-	m, err := exp.TrainModel(cfg)
+	m, err := exp.TrainModel(cfg, 0, "")
 	if err != nil {
 		tb.Fatal(err)
 	}

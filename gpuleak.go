@@ -39,7 +39,7 @@
 // sampler tick), Sampler.CollectContext, and RunExperimentContext. The
 // context-free signatures remain as context.Background wrappers. The
 // context entry points take functional options — WithWorkers, WithObs,
-// WithInterval, WithRepeats — layered over the existing option structs.
+// WithRepeats — layered over the existing option structs.
 // Failures match the stable taxonomy ErrUnknownExperiment, ErrBusy and
 // ErrModelNotTrained under errors.Is.
 //
@@ -107,12 +107,10 @@ type (
 	Attack = attack.Attack
 	// Result is an eavesdropping outcome.
 	Result = attack.Result
-	// OnlineOptions tunes the §5 online engine (and its ablations).
+	// OnlineOptions holds the §5 online engine's ablation settings.
 	OnlineOptions = attack.OnlineOptions
 	// CollectOptions tunes the offline phase.
 	CollectOptions = attack.CollectOptions
-	// MonitorOptions tunes the Figure-4 launch watcher.
-	MonitorOptions = attack.MonitorOptions
 	// MonitorResult reports a monitored eavesdropping run.
 	MonitorResult = attack.MonitorResult
 	// DeviceModel describes a phone.
@@ -279,8 +277,8 @@ func PracticalSessionAt(text string, v Volunteer, seed int64, start Time) Script
 
 // NewSamplerOn reserves the Table-1 counters on a device file and returns
 // the 8 ms sampler, for callers that want the raw trace (forensics,
-// offline segmentation). OpenSampler is the configurable variant
-// (WithInterval, WithObs).
+// offline segmentation). Set the returned Sampler's Obs to record its
+// telemetry.
 func NewSamplerOn(f *KGSLFile) (*attack.Sampler, error) {
 	return attack.NewSampler(f, attack.DefaultInterval)
 }

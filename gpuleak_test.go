@@ -103,7 +103,7 @@ func TestFacadeMonitorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewAttack(model).MonitorAndEavesdrop(f, 0, sess.End, MonitorOptions{})
+	res, err := NewAttack(model).MonitorAndEavesdrop(f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,10 @@
 //
 // naming the checks to silence (no names silences all checks on that
 // line); every directive must be accounted for in the committed
-// gpuvet-waivers.json ledger. cmd/gpuvet is the command-line front end.
+// gpuvet-waivers.json ledger. TestRepoClean runs the suite over the
+// module and reconciles that ledger:
+//
+//	go test ./internal/analysis -run TestRepoClean
 package analysis
 
 import (
@@ -66,14 +69,10 @@ type Package struct {
 	ignores map[string]map[int][]string
 }
 
-// Analyzer is one named check. The suite lists each one once, so the
-// driver and the -list output share one source of metadata.
+// Analyzer is one named check.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Category groups checks for reporting: "determinism", "taxonomy",
-	// "hygiene" or "docs".
-	Category string
 	// Applies filters by package import path; nil runs everywhere.
 	Applies func(pkgPath string) bool
 	Run     func(*Pass)

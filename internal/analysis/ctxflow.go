@@ -31,11 +31,10 @@ import (
 // experiment samples each in-flight trial to its end: TestRepoClean
 // (which runs this suite) is the one test that fails.
 var CtxFlow = &Analyzer{
-	Name:     "ctxflow",
-	Category: "determinism",
-	Doc:      "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",
-	Applies:  isInternalPath,
-	Run:      runCtxFlow,
+	Name:    "ctxflow",
+	Doc:     "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",
+	Applies: isInternalPath,
+	Run:     runCtxFlow,
 }
 
 func runCtxFlow(p *Pass) {

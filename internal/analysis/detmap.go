@@ -32,10 +32,9 @@ import (
 // order: TestRepoClean (which runs this suite) is the one test that
 // fails.
 var DetMap = &Analyzer{
-	Name:     "detmap",
-	Category: "determinism",
-	Doc:      "map iteration feeding ordered output (serialization, report slices) must pass through a sort",
-	Run:      runDetMap,
+	Name: "detmap",
+	Doc:  "map iteration feeding ordered output (serialization, report slices) must pass through a sort",
+	Run:  runDetMap,
 }
 
 // serializeMethods are method names that commit bytes or rows in call

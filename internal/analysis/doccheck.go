@@ -21,11 +21,10 @@ import (
 // Only this check catches deleting gpuleak.Train's doc comment:
 // TestRepoClean (which runs this suite) is the one test that fails.
 var DocCheck = &Analyzer{
-	Name:     "doccheck",
-	Category: "docs",
-	Doc:      "exported symbols on the documented surface (facade, serve, obs, fault, defense) must carry godoc comments",
-	Applies:  isDocumentedSurface,
-	Run:      runDocCheck,
+	Name:    "doccheck",
+	Doc:     "exported symbols on the documented surface (facade, serve, obs, fault, defense) must carry godoc comments",
+	Applies: isDocumentedSurface,
+	Run:     runDocCheck,
 }
 
 // docSurface lists the packages whose godoc is treated as API contract.

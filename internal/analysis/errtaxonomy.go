@@ -34,10 +34,9 @@ import (
 // for any error whose text mentions one: TestRepoClean (which runs this
 // suite) is the one test that fails.
 var ErrTaxonomy = &Analyzer{
-	Name:     "errtaxonomy",
-	Category: "taxonomy",
-	Doc:      "error identity flows through errors.Is/As: no err.Error() matching, no == against non-sentinel errors, facade taxonomy lives in errors.go",
-	Run:      runErrTaxonomy,
+	Name: "errtaxonomy",
+	Doc:  "error identity flows through errors.Is/As: no err.Error() matching, no == against non-sentinel errors, facade taxonomy lives in errors.go",
+	Run:  runErrTaxonomy,
 }
 
 // stringMatchFuncs are the strings/bytes/regexp helpers that turn a

@@ -23,11 +23,10 @@ var floatEqPaths = map[string]bool{
 // above 100: TestRepoClean (which runs this suite) is the one test that
 // fails.
 var FloatEq = &Analyzer{
-	Name:     "floateq",
-	Category: "hygiene",
-	Doc:      "forbid ==/!= on float-typed operands in internal/stats and internal/attack",
-	Applies:  func(path string) bool { return floatEqPaths[path] },
-	Run:      runFloatEq,
+	Name:    "floateq",
+	Doc:     "forbid ==/!= on float-typed operands in internal/stats and internal/attack",
+	Applies: func(path string) bool { return floatEqPaths[path] },
+	Run:     runFloatEq,
 }
 
 func runFloatEq(p *Pass) {

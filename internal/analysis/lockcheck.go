@@ -20,10 +20,9 @@ import (
 // go test -race stays green and TestRepoClean (which runs this suite) is
 // the one test that fails.
 var LockCheck = &Analyzer{
-	Name:     "lockcheck",
-	Category: "hygiene",
-	Doc:      "flag methods touching mutex-guarded fields without locking the mutex",
-	Run:      runLockCheck,
+	Name: "lockcheck",
+	Doc:  "flag methods touching mutex-guarded fields without locking the mutex",
+	Run:  runLockCheck,
 }
 
 // guardedStruct records one struct with a mutex and its guarded fields.

@@ -32,9 +32,8 @@ import (
 // splits the queue-depth series in two: TestRepoClean (which runs this
 // suite) is the one test that fails.
 var ObsEvent = &Analyzer{
-	Name:     "obsevent",
-	Category: "determinism",
-	Doc:      "obs event names must be package-level obs.NewName registrations; Emit/Start timestamps must not derive from the wall clock; metric names must be declared constants, not inline literals",
+	Name: "obsevent",
+	Doc:  "obs event names must be package-level obs.NewName registrations; Emit/Start timestamps must not derive from the wall clock; metric names must be declared constants, not inline literals",
 	Applies: func(pkgPath string) bool {
 		// The obs package itself converts names when parsing streams.
 		return isInternalPath(pkgPath) && !strings.HasSuffix(pkgPath, "internal/obs")

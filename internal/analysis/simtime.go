@@ -35,11 +35,10 @@ var wallClockFuncs = map[string]bool{
 // reservation wait out its backoff in real time: TestRepoClean (which
 // runs this suite) is the one test that fails.
 var SimTime = &Analyzer{
-	Name:     "simtime",
-	Category: "determinism",
-	Doc:      "forbid wall-clock time.Now/Sleep/Since/Tick/... in internal/ packages; use sim.Time",
-	Applies:  isInternalPath,
-	Run:      runSimTime,
+	Name:    "simtime",
+	Doc:     "forbid wall-clock time.Now/Sleep/Since/Tick/... in internal/ packages; use sim.Time",
+	Applies: isInternalPath,
+	Run:     runSimTime,
 }
 
 func runSimTime(p *Pass) {

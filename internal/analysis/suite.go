@@ -2,8 +2,8 @@ package analysis
 
 import "slices"
 
-// suite is every check in presentation order: the order -list prints
-// and README documents. Findings themselves are always position-sorted,
+// suite is every check in presentation order: the order README
+// documents. Findings themselves are always position-sorted,
 // so this order never affects gating — only how humans read the table.
 var suite = []*Analyzer{
 	SimTime,

@@ -25,7 +25,6 @@ type Compositor struct {
 	App       *App
 	KB        *keyboard.Layout
 
-	cfg   render.Config
 	ui    *LoginUI
 	geoms map[keyboard.Page]*keyboard.Geometry
 	stats *statsTable
@@ -111,7 +110,6 @@ func NewCompositor(dev DeviceModel, screen geom.Size, refreshHz int, app *App, k
 		RefreshHz: refreshHz,
 		App:       app,
 		KB:        kb,
-		cfg:       render.DefaultConfig(),
 		stats:     tableFor(memoKey{app: app, kb: kb, screen: screen, version: dev.AndroidVersion}),
 	}
 }
@@ -234,7 +232,7 @@ func (c *Compositor) cached(k stateKey, build func() render.FrameStats) render.F
 func (c *Compositor) LaunchStats() render.FrameStats {
 	return c.cached(stateKey{kind: kindLaunch}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, 0, true)
-		return render.Render(&s, s.Bounds(), c.cfg)
+		return render.Render(&s, s.Bounds())
 	})
 }
 
@@ -248,7 +246,7 @@ func (c *Compositor) PopupShowStats(page keyboard.Page, r rune) render.FrameStat
 			return render.FrameStats{}
 		}
 		damage := c.Geometry(page).Bounds.Union(popup)
-		return render.Render(&s, damage, c.cfg)
+		return render.Render(&s, damage)
 	})
 }
 
@@ -262,7 +260,7 @@ func (c *Compositor) PopupHideStats(page keyboard.Page, r rune) render.FrameStat
 			return render.FrameStats{}
 		}
 		damage := c.Geometry(page).Bounds.Union(popup)
-		return render.Render(&s, damage, c.cfg)
+		return render.Render(&s, damage)
 	})
 }
 
@@ -271,7 +269,7 @@ func (c *Compositor) PopupHideStats(page keyboard.Page, r rune) render.FrameStat
 func (c *Compositor) EchoStats(n int, cursorOn bool) render.FrameStats {
 	return c.cached(stateKey{kind: kindEcho, n: n, on: cursorOn}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, n, cursorOn)
-		return render.Render(&s, c.loginUI().Password, c.cfg)
+		return render.Render(&s, c.loginUI().Password)
 	})
 }
 
@@ -280,7 +278,7 @@ func (c *Compositor) EchoStats(n int, cursorOn bool) render.FrameStats {
 func (c *Compositor) CursorStats(n int, on bool) render.FrameStats {
 	return c.cached(stateKey{kind: kindCursor, n: n, on: on}, func() render.FrameStats {
 		s := c.scene(keyboard.PageLower, 0, n, on)
-		return render.Render(&s, c.loginUI().CursorRect(n).Inset(-2), c.cfg)
+		return render.Render(&s, c.loginUI().CursorRect(n).Inset(-2))
 	})
 }
 
@@ -296,7 +294,7 @@ func (c *Compositor) NotifStats(n int) render.FrameStats {
 			prims = append(prims, render.Quad(geom.Rect{X0: x, Y0: sb.Y0 + 4, X1: x + iconW, Y1: sb.Y1 - 4}, false))
 		}
 		s.Add(render.Layer{Z: 8, Name: "notif", Prims: prims})
-		return render.Render(&s, sb, c.cfg)
+		return render.Render(&s, sb)
 	})
 }
 
@@ -326,7 +324,7 @@ func (c *Compositor) SwitchFrameStats(i, total int) render.FrameStats {
 			prims = append(prims, render.Quad(band.Intersect(full), false))
 		}
 		s.Add(render.Layer{Z: 5, Name: "cards", Prims: prims})
-		return render.Render(&s, full, c.cfg)
+		return render.Render(&s, full)
 	})
 }
 
@@ -352,7 +350,7 @@ func (c *Compositor) AnimFrameStats(phase int) render.FrameStats {
 			render.Quad(orn.Intersect(band), false),
 			render.Quad(spark.Intersect(band), false),
 		}})
-		return render.Render(&s, band, c.cfg)
+		return render.Render(&s, band)
 	})
 }
 
@@ -384,6 +382,6 @@ func (c *Compositor) FrameDuration(st render.FrameStats, gpuLoad float64) sim.Ti
 func (c *Compositor) KeyboardRedrawStats(page keyboard.Page) render.FrameStats {
 	return c.cached(stateKey{kind: kindPopupHide, page: page, r: -1}, func() render.FrameStats {
 		s := c.scene(page, 0, 0, false)
-		return render.Render(&s, c.Geometry(page).Bounds, c.cfg)
+		return render.Render(&s, c.Geometry(page).Bounds)
 	})
 }

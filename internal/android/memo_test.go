@@ -31,7 +31,6 @@ var statsKinds = []struct {
 func fresh(c *Compositor) *Compositor {
 	return &Compositor{
 		Device: c.Device, Screen: c.Screen, RefreshHz: c.RefreshHz, App: c.App, KB: c.KB,
-		cfg:   render.DefaultConfig(),
 		stats: &statsTable{m: make(map[stateKey]render.FrameStats)},
 	}
 }

@@ -48,7 +48,7 @@ type Attack struct {
 	Models []*Model
 	// Interval is the counter polling period (default 8 ms).
 	Interval sim.Time
-	// Options tune the online engine.
+	// Options holds the online engine's ablation settings.
 	Options OnlineOptions
 	// Retry bounds recovery from transient device errors during sampling.
 	// The zero value disables retrying — any device error aborts the run,

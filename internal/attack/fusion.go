@@ -17,57 +17,22 @@ import (
 // raw delta stream), so a fused result is as deterministic as its
 // inputs.
 
-// FusionOptions tunes decision-level fusion. The zero value selects
-// defaults scaled to the primary channel's polling interval.
-type FusionOptions struct {
-	// Window is the cross-channel alignment window: a secondary detection
-	// within Window of a primary key refers to the same press. Default:
-	// 1.5 primary intervals + 1 ms, the engine's own gap tolerance.
-	Window sim.Time
-	// DedupWindow suppresses secondary-driven recovery near an existing
-	// key, mirroring the engine's §5.1 duplication window (default 75 ms):
-	// a secondary detection that close is the same press's echo/popup
-	// redraw, not a missed key.
-	DedupWindow sim.Time
-	// RelaxCth widens the primary model's acceptance threshold during
-	// family-restricted recovery (default 2.0): with the candidate set cut
-	// to one popup-geometry family by the secondary channel, a laxer
-	// distance bound no longer risks cross-family confusion.
-	RelaxCth float64
-	// FamilyEps bounds the weighted distance under the secondary model
+// Fusion's fixed parameters. Its time windows come from the primary's
+// polling interval (windowsFor): detections align within the engine's
+// gap tolerance, and a nearby key within Ti (dedupWindow) is the same
+// press's popup or echo redraw seen from the other side, not a missed
+// key.
+const (
+	// relaxCth widens the primary model's acceptance threshold during
+	// family-restricted recovery: with the candidate set cut to one
+	// popup-geometry family by the secondary channel, a laxer distance
+	// bound no longer risks cross-family confusion.
+	relaxCth = 2.0
+	// familyEps bounds the weighted distance under the secondary model
 	// within which two key centroids count as indistinguishable — members
-	// of one family (default 1e-6, exact collisions only).
-	FamilyEps float64
-	// EvidenceWindow bounds how far from a secondary detection the
-	// primary's unattributed deltas are searched during recovery. A press
-	// lost to a tick-drop burst surfaces as a merged delta at the first
-	// read AFTER the burst, so this is wider than the alignment window:
-	// default 5 primary intervals + 1 ms, one interval past the engine's
-	// resync gap.
-	EvidenceWindow sim.Time
-}
-
-func (o FusionOptions) withDefaults(interval sim.Time) FusionOptions {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	if o.Window == 0 {
-		o.Window = interval*3/2 + sim.Millisecond
-	}
-	if o.DedupWindow == 0 {
-		o.DedupWindow = 75 * sim.Millisecond
-	}
-	if o.RelaxCth <= 0 {
-		o.RelaxCth = 2.0
-	}
-	if o.FamilyEps <= 0 {
-		o.FamilyEps = 1e-6
-	}
-	if o.EvidenceWindow == 0 {
-		o.EvidenceWindow = 5*interval + sim.Millisecond
-	}
-	return o
-}
+	// of one family (exact collisions only).
+	familyEps = 1e-6
+)
 
 // FusionResult is the outcome of fusing two single-channel runs.
 type FusionResult struct {
@@ -87,7 +52,7 @@ type FusionResult struct {
 // Fuse merges a finished primary run with a finished secondary run.
 // pm/sm are the two channels' models, pds the primary trace's deltas
 // (the sub-threshold evidence pool for recovery), and interval the
-// primary polling period the default windows scale from.
+// primary polling period the windows scale from.
 //
 // Two rules, applied per secondary detection in time order:
 //
@@ -103,8 +68,8 @@ type FusionResult struct {
 //     gap-merged deltas). Only evidence-backed keys are inserted — a
 //     detection with no primary residue is left unresolved rather than
 //     guessed.
-func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, interval sim.Time, opts FusionOptions) *FusionResult {
-	opts = opts.withDefaults(interval)
+func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, interval sim.Time) *FusionResult {
+	win := windowsFor(interval)
 	pm.buildIndex()
 	out := &FusionResult{Primary: pres, Secondary: sres}
 
@@ -128,18 +93,18 @@ func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, i
 			}
 		}
 
-		if nearest >= 0 && nearestGap <= opts.Window {
+		if nearest >= 0 && nearestGap <= win.gapTolerance {
 			p := &fused[nearest]
 			if p.Alt != 0 &&
-				!sameFamily(sm, s.R, p.R, opts.FamilyEps) &&
-				sameFamily(sm, s.R, p.Alt, opts.FamilyEps) {
+				!sameFamily(sm, s.R, p.R) &&
+				sameFamily(sm, s.R, p.Alt) {
 				p.R, p.Alt = p.Alt, p.R
 				p.Margin = -p.Margin
 				out.Flipped++
 			}
 			continue
 		}
-		if nearest >= 0 && nearestGap <= opts.DedupWindow {
+		if nearest >= 0 && nearestGap <= dedupWindow {
 			// The same press's popup/echo redraw seen from the other side;
 			// nothing was missed.
 			continue
@@ -147,7 +112,7 @@ func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, i
 
 		// Recovery: re-score the primary's unattributed deltas near the
 		// detection against the secondary's family only.
-		if r, ok := recoverKey(pm, sm, pds, s, attributed, opts); ok {
+		if r, ok := recoverKey(pm, sm, pds, s, attributed, win); ok {
 			fused = append(fused, r)
 			attributed[r.At] = true
 			out.Recovered++
@@ -168,14 +133,14 @@ func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, i
 }
 
 // sameFamily reports whether the secondary model cannot tell two keys
-// apart: their centroids coincide within eps in its weighted space.
-func sameFamily(sm *Model, a, b rune, eps float64) bool {
+// apart: their centroids coincide within familyEps in its weighted space.
+func sameFamily(sm *Model, a, b rune) bool {
 	ca, okA := sm.Keys[string(a)]
 	cb, okB := sm.Keys[string(b)]
 	if !okA || !okB {
 		return false
 	}
-	return ca.Dist(cb, sm.Weights) <= eps
+	return ca.Dist(cb, sm.Weights) <= familyEps
 }
 
 // recoverKey searches the primary's unattributed deltas around a
@@ -183,18 +148,18 @@ func sameFamily(sm *Model, a, b rune, eps float64) bool {
 // the detection's key family. Gap-merged deltas (the press summed with
 // neighboring redraws) are matched through the model's noise signatures,
 // exactly like ClassifyDenoised but family-bounded.
-func recoverKey(pm, sm *Model, pds []trace.Delta, s InferredKey, attributed map[sim.Time]bool, opts FusionOptions) (InferredKey, bool) {
-	lo := sort.Search(len(pds), func(i int) bool { return pds[i].At >= s.At-opts.Window })
-	bestR, bestScore := rune(0), pm.Cth*opts.RelaxCth
+func recoverKey(pm, sm *Model, pds []trace.Delta, s InferredKey, attributed map[sim.Time]bool, win windows) (InferredKey, bool) {
+	lo := sort.Search(len(pds), func(i int) bool { return pds[i].At >= s.At-win.gapTolerance })
+	bestR, bestScore := rune(0), pm.Cth*relaxCth
 	var bestAt sim.Time
-	for i := lo; i < len(pds) && pds[i].At <= s.At+opts.EvidenceWindow; i++ {
+	for i := lo; i < len(pds) && pds[i].At <= s.At+win.evidence; i++ {
 		d := pds[i]
 		if attributed[d.At] {
 			continue
 		}
 		for name, c := range pm.Keys {
 			r := firstRune(name)
-			if !sameFamily(sm, s.R, r, opts.FamilyEps) {
+			if !sameFamily(sm, s.R, r) {
 				continue
 			}
 			score := d.V.Dist(c, pm.Weights)

@@ -329,19 +329,6 @@ func (m *Model) noiseTol() float64 {
 	return m.Cth / 3
 }
 
-// KeyNormMax returns the largest weighted norm among key centroids — the
-// magnitude, in noise-sigma units, of the biggest per-key delta this
-// configuration produces. Useful for sizing obfuscation amplitudes.
-func (m *Model) KeyNormMax() float64 {
-	max := 0.0
-	for _, c := range m.Keys {
-		if n := c.Norm(m.Weights); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // MinInterKeyDistance returns the smallest pairwise weighted distance
 // between key centroids — the resolution limit of the side channel on
 // this configuration.

@@ -351,14 +351,6 @@ func TestModelRunes(t *testing.T) {
 	}
 }
 
-func TestKeyNormMax(t *testing.T) {
-	m := tinyModel()
-	nb := keyB().Norm(m.Weights)
-	if got := m.KeyNormMax(); math.Abs(got-nb) > 1e-9 {
-		t.Fatalf("KeyNormMax = %v, want %v", got, nb)
-	}
-}
-
 func TestMinInterKeyDistance(t *testing.T) {
 	m := tinyModel()
 	want := keyA().Dist(keyB(), m.Weights)

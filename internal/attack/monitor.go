@@ -19,27 +19,11 @@ import (
 // preloaded per-configuration models. Low-duty polling while waiting
 // keeps the background service cheap (§7.6).
 
-// MonitorOptions tunes the launch watcher.
-type MonitorOptions struct {
-	// IdleInterval is the low-duty polling period while waiting for a
-	// launch (default 4x the eavesdropping interval).
-	IdleInterval sim.Time
-	// Tolerance is the relative fingerprint mismatch accepted as a launch.
-	// Different login screens sit ~2-4% apart in relative fingerprint
-	// distance while a re-render of the same screen stays within ~0.1%,
-	// so the default is 0.01.
-	Tolerance float64
-}
-
-func (o MonitorOptions) withDefaults(interval sim.Time) MonitorOptions {
-	if o.IdleInterval == 0 {
-		o.IdleInterval = 4 * interval
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.01
-	}
-	return o
-}
+// launchTolerance is the relative fingerprint mismatch accepted as a
+// launch. Different login screens sit ~2-4% apart in relative
+// fingerprint distance while a re-render of the same screen stays within
+// ~0.1%.
+const launchTolerance = 0.01
 
 // MonitorResult reports a monitored eavesdropping run.
 type MonitorResult struct {
@@ -55,26 +39,26 @@ type MonitorResult struct {
 }
 
 // MonitorAndEavesdrop runs the full Figure-4 online phase: low-duty
-// polling until a target-app launch fingerprint appears, then full-rate
-// eavesdropping until end. f is any Probe; with a.Retry enabled,
-// transient device errors during the idle wait cost at most the missed
-// tick (plus a re-reservation when the counter group was revoked)
-// instead of aborting the watch.
-func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time, opts MonitorOptions) (*MonitorResult, error) {
+// polling (every 4 eavesdropping intervals) until a target-app launch
+// fingerprint appears, then full-rate eavesdropping until end. f is any
+// Probe; with a.Retry enabled, transient device errors during the idle
+// wait cost at most the missed tick (plus a re-reservation when the
+// counter group was revoked) instead of aborting the watch.
+func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time) (*MonitorResult, error) {
 	interval := a.Interval
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	opts = opts.withDefaults(interval)
+	idleInterval := windowsFor(interval).idle
 
-	s, err := NewSamplerTaxonomy(f, opts.IdleInterval, a.Retry, a.Errors)
+	s, err := NewSamplerTaxonomy(f, idleInterval, a.Retry, a.Errors)
 	if err != nil {
 		return nil, err
 	}
 	s.Obs = a.Obs
 
 	idle := a.Obs.Start(start, evIdleWait,
-		obs.Int("idle_interval_us", int(opts.IdleInterval)))
+		obs.Int("idle_interval_us", int(idleInterval)))
 	out := &MonitorResult{}
 	prev, err := f.ReadSelected(start)
 	havePrev := err == nil
@@ -92,7 +76,7 @@ func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time, opts MonitorO
 	var detected *Model
 	var detectedAt sim.Time
 	badTicks := 0
-	for t := start + opts.IdleInterval; t <= end; t += opts.IdleInterval {
+	for t := start + idleInterval; t <= end; t += idleInterval {
 		cur, err := f.ReadSelected(t)
 		if err != nil {
 			// A transient failure while idling costs at most the missed
@@ -138,12 +122,12 @@ func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time, opts MonitorO
 		// Match every suffix sum against every model fingerprint.
 		var sum trace.Vec
 		for i := len(win) - 1; i >= 0; i-- {
-			if win[i].at < t-2*opts.IdleInterval-sim.Millisecond {
+			if win[i].at < t-2*idleInterval-sim.Millisecond {
 				break
 			}
 			sum = sum.Add(win[i].v)
 			for _, m := range a.Models {
-				if launchMatch(m, sum) <= opts.Tolerance {
+				if launchMatch(m, sum) <= launchTolerance {
 					detected = m
 					detectedAt = t
 					break

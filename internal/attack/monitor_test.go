@@ -25,7 +25,7 @@ func TestMonitorDetectsLaunchAndEavesdrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	atk := New(m)
-	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End, MonitorOptions{})
+	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMonitorDoesNotFireOnForeignUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	atk := New(m)
-	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End, MonitorOptions{})
+	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,6 @@ type CollectOptions struct {
 	// Repeats is how many times each key is emulated (paper's bot presses
 	// every key repeatedly to confirm deltas are stable).
 	Repeats int
-	// Interval is the counter polling period during collection.
-	Interval sim.Time
 	// Workers caps how many collection sessions run concurrently: 1 is
 	// fully serial, 0 (the default) uses one worker per CPU. Every task
 	// derives its RNG seed from (Config.Seed, task index) alone, so the
@@ -40,20 +38,22 @@ type CollectOptions struct {
 	Channel string
 }
 
-func (o CollectOptions) withDefaults(vsync sim.Time) CollectOptions {
+func (o CollectOptions) withDefaults() CollectOptions {
 	if o.Repeats == 0 {
 		o.Repeats = 3
 	}
-	if o.Interval == 0 {
-		// §7.4: read at no more than half the refresh interval, so every
-		// frame is covered by at least one reading. On 120 Hz panels the
-		// default 8 ms would merge adjacent frames.
-		o.Interval = DefaultInterval
-		if half := vsync / 2; half < o.Interval {
-			o.Interval = half
-		}
-	}
 	return o
+}
+
+// collectInterval is the counter polling period during collection. §7.4:
+// read at no more than half the refresh interval, so every frame is
+// covered by at least one reading. On 120 Hz panels the default 8 ms
+// would merge adjacent frames.
+func collectInterval(vsync sim.Time) sim.Time {
+	if half := vsync / 2; half < DefaultInterval {
+		return half
+	}
+	return DefaultInterval
 }
 
 // ModelKeyForChannel derives the classifier identity from a victim
@@ -223,7 +223,7 @@ type taskOut struct {
 // directions (the trailing press switches symbol→lower) and cursor
 // blinks. Its key windows are labeled so press deltas cannot pollute
 // adjacent noise windows, then discarded.
-func collectSweep(ch channel.Channel, opts CollectOptions, sess *victim.Session, alphabet []rune, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
+func collectSweep(ch channel.Channel, interval sim.Time, sess *victim.Session, alphabet []rune, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
 	var script input.Script
 	t := 600 * sim.Millisecond
 	press := func(r rune) {
@@ -242,7 +242,7 @@ func collectSweep(ch channel.Channel, opts CollectOptions, sess *victim.Session,
 		obs.Str("kind", "sweep"), obs.Int("keys", len(alphabet)))
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
-	sums, got, err := sampleWindows(ch, sess, opts.Interval, wins, obsTr)
+	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)
 	if err != nil {
 		return taskOut{}, err
 	}
@@ -275,7 +275,7 @@ func collectSweep(ch channel.Channel, opts CollectOptions, sess *victim.Session,
 // single key with nothing else on screen, yielding one candidate centroid
 // for that key. Cursor blink is disabled — the sweep task learns blink
 // signatures — so the key window is as clean as the hardware allows.
-func collectKey(ch channel.Channel, cfg victim.Config, opts CollectOptions, r rune, repeat int, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
+func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune, repeat int, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
 	cfg.DisableCursorBlink = true
 	sess := victim.New(cfg)
 	script := input.Script{Events: []input.Event{{
@@ -287,7 +287,7 @@ func collectKey(ch channel.Channel, cfg victim.Config, opts CollectOptions, r ru
 		obs.Str("kind", "key"), obs.Str("rune", string(r)), obs.Int("repeat", repeat))
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
-	sums, got, err := sampleWindows(ch, sess, opts.Interval, wins, obsTr)
+	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)
 	if err != nil {
 		return taskOut{}, err
 	}
@@ -345,8 +345,10 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 	// The sweep session is created eagerly: it also supplies the vsync
 	// period and alphabet that shape the task list.
 	sweepSess := victim.New(taskCfg(0))
-	opts = opts.withDefaults(sweepSess.Comp.VsyncPeriod())
-	wlen := windowLen(opts.Interval, sweepSess.Comp.VsyncPeriod())
+	opts = opts.withDefaults()
+	vsync := sweepSess.Comp.VsyncPeriod()
+	interval := collectInterval(vsync)
+	wlen := windowLen(interval, vsync)
 	alphabet := sweepSess.Comp.KB.TypableRunes()
 	if len(alphabet) == 0 {
 		return nil, fmt.Errorf("attack: keyboard %q has no typable keys", sweepSess.Comp.KB.Name)
@@ -374,9 +376,9 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 
 	outs, err := parallel.MapCtx(ctx, opts.Workers, nTasks, func(i int) (taskOut, error) {
 		if i == 0 {
-			return collectSweep(ch, opts, sweepSess, alphabet, wlen, child(0))
+			return collectSweep(ch, interval, sweepSess, alphabet, wlen, child(0))
 		}
-		return collectKey(ch, taskCfg(i), opts, alphabet[(i-1)%nKeys], (i-1)/nKeys, wlen, child(i))
+		return collectKey(ch, taskCfg(i), interval, alphabet[(i-1)%nKeys], (i-1)/nKeys, wlen, child(i))
 	})
 	if err != nil {
 		return nil, err

@@ -19,66 +19,76 @@ type InferredKey struct {
 	Margin float64
 }
 
-// OnlineOptions tunes the §5 online inference engine. Zero values select
-// the paper's defaults; the Disable* switches exist for ablation studies.
-type OnlineOptions struct {
-	// DedupWindow is Ti of §5.1: a PC change within Ti of an inferred key
+// Algorithm 1's fixed parameters. The paper sets them once for every
+// device and app; only its ablations vary Ti or turn a step off, which
+// OnlineOptions covers.
+const (
+	// dedupWindow is Ti of §5.1: a PC change within Ti of an inferred key
 	// press cannot be another key press. Paper value: 75 ms.
-	DedupWindow sim.Time
-	// SplitWindow bounds how far apart two fragments of a split delta can
-	// be and still be combined. Defaults to 2.5 polling intervals.
-	SplitWindow sim.Time
-	// BurstGap/BurstLen parameterize app-switch detection (§5.2): a run of
-	// BurstLen large deltas, each within BurstGap of the previous one.
-	BurstGap sim.Time
-	BurstLen int
+	dedupWindow = 75 * sim.Millisecond
+	// burstGap and burstLen define an app switch (§5.2, Figure 13): a run
+	// of burstLen large deltas, each within burstGap of the previous one.
+	burstGap = 50 * sim.Millisecond
+	burstLen = 5
+)
 
-	// GapTolerance flags a delta whose sampling gap exceeds it (late or
-	// singly-dropped ticks): pending split fragments are discarded because
-	// the delta may aggregate unrelated events, but classification still
-	// runs. Defaults to 1.5 polling intervals, which no fault-free trace
-	// exceeds. ResyncGap abandons inference across the gap entirely
-	// (abandon-and-resync): the aggregated delta is untrustworthy, so the
-	// engine clears its short-term state and waits for fresh evidence.
-	// Defaults to 4 polling intervals.
-	GapTolerance sim.Time
-	ResyncGap    sim.Time
+// windows are the online phase's time bounds that scale with the
+// polling interval.
+type windows struct {
+	// split bounds how far apart two fragments of a split delta can be
+	// and still be combined: 2.5 intervals + 1 ms.
+	split sim.Time
+	// gapTolerance flags a delta whose sampling gap exceeds it (late or
+	// singly-dropped ticks): pending split fragments are discarded
+	// because the delta may aggregate unrelated events, but
+	// classification still runs. 1.5 intervals + 1 ms, which no
+	// fault-free trace exceeds. Fusion aligns the two channels'
+	// detections of one press within the same bound.
+	gapTolerance sim.Time
+	// resync abandons inference across a gap this long entirely
+	// (abandon-and-resync): the aggregated delta is untrustworthy, so
+	// the engine clears its short-term state and waits for fresh
+	// evidence. 4 intervals.
+	resync sim.Time
+	// evidence bounds how far from a secondary detection fusion searches
+	// the primary's unattributed deltas. A press lost to a tick-drop
+	// burst surfaces as a merged delta at the first read AFTER the
+	// burst, so this reaches one interval + 1 ms past resync.
+	evidence sim.Time
+	// idle is the launch monitor's low-duty polling period: 4 intervals.
+	idle sim.Time
+}
+
+// windowsFor derives the time bounds for a polling interval
+// (DefaultInterval when interval <= 0).
+func windowsFor(interval sim.Time) windows {
+	if interval <= 0 {
+		interval = DefaultInterval
+	}
+	return windows{
+		split:        interval*5/2 + sim.Millisecond,
+		gapTolerance: interval*3/2 + sim.Millisecond,
+		resync:       4 * interval,
+		evidence:     5*interval + sim.Millisecond,
+		idle:         4 * interval,
+	}
+}
+
+// OnlineOptions holds the §5 online engine's ablation settings. The zero
+// value is the paper's engine.
+type OnlineOptions struct {
+	// DedupWindow overrides Ti of §5.1 (default 75 ms).
+	DedupWindow sim.Time
 
 	// Ablation switches.
 	DisableDedup        bool
 	DisableSplitCombine bool
-	DisableSwitchDetect bool
 	DisableCorrections  bool
-	DisableGapHandling  bool
 }
 
-func (o OnlineOptions) withDefaults(interval sim.Time) OnlineOptions {
+func (o OnlineOptions) withDefaults() OnlineOptions {
 	if o.DedupWindow == 0 {
-		o.DedupWindow = 75 * sim.Millisecond
-	}
-	if o.SplitWindow == 0 {
-		if interval <= 0 {
-			interval = DefaultInterval
-		}
-		o.SplitWindow = interval*5/2 + sim.Millisecond
-	}
-	if o.BurstGap == 0 {
-		o.BurstGap = 50 * sim.Millisecond
-	}
-	if o.BurstLen == 0 {
-		o.BurstLen = 5
-	}
-	if o.GapTolerance == 0 {
-		if interval <= 0 {
-			interval = DefaultInterval
-		}
-		o.GapTolerance = interval*3/2 + sim.Millisecond
-	}
-	if o.ResyncGap == 0 {
-		if interval <= 0 {
-			interval = DefaultInterval
-		}
-		o.ResyncGap = 4 * interval
+		o.DedupWindow = dedupWindow
 	}
 	return o
 }
@@ -115,6 +125,7 @@ func (s EngineStats) Residual() int {
 type Engine struct {
 	model    *Model
 	opts     OnlineOptions
+	win      windows
 	stats    EngineStats
 	obs      *obs.Tracer
 	classify func(at sim.Time, v trace.Vec) Verdict
@@ -149,7 +160,8 @@ func NewEngine(m *Model, interval sim.Time, opts OnlineOptions) *Engine {
 	}
 	e := &Engine{
 		model: m,
-		opts:  opts.withDefaults(interval),
+		opts:  opts.withDefaults(),
+		win:   windowsFor(interval),
 		bigPx: 1.25 * maxPx,
 	}
 	e.classify = func(_ sim.Time, v trace.Vec) Verdict { return m.ClassifyDenoised(v) }
@@ -190,8 +202,8 @@ func (e *Engine) Process(d trace.Delta) {
 	// invalidates pending fragments (the halves may not belong together)
 	// but the delta itself is classified normally. Fault-free traces have
 	// Gap == interval, so neither branch ever fires on them.
-	if !e.opts.DisableGapHandling && d.Gap > 0 {
-		if d.Gap >= e.opts.ResyncGap {
+	if d.Gap > 0 {
+		if d.Gap >= e.win.resync {
 			e.stats.Resyncs++
 			e.pending = nil
 			e.runLen = 0
@@ -199,7 +211,7 @@ func (e *Engine) Process(d trace.Delta) {
 			e.emitVerdict(d, Verdict{}, "gap_resync")
 			return
 		}
-		if d.Gap > e.opts.GapTolerance {
+		if d.Gap > e.win.gapTolerance {
 			e.stats.Gaps++
 			e.pending = nil
 		}
@@ -213,56 +225,54 @@ func (e *Engine) Process(d trace.Delta) {
 	// denser than human typing and far larger than any popup (Figure 13).
 	// Suppression ends when a delta again matches a signature learned on
 	// the target application's login screen: the user is back.
-	if !e.opts.DisableSwitchDetect {
-		if e.suppressed {
-			if v.IsKey || v.IsNoise {
-				// Back in the target application (§5.2's end-of-switch
-				// burst has passed and a known signature reappeared).
-				e.suppressed = false
-				e.stats.Switches++
-				e.runLen = 0
-				e.haveBig = false
-				if e.obs != nil {
-					e.obs.Emit(d.At, evAppSwitch, obs.Str("phase", "resume"))
-				}
-				// Fall through: this delta belongs to the target app.
-			} else {
-				e.emitVerdict(d, v, "suppressed")
-				return
-			}
-		} else if !v.IsKey && !v.IsNoise && d.V[3] >= e.bigPx {
-			if e.haveBig && d.At-e.lastBigAt < e.opts.BurstGap {
-				e.runLen++
-			} else {
-				e.runLen = 1
-				e.runStartAt = d.At
-			}
-			e.lastBigAt = d.At
-			e.haveBig = true
-			if e.runLen >= e.opts.BurstLen {
-				e.suppressed = true
-				e.stats.Switches++
-				e.pending = nil
-				// Retract keys mistakenly inferred since the burst began —
-				// they were switch-animation frames, not typing.
-				cutoff := e.runStartAt - sim.Millisecond
-				retracted := 0
-				for len(e.keys) > 0 && e.keys[len(e.keys)-1].At >= cutoff {
-					e.keys = e.keys[:len(e.keys)-1]
-					e.stats.Keys--
-					retracted++
-				}
-				if e.obs != nil {
-					e.obs.Emit(d.At, evAppSwitch,
-						obs.Str("phase", "burst"), obs.Int("retracted", retracted))
-				}
-				e.emitVerdict(d, v, "switch_burst")
-				return
-			}
-		} else if v.IsKey || v.IsNoise {
+	if e.suppressed {
+		if v.IsKey || v.IsNoise {
+			// Back in the target application (§5.2's end-of-switch
+			// burst has passed and a known signature reappeared).
+			e.suppressed = false
+			e.stats.Switches++
 			e.runLen = 0
 			e.haveBig = false
+			if e.obs != nil {
+				e.obs.Emit(d.At, evAppSwitch, obs.Str("phase", "resume"))
+			}
+			// Fall through: this delta belongs to the target app.
+		} else {
+			e.emitVerdict(d, v, "suppressed")
+			return
 		}
+	} else if !v.IsKey && !v.IsNoise && d.V[3] >= e.bigPx {
+		if e.haveBig && d.At-e.lastBigAt < burstGap {
+			e.runLen++
+		} else {
+			e.runLen = 1
+			e.runStartAt = d.At
+		}
+		e.lastBigAt = d.At
+		e.haveBig = true
+		if e.runLen >= burstLen {
+			e.suppressed = true
+			e.stats.Switches++
+			e.pending = nil
+			// Retract keys mistakenly inferred since the burst began —
+			// they were switch-animation frames, not typing.
+			cutoff := e.runStartAt - sim.Millisecond
+			retracted := 0
+			for len(e.keys) > 0 && e.keys[len(e.keys)-1].At >= cutoff {
+				e.keys = e.keys[:len(e.keys)-1]
+				e.stats.Keys--
+				retracted++
+			}
+			if e.obs != nil {
+				e.obs.Emit(d.At, evAppSwitch,
+					obs.Str("phase", "burst"), obs.Int("retracted", retracted))
+			}
+			e.emitVerdict(d, v, "switch_burst")
+			return
+		}
+	} else if v.IsKey || v.IsNoise {
+		e.runLen = 0
+		e.haveBig = false
 	}
 
 	// --- §5.1 duplication suppression ----------------------------------
@@ -289,7 +299,7 @@ func (e *Engine) Process(d trace.Delta) {
 		e.emitVerdict(d, v, "noise")
 	default:
 		if !e.opts.DisableSplitCombine && e.pending != nil &&
-			d.At-e.pendingLast <= e.opts.SplitWindow && e.pendingChain < 8 {
+			d.At-e.pendingLast <= e.win.split && e.pendingChain < 8 {
 			combined := e.pending.V.Add(d.V)
 			cv := e.classify(e.pending.At, combined)
 			if cv.IsKey || cv.IsNoise {

@@ -261,16 +261,6 @@ func TestEngineBurstRetractsRecentKeys(t *testing.T) {
 	}
 }
 
-func TestEngineSwitchDetectDisabled(t *testing.T) {
-	e := NewEngine(tinyModel(), 8*sim.Millisecond, OnlineOptions{DisableSwitchDetect: true})
-	for i := 0; i < 8; i++ {
-		e.Process(trace.Delta{At: ms(500 + int64(i)*10), V: burstVec()})
-	}
-	if e.Suppressed() {
-		t.Fatal("suppressed despite ablation")
-	}
-}
-
 func TestEngineStatsAccounting(t *testing.T) {
 	e := newTestEngine()
 	e.Process(trace.Delta{At: ms(100), V: keyA()})
@@ -284,20 +274,35 @@ func TestEngineStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestOnlineOptionsDefaults(t *testing.T) {
-	o := OnlineOptions{}.withDefaults(8 * sim.Millisecond)
-	if o.DedupWindow != 75*sim.Millisecond {
-		t.Fatalf("Ti = %v", o.DedupWindow)
+// TestDerivedWindows pins every fixed parameter of the online phase and
+// the windows it derives from the polling interval: the engine's, the
+// fusion rules' and the launch monitor's. A zero interval means
+// DefaultInterval.
+func TestDerivedWindows(t *testing.T) {
+	if ti := (OnlineOptions{}).withDefaults().DedupWindow; dedupWindow != 75*sim.Millisecond || ti != dedupWindow {
+		t.Errorf("Ti = %v, default DedupWindow = %v, want 75ms", dedupWindow, ti)
 	}
-	if o.BurstGap != 50*sim.Millisecond || o.BurstLen != 5 {
-		t.Fatalf("burst params = %v/%d", o.BurstGap, o.BurstLen)
+	if burstGap != 50*sim.Millisecond || burstLen != 5 {
+		t.Errorf("app-switch burst = %v x %d, want 50ms x 5", burstGap, burstLen)
 	}
-	if o.SplitWindow != 21*sim.Millisecond {
-		t.Fatalf("split window = %v", o.SplitWindow)
+	if relaxCth != 2 || familyEps != 1e-6 || launchTolerance != 0.01 {
+		t.Errorf("relaxed Cth x%v, family eps %v, launch tolerance %v; want x2, 1e-6, 0.01",
+			relaxCth, familyEps, launchTolerance)
 	}
-	o2 := OnlineOptions{}.withDefaults(0)
-	if o2.SplitWindow <= 0 {
-		t.Fatal("zero-interval split window")
+	for _, c := range []struct {
+		interval sim.Time
+		want     windows
+	}{
+		{8 * sim.Millisecond, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32)}},
+		{4 * sim.Millisecond, windows{split: ms(11), gapTolerance: ms(7), resync: ms(16), evidence: ms(21), idle: ms(16)}},
+		{0, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32)}},
+	} {
+		if got := windowsFor(c.interval); got != c.want {
+			t.Errorf("windowsFor(%v) = %+v, want %+v", c.interval, got, c.want)
+		}
+		if got := NewEngine(tinyModel(), c.interval, OnlineOptions{}).win; got != c.want {
+			t.Errorf("NewEngine at %v uses %+v, want %+v", c.interval, got, c.want)
+		}
 	}
 }
 

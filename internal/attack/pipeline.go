@@ -197,7 +197,7 @@ func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamE
 	pl, sl := st.Legs[0], st.Legs[1]
 	pri, sec := out.Legs[0], out.Legs[1]
 	out.Fusion = Fuse(pl.Attack.Models[0], pri.Trace.Deltas(), pri.Result,
-		sl.Attack.Models[0], sec.Result, pl.Channel.Interval, FusionOptions{})
+		sl.Attack.Models[0], sec.Result, pl.Channel.Interval)
 	out.Result = out.Fusion.Fused
 	return out, nil
 }

@@ -145,7 +145,7 @@ func TestPipelineRunShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pri, sec := fused.Legs[0], fused.Legs[1]
-	wantFused := Fuse(m, pri.Trace.Deltas(), pri.Result, sm, sec.Result, DefaultInterval, FusionOptions{})
+	wantFused := Fuse(m, pri.Trace.Deltas(), pri.Result, sm, sec.Result, DefaultInterval)
 	if !reflect.DeepEqual(fused.Fusion, wantFused) || fused.Result != fused.Fusion.Fused {
 		t.Errorf("fused outcome differs from Fuse over its legs")
 	}

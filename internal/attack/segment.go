@@ -35,8 +35,6 @@ type OfflineResult struct {
 // Recovered keys from pass 2 are merged into the timeline with the same
 // Ti duplication rule.
 func SegmentTrace(m *Model, ds []trace.Delta, interval sim.Time, opts OnlineOptions) OfflineResult {
-	opts = opts.withDefaults(interval)
-
 	// Pass 1: streaming engine, recording which deltas it consumed.
 	eng := NewEngine(m, interval, opts)
 	consumed := make([]bool, len(ds))
@@ -68,7 +66,7 @@ func SegmentTrace(m *Model, ds []trace.Delta, interval sim.Time, opts OnlineOpti
 		if consumed[i] {
 			continue
 		}
-		if len(cur) > 0 && d.At-lastAt > opts.SplitWindow {
+		if len(cur) > 0 && d.At-lastAt > eng.win.split {
 			clusters = append(clusters, cluster{idx: cur})
 			cur = nil
 		}
@@ -91,7 +89,7 @@ func SegmentTrace(m *Model, ds []trace.Delta, interval sim.Time, opts OnlineOpti
 	// pass-1 timeline.
 	merged := append([]InferredKey(nil), keys...)
 	for _, k := range recovered {
-		if !violatesTi(merged, k.At, opts.DedupWindow) {
+		if !violatesTi(merged, k.At, eng.opts.DedupWindow) {
 			merged = append(merged, k)
 		}
 	}

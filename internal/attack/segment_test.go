@@ -93,7 +93,7 @@ func TestSegmentClusterBailsOnStorms(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ds = append(ds, trace.Delta{At: ms(100 + int64(i)*4), V: junk})
 	}
-	res := SegmentTrace(m, ds, 8*sim.Millisecond, OnlineOptions{DisableSwitchDetect: true})
+	res := SegmentTrace(m, ds, 8*sim.Millisecond, OnlineOptions{})
 	if len(res.Keys) != 0 {
 		t.Fatalf("storm produced keys: %q", keysText(res.Keys))
 	}

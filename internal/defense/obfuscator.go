@@ -12,14 +12,12 @@ import (
 // small random GPU workloads in the background, so global counters carry
 // a monotone random walk on top of real work. Amplitude is the mean extra
 // counter increment per vsync-sized bucket, expressed as a fraction of
-// Scale (the typical key-press delta of that counter). It implements
-// kgsl.Obfuscator and backs the "noise" defense.
+// DefaultCounterScale (the typical key-press delta of that counter). It
+// implements kgsl.Obfuscator and backs the "noise" defense.
 type NoiseObfuscator struct {
 	// Amplitude is the obfuscation strength: 0 disables, 1 injects
 	// key-press-sized noise every bucket (heavy GPU cost).
 	Amplitude float64
-	// Scale is the per-counter reference magnitude (typical key delta).
-	Scale [adreno.NumSelected]uint64
 	// Seed makes the injected workload stream reproducible.
 	Seed uint64
 
@@ -65,20 +63,16 @@ func (o *NoiseObfuscator) cumNoise(k adreno.CounterKey, idx, b int) uint64 {
 }
 
 // DefaultCounterScale holds representative per-counter key-press delta
-// magnitudes (OnePlus 8 Pro, FHD+, GBoard), used when Scale is unset.
+// magnitudes (OnePlus 8 Pro, FHD+, GBoard).
 var DefaultCounterScale = [adreno.NumSelected]uint64{
 	1600, 26000, 4000, 2_900_000, 480_000, 2400, 58000, 52000, 1700, 13000, 80,
 }
 
 // increment draws the injected work for one bucket: uniform in
-// [0, 2*Amplitude*Scale], so the mean rate is Amplitude*Scale per bucket.
+// [0, 2*Amplitude*scale], so the mean rate is Amplitude*scale per bucket.
 func (o *NoiseObfuscator) increment(idx, b int) uint64 {
-	scale := o.Scale[idx]
-	if scale == 0 {
-		scale = DefaultCounterScale[idx]
-	}
 	h := splitmix(o.Seed ^ uint64(idx)<<32 ^ uint64(b))
-	max := uint64(2 * o.Amplitude * float64(scale))
+	max := uint64(2 * o.Amplitude * float64(DefaultCounterScale[idx]))
 	if max == 0 {
 		return 0
 	}
@@ -115,9 +109,6 @@ type RBACPolicy struct {
 	// AllowedContexts lists SELinux contexts with global PC access
 	// (profilers, platform tooling).
 	AllowedContexts map[string]bool
-	// RestrictedGroups limits enforcement to specific counter groups;
-	// empty means all groups are restricted.
-	RestrictedGroups map[uint32]bool
 }
 
 // NewRBACPolicy builds the paper's recommended policy: platform and shell
@@ -132,24 +123,9 @@ func NewRBACPolicy() *RBACPolicy {
 	}
 }
 
-// RestrictOverdrawGroupsOnly narrows the policy to the LRZ/RAS/VPC groups
-// the attack needs, leaving other counters readable (a compatibility
-// compromise discussed in §9.2).
-func (p *RBACPolicy) RestrictOverdrawGroupsOnly() *RBACPolicy {
-	p.RestrictedGroups = map[uint32]bool{
-		adreno.GroupLRZ: true,
-		adreno.GroupRAS: true,
-		adreno.GroupVPC: true,
-	}
-	return p
-}
-
 // AllowPerfcounterRead implements kgsl.Policy.
-func (p *RBACPolicy) AllowPerfcounterRead(ctx kgsl.ProcContext, k adreno.CounterKey) error {
+func (p *RBACPolicy) AllowPerfcounterRead(ctx kgsl.ProcContext, _ adreno.CounterKey) error {
 	if p.AllowedContexts[ctx.SELinuxContext] {
-		return nil
-	}
-	if len(p.RestrictedGroups) > 0 && !p.RestrictedGroups[k.Group] {
 		return nil
 	}
 	return kgsl.ErrPerm

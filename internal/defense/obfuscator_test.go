@@ -1,7 +1,7 @@
 package defense
 
-// Tests of the device-level §9 mechanisms: RBACPolicy's allowlist and
-// group scoping, and NoiseObfuscator's monotone, seeded, amplitude-scaled
+// Tests of the device-level §9 mechanisms: RBACPolicy's allowlist, and
+// NoiseObfuscator's monotone, seeded, amplitude-scaled
 // injected work and its GPU cost model.
 
 import (
@@ -28,19 +28,6 @@ func TestRBACAllowsProfiler(t *testing.T) {
 	k := adreno.CounterKey{Group: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}
 	if err := p.AllowPerfcounterRead(ctx, k); err != nil {
 		t.Fatalf("shell denied: %v", err)
-	}
-}
-
-func TestRBACGroupScoping(t *testing.T) {
-	p := NewRBACPolicy().RestrictOverdrawGroupsOnly()
-	ctx := kgsl.UntrustedApp(77)
-	lrz := adreno.CounterKey{Group: adreno.GroupLRZ, Countable: adreno.LRZVisiblePrimAfterLRZ}
-	sp := adreno.CounterKey{Group: adreno.GroupSP, Countable: 0}
-	if err := p.AllowPerfcounterRead(ctx, lrz); err == nil {
-		t.Fatal("overdraw group readable under scoped policy")
-	}
-	if err := p.AllowPerfcounterRead(ctx, sp); err != nil {
-		t.Fatalf("non-overdraw group blocked: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@ func RunAblationDedup(o Options) (*Result, error) {
 		"Ti", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func RunAblationSplit(o Options) (*Result, error) {
 		"combining", "text acc", "char acc", "splits recovered")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func RunAblationThreshold(o Options) (*Result, error) {
 		"Cth scale", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	base, err := TrainModel(cfg)
+	base, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 		"counters", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	base, err := TrainModel(cfg)
+	base, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func RunAblationCorrections(o Options) (*Result, error) {
 		"corrections", "trace acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 	cfg := DefaultConfig()
 	// Stress splits: a slower GPU fragments more frames.
 	cfg.Device = androidLGV30()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -165,11 +165,11 @@ func runArmsTournament(o Options, trials int) (*ArmsReport, error) {
 	}
 
 	cfg := DefaultConfig()
-	pm, err := TrainModelChannel(cfg, o.Workers, "")
+	pm, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
-	sm, err := TrainModelChannel(cfg, o.Workers, proccount.Name)
+	sm, err := TrainModel(cfg, o.Workers, proccount.Name)
 	if err != nil {
 		return nil, err
 	}

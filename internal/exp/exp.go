@@ -118,24 +118,15 @@ var (
 	modelCache = map[string]*modelEntry{}
 )
 
-// TrainModel returns the (cached) classifier for a configuration,
-// training with one collection worker per CPU.
-func TrainModel(cfg victim.Config) (*attack.Model, error) {
-	return TrainModelWorkers(cfg, 0)
-}
-
-// TrainModelWorkers is TrainModel with an explicit collection worker
-// count (1 = serial, 0 = one per CPU). The worker count never changes the
-// trained model — collection is byte-identical at any worker count — so
-// it is not part of the cache key.
-func TrainModelWorkers(cfg victim.Config, workers int) (*attack.Model, error) {
-	return TrainModelChannel(cfg, workers, "")
-}
-
-// TrainModelChannel is TrainModelWorkers on a named side channel (empty =
-// the default KGSL channel); models of different channels cache under
-// different keys.
-func TrainModelChannel(cfg victim.Config, workers int, channel string) (*attack.Model, error) {
+// TrainModel returns the (cached) classifier for a configuration on a
+// named side channel (empty = the default KGSL channel), training with
+// the given collection worker count (1 = serial, 0 = one per CPU).
+// Models of different channels cache under different keys. The worker
+// count never changes the trained model — collection is byte-identical at
+// any worker count — so it is not part of the cache key. Training takes
+// no context: the cache keeps an entry's error for good, so a canceled
+// caller must not be able to store one.
+func TrainModel(cfg victim.Config, workers int, channel string) (*attack.Model, error) {
 	train := cfg
 	train.RenderJitter = 0
 	train.CPULoad = 0

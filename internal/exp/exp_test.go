@@ -394,7 +394,7 @@ func TestRunBatchParallelDeterminism(t *testing.T) {
 	// The worker pool assigns sessions by index; results must be
 	// identical across runs regardless of scheduling.
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestRunBatchParallelDeterminism(t *testing.T) {
 // paper's regime.
 func TestCalibrationRobustAcrossSeeds(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

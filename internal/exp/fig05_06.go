@@ -92,7 +92,7 @@ func RunFig6(o Options) (*Result, error) {
 		"key", "lrz_full_8x8", "ras_supertile_cycles")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func RunFig12(o Options) (*Result, error) {
 	res := newResult("fig12", "Figure 12 / §5.1: keys vs system noise in signature space",
 		"noise class", "count", "min dist to any key (sigma)", "verdict")
 
-	m, err := TrainModel(DefaultConfig())
+	m, err := TrainModel(DefaultConfig(), o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

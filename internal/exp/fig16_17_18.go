@@ -52,7 +52,7 @@ func RunFig17(o Options) (*Result, error) {
 		"length", "text acc", "char acc", "mean errors")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func RunFig18(o Options) (*Result, error) {
 		"key", "accuracy", "trials")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func RunFig19(o Options) (*Result, error) {
 	batches, err := parallel.Map(o.Workers, len(android.TargetApps), func(ai int) (*BatchResult, error) {
 		cfg := DefaultConfig()
 		cfg.App = android.TargetApps[ai]
-		m, err := TrainModelWorkers(cfg, o.Workers)
+		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +58,7 @@ func RunFig20(o Options) (*Result, error) {
 	batches, err := parallel.Map(o.Workers, len(keyboard.All), func(ki int) (*BatchResult, error) {
 		cfg := DefaultConfig()
 		cfg.Keyboard = keyboard.All[ki]
-		m, err := TrainModelWorkers(cfg, o.Workers)
+		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +97,7 @@ func RunFig21(o Options) (*Result, error) {
 	cfg := DefaultConfig()
 	// Speed sensitivity comes from noise accumulating over the longer
 	// trace; keep the default notification rate.
-	m, err := TrainModelWorkers(cfg, o.Workers)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

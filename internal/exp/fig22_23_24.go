@@ -21,7 +21,7 @@ func RunFig22(o Options) (*Result, error) {
 		"load", "level", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModelWorkers(cfg, o.Workers)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func RunFig23(o Options) (*Result, error) {
 		hz, ii := refreshes[i/len(intervals)], i%len(intervals)
 		cfg := DefaultConfig()
 		cfg.RefreshHz = hz
-		m, err := TrainModelWorkers(cfg, o.Workers)
+		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +164,7 @@ func RunFig24(o Options) (*Result, error) {
 
 	batches, err := parallel.Map(o.Workers, len(cfgs), func(i int) (*BatchResult, error) {
 		cfg := cfgs[i].cfg
-		m, err := TrainModelWorkers(cfg, o.Workers)
+		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func RunFig28(o Options) (*Result, error) {
 		for si := 0; si < per; si++ {
 			cfg := DefaultConfig()
 			cfg.App = apps[(vi*per+si)%len(apps)]
-			m, err := TrainModel(cfg)
+			m, err := TrainModel(cfg, o.Workers, "")
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func RunFig29(o Options) (*Result, error) {
 
 	// Baseline: Chase (no animation).
 	base := DefaultConfig()
-	mBase, err := TrainModel(base)
+	mBase, err := TrainModel(base, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func RunFig29(o Options) (*Result, error) {
 	// perturb the counters.
 	pnc := DefaultConfig()
 	pnc.App = android.PNC
-	mPNC, err := TrainModel(pnc)
+	mPNC, err := TrainModel(pnc, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func RunModelSize(o Options) (*Result, error) {
 	res := newResult("modelsize", "§7.6: classification model storage",
 		"quantity", "value")
 
-	m, err := TrainModel(DefaultConfig())
+	m, err := TrainModel(DefaultConfig(), o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -73,11 +73,11 @@ func fusionOnce(o Options, cfg victim.Config, pm, sm *attack.Model,
 // TestFusionBeatsBestSingleChannel requires it to exceed 0.01.
 func RunFusion(o Options) (*Result, error) {
 	cfg := DefaultConfig()
-	pm, err := TrainModelChannel(cfg, o.Workers, "")
+	pm, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
-	sm, err := TrainModelChannel(cfg, o.Workers, proccount.Name)
+	sm, err := TrainModel(cfg, o.Workers, proccount.Name)
 	if err != nil {
 		return nil, err
 	}

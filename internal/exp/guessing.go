@@ -19,7 +19,7 @@ func RunGuessing(o Options) (*Result, error) {
 		"k", "accuracy@k")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

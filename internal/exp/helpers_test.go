@@ -62,11 +62,11 @@ func TestTrialsScaling(t *testing.T) {
 }
 
 func TestTrainModelCacheStable(t *testing.T) {
-	a, err := TrainModel(DefaultConfig())
+	a, err := TrainModel(DefaultConfig(), 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainModel(DefaultConfig())
+	b, err := TrainModel(DefaultConfig(), 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

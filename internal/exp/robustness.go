@@ -147,7 +147,7 @@ func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text str
 func runChaosProfiles(o Options, profiles []fault.Profile, trials int) (*ChaosReport, error) {
 	const textLen = 8
 	cfg := DefaultConfig()
-	m, err := TrainModelWorkers(cfg, o.Workers)
+	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

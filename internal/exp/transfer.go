@@ -23,7 +23,7 @@ func RunTransfer(o Options) (*Result, error) {
 	models, err := parallel.Map(o.Workers, len(devices), func(i int) (*attack.Model, error) {
 		cfg := DefaultConfig()
 		cfg.Device = devices[i]
-		return TrainModelWorkers(cfg, o.Workers)
+		return TrainModel(cfg, o.Workers, "")
 	})
 	if err != nil {
 		return nil, err

@@ -57,23 +57,6 @@ func GlyphPrims(g glyph.Glyph, box geom.Rect) []Prim {
 	return out
 }
 
-// TextPrims lays the string out left-to-right in a line box, one glyph box
-// per character with 10% letter spacing, and tessellates each glyph.
-func TextPrims(text string, line geom.Rect, charW int) []Prim {
-	var out []Prim
-	x := line.X0
-	adv := charW + charW/10
-	for _, r := range text {
-		box := geom.Rect{X0: x, Y0: line.Y0, X1: x + charW, Y1: line.Y1}
-		out = append(out, GlyphPrims(glyph.MustLookup(r), box)...)
-		x += adv
-		if x >= line.X1 {
-			break // clipped by the field, as real text layout does
-		}
-	}
-	return out
-}
-
 // Layer is a z-ordered group of primitives (an Android rendering layer:
 // window background, keyboard surface, popup surface, ...).
 type Layer struct {
@@ -94,17 +77,6 @@ func (s *Scene) Add(l Layer) {
 	sort.SliceStable(s.Layers, func(i, j int) bool { return s.Layers[i].Z < s.Layers[j].Z })
 }
 
-// Remove deletes all layers with the given name.
-func (s *Scene) Remove(name string) {
-	out := s.Layers[:0]
-	for _, l := range s.Layers {
-		if l.Name != name {
-			out = append(out, l)
-		}
-	}
-	s.Layers = out
-}
-
 // Clone returns a deep-enough copy: layer slice is copied, prim slices are
 // shared (prims are immutable by convention).
 func (s *Scene) Clone() Scene {
@@ -116,24 +88,16 @@ func (s *Scene) Clone() Scene {
 // Bounds returns the full-screen rectangle.
 func (s *Scene) Bounds() geom.Rect { return geom.XYWH(0, 0, s.Screen.W, s.Screen.H) }
 
-// Config holds the tile geometry of a GPU model. Adreno uses 8x8 low
-// resolution Z tiles, 8x4 rasterizer tiles and larger binning supertiles.
-type Config struct {
-	LRZTileW, LRZTileH int
-	RASTileW, RASTileH int
-	SuperW, SuperH     int
-	VertexComponents   int // shaded components per vertex (position + color + uv)
-}
-
-// DefaultConfig is the Adreno 6xx tile geometry.
-func DefaultConfig() Config {
-	return Config{
-		LRZTileW: 8, LRZTileH: 8,
-		RASTileW: 8, RASTileH: 4,
-		SuperW: 32, SuperH: 32,
-		VertexComponents: 8,
-	}
-}
+// The Adreno 6xx tile geometry: 8x8 low resolution Z tiles, 8x4
+// rasterizer tiles and 32x32 binning supertiles.
+const (
+	lrzTileW, lrzTileH = 8, 8
+	rasTileW, rasTileH = 8, 4
+	superW, superH     = 32, 32
+	// vertexComponents is the shaded components per vertex (position +
+	// color + uv).
+	vertexComponents = 8
+)
 
 // FrameStats are the per-frame deltas of every modeled performance
 // counter. Field order mirrors Table 1 of the paper.
@@ -160,22 +124,6 @@ type FrameStats struct {
 	TotalPixels uint64
 }
 
-// Add accumulates o into f.
-func (f *FrameStats) Add(o FrameStats) {
-	f.VisiblePrimAfterLRZ += o.VisiblePrimAfterLRZ
-	f.FullTiles8x8 += o.FullTiles8x8
-	f.PartialTiles8x8 += o.PartialTiles8x8
-	f.VisiblePixelAfterLRZ += o.VisiblePixelAfterLRZ
-	f.SupertileActiveCycles += o.SupertileActiveCycles
-	f.SuperTiles += o.SuperTiles
-	f.Tiles8x4 += o.Tiles8x4
-	f.FullyCovered8x4 += o.FullyCovered8x4
-	f.PCPrimitives += o.PCPrimitives
-	f.SPComponents += o.SPComponents
-	f.LRZAssignPrimitives += o.LRZAssignPrimitives
-	f.TotalPixels += o.TotalPixels
-}
-
 // IsZero reports whether no work was recorded.
 func (f FrameStats) IsZero() bool { return f == FrameStats{} }
 
@@ -189,7 +137,7 @@ func (f FrameStats) String() string {
 // partial-update path (EGL_KHR_partial_update): an unchanged screen incurs
 // no GPU work at all, which is why the paper's counters stay flat between
 // user inputs.
-func Render(s *Scene, damage geom.Rect, cfg Config) FrameStats {
+func Render(s *Scene, damage geom.Rect) FrameStats {
 	var stats FrameStats
 	damage = damage.Intersect(s.Bounds())
 	if damage.Empty() {
@@ -218,7 +166,7 @@ func Render(s *Scene, damage geom.Rect, cfg Config) FrameStats {
 		// Vertex pipeline (VPC) counters see every submitted primitive,
 		// before LRZ culling.
 		stats.PCPrimitives += uint64(d.tris)
-		stats.SPComponents += uint64(d.verts * cfg.VertexComponents)
+		stats.SPComponents += uint64(d.verts * vertexComponents)
 		if d.opaque {
 			stats.LRZAssignPrimitives += uint64(d.tris)
 		}
@@ -243,15 +191,15 @@ func Render(s *Scene, damage geom.Rect, cfg Config) FrameStats {
 		stats.VisiblePixelAfterLRZ += area
 		stats.TotalPixels += area
 
-		lrz := geom.Tiles(d.clip, cfg.LRZTileW, cfg.LRZTileH)
+		lrz := geom.Tiles(d.clip, lrzTileW, lrzTileH)
 		stats.FullTiles8x8 += uint64(lrz.Full)
 		stats.PartialTiles8x8 += uint64(lrz.Partial())
 
-		ras := geom.Tiles(d.clip, cfg.RASTileW, cfg.RASTileH)
+		ras := geom.Tiles(d.clip, rasTileW, rasTileH)
 		stats.Tiles8x4 += uint64(ras.Touched)
 		stats.FullyCovered8x4 += uint64(ras.Full)
 
-		st := geom.Tiles(d.clip, cfg.SuperW, cfg.SuperH)
+		st := geom.Tiles(d.clip, superW, superH)
 		stats.SuperTiles += uint64(st.Touched)
 		stats.SupertileActiveCycles += uint64(st.Touched*16) + area/4
 	}

@@ -16,14 +16,14 @@ func testScene() *Scene {
 
 func TestEmptyDamageIsFree(t *testing.T) {
 	s := testScene()
-	if got := Render(s, geom.Rect{}, DefaultConfig()); !got.IsZero() {
+	if got := Render(s, geom.Rect{}); !got.IsZero() {
 		t.Fatalf("empty damage produced work: %+v", got)
 	}
 }
 
 func TestFullScreenBackground(t *testing.T) {
 	s := testScene()
-	st := Render(s, s.Bounds(), DefaultConfig())
+	st := Render(s, s.Bounds())
 	if st.VisiblePrimAfterLRZ != 2 {
 		t.Fatalf("background prims = %d, want 2 triangles", st.VisiblePrimAfterLRZ)
 	}
@@ -48,7 +48,7 @@ func TestOcclusionCullsLowerPrim(t *testing.T) {
 	s.Add(Layer{Z: 10, Name: "popup", Prims: []Prim{popup}})
 
 	damage := geom.XYWH(0, 0, 300, 300)
-	st := Render(s, damage, DefaultConfig())
+	st := Render(s, damage)
 
 	// Background clipped to damage is NOT fully contained in the popup, so
 	// it stays; the key IS fully inside the popup, so LRZ culls it.
@@ -73,7 +73,7 @@ func TestOverdrawCountsTilesPerPrim(t *testing.T) {
 	r := geom.XYWH(0, 0, 64, 64)
 	s.Add(Layer{Z: 1, Name: "a", Prims: []Prim{Quad(r, false)}})
 	s.Add(Layer{Z: 2, Name: "b", Prims: []Prim{Quad(r, false)}})
-	st := Render(s, r, DefaultConfig())
+	st := Render(s, r)
 	// background(64 full tiles) + a(64) + b(64) = 192
 	if st.FullTiles8x8 != 192 {
 		t.Fatalf("full tiles = %d, want 192 (3x overdraw)", st.FullTiles8x8)
@@ -88,7 +88,7 @@ func TestOpaqueTopCullsEverythingBelow(t *testing.T) {
 	r := geom.XYWH(0, 0, 64, 64)
 	s.Add(Layer{Z: 1, Name: "mid", Prims: []Prim{Quad(r, false)}})
 	s.Add(Layer{Z: 2, Name: "top", Prims: []Prim{Quad(r, true)}})
-	st := Render(s, r, DefaultConfig())
+	st := Render(s, r)
 	// Only the top quad survives: background and mid are fully covered.
 	if st.VisiblePrimAfterLRZ != 2 {
 		t.Fatalf("visible prims = %d, want 2", st.VisiblePrimAfterLRZ)
@@ -100,8 +100,8 @@ func TestOpaqueTopCullsEverythingBelow(t *testing.T) {
 
 func TestDamageClipsWork(t *testing.T) {
 	s := testScene()
-	full := Render(s, s.Bounds(), DefaultConfig())
-	half := Render(s, geom.XYWH(0, 0, 1080, 1188), DefaultConfig())
+	full := Render(s, s.Bounds())
+	half := Render(s, geom.XYWH(0, 0, 1080, 1188))
 	if half.VisiblePixelAfterLRZ*2 != full.VisiblePixelAfterLRZ {
 		t.Fatalf("half damage pixels = %d, full = %d", half.VisiblePixelAfterLRZ, full.VisiblePixelAfterLRZ)
 	}
@@ -134,34 +134,12 @@ func TestGlyphPrimsEmptyForSpace(t *testing.T) {
 	}
 }
 
-func TestTextPrimsAdvance(t *testing.T) {
-	line := geom.XYWH(100, 100, 400, 48)
-	one := TextPrims("l", line, 32)
-	two := TextPrims("ll", line, 32)
-	if len(two) != 2*len(one) {
-		t.Fatalf("two chars prims = %d, want %d", len(two), 2*len(one))
-	}
-	// Second glyph must be advanced, not overdrawn on the first.
-	if two[0].Rect == two[1].Rect {
-		t.Fatal("glyphs not advanced")
-	}
-}
-
-func TestTextPrimsClipsAtFieldEnd(t *testing.T) {
-	line := geom.XYWH(0, 0, 64, 48)
-	long := TextPrims("llllllllllllllll", line, 32)
-	if len(long) > 3 {
-		t.Fatalf("text not clipped: %d prims", len(long))
-	}
-}
-
 func TestDifferentGlyphsDifferentStats(t *testing.T) {
-	cfg := DefaultConfig()
 	stats := func(r rune) FrameStats {
 		s := testScene()
 		box := geom.XYWH(500, 1800, 96, 120)
 		s.Add(Layer{Z: 10, Name: "popup", Prims: append([]Prim{Quad(box.Inset(-12), true)}, GlyphPrims(glyph.MustLookup(r), box)...)})
-		return Render(s, box.Inset(-12), cfg)
+		return Render(s, box.Inset(-12))
 	}
 	w := stats('w')
 	n := stats('n')
@@ -187,17 +165,6 @@ func TestSceneAddKeepsZOrder(t *testing.T) {
 	}
 }
 
-func TestSceneRemove(t *testing.T) {
-	s := &Scene{Screen: geom.Size{W: 100, H: 100}}
-	s.Add(Layer{Z: 1, Name: "keep"})
-	s.Add(Layer{Z: 2, Name: "popup"})
-	s.Add(Layer{Z: 3, Name: "popup"})
-	s.Remove("popup")
-	if len(s.Layers) != 1 || s.Layers[0].Name != "keep" {
-		t.Fatalf("Remove failed: %+v", s.Layers)
-	}
-}
-
 func TestCloneIsolation(t *testing.T) {
 	s := testScene()
 	c := s.Clone()
@@ -207,25 +174,15 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := FrameStats{VisiblePrimAfterLRZ: 1, TotalPixels: 10}
-	b := FrameStats{VisiblePrimAfterLRZ: 2, TotalPixels: 5, SuperTiles: 7}
-	a.Add(b)
-	if a.VisiblePrimAfterLRZ != 3 || a.TotalPixels != 15 || a.SuperTiles != 7 {
-		t.Fatalf("Add wrong: %+v", a)
-	}
-}
-
 // Property: rendering is deterministic and monotone in damage area.
 func TestRenderMonotoneInDamage(t *testing.T) {
 	s := testScene()
 	s.Add(Layer{Z: 3, Name: "card", Prims: []Prim{Quad(geom.XYWH(40, 200, 1000, 600), false)}})
-	cfg := DefaultConfig()
 	f := func(w, h uint16) bool {
 		small := geom.XYWH(0, 0, int(w)%1080, int(h)%2376)
 		grown := geom.XYWH(0, 0, int(w)%1080+40, int(h)%2376+40)
-		a := Render(s, small, cfg)
-		b := Render(s, grown, cfg)
+		a := Render(s, small)
+		b := Render(s, grown)
 		return b.VisiblePixelAfterLRZ >= a.VisiblePixelAfterLRZ &&
 			b.PCPrimitives >= a.PCPrimitives
 	}
@@ -241,7 +198,7 @@ func TestVisibleNeverExceedsSubmitted(t *testing.T) {
 	for _, r := range glyph.Runes() {
 		sc := s.Clone()
 		sc.Add(Layer{Z: 10, Name: "popup", Prims: append([]Prim{Quad(box, true)}, GlyphPrims(glyph.MustLookup(r), box.Inset(12))...)})
-		st := Render(&sc, box.Inset(-20), DefaultConfig())
+		st := Render(&sc, box.Inset(-20))
 		if st.VisiblePrimAfterLRZ > st.PCPrimitives {
 			t.Fatalf("rune %q: visible %d > submitted %d", r, st.VisiblePrimAfterLRZ, st.PCPrimitives)
 		}
@@ -286,6 +243,26 @@ func TestAtlasTextPlusTwoPrimsPerChar(t *testing.T) {
 			t.Fatalf("n=%d: %d quads", n, len(prims))
 		}
 	}
+}
+
+// TestAtlasTextPrims pins the in-field text layout: each character's
+// quad advances by its width plus 10% letter spacing, and layout stops at
+// the character that reaches the end of the field.
+func TestAtlasTextPrims(t *testing.T) {
+	t.Run("advances", func(t *testing.T) {
+		two := AtlasTextPrims("ll", geom.XYWH(100, 100, 400, 48), 32)
+		if len(two) != 2 {
+			t.Fatalf("two chars made %d quads, want 2", len(two))
+		}
+		if want := two[0].Rect.Translate(35, 0); two[1].Rect != want {
+			t.Fatalf("second quad at %v, want %v (advanced by 32+3)", two[1].Rect, want)
+		}
+	})
+	t.Run("clips_at_field_end", func(t *testing.T) {
+		if got := AtlasTextPrims("llllllllllllllll", geom.XYWH(0, 0, 64, 48), 32); len(got) != 2 {
+			t.Fatalf("16 chars in a 64 px field made %d quads, want 2", len(got))
+		}
+	})
 }
 
 func stringsRepeatBullet(n int) string {

@@ -56,7 +56,7 @@ type memberHealth struct {
 // NewMembership builds an empty membership over a fresh ring. downAfter
 // and upAfter are the consecutive-probe thresholds (<=0 selects 2 and 1:
 // evict on the second straight failure, readmit on the first success).
-func NewMembership(vnodes, downAfter, upAfter int) *Membership {
+func NewMembership(downAfter, upAfter int) *Membership {
 	if downAfter <= 0 {
 		downAfter = 2
 	}
@@ -64,7 +64,7 @@ func NewMembership(vnodes, downAfter, upAfter int) *Membership {
 		upAfter = 1
 	}
 	return &Membership{
-		ring:      New(vnodes),
+		ring:      New(),
 		states:    map[string]*memberHealth{},
 		downAfter: downAfter,
 		upAfter:   upAfter,

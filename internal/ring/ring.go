@@ -21,16 +21,16 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-member virtual-node count. 128 keeps the
+// virtualNodes is the per-member virtual-node count. 128 keeps the
 // keyspace split within a few percent of even for small fleets (pinned by
 // the balance test) at a memory cost of one (hash, index) pair each.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring over named members. The zero value is
-// unusable; build with New. Ring is not safe for concurrent mutation —
-// wrap it (or use Membership, which does) when updates race lookups.
+// an empty ring, as is New's result. Ring is not safe for concurrent
+// mutation — wrap it (or use Membership, which does) when updates race
+// lookups.
 type Ring struct {
-	vnodes  int
 	members []string // sorted
 	points  []point  // sorted by hash
 }
@@ -42,14 +42,8 @@ type point struct {
 	member int
 }
 
-// New builds an empty ring with the given virtual-node count per member
-// (<=0 selects DefaultVirtualNodes).
-func New(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodes}
-}
+// New builds an empty ring.
+func New() *Ring { return &Ring{} }
 
 // hashOf positions a string on the ring (64-bit FNV-1a: stable across
 // processes and platforms, which is what lets independent routers agree).
@@ -62,7 +56,7 @@ func hashOf(s string) uint64 {
 // mix is the splitmix64 finalizer. FNV over "member#i" strings leaves
 // enough structure to skew small rings by ±50%; running the member hash
 // and the virtual-node index through splitmix brings the spread within a
-// few percent of even at the default vnode count (pinned by the balance
+// few percent of even at virtualNodes per member (pinned by the balance
 // test).
 func mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -102,7 +96,7 @@ func (r *Ring) rebuild() {
 	r.points = r.points[:0]
 	for mi, m := range r.members {
 		mh := hashOf(m)
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, point{mix(mh ^ mix(uint64(v))), mi})
 		}
 	}

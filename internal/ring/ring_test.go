@@ -17,7 +17,7 @@ func keys(n int) []string {
 // the same members (in different orders) agree on every key, which is
 // what lets independent routers route identically.
 func TestRingDeterministic(t *testing.T) {
-	a, b := New(0), New(0)
+	a, b := New(), New()
 	for _, m := range []string{"r1", "r2", "r3"} {
 		a.Add(m)
 	}
@@ -37,7 +37,7 @@ func TestRingDeterministic(t *testing.T) {
 // member moves keys only onto it, removing a member moves only its own
 // keys, and the moved fraction is near 1/n.
 func TestRingMinimalMovement(t *testing.T) {
-	r := New(0)
+	r := New()
 	for i := 0; i < 9; i++ {
 		r.Add(fmt.Sprintf("replica-%d", i))
 	}
@@ -82,7 +82,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingBalance pins that virtual nodes spread the keyspace within a
 // reasonable factor of even.
 func TestRingBalance(t *testing.T) {
-	r := New(0)
+	r := New()
 	n := 8
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("replica-%d", i))
@@ -107,7 +107,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingOwners pins the failover list: distinct members, owner first,
 // truncated to the ring size.
 func TestRingOwners(t *testing.T) {
-	r := New(0)
+	r := New()
 	if got := r.Owners("k", 2); got != nil {
 		t.Fatalf("empty ring Owners = %v", got)
 	}
@@ -140,7 +140,7 @@ func TestRingOwners(t *testing.T) {
 // only after upAfter straight successes, leaves after downAfter straight
 // failures, and interleaved outcomes reset the counters.
 func TestMembershipThresholds(t *testing.T) {
-	ms := NewMembership(0, 2, 2)
+	ms := NewMembership(2, 2)
 	ms.Add("r1")
 	if got := ms.State("r1"); got != StateDown {
 		t.Fatalf("fresh member state %v, want down", got)
@@ -189,7 +189,7 @@ func TestMembershipThresholds(t *testing.T) {
 // the ring immediately, is reported distinctly from down, and rejoins
 // after enough healthy probes (restart finished).
 func TestMembershipDraining(t *testing.T) {
-	ms := NewMembership(0, 2, 1)
+	ms := NewMembership(2, 1)
 	for _, n := range []string{"r1", "r2"} {
 		ms.Add(n)
 		ms.ReportSuccess(n)

@@ -78,7 +78,7 @@ type matrixLine struct {
 // TestEavesdropRequestMatrix pins the served response of every request in
 // the matrix byte for byte.
 func TestEavesdropRequestMatrix(t *testing.T) {
-	s := NewServer(Options{Shards: 2, TrainRepeats: 2, TrainWorkers: 2})
+	s := NewServer(Options{Shards: 2, TrainWorkers: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -58,7 +58,7 @@ type regEntry struct {
 // NewRegistry builds a registry with nShards lock domains holding at most
 // capPerShard trained models each (minimums of 1 are enforced). train may
 // be nil, selecting the default offline phase (attack.CollectContext on
-// the configuration, 2 repeats).
+// the configuration, trainRepeats repeats).
 func NewRegistry(nShards, capPerShard int, train TrainFunc, m *obs.Metrics) *Registry {
 	if nShards < 1 {
 		nShards = 1
@@ -68,7 +68,7 @@ func NewRegistry(nShards, capPerShard int, train TrainFunc, m *obs.Metrics) *Reg
 	}
 	if train == nil {
 		train = func(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, error) {
-			return attack.CollectContext(ctx, cfg, attack.CollectOptions{Repeats: 2, Channel: channel})
+			return attack.CollectContext(ctx, cfg, attack.CollectOptions{Repeats: trainRepeats, Channel: channel})
 		}
 	}
 	r := &Registry{cap: capPerShard, train: train, m: m}

@@ -39,6 +39,17 @@ var (
 // free of wall-clock reads; clients treat it as a floor, not a promise.
 const retryAfterSeconds = "1"
 
+// trainRepeats is the offline phase's per-key repeat count for on-miss
+// training, matching the experiment layer's model cache. It is fixed, not
+// an option: a replica training with another count would serve a
+// different model under the same routing key, and the router's failover
+// replay assumes every replica serves the same bytes.
+const trainRepeats = 2
+
+// DefaultMaxSessions is Options.MaxSessions' default: the resident
+// streaming sessions one server holds.
+const DefaultMaxSessions = 64
+
 // Options tunes a Server. The zero value serves with 4 shards, 8 models
 // per shard, 2 workers + 8 waiters per shard queue, and no server-side
 // request timeout.
@@ -57,9 +68,6 @@ type Options struct {
 	// (0 = one per CPU). Never part of the model identity: models are
 	// byte-identical at any worker count.
 	TrainWorkers int
-	// TrainRepeats is the offline phase's per-key repeat count (default 2,
-	// matching the experiment layer's model cache).
-	TrainRepeats int
 	// RequestTimeout caps every request's deadline; clients may only
 	// shorten it (timeout_ms). Zero means no server-side cap.
 	RequestTimeout time.Duration
@@ -72,9 +80,10 @@ type Options struct {
 	// filtering an exported stream by track yields exactly one request's
 	// trace. Nil disables span recording; RED metrics still flow.
 	Obs *obs.Tracer
-	// MaxSessions caps resident streaming sessions (default 64). At the
-	// cap, creating a session evicts the oldest never-attached one; when
-	// every resident session is actively streaming, creation answers 429.
+	// MaxSessions caps resident streaming sessions (default
+	// DefaultMaxSessions). At the cap, creating a session evicts the
+	// oldest never-attached one; when every resident session is actively
+	// streaming, creation answers 429.
 	MaxSessions int
 	// SessionTimer, when non-nil, arms an idle timer per created session:
 	// it must schedule reap to run once after the daemon's idle deadline
@@ -104,9 +113,6 @@ func (o Options) withDefaults() Options {
 	if o.QueuePerShard < 1 {
 		o.QueuePerShard = 8
 	}
-	if o.TrainRepeats < 1 {
-		o.TrainRepeats = 2
-	}
 	if o.Metrics == nil {
 		if o.Obs != nil {
 			o.Metrics = o.Obs.Metrics()
@@ -115,7 +121,7 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.MaxSessions < 1 {
-		o.MaxSessions = 64
+		o.MaxSessions = DefaultMaxSessions
 	}
 	return o
 }
@@ -166,7 +172,7 @@ func NewServer(opts Options) *Server {
 	}
 	s.reg = NewRegistry(opts.Shards, opts.CachePerShard, func(ctx context.Context, cfg victim.Config, ch string) (*attack.Model, error) {
 		return attack.CollectContext(ctx, cfg, attack.CollectOptions{
-			Repeats: opts.TrainRepeats,
+			Repeats: trainRepeats,
 			Workers: opts.TrainWorkers,
 			Channel: ch,
 		})

@@ -106,11 +106,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Pick returns a uniformly chosen element of xs. It panics on empty input.
-func Pick[T any](r *Rand, xs []T) T {
-	return xs[r.Intn(len(xs))]
-}
-
 // Split derives an independent child generator. Use it to give each
 // subsystem its own stream so that adding draws in one subsystem does not
 // perturb another.

@@ -160,17 +160,3 @@ func TestRandSplitIndependence(t *testing.T) {
 		}
 	}
 }
-
-func TestPick(t *testing.T) {
-	r := NewRand(3)
-	xs := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 300; i++ {
-		counts[Pick(r, xs)]++
-	}
-	for _, x := range xs {
-		if counts[x] == 0 {
-			t.Fatalf("Pick never chose %q", x)
-		}
-	}
-}

@@ -1,13 +1,11 @@
 package gpuleak
 
-import "gpuleak/internal/sim"
-
 // Option is a functional option accepted by the facade's context-aware
-// entry points (TrainContext, OpenSampler, RunExperimentContext). Options
-// are a thin layer over the existing option structs — CollectOptions,
-// exp.Options and the sampler knobs keep working unchanged — so callers
-// can start with the one-liner and graduate to the structs when they need
-// the full surface.
+// entry points (TrainContext, RunExperimentContext, EavesdropSession).
+// Options are a thin layer over the existing option structs —
+// CollectOptions and exp.Options keep working unchanged — so callers can
+// start with the one-liner and graduate to the structs when they need the
+// full surface.
 type Option func(*apiOptions)
 
 // apiOptions is the merged knob set the functional options write into;
@@ -15,7 +13,6 @@ type Option func(*apiOptions)
 type apiOptions struct {
 	workers  int
 	obs      *Tracer
-	interval Time
 	repeats  int
 	channels []string
 }
@@ -37,10 +34,6 @@ func WithWorkers(n int) Option { return func(o *apiOptions) { o.workers = n } }
 // WithObs attaches a telemetry tracer (see NewTracer): offline-phase
 // spans, sampler spans and engine verdicts land on it deterministically.
 func WithObs(tr *Tracer) Option { return func(o *apiOptions) { o.obs = tr } }
-
-// WithInterval overrides the counter polling period (default 8 ms,
-// halved on panels faster than 60 Hz during training).
-func WithInterval(d Time) Option { return func(o *apiOptions) { o.interval = d } }
 
 // WithRepeats sets how many times the offline phase emulates each key
 // (default 3 for TrainContext, matching Train).
@@ -66,11 +59,10 @@ func WithChannels(names ...string) Option {
 // collect projects the options onto the offline phase's struct.
 func (o apiOptions) collect() CollectOptions {
 	return CollectOptions{
-		Repeats:  o.repeats,
-		Interval: o.interval,
-		Workers:  o.workers,
-		Obs:      o.obs,
-		Channel:  o.channel(),
+		Repeats: o.repeats,
+		Workers: o.workers,
+		Obs:     o.obs,
+		Channel: o.channel(),
 	}
 }
 
@@ -81,6 +73,3 @@ func (o apiOptions) channel() string {
 	}
 	return o.channels[0]
 }
-
-// samplerInterval resolves the polling period for OpenSampler.
-func (o apiOptions) samplerInterval() sim.Time { return o.interval }

@@ -73,7 +73,7 @@ func TestServedEavesdropMatchesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := serve.NewServer(serve.Options{Shards: 2, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	body := fmt.Sprintf(`{"text":%q,"seed":%d}`, text, seed)
@@ -134,7 +134,7 @@ func TestServedEavesdropMatchesLibrary(t *testing.T) {
 // channel and over kgsl+proccount fusion yields, field for field, the
 // response /v1/eavesdrop serves for the same scenario and models.
 func TestEavesdropSessionMatchesServed(t *testing.T) {
-	srv := serve.NewServer(serve.Options{Shards: 1, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -222,7 +222,7 @@ func TestServedPracticalSession(t *testing.T) {
 	sess := NewVictim(scen.Cfg)
 	sess.Run(PracticalSession(text, Volunteers[0], seed))
 
-	srv := serve.NewServer(serve.Options{Shards: 1, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	_, got := servedEavesdrop(t, ts.URL,
@@ -239,7 +239,7 @@ func TestServedPracticalSession(t *testing.T) {
 // "none" profile routed through the fault plane is byte-identical to not
 // asking for faults at all.
 func TestServedEavesdropDegradedMode(t *testing.T) {
-	srv := serve.NewServer(serve.Options{Shards: 1, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -117,7 +117,7 @@ func replayStream(t *testing.T, frames []sseFrame) string {
 // verdict sequence is byte-identical (only the session id in the "open"
 // frame may differ).
 func TestStreamedEavesdropMatchesOneShot(t *testing.T) {
-	srv := serve.NewServer(serve.Options{Shards: 2, TrainRepeats: 2})
+	srv := serve.NewServer(serve.Options{Shards: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	body := `{"text":"hunter2","seed":7}`
@@ -195,13 +195,12 @@ func TestStreamedEavesdropMatchesOneShot(t *testing.T) {
 // and the proccount channel — under concurrency that actually exercises
 // coalescing.
 func TestBatchedServingMatchesUnbatched(t *testing.T) {
-	plain := httptest.NewServer(serve.NewServer(serve.Options{Shards: 2, TrainRepeats: 2}))
+	plain := httptest.NewServer(serve.NewServer(serve.Options{Shards: 2}))
 	defer plain.Close()
 	batchedSrv := serve.NewServer(serve.Options{
-		Shards:       2,
-		TrainRepeats: 2,
-		BatchWindow:  8 * sim.Millisecond,
-		BatchMax:     16,
+		Shards:      2,
+		BatchWindow: 8 * sim.Millisecond,
+		BatchMax:    16,
 	})
 	batched := httptest.NewServer(batchedSrv)
 	defer batchedSrv.Close()
@@ -348,7 +347,7 @@ func TestStreamTraceContinuity(t *testing.T) {
 
 	run := func(workers int) ([]byte, []string) {
 		tr := obs.New()
-		srv := serve.NewServer(serve.Options{Shards: 2, TrainRepeats: 2, TrainWorkers: workers, Obs: tr})
+		srv := serve.NewServer(serve.Options{Shards: 2, TrainWorkers: workers, Obs: tr})
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		frames, comments := streamSessionTraced(t, ts.URL, body, tp)

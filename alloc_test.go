@@ -2,6 +2,7 @@ package gpuleak
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"gpuleak/internal/attack"
@@ -10,13 +11,15 @@ import (
 )
 
 // TestWarmPathAllocs is the measured allocation gate of the library hot
-// path. Allocation counts are deterministic, so a change that adds
-// per-session or per-tick allocations fails here instead of drifting in
-// a benchmark. Every path runs warm: the model is trained and the
-// frame-stats memo holds every frame the script renders. The per-stage
-// rows re-sample one session, re-extract its deltas and replay them
-// through the engine, segmentation and classify calls; a ceiling of 0
-// pins a stage to no allocation at all.
+// path. Allocation counts and bytes are deterministic, so a change that
+// adds per-session or per-tick allocations fails here instead of
+// drifting in a benchmark; the byte ceilings also catch an allocation
+// that grows without adding to the count, such as a slice stored per
+// tick. Every path runs warm: the model is trained and the frame-stats
+// memo holds every frame the script renders. The per-stage rows
+// re-sample one session, re-extract its deltas and replay them through
+// the engine, segmentation and classify calls; a ceiling of 0 pins a
+// stage to no allocation at all.
 func TestWarmPathAllocs(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 13}
 	m, err := TrainWith(cfg, CollectOptions{Repeats: 1})
@@ -52,6 +55,10 @@ func TestWarmPathAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		ceiling float64
+		// bytes is the ceiling on bytes allocated per run, about 15%
+		// above the measured reading (the same with and without -race);
+		// 0 leaves the row's bytes unchecked.
+		bytes uint64
 		// runs is 1000 for the batcher: under -race sync.Pool drops one
 		// Put in four and each refill allocates 3 times, so only a long
 		// run keeps the truncated mean (0.75) at 0, while a real
@@ -59,7 +66,7 @@ func TestWarmPathAllocs(t *testing.T) {
 		runs int
 		run  func()
 	}{
-		{"eavesdrop", 62, 10, func() {
+		{"eavesdrop", 43, 25500, 10, func() {
 			sess := NewVictim(cfg)
 			sess.Run(script)
 			f, err := sess.Open()
@@ -70,32 +77,32 @@ func TestWarmPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"victim session", 38, 10, func() { NewVictim(cfg).Run(script) }},
-		{"Sampler.Collect", 3, 10, func() {
+		{"victim session", 27, 22700, 10, func() { NewVictim(cfg).Run(script) }},
+		{"Sampler.Collect", 3, 7300, 10, func() {
 			if _, err := s.Collect(0, sess.End); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"Trace.Deltas", 1, 10, func() { tr.Deltas() }},
-		{"Model.Classify", 0, 10, func() {
+		{"Trace.Deltas", 0, 0, 10, func() { tr.Deltas() }},
+		{"Model.Classify", 0, 0, 10, func() {
 			for _, d := range ds {
 				m.Classify(d.V)
 			}
 		}},
-		{"Model.ClassifyDenoised", 0, 10, func() {
+		{"Model.ClassifyDenoised", 0, 0, 10, func() {
 			for _, d := range ds {
 				m.ClassifyDenoised(d.V)
 			}
 		}},
-		{"Batcher.Classify", 0, 1000, func() {
+		{"Batcher.Classify", 0, 0, 1000, func() {
 			d := ds[next%len(ds)]
 			next++
 			b.Classify(0, m, d.At, d.V)
 		}},
-		{"Engine.ProcessAll", 20, 10, func() {
+		{"Engine.ProcessAll", 7, 1400, 10, func() {
 			attack.NewEngine(m, attack.DefaultInterval, OnlineOptions{}).ProcessAll(ds)
 		}},
-		{"SegmentTrace", 60, 10, func() {
+		{"SegmentTrace", 27, 0, 10, func() {
 			attack.SegmentTrace(m, ds, attack.DefaultInterval, OnlineOptions{})
 		}},
 	} {
@@ -105,5 +112,28 @@ func TestWarmPathAllocs(t *testing.T) {
 		} else {
 			t.Logf("warm %s: %.0f allocations per run (ceiling %.0f)", c.name, got, c.ceiling)
 		}
+		if c.bytes == 0 {
+			continue
+		}
+		if got := bytesPerRun(c.runs, c.run); got > c.bytes {
+			t.Errorf("warm %s: %d bytes per run, ceiling %d", c.name, got, c.bytes)
+		} else {
+			t.Logf("warm %s: %d bytes per run (ceiling %d)", c.name, got, c.bytes)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of
+// runtime.MemStats.TotalAlloc over runs calls of f, after one warm-up
+// call, on one P as AllocsPerRun measures.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

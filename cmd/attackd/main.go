@@ -47,7 +47,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	modelPath := fs.String("model", "", "pretrained model JSON (default: train on the fly)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	practical := fs.Bool("practical", false, "inject corrections/app switches (§8 behavior)")
-	traceOut := fs.String("trace", "", "write the raw counter trace as CSV")
+	traceOut := fs.String("trace", "", "write the counter trace as CSV: the polling interval, the first read and every change point")
 	monitor := fs.Bool("monitor", false, "start with the Figure-4 monitoring service: the victim uses another app first, the attack waits for the target launch")
 	faults := fs.String("faults", "", "inject device faults from this profile (none,mild,moderate,severe,starve) and arm the retry policy")
 	faultSeed := fs.Int64("fault-seed", 0, "fault schedule seed (default: derived from -seed)")
@@ -166,7 +166,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		res = out.Result
 		if *traceOut != "" {
-			// Archive the raw counter trace the inference ran on.
+			// Archive the change points the inference ran on.
 			tr := out.Legs[0].Trace
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -179,7 +179,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			if err := f.Close(); err != nil {
 				return fmt.Errorf("writing %s: %w", *traceOut, err)
 			}
-			log.Printf("wrote counter trace to %s (%d samples)", *traceOut, tr.Len())
+			log.Printf("wrote counter trace to %s (%d reads, %d changes)", *traceOut, tr.Reads, len(tr.Deltas()))
 		}
 	}
 

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,8 +17,67 @@ import (
 	"gpuleak/internal/attack"
 	"gpuleak/internal/keyboard"
 	"gpuleak/internal/obs"
+	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
 )
+
+var update = flag.Bool("update", false, "rewrite the committed -trace capture")
+
+// capture is the counter trace attackd writes with -faults severe
+// -fault-seed 4 and every other flag at its default. cmd/traceview
+// replays it, and the trace package's fuzz test starts from it.
+const capture = "../../testdata/attackd_severe_seed4.csv"
+
+// TestRunWritesChangePointTrace pins attackd -trace on a faulted run:
+// the file is the committed capture byte for byte, and it holds the
+// polling interval, every successful read in its count and exactly the
+// change points the engine ran on. Regenerate the capture with
+//
+//	go test ./cmd/attackd -run TestRunWritesChangePointTrace -update
+func TestRunWritesChangePointTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	var stdout bytes.Buffer
+	if err := run(context.Background(), []string{"-faults", "severe", "-fault-seed", "4", "-trace", path}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	out := stdout.String()
+	if !strings.Contains(out, `eavesdropped : "hunter2pass"`) {
+		t.Fatalf("attackd output lacks the credential:\n%s", out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(capture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", capture, len(got))
+		return
+	}
+	want, err := os.ReadFile(capture)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("attackd -trace wrote %d bytes that differ from the committed %d-byte capture", len(got), len(want))
+	}
+	tr, err := trace.ReadCSV(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := regexp.MustCompile(`recovery     : \{Ticks:(\d+) .*DroppedTicks:(\d+) `).FindStringSubmatch(out)
+	if rec == nil {
+		t.Fatalf("attackd output lacks the recovery line:\n%s", out)
+	}
+	ticks, _ := strconv.Atoi(rec[1])
+	dropped, _ := strconv.Atoi(rec[2])
+	if tr.Interval != attack.DefaultInterval || tr.Reads != ticks-dropped ||
+		!strings.Contains(out, fmt.Sprintf("{Deltas:%d ", len(tr.Deltas()))) {
+		t.Fatalf("trace holds interval %v, %d reads and %d changes; want %v, %d-%d reads and the engine's delta count",
+			tr.Interval, tr.Reads, len(tr.Deltas()), attack.DefaultInterval, ticks, dropped)
+	}
+}
 
 // TestRunWritesTelemetry runs one seeded attack with -telemetry: the
 // eavesdrop must match the typed text, and the stream written must be

@@ -1,8 +1,10 @@
-// Command traceview is the defender's forensic lens: it loads a raw
-// counter trace (CSV, as written by attackd -trace) and optionally a
-// classifier model, prints the timeline of counter changes with their
-// classifications, and reports what an attacker holding that model could
-// have recovered. Use it to inspect what a given UI interaction leaks.
+// Command traceview is the defender's forensic lens: it loads a counter
+// trace (CSV, as written by attackd -trace: the polling interval, the
+// first read and every change point) and optionally a classifier model,
+// prints the timeline of counter changes with their classifications, and
+// replays Algorithm 1 at the recorded interval to report what an
+// attacker holding that model could have recovered. Use it to inspect
+// what a given UI interaction leaks.
 //
 // It also understands the telemetry streams written by attackd/collect/
 // benchpaper -telemetry: pass -telemetry to overlay recorded engine
@@ -41,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("traceview", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "counter trace CSV")
 	modelPath := fs.String("model", "", "classifier model JSON (optional: adds classifications)")
-	deltasOnly := fs.Bool("deltas", false, "print only changes, not every sample")
+	deltasOnly := fs.Bool("deltas", false, "print the changes without the table header")
 	offline := fs.Bool("offline", false, "use whole-trace segmentation instead of the streaming engine")
 	telemetryPath := fs.String("telemetry", "", "telemetry JSONL stream (overlays recorded verdicts; without -trace, prints a summary)")
 	telemetryChrome := fs.String("telemetry-chrome", "", "also convert the telemetry stream to a Chrome trace file at this path")
@@ -94,11 +96,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if tr.Interval == 0 && tr.Len() > 1 {
-		tr.Interval = tr.Samples[1].At - tr.Samples[0].At
-	}
-	fmt.Fprintf(stdout, "trace: %d samples, %v span, interval %v\n",
-		tr.Len(), tr.Samples[tr.Len()-1].At-tr.Samples[0].At, tr.Interval)
+	ds := tr.Deltas()
+	fmt.Fprintf(stdout, "trace: %d reads, the first at %v, interval %v\n", tr.Reads, tr.First.At, tr.Interval)
 
 	var m *attack.Model
 	if *modelPath != "" {
@@ -133,7 +132,6 @@ func run(args []string, stdout io.Writer) error {
 		verdicts[e.At] = s
 	}
 
-	ds := tr.Deltas()
 	fmt.Fprintf(stdout, "changes: %d\n\n", len(ds))
 	if !*deltasOnly {
 		fmt.Fprintln(stdout, "time        prims      pixels     classification")

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("captured trace: %d samples over %v\n", capture.Len(), sess.End)
+	fmt.Printf("captured trace: %d reads, %d changes over %v\n", capture.Reads, len(capture.Deltas()), sess.End)
 
 	// The auditor replays the attacker's pipeline over the capture.
 	model, err := gpuleak.Train(cfg)

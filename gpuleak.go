@@ -276,8 +276,8 @@ func PracticalSessionAt(text string, v Volunteer, seed int64, start Time) Script
 }
 
 // NewSamplerOn reserves the Table-1 counters on a device file and returns
-// the 8 ms sampler, for callers that want the raw trace (forensics,
-// offline segmentation). Set the returned Sampler's Obs to record its
+// the 8 ms sampler, for callers that want the trace of change points
+// (forensics, offline segmentation). Set the returned Sampler's Obs to record its
 // telemetry.
 func NewSamplerOn(f *KGSLFile) (*attack.Sampler, error) {
 	return attack.NewSampler(f, attack.DefaultInterval)

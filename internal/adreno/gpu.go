@@ -2,7 +2,6 @@ package adreno
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gpuleak/internal/render"
@@ -172,10 +171,15 @@ func (g *GPU) scaledVec(st render.FrameStats) [numVec]uint64 {
 }
 
 // Grow makes room for n more frames, so that submitting them does not
-// reallocate the timeline.
+// reallocate the timeline. It allocates with make, not slices.Grow,
+// whose appended make([]T, n) the race build allocates as well.
 func (g *GPU) Grow(n int) {
-	g.frames = slices.Grow(g.frames, n)
-	g.cum = slices.Grow(g.cum, n)
+	if cap(g.frames)-len(g.frames) < n {
+		g.frames = append(make([]Frame, 0, len(g.frames)+n), g.frames...)
+	}
+	if cap(g.cum)-len(g.cum) < n {
+		g.cum = append(make([][numVec]uint64, 0, len(g.cum)+n), g.cum...)
+	}
 }
 
 // Submit appends a frame to the timeline. Frames must be submitted in

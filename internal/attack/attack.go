@@ -61,11 +61,12 @@ type Attack struct {
 	// from its channel.
 	Errors fault.Taxonomy
 	// Classify, when non-nil, overrides per-delta classification for every
-	// engine this attack builds (Eavesdrop, EavesdropTrace and the
-	// streaming variants). It must agree with m.ClassifyDenoised(v) for
-	// every input — the hook exists so a serving tier can coalesce
-	// classification work across requests (micro-batching), never to
-	// change verdicts. at is the sim-time of the delta being classified.
+	// engine this attack builds (Eavesdrop, EavesdropTrace, the streaming
+	// variants and MonitorAndEavesdrop's full-rate phase). It must agree
+	// with m.ClassifyDenoised(v) for every input — the hook exists so a
+	// serving tier can coalesce classification work across requests
+	// (micro-batching), never to change verdicts. at is the sim-time of
+	// the delta being classified.
 	Classify func(m *Model, at sim.Time, v trace.Vec) Verdict
 	// Obs, when non-nil, receives sampler spans, per-delta verdict events
 	// and monitor events from every run driven through this Attack.
@@ -91,9 +92,7 @@ func (a *Attack) retryable(err error) bool { return RetryableIn(err, a.Errors) }
 // Recognize picks the classification model whose launch-frame fingerprint
 // best matches the first burst of activity in the delta stream (§3.2:
 // readings are first used to recognize the current device model and
-// configuration). The fingerprint window matches the offline labeling
-// window: two polling intervals, enough to reassemble a split launch
-// frame without swallowing unrelated events.
+// configuration): the deltas inside the launch window after the first.
 func (a *Attack) Recognize(ds []trace.Delta, interval sim.Time) (*Model, error) {
 	if len(a.Models) == 0 {
 		return nil, fmt.Errorf("no models preloaded: %w", ErrModelNotTrained)
@@ -104,13 +103,11 @@ func (a *Attack) Recognize(ds []trace.Delta, interval sim.Time) (*Model, error) 
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("attack: no activity to recognize a device from")
 	}
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
+	window := windowsFor(interval).launch
 	first := ds[0].At
 	launch := ds[0].V
 	for _, d := range ds[1:] {
-		if d.At-first > 2*interval+sim.Millisecond {
+		if d.At-first > window {
 			break
 		}
 		launch = launch.Add(d.V)
@@ -211,13 +208,16 @@ type StreamEvent struct {
 
 // EavesdropStreamContext is EavesdropContext with live notification:
 // emit, when non-nil, is invoked synchronously for every key the online
-// engine commits and every retraction it performs, in delta order — the
-// paper's real-time notification-bar display as an API. A non-nil error
-// from emit aborts the run (a streaming client went away). The returned
-// Result is byte-identical to EavesdropContext over the same inputs: the
-// emission is a tap on Algorithm 1, never a fork of it.
+// engine commits and every retraction it performs, in delta order, from
+// inside the sampling loop — the paper's real-time notification-bar
+// display as an API. A run that fails mid-way has emitted the keys it
+// committed before the failure. A non-nil error from emit stops the
+// engine (a streaming client went away) and the run returns it, unless
+// sampling fails or ctx ends first. The returned Result is byte-identical
+// to EavesdropContext over the same inputs: the emission is a tap on
+// Algorithm 1, never a fork of it.
 func (a *Attack) EavesdropStreamContext(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, error) {
-	res, _, stats, err := a.run(ctx, f, start, end, emit)
+	res, _, stats, err := a.run(ctx, f, start, end, emit, false)
 	if err != nil {
 		return nil, err
 	}
@@ -231,50 +231,150 @@ func (r *Result) addRecovery(s CollectStats) {
 	r.Degraded = r.Degraded || s.Degraded()
 }
 
-// run is the one sample-then-infer loop: reserve f, collect [start, end],
-// recognize the device and run Algorithm 1, with emit tapping every
-// commit and retraction. It returns the engine's result — Recovery unset
-// and Degraded from gap segmentation only, exactly EavesdropTrace's shape
-// — plus the trace and the sampler's recovery stats (set even when
-// sampling fails). EavesdropStreamContext folds the stats into the
-// result; a fused leg keeps the shape Fuse consumes.
-func (a *Attack) run(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, *trace.Trace, CollectStats, error) {
+// run is the one online loop: reserve f, poll [start, end], and run
+// Algorithm 1 on every change point as the sampler produces it, with emit
+// tapping every commit and retraction. It returns the engine's result —
+// Recovery unset and Degraded from gap segmentation only, exactly
+// EavesdropTrace's shape — plus the sampler's recovery stats (set even
+// when sampling fails) and, when keep is set, the trace with every delta
+// (Stack.Run's legs; nil when sampling fails). Without keep no delta
+// outlives its step. Errors take EavesdropTrace-over-CollectContext's
+// precedence: sampling, then ctx ending after the last tick, then
+// recognition, then emit.
+func (a *Attack) run(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error, keep bool) (*Result, *trace.Trace, CollectStats, error) {
 	s, err := NewSamplerTaxonomy(f, a.Interval, a.Retry, a.Errors)
 	if err != nil {
 		return nil, nil, CollectStats{}, err
 	}
 	s.Obs = a.Obs
-	tr, err := s.CollectContext(ctx, start, end)
-	if err != nil {
+	o := newOnline(a, s.Interval, nil, emit)
+	var head trace.Trace
+	tr := &head
+	yield := o.push
+	if keep {
+		tr = s.newTrace(start, end)
+		yield = func(d trace.Delta) {
+			tr.Append(d)
+			o.push(d)
+		}
+	}
+	if err := s.poll(ctx, start, end, tr, yield); err != nil {
 		return nil, nil, s.Stats, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, s.Stats, err
 	}
-	ds := tr.Deltas()
-	m, err := a.Recognize(ds, tr.Interval)
+	if !keep {
+		tr = nil
+	}
+	res, err := o.finish()
+	return res, tr, s.Stats, err
+}
+
+// online runs Algorithm 1 on a live delta stream: device recognition
+// once the launch window has closed, then the engine on every delta,
+// with emit tapping its commits and retractions.
+type online struct {
+	a        *Attack
+	interval sim.Time
+	window   sim.Time // Recognize's launch window
+	emit     func(StreamEvent) error
+	model    *Model
+	eng      *Engine
+	// launch buffers the deltas until the model is chosen; with one
+	// model the engine starts at the first delta and it stays empty.
+	launch  []trace.Delta
+	emitted int
+	// err is emit's failure: it stops the engine, not the sampler.
+	err error
+}
+
+// newOnline prepares a's loop for a poll at interval. m is the model
+// when it is already known; nil recognizes it from the launch window, or
+// takes a's only one at once.
+func newOnline(a *Attack, interval sim.Time, m *Model, emit func(StreamEvent) error) online {
+	o := online{a: a, interval: interval, window: windowsFor(interval).launch, emit: emit}
+	if m == nil && len(a.Models) == 1 {
+		m = a.Models[0]
+	}
+	if m != nil {
+		o.start(m)
+	}
+	return o
+}
+
+// start builds the engine for the chosen model.
+func (o *online) start(m *Model) {
+	o.model = m
+	o.eng = o.a.engineFor(m, o.interval)
+}
+
+// push consumes the next delta. With several models it is buffered
+// until a delta lands past the launch window; recognition then runs on
+// the buffer, which the engine replays before going live. With no model
+// nothing runs: finish reports it.
+func (o *online) push(d trace.Delta) {
+	switch {
+	case o.err != nil:
+	case o.eng != nil:
+		o.step(d)
+	case len(o.a.Models) > 1:
+		o.launch = append(o.launch, d)
+		if d.At-o.launch[0].At > o.window {
+			_ = o.recognize() // two or more models and a delta: Recognize cannot fail
+		}
+	}
+}
+
+// recognize chooses the model from the buffered deltas and replays them.
+func (o *online) recognize() error {
+	m, err := o.a.Recognize(o.launch, o.interval)
 	if err != nil {
-		return nil, tr, s.Stats, err
+		return err
 	}
-	eng := a.engineFor(m, tr.Interval)
-	emitted := 0
-	for _, d := range ds {
-		eng.Process(d)
-		if emit == nil {
-			continue
+	o.start(m)
+	for _, d := range o.launch {
+		if o.err != nil {
+			break
 		}
-		keys := eng.Keys()
-		if len(keys) < emitted {
-			emitted = len(keys)
-			if err := emit(StreamEvent{At: d.At, Kind: "retract", Keys: len(keys)}); err != nil {
-				return nil, tr, s.Stats, err
-			}
-		}
-		for ; emitted < len(keys); emitted++ {
-			if err := emit(StreamEvent{At: d.At, Kind: "key", Key: keys[emitted], Keys: emitted + 1}); err != nil {
-				return nil, tr, s.Stats, err
-			}
+		o.step(d)
+	}
+	o.launch = nil
+	return nil
+}
+
+// step runs the engine on one delta and emits what it changed.
+func (o *online) step(d trace.Delta) {
+	o.eng.Process(d)
+	if o.emit == nil {
+		return
+	}
+	keys := o.eng.Keys()
+	if len(keys) < o.emitted {
+		o.emitted = len(keys)
+		if err := o.emit(StreamEvent{At: d.At, Kind: "retract", Keys: len(keys)}); err != nil {
+			o.err = err
+			return
 		}
 	}
-	return a.resultFrom(m, eng), tr, s.Stats, nil
+	for ; o.emitted < len(keys); o.emitted++ {
+		if err := o.emit(StreamEvent{At: d.At, Kind: "key", Key: keys[o.emitted], Keys: o.emitted + 1}); err != nil {
+			o.err = err
+			return
+		}
+	}
+}
+
+// finish ends a completed sampling pass: recognition, if the launch
+// window never closed, then the result or emit's failure.
+func (o *online) finish() (*Result, error) {
+	if o.eng == nil {
+		if err := o.recognize(); err != nil {
+			return nil, err
+		}
+	}
+	if o.err != nil {
+		return nil, o.err
+	}
+	return o.a.resultFrom(o.model, o.eng), nil
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -45,6 +46,12 @@ type MonitorResult struct {
 // wait cost at most the missed tick (plus a re-reservation when the
 // counter group was revoked) instead of aborting the watch.
 func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time) (*MonitorResult, error) {
+	return a.monitor(context.Background(), f, start, end)
+}
+
+// monitor is MonitorAndEavesdrop with ctx bounding the full-rate phase,
+// which polls and runs Algorithm 1 in one loop.
+func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*MonitorResult, error) {
 	interval := a.Interval
 	if interval <= 0 {
 		interval = DefaultInterval
@@ -156,24 +163,17 @@ func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time) (*MonitorResu
 
 	// Full-rate eavesdropping from the detection point.
 	s.Interval = interval
-	tr, err := s.Collect(detectedAt, end)
+	o := newOnline(a, interval, detected, nil)
+	var tr trace.Trace
+	if err := s.poll(ctx, detectedAt, end, &tr, o.push); err != nil {
+		return nil, err
+	}
+	res, err := o.finish()
 	if err != nil {
 		return nil, err
 	}
-	eng := NewEngine(detected, interval, a.Options)
-	eng.SetObs(a.Obs)
-	eng.ProcessAll(tr.Deltas())
-	RecordEngineStats(a.Obs.Metrics(), eng.Stats())
-	stats := eng.Stats()
-	out.Result = &Result{
-		Model:           detected.Key,
-		Keys:            eng.Keys(),
-		Text:            eng.Text(),
-		Stats:           stats,
-		EstimatedLength: eng.EstimatedLength(),
-		Degraded:        stats.Gaps > 0 || stats.Resyncs > 0 || s.Stats.Degraded(),
-		Recovery:        s.Stats,
-	}
+	res.addRecovery(s.Stats)
+	out.Result = res
 	return out, nil
 }
 

@@ -57,6 +57,11 @@ type windows struct {
 	evidence sim.Time
 	// idle is the launch monitor's low-duty polling period: 4 intervals.
 	idle sim.Time
+	// launch is device recognition's fingerprint window after the first
+	// delta, matching the offline labeling window: 2 intervals + 1 ms,
+	// enough to reassemble a split launch frame without swallowing
+	// unrelated events.
+	launch sim.Time
 }
 
 // windowsFor derives the time bounds for a polling interval
@@ -71,6 +76,7 @@ func windowsFor(interval sim.Time) windows {
 		resync:       4 * interval,
 		evidence:     5*interval + sim.Millisecond,
 		idle:         4 * interval,
+		launch:       2*interval + sim.Millisecond,
 	}
 }
 
@@ -134,7 +140,10 @@ type Engine struct {
 	lastKeyAt sim.Time
 	haveKey   bool
 
-	pending      *trace.Delta
+	// pending is the unexplained fragment awaiting its other half, kept
+	// by value; hasPending says whether one is held.
+	pending      trace.Delta
+	hasPending   bool
 	pendingLast  sim.Time
 	pendingChain int
 	suppressed   bool
@@ -205,7 +214,7 @@ func (e *Engine) Process(d trace.Delta) {
 	if d.Gap > 0 {
 		if d.Gap >= e.win.resync {
 			e.stats.Resyncs++
-			e.pending = nil
+			e.hasPending = false
 			e.runLen = 0
 			e.haveBig = false
 			e.emitVerdict(d, Verdict{}, "gap_resync")
@@ -213,7 +222,7 @@ func (e *Engine) Process(d trace.Delta) {
 		}
 		if d.Gap > e.win.gapTolerance {
 			e.stats.Gaps++
-			e.pending = nil
+			e.hasPending = false
 		}
 	}
 
@@ -253,7 +262,7 @@ func (e *Engine) Process(d trace.Delta) {
 		if e.runLen >= burstLen {
 			e.suppressed = true
 			e.stats.Switches++
-			e.pending = nil
+			e.hasPending = false
 			// Retract keys mistakenly inferred since the burst began —
 			// they were switch-animation frames, not typing.
 			cutoff := e.runStartAt - sim.Millisecond
@@ -290,15 +299,15 @@ func (e *Engine) Process(d trace.Delta) {
 	switch {
 	case v.IsKey:
 		e.inferKeyV(d.At, v)
-		e.pending = nil
+		e.hasPending = false
 		e.emitVerdict(d, v, "key")
 	case v.IsNoise:
 		e.stats.Noise++
 		e.handleNoise(d, v)
-		e.pending = nil
+		e.hasPending = false
 		e.emitVerdict(d, v, "noise")
 	default:
-		if !e.opts.DisableSplitCombine && e.pending != nil &&
+		if !e.opts.DisableSplitCombine && e.hasPending &&
 			d.At-e.pendingLast <= e.win.split && e.pendingChain < 8 {
 			combined := e.pending.V.Add(d.V)
 			cv := e.classify(e.pending.At, combined)
@@ -316,7 +325,7 @@ func (e *Engine) Process(d trace.Delta) {
 					e.stats.Duplicates++
 					e.emitVerdict(d, cv, "duplicate")
 				}
-				e.pending = nil
+				e.hasPending = false
 				return
 			}
 			if cv.IsNoise {
@@ -325,22 +334,21 @@ func (e *Engine) Process(d trace.Delta) {
 				e.stats.Noise++
 				e.stats.NoiseSplits++
 				e.handleNoise(trace.Delta{At: e.pending.At, V: combined}, cv)
-				e.pending = nil
+				e.hasPending = false
 				e.emitVerdict(d, cv, "split_noise")
 				return
 			}
 			// Keep accumulating: frames stretched by GPU contention can
 			// fragment across more than two reads. Chain growth is
 			// bookkeeping, not a new unexplained event.
-			e.pending = &trace.Delta{At: e.pending.At, V: combined}
+			e.pending = trace.Delta{At: e.pending.At, V: combined}
 			e.pendingLast = d.At
 			e.pendingChain++
 			e.emitVerdict(d, cv, "accumulate")
 			return
 		}
 		e.stats.Unknown++
-		cp := d
-		e.pending = &cp
+		e.pending, e.hasPending = d, true
 		e.pendingLast = d.At
 		e.pendingChain = 0
 		e.emitVerdict(d, v, "pending")

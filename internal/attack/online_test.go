@@ -293,9 +293,9 @@ func TestDerivedWindows(t *testing.T) {
 		interval sim.Time
 		want     windows
 	}{
-		{8 * sim.Millisecond, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32)}},
-		{4 * sim.Millisecond, windows{split: ms(11), gapTolerance: ms(7), resync: ms(16), evidence: ms(21), idle: ms(16)}},
-		{0, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32)}},
+		{8 * sim.Millisecond, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32), launch: ms(17)}},
+		{4 * sim.Millisecond, windows{split: ms(11), gapTolerance: ms(7), resync: ms(16), evidence: ms(21), idle: ms(16), launch: ms(9)}},
+		{0, windows{split: ms(21), gapTolerance: ms(13), resync: ms(32), evidence: ms(41), idle: ms(32), launch: ms(17)}},
 	} {
 		if got := windowsFor(c.interval); got != c.want {
 			t.Errorf("windowsFor(%v) = %+v, want %+v", c.interval, got, c.want)

@@ -88,7 +88,8 @@ type LegOutcome struct {
 	// result carries the sampler's recovery work in Recovery; a fused leg's
 	// has the engine-only shape Fuse consumes.
 	Result *Result
-	// Trace is the collected counter trace (nil when sampling failed).
+	// Trace is the leg's counter trace, every delta its engine ran on
+	// (nil when sampling failed).
 	Trace *trace.Trace
 	// Stats is the sampler's recovery work.
 	Stats CollectStats
@@ -165,10 +166,12 @@ func (p Pipeline) Run(ctx context.Context, sess *victim.Session, start, end sim.
 	return st.Run(ctx, start, end, emit)
 }
 
-// Run samples every leg over [start, end] and runs Algorithm 1 on each,
-// then fuses two legs. emit taps a single-leg engine; fused runs emit
-// nothing. The outcome is always returned, with every leg's result or
-// failure; the error is the first leg's failure in pipeline order.
+// Run samples every leg over [start, end], running Algorithm 1 inside
+// each leg's sampling loop and keeping its trace, then fuses two legs
+// over the primary's stored deltas. emit taps a single-leg engine; fused
+// runs emit nothing. The outcome is always returned, with every leg's
+// result or failure; the error is the first leg's failure in pipeline
+// order.
 func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamEvent) error) (*Outcome, error) {
 	out := &Outcome{Legs: make([]LegOutcome, len(st.Legs))}
 	single := len(st.Legs) == 1
@@ -177,7 +180,7 @@ func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamE
 	}
 	for i, l := range st.Legs {
 		lo := &out.Legs[i]
-		lo.Result, lo.Trace, lo.Stats, lo.Err = l.Attack.run(ctx, l.Probe, start, end, emit)
+		lo.Result, lo.Trace, lo.Stats, lo.Err = l.Attack.run(ctx, l.Probe, start, end, emit, true)
 		if l.Fault != nil {
 			lo.Injected = l.Fault.Stats
 		}

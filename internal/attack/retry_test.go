@@ -165,18 +165,18 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 	if s.Stats.DroppedTicks != 0 {
 		t.Errorf("Stats.DroppedTicks = %d, want 0 (all retries within budget)", s.Stats.DroppedTicks)
 	}
-	if tr.Len() != s.Stats.Ticks {
-		t.Errorf("trace has %d samples for %d ticks", tr.Len(), s.Stats.Ticks)
+	if tr.Reads != s.Stats.Ticks {
+		t.Errorf("trace has %d reads for %d ticks", tr.Reads, s.Stats.Ticks)
 	}
 	if !s.Stats.Degraded() {
 		t.Error("a retried collection must report Degraded")
 	}
 }
 
-// TestSamplerWrapCheckStoresReRead pins the wrap check on the sampler's
-// in-place slot: a read that regresses below the previous sample is
-// re-read after one backoff and counted in WrappedRetries, and the
-// tick's sample holds the re-read values, not the regressed ones.
+// TestSamplerWrapCheckStoresReRead pins the wrap check against the
+// sampler's previous read: a read that regresses below it is re-read
+// after one backoff and counted in WrappedRetries, and the tick's delta
+// is taken from the re-read values, not the regressed ones.
 func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 	f := &flakyFile{wrapReads: map[int]bool{3: true}}
 	policy := DefaultRetryPolicy()
@@ -191,22 +191,30 @@ func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 	if s.Stats.WrappedRetries != 1 || s.Stats.DroppedTicks != 0 {
 		t.Errorf("Stats = %+v, want 1 wrapped retry and no dropped tick", s.Stats)
 	}
-	if tr.Len() != s.Stats.Ticks {
-		t.Fatalf("trace has %d samples for %d ticks", tr.Len(), s.Stats.Ticks)
+	ds := tr.Deltas()
+	if tr.Reads != s.Stats.Ticks || len(ds) != tr.Reads-1 {
+		t.Fatalf("trace has %d reads and %d deltas for %d ticks", tr.Reads, len(ds), s.Stats.Ticks)
 	}
 	// Reads 0–2 returned 1…33; read 4 re-reads tick 3 and returns 34…44.
-	sm := tr.Samples[3]
-	if want := 3*DefaultInterval + policy.BackoffAt(0); sm.At != want {
-		t.Errorf("tick 3 sampled at %v, want %v (after one backoff)", sm.At, want)
+	// Had the regressed read (all 0) been kept, tick 3's delta would be
+	// negative and tick 4's would jump by 45…55.
+	d := ds[2]
+	if want := 3*DefaultInterval + policy.BackoffAt(0); d.At != want || d.Gap != want-2*DefaultInterval {
+		t.Errorf("tick 3's delta at %v with gap %v, want %v after one backoff, gap %v",
+			d.At, d.Gap, want, want-2*DefaultInterval)
 	}
-	if sm.Values[0] != 34 || sm.Values[adreno.NumSelected-1] != 44 {
-		t.Errorf("tick 3 stored %v, want the re-read 34…44", sm.Values)
+	for _, d := range ds {
+		for j, v := range d.V {
+			if v != adreno.NumSelected {
+				t.Fatalf("delta at %v moves counter %d by %v, want %d (one re-read per tick)", d.At, j, v, adreno.NumSelected)
+			}
+		}
 	}
 }
 
 // TestSamplerExhaustedTickLeavesGap pins a tick that runs out of
 // attempts, whether on device errors or on wrapped reads: it leaves no
-// sample, not even a partly written one, and the next delta's Gap spans
+// read, not even a partly written one, and the next delta's Gap spans
 // the lost tick.
 func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 	for _, c := range []struct {
@@ -225,17 +233,19 @@ func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: collect: %v", c.name, err)
 		}
-		if s.Stats.DroppedTicks != 1 || tr.Len() != s.Stats.Ticks-1 {
-			t.Fatalf("%s: %d samples, %d dropped of %d ticks; want tick 3 alone dropped",
-				c.name, tr.Len(), s.Stats.DroppedTicks, s.Stats.Ticks)
-		}
-		// Reads 3 and 4 were tick 3's two attempts; read 5 is tick 4's.
-		if sm := tr.Samples[3]; sm.At != 4*DefaultInterval || sm.Values[0] != 34 {
-			t.Errorf("%s: sample after the gap = %+v, want tick 4 holding 34…44", c.name, sm)
+		if s.Stats.DroppedTicks != 1 || tr.Reads != s.Stats.Ticks-1 {
+			t.Fatalf("%s: %d reads, %d dropped of %d ticks; want tick 3 alone dropped",
+				c.name, tr.Reads, s.Stats.DroppedTicks, s.Stats.Ticks)
 		}
 		ds := tr.Deltas()
-		if len(ds) != tr.Len()-1 {
-			t.Fatalf("%s: %d deltas from %d samples", c.name, len(ds), tr.Len())
+		if len(ds) != tr.Reads-1 {
+			t.Fatalf("%s: %d deltas from %d reads", c.name, len(ds), tr.Reads)
+		}
+		// Reads 3 and 4 were tick 3's two attempts; read 5 is tick 4's,
+		// 34…44, and its delta is taken against tick 2's 23…33. A failed
+		// attempt's counters (all 0) kept as the base would make it 34…44.
+		if d := ds[2]; d.At != 4*DefaultInterval {
+			t.Errorf("%s: the delta after the gap is at %v, want tick 4 at %v", c.name, d.At, 4*DefaultInterval)
 		}
 		for _, d := range ds {
 			want := DefaultInterval
@@ -244,6 +254,9 @@ func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 			}
 			if d.Gap != want {
 				t.Errorf("%s: delta at %v spans %v, want %v", c.name, d.At, d.Gap, want)
+			}
+			if d.V[0] != adreno.NumSelected || d.V[adreno.NumSelected-1] != adreno.NumSelected {
+				t.Errorf("%s: delta at %v = %v, want every counter up by %d", c.name, d.At, d.V, adreno.NumSelected)
 			}
 		}
 	}

@@ -108,28 +108,54 @@ func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 // CollectContext is Collect with cancellation honored at sampler-tick
 // granularity: the polling loop checks ctx before every counter read and
 // aborts with the context's error, so a canceled request never completes
-// a sweep it no longer needs. The trace is allocated once, with room for
-// a sample at every tick of [start, end], and each tick's read is written
-// straight into its sample; a tick that yields no read leaves none.
+// a sweep it no longer needs. The trace keeps the first read and a Delta
+// for every read that moved a counter; a flat read is only counted.
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
+	tr := s.newTrace(start, end)
+	if err := s.poll(ctx, start, end, tr, tr.Append); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// newTrace returns an empty trace for a poll of [start, end], with room
+// for a change at one read in eight: a typing session moves the counters
+// at about one read in ten and a training session at one in twenty.
+// Appends past it grow the trace.
+func (s *Sampler) newTrace(start, end sim.Time) *trace.Trace {
+	tr := &trace.Trace{Interval: s.Interval}
+	if s.Interval > 0 && end >= start {
+		tr.Grow(int((end-start)/s.Interval)/8 + 1)
+	}
+	return tr
+}
+
+// poll is the polling loop behind CollectContext and the online phase.
+// It reads the counters at every tick of [start, end], records the first
+// successful read and the read count in tr, and hands yield the change
+// point of every later read that moved a counter as soon as it lands.
+// The previous successful read is the wrap check's reference and the
+// base of the next delta, so a flat read costs no storage.
+func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace, yield func(trace.Delta)) error {
 	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
 	s.Stats = CollectStats{}
-	ticks := 0
-	if s.Interval > 0 && end >= start {
-		ticks = int((end-start)/s.Interval) + 1
-	}
-	tr := &trace.Trace{Interval: s.Interval, Samples: make([]trace.Sample, 0, ticks)}
 	tf, hasTF := s.File.(TickFaults)
+	// Each read lands in cur; prev holds the last successful read. The
+	// two buffers swap on success, so no read is copied.
+	var bufs [2]trace.Raw
+	cur, prev := &bufs[0], &bufs[1]
+	var prevAt sim.Time
+	var d trace.Delta
 	badTicks := 0
 	t := start
 	for tick := 0; t <= end; t, tick = t+s.Interval, tick+1 {
 		if err := ctx.Err(); err != nil {
 			if s.Obs != nil {
 				s.Obs.Emit(t, evSamplerReadError, obs.Str("err", err.Error()))
-				sp.AddField(obs.Int("samples", tr.Len()))
+				sp.AddField(obs.Int("samples", tr.Reads))
 				sp.End(t)
 			}
-			return nil, fmt.Errorf("attack: sampling canceled at %v: %w", t, err)
+			return fmt.Errorf("attack: sampling canceled at %v: %w", t, err)
 		}
 		s.Stats.Ticks++
 		readAt := t
@@ -147,24 +173,19 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 				}
 			}
 		}
-		// The read lands in the trace's next sample; the previous sample
-		// is the last successful read, the wrap check's reference.
-		n := len(tr.Samples)
-		tr.Samples = append(tr.Samples, trace.Sample{})
-		var prev *trace.Raw
-		if n > 0 {
-			prev = &tr.Samples[n-1].Values
+		var ref *trace.Raw
+		if tr.Reads > 0 {
+			ref = prev
 		}
-		at, serr := s.readTick(readAt, t+s.Interval, &tr.Samples[n].Values, prev)
+		at, serr := s.readTick(readAt, t+s.Interval, cur, ref)
 		if serr != nil {
-			tr.Samples = tr.Samples[:n]
 			if !s.Retry.Enabled() || !s.retryable(serr.Err) {
 				if s.Obs != nil {
 					s.Obs.Emit(at, evSamplerReadError, obs.Str("err", serr.Err.Error()))
-					sp.AddField(obs.Int("samples", tr.Len()))
+					sp.AddField(obs.Int("samples", tr.Reads))
 					sp.End(at)
 				}
-				return nil, serr
+				return serr
 			}
 			s.Stats.DroppedTicks++
 			badTicks++
@@ -172,18 +193,26 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 			if s.Retry.MaxBadTicks > 0 && badTicks > s.Retry.MaxBadTicks {
 				if s.Obs != nil {
 					s.Obs.Emit(at, evSamplerReadError, obs.Str("err", serr.Err.Error()))
-					sp.AddField(obs.Int("samples", tr.Len()))
+					sp.AddField(obs.Int("samples", tr.Reads))
 					sp.End(at)
 				}
-				return nil, fmt.Errorf("attack: %d consecutive failed ticks: %w", badTicks, serr)
+				return fmt.Errorf("attack: %d consecutive failed ticks: %w", badTicks, serr)
 			}
 			continue
 		}
 		badTicks = 0
-		tr.Samples[n].At = at
+		if tr.Reads == 0 {
+			tr.First = trace.Sample{At: at, Values: *cur}
+		} else if trace.Change(&d.V, cur, prev) {
+			d.At, d.Gap = at, at-prevAt
+			yield(d)
+		}
+		tr.Reads++
+		cur, prev = prev, cur
+		prevAt = at
 	}
 	if s.Obs != nil {
-		s.Obs.Metrics().Add(mSamplerReads, int64(tr.Len()))
+		s.Obs.Metrics().Add(mSamplerReads, int64(tr.Reads))
 		if s.Stats.Retries > 0 {
 			s.Obs.Metrics().Add(mSamplerRetries, int64(s.Stats.Retries))
 		}
@@ -193,10 +222,10 @@ func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*tra
 		if s.Stats.DroppedTicks > 0 {
 			s.Obs.Metrics().Add(mSamplerDroppedTicks, int64(s.Stats.DroppedTicks))
 		}
-		sp.AddField(obs.Int("samples", tr.Len()))
+		sp.AddField(obs.Int("samples", tr.Reads))
 		sp.End(t - s.Interval)
 	}
-	return tr, nil
+	return nil
 }
 
 // readTick performs one poll at readAt with bounded retry inside the

@@ -2,20 +2,33 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
 
-// FuzzReadCSV hardens the trace parser: arbitrary input never panics, and
-// any trace that parses must survive a write/read round trip unchanged.
+// FuzzReadCSV hardens the trace parser: arbitrary input never panics,
+// and a trace that parses survives a WriteCSV/ReadCSV round trip with its
+// interval, read count, first read and every delta's At, Gap and V bits
+// unchanged. The seeds include a faulted capture with dropped and delayed
+// ticks, synthetic and as attackd writes it.
 func FuzzReadCSV(f *testing.F) {
-	var buf bytes.Buffer
-	tr := mkTrace()
-	_ = tr.WriteCSV(&buf)
-	f.Add(buf.String())
+	for _, tr := range []*Trace{mkTrace(), faultedTrace()} {
+		var buf bytes.Buffer
+		if err := tr.WriteCSV(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	capture, err := os.ReadFile("../../testdata/attackd_severe_seed4.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(capture))
 	f.Add("")
-	f.Add("time_us,a\n1,2\n")
-	f.Add("time_us" + strings.Repeat(",c", 11) + "\n5" + strings.Repeat(",1", 11) + "\n")
+	f.Add("interval_us,8000,reads,1\ntime_us,a\n1,2\n")
+	f.Add("interval_us,8000,reads,3\ntime_us,gap_us" + strings.Repeat(",c", Width) + "\n5,0" + strings.Repeat(",1", Width) +
+		"\n13,8" + strings.Repeat(",-0", Width-1) + ",1e+300\n")
 	f.Fuzz(func(t *testing.T, doc string) {
 		parsed, err := ReadCSV(strings.NewReader(doc))
 		if err != nil {
@@ -29,8 +42,8 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if back.Len() != parsed.Len() {
-			t.Fatalf("round trip lost samples: %d vs %d", back.Len(), parsed.Len())
+		if diff := sameTrace(parsed, back); diff != "" {
+			t.Fatalf("round trip changed the trace: %s", diff)
 		}
 	})
 }

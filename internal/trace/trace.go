@@ -1,7 +1,8 @@
-// Package trace holds performance counter traces: timestamped samples of
-// the 11 selected counters, delta extraction (the "PC value changes" the
-// paper classifies), feature vectors, and CSV persistence for offline
-// analysis.
+// Package trace holds performance counter traces as change points: the
+// first read of the 11 selected counters, then one Delta for every later
+// read that moved a counter (the "PC value changes" the paper classifies,
+// §3.4). It also holds the feature vectors deltas live in and the CSV
+// persistence of a trace for offline analysis.
 package trace
 
 import (
@@ -118,92 +119,114 @@ func Ones() Vec {
 // Sample is one read of all selected counters.
 type Sample struct {
 	At     sim.Time
-	Values [adreno.NumSelected]uint64
+	Values Raw
 }
 
-// Trace is a time-ordered series of counter samples.
-type Trace struct {
-	Interval sim.Time
-	Samples  []Sample
-}
-
-// Len returns the number of samples.
-func (t *Trace) Len() int { return len(t.Samples) }
-
-// Delta is one non-zero counter change between consecutive samples,
-// stamped with the time of the later sample.
+// Delta is one counter change between a read and the successful read
+// before it, stamped with the time of the later read.
 type Delta struct {
 	At sim.Time
 	V  Vec
-	// Gap is the time between the two samples the delta spans. In a
-	// fault-free trace it equals the polling interval; a larger gap means
-	// ticks were dropped or late and the delta may aggregate several
-	// distinct screen events — the online engine's gap-aware segmentation
-	// keys off it.
+	// Gap is the time since the previous successful read. In a fault-free
+	// trace it equals the polling interval; a larger gap means ticks were
+	// dropped or late and the delta may aggregate several distinct screen
+	// events — the online engine's gap-aware segmentation keys off it.
 	Gap sim.Time
 }
 
-// Deltas extracts the non-zero changes between consecutive samples — the
-// "PC value changes" of §3.4. Samples with no change produce nothing,
-// matching the flat segments of Figure 5. The result is allocated once,
-// at its final length.
-func (t *Trace) Deltas() []Delta {
-	n := 0
-	for i := 1; i < len(t.Samples); i++ {
-		if t.changed(i) {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Delta, 0, n)
-	for i := 1; i < len(t.Samples); i++ {
-		if !t.changed(i) {
-			continue
-		}
-		cur, prev := &t.Samples[i], &t.Samples[i-1]
-		d := Delta{At: cur.At, Gap: cur.At - prev.At}
-		for j := range d.V {
-			d.V[j] = float64(cur.Values[j]) - float64(prev.Values[j])
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// changed reports whether any counter moves from sample i-1 to sample i,
-// by the float difference Deltas records.
-func (t *Trace) changed(i int) bool {
-	cur, prev := &t.Samples[i].Values, &t.Samples[i-1].Values
+// Change writes the per-counter change from prev to cur into v, as the
+// float difference float64(cur[i]) - float64(prev[i]), and reports
+// whether any counter moved by it. A change below float64 resolution is
+// no move, and v is meaningful only when Change reports true.
+func Change(v *Vec, cur, prev *Raw) bool {
 	if *cur == *prev {
 		return false // the common flat poll, settled without conversions
 	}
-	for j := range cur {
-		if float64(cur[j])-float64(prev[j]) != 0 {
-			return true
+	moved := false
+	for i := range cur {
+		v[i] = float64(cur[i]) - float64(prev[i])
+		if v[i] != 0 {
+			moved = true
 		}
 	}
-	return false
+	return moved
 }
 
-// WriteCSV persists the trace with a header of counter string identifiers.
+// Trace is a counter trace kept as its change points: the first read,
+// then a Delta for every later read that moved a counter, by Change's
+// rule. A flat poll carries nothing (Figure 5's flat segments), so it is
+// only counted in Reads.
+type Trace struct {
+	// Interval is the polling period the trace was read at.
+	Interval sim.Time
+	// Reads counts the successful reads, flat ones included.
+	Reads int
+	// First is the first successful read (zero when Reads is 0); a later
+	// read that moved a counter is known by its Delta.
+	First  Sample
+	deltas []Delta
+}
+
+// Append adds the change point of the trace's next read that moved. It
+// must come after every delta already in the trace.
+func (t *Trace) Append(d Delta) { t.deltas = append(t.deltas, d) }
+
+// Grow makes room for n more deltas, so that the next n appends do not
+// reallocate. Like adreno.GPU.Grow it allocates with make, not
+// slices.Grow, whose appended make([]T, n) the race build allocates too.
+func (t *Trace) Grow(n int) {
+	if cap(t.deltas)-len(t.deltas) < n {
+		t.deltas = append(make([]Delta, 0, len(t.deltas)+n), t.deltas...)
+	}
+}
+
+// Deltas returns the trace's change points in time order. The slice is
+// the trace's own storage: callers read it and must not modify it.
+func (t *Trace) Deltas() []Delta { return t.deltas }
+
+// CSV layout: a first row "interval_us,<µs>,reads,<n>", a header row
+// "time_us,gap_us,<counter identifiers>", then one row per stored read.
+// The first is the trace's first read, with gap 0 and raw counter
+// values; each later row is a read that moved, with the gap since the
+// read before it and each counter's change as the shortest decimal that
+// parses back to the same float64. The changes, not raw values, are what
+// a trace stores, and they rebuild every delta bit for bit.
+const (
+	csvInterval = "interval_us"
+	csvReads    = "reads"
+)
+
+// WriteCSV persists the trace in the CSV layout above.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	header := make([]string, 0, adreno.NumSelected+1)
-	header = append(header, "time_us")
-	for _, k := range adreno.Selected {
-		s, _ := adreno.CounterString(k)
-		header = append(header, s)
-	}
-	if err := cw.Write(header); err != nil {
+	meta := []string{csvInterval, strconv.FormatInt(int64(t.Interval), 10), csvReads, strconv.Itoa(t.Reads)}
+	if err := cw.Write(meta); err != nil {
 		return err
 	}
-	row := make([]string, adreno.NumSelected+1)
-	for _, s := range t.Samples {
-		row[0] = strconv.FormatInt(int64(s.At), 10)
-		for i, v := range s.Values {
-			row[i+1] = strconv.FormatUint(v, 10)
+	row := make([]string, 0, Width+2)
+	row = append(row, "time_us", "gap_us")
+	for _, k := range adreno.Selected {
+		s, _ := adreno.CounterString(k)
+		row = append(row, s)
+	}
+	if err := cw.Write(row); err != nil {
+		return err
+	}
+	if t.Reads == 0 {
+		cw.Flush()
+		return cw.Error()
+	}
+	row[0], row[1] = strconv.FormatInt(int64(t.First.At), 10), "0"
+	for i, v := range t.First.Values {
+		row[i+2] = strconv.FormatUint(v, 10)
+	}
+	if err := cw.Write(row); err != nil {
+		return err
+	}
+	for _, d := range t.deltas {
+		row[0], row[1] = strconv.FormatInt(int64(d.At), 10), strconv.FormatInt(int64(d.Gap), 10)
+		for i, v := range d.V {
+			row[i+2] = strconv.FormatFloat(v, 'f', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -213,10 +236,14 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV. A CSV without sample rows
-// is an error: every parsed trace holds at least one sample.
+// ReadCSV parses a trace written by WriteCSV. It rejects a trace without
+// a positive interval or without a read, rows whose times do not
+// increase, a change row whose gap is not positive or reaches before the
+// previous row, and a change row that moves no counter or holds a value
+// that is not a finite number.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
 	rows, err := cr.ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading csv: %w", err)
@@ -224,28 +251,78 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("trace: empty csv")
 	}
-	if len(rows[0]) != adreno.NumSelected+1 {
-		return nil, fmt.Errorf("trace: want %d columns, got %d", adreno.NumSelected+1, len(rows[0]))
-	}
-	if len(rows) == 1 {
-		return nil, fmt.Errorf("trace: csv has a header but no samples")
+	meta := rows[0]
+	if len(meta) != 4 || meta[0] != csvInterval || meta[2] != csvReads {
+		return nil, fmt.Errorf("trace: first row must be %s,<µs>,%s,<n>, got %q", csvInterval, csvReads, meta)
 	}
 	t := &Trace{}
-	for _, row := range rows[1:] {
-		var s Sample
-		at, err := strconv.ParseInt(row[0], 10, 64)
+	interval, err := strconv.ParseInt(meta[1], 10, 64)
+	if err != nil || interval <= 0 {
+		return nil, fmt.Errorf("trace: bad interval %q: want a positive count of µs", meta[1])
+	}
+	t.Interval = sim.Time(interval)
+	if t.Reads, err = strconv.Atoi(meta[3]); err != nil {
+		return nil, fmt.Errorf("trace: bad read count %q: %w", meta[3], err)
+	}
+	if len(rows) < 2 || len(rows[1]) != Width+2 {
+		return nil, fmt.Errorf("trace: want a header of %d columns", Width+2)
+	}
+	rows = rows[2:]
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("trace: csv has a header but no reads")
+	}
+	if t.Reads < len(rows) {
+		return nil, fmt.Errorf("trace: %d rows but a read count of %d", len(rows), t.Reads)
+	}
+	if len(rows) > 1 {
+		t.deltas = make([]Delta, 0, len(rows)-1)
+	}
+	var prevAt sim.Time
+	for n, row := range rows {
+		if len(row) != Width+2 {
+			return nil, fmt.Errorf("trace: row %d has %d columns, want %d", n+1, len(row), Width+2)
+		}
+		v, err := strconv.ParseInt(row[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad timestamp %q: %w", row[0], err)
 		}
-		s.At = sim.Time(at)
-		for i := 0; i < adreno.NumSelected; i++ {
-			v, err := strconv.ParseUint(row[i+1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad value %q: %w", row[i+1], err)
-			}
-			s.Values[i] = v
+		at := sim.Time(v)
+		gap, err := strconv.ParseInt(row[1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: bad gap %q: %w", row[1], err)
 		}
-		t.Samples = append(t.Samples, s)
+		if n == 0 {
+			if gap != 0 {
+				return nil, fmt.Errorf("trace: the first read has gap %d, want 0", gap)
+			}
+			t.First.At = at
+			for i := range t.First.Values {
+				if t.First.Values[i], err = strconv.ParseUint(row[i+2], 10, 64); err != nil {
+					return nil, fmt.Errorf("trace: bad counter value %q: %w", row[i+2], err)
+				}
+			}
+			prevAt = at
+			continue
+		}
+		if at <= prevAt {
+			return nil, fmt.Errorf("trace: row %d: time %d does not increase past %d", n+1, at, prevAt)
+		}
+		if gap <= 0 || sim.Time(gap) > at-prevAt {
+			return nil, fmt.Errorf("trace: row %d: gap %d is not in (0, %d]", n+1, gap, at-prevAt)
+		}
+		d := Delta{At: at, Gap: sim.Time(gap)}
+		for i := range d.V {
+			f, err := strconv.ParseFloat(row[i+2], 64)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("trace: bad counter change %q: want a finite number", row[i+2])
+			}
+			d.V[i] = f
+		}
+		if d.V.IsZero() {
+			return nil, fmt.Errorf("trace: row %d moves no counter", n+1)
+		}
+		t.deltas = append(t.deltas, d)
+		prevAt = at
 	}
 	return t, nil
 }

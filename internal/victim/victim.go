@@ -174,7 +174,12 @@ func (s *Session) Run(script input.Script) {
 	vsync := comp.VsyncPeriod()
 	s.LaunchAt = comp.AlignVsync(16*sim.Millisecond + s.Cfg.PreLaunch)
 
-	var frames []frameReq
+	end := script.End() + 800*sim.Millisecond
+	if end < s.LaunchAt+sim.Second {
+		end = s.LaunchAt + sim.Second
+	}
+
+	frames := make([]frameReq, 0, s.frameCap(script, end))
 	add := func(at sim.Time, st render.FrameStats) {
 		if !st.IsZero() {
 			frames = append(frames, frameReq{at: at, stats: st})
@@ -204,11 +209,6 @@ func (s *Session) Run(script input.Script) {
 	curPage := keyboard.PageLower
 	var excursions []span
 	pendingAway := sim.Time(-1)
-
-	end := script.End() + 800*sim.Millisecond
-	if end < s.LaunchAt+sim.Second {
-		end = s.LaunchAt + sim.Second
-	}
 
 	if s.Cfg.Autofill {
 		// A password manager inserts the whole credential at once: a
@@ -419,6 +419,61 @@ func (s *Session) Run(script input.Script) {
 	if le := s.GPU.LastEnd(); le > s.End {
 		s.End = le
 	}
+}
+
+// frameCap estimates how many frames Run submits for script over
+// [0, end), so that the frame slice is allocated once: each script event
+// at its usual frame count, and the session's timers — cursor blink,
+// notifications, background GPU load and the login animation — at their
+// rates over [LaunchAt, end). Random extras (a page switch and a
+// duplicated popup on the same press, a burst of notifications) can
+// exceed it; the appends past it grow the slice as usual.
+func (s *Session) frameCap(script input.Script, end sim.Time) int {
+	vsync := s.Comp.VsyncPeriod()
+	n := 1 // the launch frame
+	if s.Cfg.PreLaunch > 0 {
+		n += int(s.Cfg.PreLaunch/(120*sim.Millisecond)) + 1 // foreign frames every 120 ms or more
+	}
+	if s.Cfg.Autofill {
+		n++ // one echo redraw
+	} else {
+		perPress := 2 // the echo, and a page switch or a duplicated popup
+		if !s.Cfg.DisablePopups {
+			perPress += 2 // popup show and hide
+		}
+		away := sim.Time(-1)
+		for _, ev := range script.Events {
+			switch ev.Kind {
+			case input.EvPress:
+				n += perPress
+			case input.EvBackspace:
+				n++
+			case input.EvSwitchAway:
+				n += 10
+				away = ev.At
+			case input.EvSwitchBack:
+				n += 11 // the switch animation and the re-launch
+				if away >= 0 {
+					n += int((ev.At - away) / (240 * sim.Millisecond)) // foreign frames every 80–400 ms
+					away = -1
+				}
+			case input.EvNotifView:
+				n += 2
+			}
+		}
+	}
+	live := end - s.LaunchAt
+	if !s.Cfg.DisableCursorBlink {
+		n += int(live / (500 * sim.Millisecond))
+	}
+	n += int(float64(live)/float64(sim.Minute)*s.Cfg.NotifPerMinute) + 1
+	if s.Cfg.GPULoad > 0 {
+		n += int(float64(live/vsync)*s.Cfg.GPULoad) + 1
+	}
+	if s.Cfg.App.Animated {
+		n += int(live/(6*vsync)) + 1
+	}
+	return n
 }
 
 func inSpan(spans []span, t sim.Time) bool {

@@ -66,7 +66,7 @@ func TestWarmPathAllocs(t *testing.T) {
 		runs int
 		run  func()
 	}{
-		{"eavesdrop", 43, 25500, 10, func() {
+		{"eavesdrop", 42, 25500, 10, func() {
 			sess := NewVictim(cfg)
 			sess.Run(script)
 			f, err := sess.Open()
@@ -78,7 +78,7 @@ func TestWarmPathAllocs(t *testing.T) {
 			}
 		}},
 		{"victim session", 27, 22700, 10, func() { NewVictim(cfg).Run(script) }},
-		{"Sampler.Collect", 3, 7300, 10, func() {
+		{"Sampler.Collect", 2, 7300, 10, func() {
 			if _, err := s.Collect(0, sess.End); err != nil {
 				t.Fatal(err)
 			}

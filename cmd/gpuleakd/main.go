@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -53,9 +52,10 @@ func main() {
 	}
 }
 
-// run serves the flags in args until ctx is done, then drains: it stops
-// admitting, waits for in-flight runs (bounded by -drain-timeout), closes
-// the HTTP side, writes -trace-out, and returns nil.
+// run serves the flags in args until ctx is done, then drains through
+// serve.ListenAndServe: it stops admitting, waits for in-flight runs
+// (bounded by -drain-timeout), closes the HTTP side, writes -trace-out,
+// and returns nil.
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gpuleakd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
@@ -110,41 +110,12 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	srv := serve.NewServer(opts)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			ln.Close()
-			return err
-		}
-	}
-	httpSrv := &http.Server{Handler: srv}
-	served := make(chan error, 1)
-	go func() { served <- httpSrv.Serve(ln) }()
-	log.Printf("listening on http://%s (%d shards, %d workers + %d queued per shard)",
-		ln.Addr(), *shards, *workers, *queue)
-
-	select {
-	case err := <-served:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("shutdown: draining in-flight runs (bound %v)", *drainTimeout)
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
-	defer cancel()
-	// Stop admitting first (healthz flips to draining/503), then drain
-	// the work queues, then close the HTTP side.
-	if err := srv.Shutdown(dctx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		log.Printf("shutdown: http: %v", err)
-	}
+	err := serve.ListenAndServe(ctx, *addr, *addrFile, srv, *drainTimeout, func(a net.Addr) {
+		log.Printf("listening on http://%s (%d shards, %d workers + %d queued per shard)",
+			a, *shards, *workers, *queue)
+	})
 	srv.Close()
-	if err := <-served; err != http.ErrServerClosed {
+	if err != nil {
 		return err
 	}
 	if *traceOut != "" {
@@ -154,6 +125,5 @@ func run(ctx context.Context, args []string) error {
 		}
 		log.Printf("trace: %d events written to %s", tracer.Len(), *traceOut)
 	}
-	log.Printf("drained cleanly")
 	return nil
 }

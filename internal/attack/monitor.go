@@ -64,8 +64,10 @@ func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*Mo
 	}
 	s.Obs = a.Obs
 
-	idle := a.Obs.Start(start, evIdleWait,
-		obs.Int("idle_interval_us", int(idleInterval)))
+	var idle *obs.Span
+	if a.Obs.Enabled() {
+		idle = a.Obs.Start(start, evIdleWait, obs.Int("idle_interval_us", int(idleInterval)))
+	}
 	out := &MonitorResult{}
 	prev, err := f.ReadSelected(start)
 	havePrev := err == nil

@@ -238,8 +238,10 @@ func collectSweep(ch channel.Channel, interval sim.Time, sess *victim.Session, a
 	press(alphabet[0])
 	sess.Run(script)
 
-	sp := obsTr.Start(0, evOfflineTask,
-		obs.Str("kind", "sweep"), obs.Int("keys", len(alphabet)))
+	var sp *obs.Span
+	if obsTr.Enabled() {
+		sp = obsTr.Start(0, evOfflineTask, obs.Str("kind", "sweep"), obs.Int("keys", len(alphabet)))
+	}
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
 	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)
@@ -283,8 +285,10 @@ func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune
 	}}}
 	sess.Run(script)
 
-	sp := obsTr.Start(0, evOfflineTask,
-		obs.Str("kind", "key"), obs.Str("rune", string(r)), obs.Int("repeat", repeat))
+	var sp *obs.Span
+	if obsTr.Enabled() {
+		sp = obsTr.Start(0, evOfflineTask, obs.Str("kind", "key"), obs.Str("rune", string(r)), obs.Int("repeat", repeat))
+	}
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
 	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)

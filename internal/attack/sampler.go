@@ -137,7 +137,11 @@ func (s *Sampler) newTrace(start, end sim.Time) *trace.Trace {
 // The previous successful read is the wrap check's reference and the
 // base of the next delta, so a flat read costs no storage.
 func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace, yield func(trace.Delta)) error {
-	sp := s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
+	// The field slice escapes into the tracer: build it only when tracing.
+	var sp *obs.Span
+	if s.Obs.Enabled() {
+		sp = s.Obs.Start(start, evSamplerCollect, obs.Int("interval_us", int(s.Interval)))
+	}
 	s.Stats = CollectStats{}
 	tf, hasTF := s.File.(TickFaults)
 	// Each read lands in cur; prev holds the last successful read. The

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"gpuleak/internal/attack"
@@ -145,16 +144,12 @@ type Server struct {
 	work     []*workShard
 	mux      *http.ServeMux
 	m        *obs.Metrics
-	sessions *sessionTable
+	gate     *gate
+	sessions *sessionTable[replicaSession]
 	batcher  *Batcher // nil when Options.BatchMax == 0
 	// shardGauge holds the precomputed per-shard queue-depth gauge names
 	// ("serve.shard<i>.queued"), so /metrics scrapes never format strings.
 	shardGauge []string
-
-	mu       sync.Mutex
-	inflight int
-	draining bool
-	idle     chan struct{} // closed when draining and inflight == 0
 }
 
 // NewServer builds a serving layer over the attack pipeline.
@@ -164,8 +159,8 @@ func NewServer(opts Options) *Server {
 		opts:     opts,
 		m:        opts.Metrics,
 		mux:      http.NewServeMux(),
-		idle:     make(chan struct{}),
-		sessions: newSessionTable(opts.MaxSessions),
+		gate:     newGate(),
+		sessions: newSessionTable[replicaSession]("s-", opts.MaxSessions),
 	}
 	if opts.BatchMax > 0 {
 		s.batcher = NewBatcher(opts.Shards, opts.BatchWindow, opts.BatchMax, opts.Metrics)
@@ -201,50 +196,19 @@ func (s *Server) Registry() *Registry { return s.reg }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// begin admits one request into the in-flight set; it fails once Shutdown
-// has been called.
-func (s *Server) begin() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
-	}
-	s.inflight++
-	return nil
-}
-
-// end retires one request and signals Shutdown when the last one drains.
-func (s *Server) end() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inflight--
-	if s.draining && s.inflight == 0 {
-		close(s.idle)
-	}
-}
-
 // Shutdown stops admitting requests and blocks until every in-flight
 // Algorithm-1 run has drained, or ctx expires. It is idempotent only in
 // the sense that the first call wins; serve it once from the signal path.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		if s.inflight == 0 {
-			close(s.idle)
-		}
-	}
-	s.mu.Unlock()
+	s.gate.close()
 	// Unattached sessions will never run: drop them now so their idle
 	// timers stop. Attached streams are in the in-flight count and drain
 	// like any other request.
 	s.sessions.clear()
-	select {
-	case <-s.idle:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
+	if err := s.gate.wait(ctx); err != nil {
+		return fmt.Errorf("serve: shutdown: %w", err)
 	}
+	return nil
 }
 
 // Close releases the server's background resources (the micro-batch
@@ -254,20 +218,6 @@ func (s *Server) Close() {
 	if s.batcher != nil {
 		s.batcher.Close()
 	}
-}
-
-// Draining reports whether Shutdown has been initiated.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Inflight reports the number of requests currently admitted.
-func (s *Server) Inflight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
 }
 
 // do runs fn through shard's bounded work queue under the request's
@@ -350,6 +300,8 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON answers status with v as indented JSON: every JSON reply of
+// Server and Router goes through it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -358,13 +310,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone: nothing left to report to
 }
 
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
+// writeErrorJSON answers status with err as an ErrorResponse of schema;
+// a 429 or 503 carries the Retry-After hint.
+func writeErrorJSON(w http.ResponseWriter, schema string, status int, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
+	writeJSON(w, status, ErrorResponse{Schema: schema, Error: err.Error(), Status: status})
+}
+
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.m.Add(mErrors, 1)
-	writeJSON(w, status, ErrorResponse{Schema: Schema, Error: err.Error(), Status: status})
+	writeErrorJSON(w, Schema, statusFor(err), err)
 }
 
 func decode[T any](r *http.Request, into *T) error {
@@ -389,11 +346,11 @@ func (s *Server) handleEavesdrop(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, mErrorsEavesdrop, err)
 		return
 	}
-	if err := s.begin(); err != nil {
-		s.failRequest(w, mErrorsEavesdrop, err)
+	if !s.gate.enter() {
+		s.failRequest(w, mErrorsEavesdrop, ErrDraining)
 		return
 	}
-	defer s.end()
+	defer s.gate.leave()
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	tc := traceFor(r, req.Seed)
@@ -559,11 +516,11 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, mErrorsTrain, err)
 		return
 	}
-	if err := s.begin(); err != nil {
-		s.failRequest(w, mErrorsTrain, err)
+	if !s.gate.enter() {
+		s.failRequest(w, mErrorsTrain, ErrDraining)
 		return
 	}
-	defer s.end()
+	defer s.gate.leave()
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
@@ -605,11 +562,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, mErrorsExperiment, fmt.Errorf("%w: empty experiment id", ErrBadRequest))
 		return
 	}
-	if err := s.begin(); err != nil {
-		s.failRequest(w, mErrorsExperiment, err)
+	if !s.gate.enter() {
+		s.failRequest(w, mErrorsExperiment, ErrDraining)
 		return
 	}
-	defer s.end()
+	defer s.gate.leave()
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
@@ -641,19 +598,20 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	models, training := s.reg.Stats()
 	resident, _ := s.sessions.stats()
+	inflight, draining := s.gate.state()
 	resp := HealthResponse{
 		Schema:   Schema,
 		Status:   "ok",
 		Models:   models,
 		Training: training,
-		Inflight: s.Inflight(),
+		Inflight: inflight,
 		Shards:   s.reg.Shards(),
 		Sessions: resident,
 		Channels: channel.Names(),
 		Defenses: defense.Names(),
 	}
 	status := http.StatusOK
-	if s.Draining() {
+	if draining {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -661,18 +619,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleMetrics serves GET /metrics in two negotiated renderings of the
-// same state: the default (or ?format=json) sorted-key JSON snapshot
-// with the serving gauges folded in (byte-stable for identical states),
-// and ?format=prom, the Prometheus text exposition with trace-id
-// exemplars on histogram buckets. Both carry an explicit Content-Type;
-// any other format answers 400.
+// handleMetrics serves GET /metrics: see writeMetrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.m.Add(mMetricScrapes, 1)
-	gauges := s.gauges()
-	switch format := r.URL.Query().Get("format"); format {
+	if format := r.URL.Query().Get("format"); !writeMetrics(w, format, s.m, s.gauges()) {
+		s.writeError(w, fmt.Errorf("%w: unknown metrics format %q", ErrBadRequest, format))
+	}
+}
+
+// writeMetrics renders m in format, one of two negotiated renderings of
+// the same state: "" or "json", the sorted-key JSON snapshot with gauges
+// folded in (byte-stable for identical states), and "prom", the
+// Prometheus text exposition with trace-id exemplars on histogram
+// buckets. Both carry an explicit Content-Type. It writes nothing and
+// reports false for any other format, which the caller answers 400.
+// Server's and Router's /metrics both render through it.
+func writeMetrics(w http.ResponseWriter, format string, m *obs.Metrics, gauges map[string]float64) bool {
+	switch format {
 	case "", "json":
-		snap := s.m.Snapshot()
+		snap := m.Snapshot()
 		for k, v := range gauges {
 			snap[k] = v
 		}
@@ -680,10 +645,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteSnapshotJSON(w, snap) //nolint:errcheck // client gone mid-scrape
 	case "prom":
 		w.Header().Set("Content-Type", obs.PromContentType)
-		s.m.WriteProm(w, gauges) //nolint:errcheck // client gone mid-scrape
+		m.WriteProm(w, gauges) //nolint:errcheck // client gone mid-scrape
 	default:
-		s.writeError(w, fmt.Errorf("%w: unknown metrics format %q", ErrBadRequest, format))
+		return false
 	}
+	return true
 }
 
 // gauges reads the point-in-time serving state /metrics folds in next to
@@ -692,11 +658,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) gauges() map[string]float64 {
 	models, training := s.reg.Stats()
 	resident, streaming := s.sessions.stats()
+	inflight, _ := s.gate.state()
 	g := map[string]float64{
 		"registry.models_resident": float64(models),
 		"registry.training":        float64(training),
 		"registry.evictions":       float64(Evictions()),
-		"serve.inflight":           float64(s.Inflight()),
+		"serve.inflight":           float64(inflight),
 		"serve.sessions.resident":  float64(resident),
 		"serve.sessions.streaming": float64(streaming),
 	}

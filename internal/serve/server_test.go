@@ -56,15 +56,15 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 
 // waitCounter polls a metrics counter until it reaches want; these
 // transitions complete in microseconds, the deadline is pure paranoia.
-func waitCounter(t *testing.T, s *Server, key string, want float64) {
+func waitCounter(t *testing.T, m *obs.Metrics, key string, want float64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if s.m.Snapshot()[key] >= want {
+		if m.Snapshot()[key] >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached %v (snapshot %v)", key, want, s.m.Snapshot())
+			t.Fatalf("%s never reached %v (snapshot %v)", key, want, m.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -95,7 +95,7 @@ func TestServerBackpressure(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 	}
-	waitCounter(t, s, "serve.admitted", 2)
+	waitCounter(t, s.m, "serve.admitted", 2)
 
 	// The shard's admit capacity (workers+queue = 2) is now exhausted.
 	resp := postJSON(t, ts.URL+"/v1/train", `{}`)
@@ -165,12 +165,15 @@ func TestServerGracefulShutdown(t *testing.T) {
 		resp.Body.Close()
 		inflight <- resp.StatusCode
 	}()
-	waitCounter(t, s, "serve.admitted", 1)
+	waitCounter(t, s.m, "serve.admitted", 1)
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- s.Shutdown(context.Background()) }()
 	deadline := time.Now().Add(10 * time.Second)
-	for !s.Draining() {
+	for {
+		if _, draining := s.gate.state(); draining {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -224,7 +227,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/train", `{}`)
 		resp.Body.Close()
 	}()
-	waitCounter(t, s, "serve.admitted", 1)
+	waitCounter(t, s.m, "serve.admitted", 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

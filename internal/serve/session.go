@@ -22,29 +22,35 @@ var (
 	ErrSessionConsumed = errors.New("serve: session stream already consumed")
 )
 
-// sessionState tracks a session through its single-use lifecycle.
+// sessionState tracks a session through its single-use lifecycle; a
+// finished session leaves the table.
 type sessionState int
 
 const (
 	sessionCreated sessionState = iota
 	sessionStreaming
-	sessionDone
 )
 
-// session is one registered streaming eavesdrop: the resolved request,
-// waiting for its one stream attach. Per-session state is bounded by
-// construction — the request, the scenario, and lifecycle bookkeeping;
-// verdicts are written straight to the attached stream, never buffered
-// per session.
-type session struct {
-	id   string
-	req  EavesdropRequest
-	scen Scenario
+// session is one registered streaming session of either server: its
+// single-use lifecycle plus the server's own per-session data.
+type session[T any] struct {
+	id string
 	// seq is the table's logical creation clock; the oldest never-attached
 	// session is evicted first when the table is full.
 	seq      uint64
 	state    sessionState
 	stopIdle func()
+	data     T
+}
+
+// replicaSession is what a Server keeps per session: the resolved
+// request, waiting for its one stream attach. Per-session state is
+// bounded by construction — the request, the scenario, and lifecycle
+// bookkeeping; verdicts are written straight to the attached stream,
+// never buffered per session.
+type replicaSession struct {
+	req  EavesdropRequest
+	scen Scenario
 	// trace is the session's trace context, captured at create time: the
 	// router forwards the traceparent on the create POST (and on every
 	// failover replay), while the stream attach carries no header — so a
@@ -52,31 +58,33 @@ type session struct {
 	trace obs.TraceContext
 }
 
-// sessionTable is the bounded registry of live sessions. Boundedness has
-// two layers: a hard cap with oldest-unattached eviction (a logical-clock
-// policy, so the serving package stays wall-clock-free), plus an optional
+// sessionTable is the bounded registry of live sessions, shared by Server
+// and Router. Boundedness has two layers: a hard cap with
+// oldest-unattached eviction (a logical-clock policy, so the serving
+// package stays wall-clock-free), plus, on a Server, an optional
 // per-session idle timer the daemon injects (Options.SessionTimer).
-type sessionTable struct {
-	mu     sync.Mutex
-	byID   map[string]*session
+type sessionTable[T any] struct {
+	prefix string // ids are prefix + the 8-digit creation count
 	cap    int
-	nextID uint64
-	seq    uint64
+
+	mu   sync.Mutex
+	byID map[string]*session[T]
+	seq  uint64
 }
 
-func newSessionTable(cap int) *sessionTable {
-	return &sessionTable{byID: map[string]*session{}, cap: cap}
+func newSessionTable[T any](prefix string, cap int) *sessionTable[T] {
+	return &sessionTable[T]{prefix: prefix, cap: cap, byID: map[string]*session[T]{}}
 }
 
-// create registers a session, evicting the oldest never-attached one if
-// the table is full. It fails with ErrBusy when every resident session is
-// already streaming.
-func (t *sessionTable) create(req EavesdropRequest, scen Scenario, trace obs.TraceContext) (*session, bool, error) {
+// create registers a session holding data, evicting the oldest
+// never-attached one if the table is full. When every resident session
+// is attached it registers nothing, and returns a nil session and the
+// resident count for the caller's 429.
+func (t *sessionTable[T]) create(data T) (sess *session[T], evicted bool, resident int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	evicted := false
 	if len(t.byID) >= t.cap {
-		var victim *session
+		var victim *session[T]
 		for _, s := range t.byID {
 			if s.state != sessionCreated {
 				continue
@@ -86,7 +94,7 @@ func (t *sessionTable) create(req EavesdropRequest, scen Scenario, trace obs.Tra
 			}
 		}
 		if victim == nil {
-			return nil, false, fmt.Errorf("sessions: %d registered, all streaming: %w", len(t.byID), ErrBusy)
+			return nil, false, len(t.byID)
 		}
 		delete(t.byID, victim.id)
 		if victim.stopIdle != nil {
@@ -94,22 +102,31 @@ func (t *sessionTable) create(req EavesdropRequest, scen Scenario, trace obs.Tra
 		}
 		evicted = true
 	}
-	t.nextID++
 	t.seq++
-	s := &session{
-		id:    fmt.Sprintf("s-%08d", t.nextID),
-		req:   req,
-		scen:  scen,
-		seq:   t.seq,
-		trace: trace,
-	}
-	t.byID[s.id] = s
-	return s, evicted, nil
+	sess = &session[T]{id: fmt.Sprintf("%s%08d", t.prefix, t.seq), seq: t.seq, data: data}
+	t.byID[sess.id] = sess
+	return sess, evicted, len(t.byID)
 }
 
-// claim transitions a session from created to streaming, enforcing the
-// single-use contract.
-func (t *sessionTable) claim(id string) (*session, error) {
+// armIdle hands sess the stop function of its idle timer. The timer may
+// have fired (and dropped the session) before the create handler got
+// here; then the stop function runs at once instead.
+func (t *sessionTable[T]) armIdle(sess *session[T], stop func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byID[sess.id] == sess {
+		sess.stopIdle = stop
+	} else if stop != nil {
+		stop()
+	}
+}
+
+// attach claims session id for its one stream, enforcing the single-use
+// contract, and admits the stream through g. A stream the gate refuses
+// (draining) fails with ErrDraining and reverts the claim, so the session
+// stays unattached: counted, evictable, and dropped by a replica's
+// shutdown.
+func (t *sessionTable[T]) attach(id string, g *gate) (*session[T], error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.byID[id]
@@ -119,6 +136,9 @@ func (t *sessionTable) claim(id string) (*session, error) {
 	if s.state != sessionCreated {
 		return nil, fmt.Errorf("session %q: %w", id, ErrSessionConsumed)
 	}
+	if !g.enter() {
+		return nil, ErrDraining
+	}
 	s.state = sessionStreaming
 	if s.stopIdle != nil {
 		s.stopIdle()
@@ -127,29 +147,16 @@ func (t *sessionTable) claim(id string) (*session, error) {
 	return s, nil
 }
 
-// unclaim reverts a claim that could not start streaming (the server
-// began draining between claim and admission).
-func (t *sessionTable) unclaim(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.byID[id]; ok && s.state == sessionStreaming {
-		s.state = sessionCreated
-	}
-}
-
 // finish retires a streamed session from the table.
-func (t *sessionTable) finish(id string) {
+func (t *sessionTable[T]) finish(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok := t.byID[id]; ok {
-		s.state = sessionDone
-		delete(t.byID, s.id)
-	}
+	delete(t.byID, id)
 }
 
 // drop removes a session only while it is still unattached; the idle
 // reaper and DELETE /v1/sessions/{id} both land here.
-func (t *sessionTable) drop(id string) bool {
+func (t *sessionTable[T]) drop(id string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.byID[id]
@@ -164,7 +171,7 @@ func (t *sessionTable) drop(id string) bool {
 }
 
 // stats reports resident and currently-streaming session counts.
-func (t *sessionTable) stats() (resident, streaming int) {
+func (t *sessionTable[T]) stats() (resident, streaming int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range t.byID {
@@ -177,7 +184,7 @@ func (t *sessionTable) stats() (resident, streaming int) {
 
 // clear empties the table (shutdown: unattached sessions are dropped;
 // attached ones are tracked by the in-flight drain, not the table).
-func (t *sessionTable) clear() {
+func (t *sessionTable[T]) clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for id, s := range t.byID {
@@ -208,13 +215,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			"%w: streaming sessions are single-channel; use POST /v1/eavesdrop for fusion", ErrBadRequest))
 		return
 	}
-	if s.Draining() {
+	if _, draining := s.gate.state(); draining {
 		s.failRequest(w, mErrorsSession, ErrDraining)
 		return
 	}
-	sess, evicted, err := s.sessions.create(req, scen, traceFor(r, req.Seed))
-	if err != nil {
-		s.failRequest(w, mErrorsSession, err)
+	sess, evicted, resident := s.sessions.create(replicaSession{req: req, scen: scen, trace: traceFor(r, req.Seed)})
+	if sess == nil {
+		s.failRequest(w, mErrorsSession, fmt.Errorf("sessions: %d registered, all streaming: %w", resident, ErrBusy))
 		return
 	}
 	if evicted {
@@ -222,20 +229,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.opts.SessionTimer != nil {
 		id := sess.id
-		stop := s.opts.SessionTimer(func() {
+		s.sessions.armIdle(sess, s.opts.SessionTimer(func() {
 			if s.sessions.drop(id) {
 				s.m.Add(mSessionsIdleReaped, 1)
 			}
-		})
-		s.sessions.mu.Lock()
-		// The timer may have fired (and dropped the session) before we got
-		// here; only arm the stop hook while the session is still resident.
-		if cur, ok := s.sessions.byID[id]; ok && cur == sess {
-			sess.stopIdle = stop
-		} else if stop != nil {
-			stop()
-		}
-		s.sessions.mu.Unlock()
+		}))
 	}
 	s.m.Add(mSessionsCreated, 1)
 	writeJSON(w, http.StatusCreated, SessionResponse{
@@ -266,29 +264,25 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // JSON whitespace) to the one-shot /v1/eavesdrop response body for the
 // same request, or an "error" frame if sampling failed mid-run.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.sessions.claim(r.PathValue("id"))
+	sess, err := s.sessions.attach(r.PathValue("id"), s.gate)
 	if err != nil {
 		s.failRequest(w, mErrorsStream, err)
 		return
 	}
-	if err := s.begin(); err != nil {
-		s.sessions.unclaim(sess.id)
-		s.failRequest(w, mErrorsStream, err)
-		return
-	}
-	defer s.end()
+	defer s.gate.leave()
 	defer s.sessions.finish(sess.id)
-	ctx, cancel := s.requestContext(r, sess.req.TimeoutMS)
+	run := &sess.data
+	ctx, cancel := s.requestContext(r, run.req.TimeoutMS)
 	defer cancel()
-	tc := sess.trace
+	tc := run.trace
 	ctx = obs.WithTraceContext(ctx, tc)
 
 	st := &sseStream{w: w, sessionID: sess.id, trace: tc.Local()}
 	if f, ok := w.(http.Flusher); ok {
 		st.flush = f
 	}
-	err = s.do(ctx, s.reg.ShardFor(ChannelKey(TrainConfig(sess.scen.Cfg), sess.scen.Primary())), func(ctx context.Context) error {
-		resp, err := s.runEavesdrop(ctx, sess.scen, sess.req, st.event, mLatencyStream)
+	err = s.do(ctx, s.reg.ShardFor(ChannelKey(TrainConfig(run.scen.Cfg), run.scen.Primary())), func(ctx context.Context) error {
+		resp, err := s.runEavesdrop(ctx, run.scen, run.req, st.event, mLatencyStream)
 		if err != nil {
 			return err
 		}

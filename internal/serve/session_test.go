@@ -123,7 +123,7 @@ func TestSessionSingleUse(t *testing.T) {
 		resp.Body.Close()
 		done <- resp.StatusCode
 	}()
-	waitCounter(t, s, "serve.admitted", 1)
+	waitCounter(t, s.m, "serve.admitted", 1)
 
 	resp := doReq(t, http.MethodGet, ts.URL+sr.Stream)
 	if resp.StatusCode != http.StatusConflict {
@@ -177,7 +177,7 @@ func TestSessionTableBounds(t *testing.T) {
 			done <- resp.StatusCode
 		}(sr.Stream)
 	}
-	waitCounter(t, s, "serve.admitted", 2)
+	waitCounter(t, s.m, "serve.admitted", 2)
 	resp = postJSON(t, ts.URL+"/v1/sessions", `{"text":"four"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("create with all sessions streaming: status %d, want 429", resp.StatusCode)

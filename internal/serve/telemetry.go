@@ -68,6 +68,23 @@ const (
 	mBatchJobs      = "serve.batch.jobs"
 	mBatchCoalesced = "serve.batch.coalesced"
 	mBatchOccupancy = "serve.batch.occupancy"
+
+	// The Router's own series, in its own "router." namespace.
+	mReshards               = "router.reshards"
+	mWarmTrains             = "router.warm_trains"
+	mRouterErrors           = "router.errors"
+	mEvictions              = "router.evictions"
+	mProxied                = "router.proxied"
+	mFrames                 = "router.frames"
+	mRouterSessionsCreated  = "router.sessions.created"
+	mRouterSessionsEvicted  = "router.sessions.evicted"
+	mSessionsFailovers      = "router.sessions.failovers"
+	mRouterSessionsStreamed = "router.sessions.streamed"
+	mReqEavesdrop           = "router.requests.eavesdrop"
+	mReqTrain               = "router.requests.train"
+	mReqExperiment          = "router.requests.experiment"
+	mReqSession             = "router.requests.session"
+	mReqStream              = "router.requests.stream"
 )
 
 // traceFor resolves a request's trace context: an inbound traceparent

@@ -47,13 +47,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	modelPath := fs.String("model", "", "pretrained model JSON (default: train on the fly)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	practical := fs.Bool("practical", false, "inject corrections/app switches (§8 behavior)")
-	traceOut := fs.String("trace", "", "write the counter trace as CSV: the polling interval, the first read and every change point")
+	traceOut := fs.String("trace", "", "write the counter trace as CSV: the polling interval, the first read and every change point (not with -monitor)")
 	monitor := fs.Bool("monitor", false, "start with the Figure-4 monitoring service: the victim uses another app first, the attack waits for the target launch")
 	faults := fs.String("faults", "", "inject device faults from this profile (none,mild,moderate,severe,starve) and arm the retry policy")
 	faultSeed := fs.Int64("fault-seed", 0, "fault schedule seed (default: derived from -seed)")
 	var obsFlags obs.Flags
 	obsFlags.Register(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
+	if *monitor && *traceOut != "" {
+		return errors.New("-trace cannot be combined with -monitor: the monitored run keeps no counter trace")
+	}
 
 	stopProfiles, err := obsFlags.StartProfiles()
 	if err != nil {

@@ -163,3 +163,36 @@ func TestRunPreloadsCollectedModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMonitors runs the Figure-4 monitoring service: the victim uses
+// another app for 6 s, and the attack waits at low duty for the target
+// launch before it eavesdrops, with and without a fault plane.
+func TestRunMonitors(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-faults", "moderate"}} {
+		var stdout bytes.Buffer
+		args := append([]string{"-monitor", "-seed", "7", "-text", "hunter2"}, extra...)
+		if err := run(context.Background(), args, &stdout); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "exact match  : true") {
+			t.Errorf("%v: output lacks an exact match:\n%s", args, out)
+		}
+		if got := strings.Contains(out, "recovery     :"); got != (extra != nil) {
+			t.Errorf("%v: recovery line printed = %v:\n%s", args, got, out)
+		}
+	}
+}
+
+// TestRunRefusesMonitorTrace pins that -monitor -trace fails before it
+// does any work, rather than exiting 0 without writing the file.
+func TestRunRefusesMonitorTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	err := run(context.Background(), []string{"-monitor", "-trace", path}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-monitor") {
+		t.Fatalf("attackd -monitor -trace: %v, want a refusal naming -monitor", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("attackd -monitor -trace left %s behind (%v)", path, err)
+	}
+}

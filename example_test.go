@@ -60,7 +60,7 @@ func Example_mitigated() {
 	// Output: attack blocked
 }
 
-// Injecting device faults through the fault plane: the retry policy
+// Injecting device faults through the fault plane: Attack.Retry
 // absorbs EBUSY bursts, revocations and missed ticks, the result is
 // flagged degraded instead of failing.
 func Example_faultInjection() {
@@ -81,7 +81,7 @@ func Example_faultInjection() {
 	plane := gpuleak.InjectFaults(file, profile, 5)
 
 	atk := gpuleak.NewAttack(model)
-	atk.Retry = gpuleak.DefaultRetryPolicy()
+	atk.Retry = true
 	result, err := atk.Eavesdrop(plane, 0, session.End)
 	if err != nil {
 		panic(err)

@@ -8,8 +8,8 @@ import (
 // Fault injection & degraded mode. The fault plane wraps a device file
 // in a seeded schedule of the failures a real KGSL consumer sees under
 // contention (EBUSY bursts, counter revocation, missed polling ticks,
-// wrapped 32-bit reads, transient closures); the attack pipeline absorbs
-// them with a sim-time RetryPolicy and reports what it survived in
+// wrapped 32-bit reads, transient closures); an attack with Retry set
+// absorbs them with sim-time backoff and reports what it survived in
 // Result.Degraded / Result.Recovery. Everything is deterministic: a
 // fixed (profile, seed) replays the identical fault schedule, and the
 // zero profile is a byte-identical passthrough.
@@ -30,10 +30,6 @@ type (
 	FaultPlane = fault.File
 	// InjectedFaultStats counts injected faults by class.
 	InjectedFaultStats = fault.InjectedStats
-	// RetryPolicy bounds how hard the sampler fights transient device
-	// errors; the zero value disables retrying (any device error is
-	// fatal). Set it on Attack.Retry.
-	RetryPolicy = attack.RetryPolicy
 	// RecoveryStats counts the recovery work one collection performed;
 	// see Result.Recovery.
 	RecoveryStats = attack.CollectStats
@@ -44,9 +40,9 @@ type (
 )
 
 // FaultProfiles returns the predefined fault profiles in severity order:
-// none (a pure passthrough), mild, moderate, severe, starve. The default
-// RetryPolicy absorbs all of them — accuracy may degrade, availability
-// never does.
+// none (a pure passthrough), mild, moderate, severe, starve. An attack
+// with Retry set absorbs all of them — accuracy may degrade,
+// availability never does.
 func FaultProfiles() []FaultProfile { return fault.Profiles() }
 
 // FaultProfileByName resolves a predefined profile ("none", "mild",
@@ -55,22 +51,15 @@ func FaultProfileByName(name string) (FaultProfile, bool) { return fault.ByName(
 
 // InjectFaults wraps a device file in a fault plane driven by the
 // profile and seed. Pass the result anywhere a DeviceFile is accepted —
-// Attack.Eavesdrop, NewSamplerOn — and arm Attack.Retry (for example with
-// DefaultRetryPolicy) so injected faults are recovered rather than
-// fatal. For a fixed (profile, seed) the schedule replays
-// bit-identically.
+// Attack.Eavesdrop, NewSamplerOn — and set Attack.Retry so injected
+// faults are recovered rather than fatal. For a fixed (profile, seed) the
+// schedule replays bit-identically.
 func InjectFaults(f DeviceFile, p FaultProfile, seed int64) *FaultPlane {
 	return fault.NewFile(f, p, seed)
 }
 
-// DefaultRetryPolicy returns the retry policy the serving layer and the
-// chaos experiments use: 4 attempts per operation with 250 µs → 2 ms
-// sim-time exponential backoff, re-reservation after revocations, up to
-// 32 consecutive bad ticks before giving up.
-func DefaultRetryPolicy() RetryPolicy { return attack.DefaultRetryPolicy() }
-
 // IsRetryable reports whether a device error is in the transient family
-// a RetryPolicy recovers from (EBUSY, EINVAL, lost reservation,
+// Attack.Retry recovers from (EBUSY, EINVAL, lost reservation,
 // transient closure, wrapped read). Permission errors from an active
 // mitigation are not retryable.
 func IsRetryable(err error) bool { return attack.Retryable(err) }

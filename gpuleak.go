@@ -46,9 +46,8 @@
 // # Fault injection & degraded mode
 //
 // InjectFaults wraps a device file in a seeded, named FaultProfile;
-// Attack.Retry (see DefaultRetryPolicy) absorbs the injected EBUSY
-// bursts, revocations and missed ticks with sim-time backoff and
-// re-reservation. Recovered runs set Result.Degraded and account for the
+// an attack with Retry set absorbs the injected EBUSY bursts,
+// revocations and missed ticks with sim-time backoff and re-reservation. Recovered runs set Result.Degraded and account for the
 // recovery work in Result.Recovery; unabsorbed failures surface as typed
 // *SampleError values classifiable with errors.As and IsRetryable. The
 // zero profile is a byte-identical passthrough, and a fixed (profile,

@@ -30,7 +30,7 @@ var wallClockFuncs = map[string]bool{
 // timed in tests, benchmarks and commands, which this check never loads.
 //
 // Only this check catches adding
-// time.Sleep(time.Duration(policy.BackoffAt(attempt)) * time.Microsecond)
+// time.Sleep(time.Duration(backoffAt(attempt)) * time.Microsecond)
 // to NewSamplerTaxonomy's reservation retry, which makes every faulted
 // reservation wait out its backoff in real time: TestRepoClean (which
 // runs this suite) is the one test that fails.

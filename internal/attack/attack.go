@@ -50,11 +50,11 @@ type Attack struct {
 	Interval sim.Time
 	// Options holds the online engine's ablation settings.
 	Options OnlineOptions
-	// Retry bounds recovery from transient device errors during sampling.
-	// The zero value disables retrying — any device error aborts the run,
-	// the behavior every fault-free experiment relies on. Pipeline derives
-	// it from the stack it builds.
-	Retry RetryPolicy
+	// Retry turns on the sampler's recovery from transient device errors;
+	// see Sampler.Retry. Off, any device error aborts the run, the
+	// behavior every fault-free experiment relies on. Pipeline derives it
+	// from the stack it builds.
+	Retry bool
 	// Errors is the transient-error taxonomy of the side channel the probe
 	// was opened on, governing retry classification and re-reservation.
 	// The zero value means the KGSL taxonomy; Pipeline sets each leg's
@@ -77,17 +77,6 @@ type Attack struct {
 func New(models ...*Model) *Attack {
 	return &Attack{Models: models, Interval: DefaultInterval}
 }
-
-// taxonomy resolves the attack's channel error taxonomy (default KGSL).
-func (a *Attack) taxonomy() fault.Taxonomy {
-	if a.Errors.Valid() {
-		return a.Errors
-	}
-	return fault.KGSL()
-}
-
-// retryable classifies a device error under the attack's taxonomy.
-func (a *Attack) retryable(err error) bool { return RetryableIn(err, a.Errors) }
 
 // Recognize picks the classification model whose launch-frame fingerprint
 // best matches the first burst of activity in the delta stream (§3.2:
@@ -174,7 +163,7 @@ func (a *Attack) EavesdropTrace(tr *trace.Trace) (*Result, error) {
 // counters, recognize the device, classify deltas. f is any Probe — a raw
 // *kgsl.File, a *fault.File when the run should face an injected fault
 // schedule, or a defense-wrapped probe. Pipeline assembles such stacks
-// for any channel, with the retry policy and taxonomy they need.
+// for any channel, with the retry switch and taxonomy they need.
 func (a *Attack) Eavesdrop(f Probe, start, end sim.Time) (*Result, error) {
 	return a.EavesdropContext(context.Background(), f, start, end)
 }
@@ -253,9 +242,9 @@ func (a *Attack) run(ctx context.Context, f Probe, start, end sim.Time, emit fun
 	yield := o.push
 	if keep {
 		tr = s.newTrace(start, end)
-		yield = func(d trace.Delta) {
+		yield = func(d trace.Delta) bool {
 			tr.Append(d)
-			o.push(d)
+			return o.push(d)
 		}
 	}
 	if err := s.poll(ctx, start, end, tr, yield); err != nil {
@@ -312,8 +301,10 @@ func (o *online) start(m *Model) {
 // push consumes the next delta. With several models it is buffered
 // until a delta lands past the launch window; recognition then runs on
 // the buffer, which the engine replays before going live. With no model
-// nothing runs: finish reports it.
-func (o *online) push(d trace.Delta) {
+// nothing runs: finish reports it. It always asks the sampler to keep
+// polling: an emit failure stops the engine, not the sampler, so a later
+// sampling failure still wins.
+func (o *online) push(d trace.Delta) bool {
 	switch {
 	case o.err != nil:
 	case o.eng != nil:
@@ -324,6 +315,7 @@ func (o *online) push(d trace.Delta) {
 			_ = o.recognize() // two or more models and a delta: Recognize cannot fail
 		}
 	}
+	return true
 }
 
 // recognize chooses the model from the buffered deltas and replays them.

@@ -111,7 +111,7 @@ func TestOneLoopMatchesTwoPasses(t *testing.T) {
 				if i > 0 {
 					ff := fault.NewFile(f, p, 3)
 					ff.Obs = tracer
-					probe, a.Retry = ff, DefaultRetryPolicy()
+					probe, a.Retry = ff, true
 				}
 				var out loopRun
 				if twoPass {

@@ -215,7 +215,7 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSamplerTaxonomy(probe, ch.Interval, RetryPolicy{}, ch.Taxonomy)
+		s, err := NewSamplerTaxonomy(probe, ch.Interval, false, ch.Taxonomy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"context"
-	"errors"
 	"math"
 
 	"gpuleak/internal/obs"
@@ -32,7 +31,8 @@ type MonitorResult struct {
 	LaunchDetectedAt sim.Time
 	// Detected reports whether a launch fingerprint fired at all.
 	Detected bool
-	// IdleReads counts the low-duty polls spent waiting.
+	// IdleReads counts the successful low-duty reads after the first one
+	// spent waiting.
 	IdleReads int
 	// Result is the credential inference from the detection point on
 	// (nil when no launch was detected).
@@ -42,15 +42,14 @@ type MonitorResult struct {
 // MonitorAndEavesdrop runs the full Figure-4 online phase: low-duty
 // polling (every 4 eavesdropping intervals) until a target-app launch
 // fingerprint appears, then full-rate eavesdropping until end. f is any
-// Probe; with a.Retry enabled, transient device errors during the idle
-// wait cost at most the missed tick (plus a re-reservation when the
-// counter group was revoked) instead of aborting the watch.
+// Probe. Both phases poll through one sampler, so with a.Retry on a
+// transient device error during the idle wait is retried, re-reserved
+// and at worst turned into a missed tick, exactly as at full rate.
 func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time) (*MonitorResult, error) {
 	return a.monitor(context.Background(), f, start, end)
 }
 
-// monitor is MonitorAndEavesdrop with ctx bounding the full-rate phase,
-// which polls and runs Algorithm 1 in one loop.
+// monitor is MonitorAndEavesdrop with ctx bounding both phases.
 func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*MonitorResult, error) {
 	interval := a.Interval
 	if interval <= 0 {
@@ -68,88 +67,35 @@ func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*Mo
 	if a.Obs.Enabled() {
 		idle = a.Obs.Start(start, evIdleWait, obs.Int("idle_interval_us", int(idleInterval)))
 	}
-	out := &MonitorResult{}
-	prev, err := f.ReadSelected(start)
-	havePrev := err == nil
-	if err != nil && (!a.Retry.Enabled() || !a.retryable(err)) {
-		return nil, &SampleError{At: start, Op: "read", Attempts: 1, Err: err}
-	}
-	// Recent non-zero deltas; a launch frame may split across two idle
-	// reads, so suffix sums of the last few deltas are matched too.
-	type recent struct {
-		at sim.Time
-		v  trace.Vec
-	}
-	var win []recent
-
+	// A launch frame may split across two idle reads, so the sums of the
+	// last few changes inside a launch window at the idle rate are matched
+	// against every model's fingerprint too.
+	window := windowsFor(idleInterval).launch
+	var recent []trace.Delta
 	var detected *Model
 	var detectedAt sim.Time
-	badTicks := 0
-	for t := start + idleInterval; t <= end; t += idleInterval {
-		cur, err := f.ReadSelected(t)
-		if err != nil {
-			// A transient failure while idling costs at most the missed
-			// tick: a launch fingerprint spans several reads, so the
-			// low-duty watcher tolerates holes the same way the full-rate
-			// sampler converts them into trace gaps.
-			if !a.Retry.Enabled() || !a.retryable(err) {
-				return nil, &SampleError{At: t, Op: "read", Attempts: 1, Err: err}
-			}
-			badTicks++
-			if a.Retry.MaxBadTicks > 0 && badTicks > a.Retry.MaxBadTicks {
-				return nil, &SampleError{At: t, Op: "read", Attempts: badTicks, Err: err}
-			}
-			if errors.Is(err, a.taxonomy().NotReserved) {
-				// Best effort: re-reserve now so the next tick can read.
-				_ = f.ReserveSelected(t)
-			}
-			continue
+	watch := func(d trace.Delta) bool {
+		recent = append(recent, d)
+		if len(recent) > 3 {
+			recent = recent[1:]
 		}
-		badTicks = 0
-		out.IdleReads++
-		if !havePrev {
-			prev = cur
-			havePrev = true
-			continue
-		}
-		var d trace.Vec
-		changed := false
-		for i := range d {
-			d[i] = float64(cur[i]) - float64(prev[i])
-			if cur[i] != prev[i] {
-				changed = true
-			}
-		}
-		prev = cur
-		if !changed {
-			continue
-		}
-		win = append(win, recent{at: t, v: d})
-		if len(win) > 3 {
-			win = win[1:]
-		}
-		// Match every suffix sum against every model fingerprint.
 		var sum trace.Vec
-		for i := len(win) - 1; i >= 0; i-- {
-			if win[i].at < t-2*idleInterval-sim.Millisecond {
-				break
-			}
-			sum = sum.Add(win[i].v)
+		for i := len(recent) - 1; i >= 0 && d.At-recent[i].At <= window; i-- {
+			sum = sum.Add(recent[i].V)
 			for _, m := range a.Models {
 				if launchMatch(m, sum) <= launchTolerance {
-					detected = m
-					detectedAt = t
-					break
+					detected, detectedAt = m, d.At
+					return false
 				}
 			}
-			if detected != nil {
-				break
-			}
 		}
-		if detected != nil {
-			break
-		}
+		return true
 	}
+	var tr trace.Trace
+	if err := s.poll(ctx, start, end, &tr, watch); err != nil {
+		return nil, err
+	}
+	out := &MonitorResult{IdleReads: max(tr.Reads-1, 0)}
 	idle.AddField(obs.Int("idle_reads", out.IdleReads))
 	a.Obs.Metrics().Add(mMonitorIdleReads, int64(out.IdleReads))
 	if detected == nil {
@@ -166,7 +112,7 @@ func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*Mo
 	// Full-rate eavesdropping from the detection point.
 	s.Interval = interval
 	o := newOnline(a, interval, detected, nil)
-	var tr trace.Trace
+	tr = trace.Trace{}
 	if err := s.poll(ctx, detectedAt, end, &tr, o.push); err != nil {
 		return nil, err
 	}

@@ -1,44 +1,56 @@
 package attack
 
 import (
+	"errors"
 	"testing"
 
 	"gpuleak/internal/android"
+	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
+	"gpuleak/internal/kgsl"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
 )
 
-func TestMonitorDetectsLaunchAndEavesdrops(t *testing.T) {
+// monitoredSession is a victim that uses a foreign app for 5 s, then
+// launches the target app and types.
+func monitoredSession(t *testing.T) (*victim.Session, *kgsl.File) {
+	t.Helper()
 	cfg := baseVictimConfig()
 	cfg.Seed = 404
 	cfg.PreLaunch = 5 * sim.Second
-	m := sharedModel(t)
-
 	sess := victim.New(cfg)
-	script := input.Typing("monitored1", input.Volunteers[0], input.SpeedAny,
-		sim.NewRand(17), cfg.PreLaunch+800*sim.Millisecond)
-	sess.Run(script)
-
+	sess.Run(input.Typing("monitored1", input.Volunteers[0], input.SpeedAny,
+		sim.NewRand(17), cfg.PreLaunch+800*sim.Millisecond))
 	f, err := sess.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk := New(m)
-	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return sess, f
+}
+
+// checkMonitored fails unless res detected the launch at the real one,
+// not during the foreign phase, and eavesdropped the text exactly.
+func checkMonitored(t *testing.T, sess *victim.Session, res *MonitorResult) {
+	t.Helper()
 	if !res.Detected {
 		t.Fatal("target app launch not detected")
 	}
-	// Detection must be at the real launch, not during the foreign phase.
 	if res.LaunchDetectedAt < sess.LaunchAt || res.LaunchDetectedAt > sess.LaunchAt+200*sim.Millisecond {
 		t.Fatalf("detected at %v, launch at %v", res.LaunchDetectedAt, sess.LaunchAt)
 	}
 	if res.Result == nil || res.Result.Text != sess.TypedText() {
-		t.Fatalf("monitored eavesdropping got %q, want %q", res.Result.Text, sess.TypedText())
+		t.Fatalf("monitored eavesdropping got %+v, want %q", res.Result, sess.TypedText())
 	}
+}
+
+func TestMonitorDetectsLaunchAndEavesdrops(t *testing.T) {
+	sess, f := monitoredSession(t)
+	res, err := New(sharedModel(t)).MonitorAndEavesdrop(f, 0, sess.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMonitored(t, sess, res)
 	// Low-duty monitoring: far fewer reads than full-rate polling of the
 	// same span would need.
 	fullRate := int((sess.LaunchAt - 0) / DefaultInterval)
@@ -67,5 +79,32 @@ func TestMonitorDoesNotFireOnForeignUse(t *testing.T) {
 	}
 	if res.Detected {
 		t.Fatalf("monitor fired on a non-target app at %v", res.LaunchDetectedAt)
+	}
+}
+
+// TestMonitorUnderFaults pins that the idle watch polls through the
+// sampler: with Retry on, a moderate or severe fault plane costs neither
+// the launch nor the text, and with it off the first injected device
+// error ends the run as a *SampleError.
+func TestMonitorUnderFaults(t *testing.T) {
+	m := sharedModel(t)
+	for _, p := range []fault.Profile{fault.Moderate, fault.Severe} {
+		for _, retry := range []bool{true, false} {
+			sess, f := monitoredSession(t)
+			atk := New(m)
+			atk.Retry = retry
+			res, err := atk.MonitorAndEavesdrop(fault.NewFile(f, p, 7), 0, sess.End)
+			if !retry {
+				var se *SampleError
+				if !errors.As(err, &se) {
+					t.Errorf("%s without retry: %v, want a *SampleError", p.Name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s with retry: %v", p.Name, err)
+			}
+			checkMonitored(t, sess, res)
+		}
 	}
 }

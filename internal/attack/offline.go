@@ -163,7 +163,7 @@ func sampleWindows(ch channel.Channel, sess *victim.Session, interval sim.Time, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("attack: offline phase: %w", err)
 	}
-	sampler, err := NewSamplerTaxonomy(f, interval, RetryPolicy{}, ch.Taxonomy)
+	sampler, err := NewSamplerTaxonomy(f, interval, false, ch.Taxonomy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,11 +333,15 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 		return nil, err
 	}
 	// Controlled collection environment: the attacker owns this device, so
-	// notifications are silenced; cursor blink stays on because its delta
-	// signature must be learned as noise.
+	// notifications are silenced and the target app launches at once (a
+	// foreign-app prelude belongs to a victim's session, and
+	// ModelKeyForChannel does not tell a model trained on one apart);
+	// cursor blink stays on because its delta signature must be learned as
+	// noise.
 	cfg.NotifPerMinute = -1
 	cfg.CPULoad = 0
 	cfg.GPULoad = 0
+	cfg.PreLaunch = 0
 
 	baseSeed := cfg.Seed
 	taskCfg := func(i int) victim.Config {

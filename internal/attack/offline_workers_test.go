@@ -6,6 +6,7 @@ import (
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/keyboard"
+	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
 )
 
@@ -78,5 +79,26 @@ func TestCollectWarmMemoMatchesCold(t *testing.T) {
 	}
 	if !bytes.Equal(modelBytes(t, cold), modelBytes(t, warm)) {
 		t.Fatal("a warm frame-stats memo changed the trained model")
+	}
+}
+
+// TestCollectIgnoresPreLaunch pins the controlled collection
+// environment: a foreign-app prelude belongs to a victim's session, not
+// to the attacker's own device, and ModelKeyForChannel does not tell a
+// model trained on one apart, so collecting a configuration with a
+// PreLaunch must train exactly the model of the same one without it.
+func TestCollectIgnoresPreLaunch(t *testing.T) {
+	cfg := victim.Config{Device: android.OnePlus8Pro, Seed: 42}
+	want, err := Collect(cfg, CollectOptions{Repeats: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PreLaunch = 6 * sim.Second
+	got, err := Collect(cfg, CollectOptions{Repeats: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(modelBytes(t, got), modelBytes(t, want)) {
+		t.Fatalf("a 6 s prelude changed the collected model: %d noise signatures, want %d", len(got.Noise), len(want.Noise))
 	}
 }

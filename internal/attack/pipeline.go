@@ -25,10 +25,10 @@ import (
 //     any that injects — wraps the primary leg only, and only when that
 //     leg is the KGSL channel; fault profiles model the KGSL ioctl path.
 //   - Retry is derived: a leg under a fault plane, or any leg of a spec
-//     carrying a Defense, samples with DefaultRetryPolicy so injected
-//     faults and defense denials degrade the result instead of failing
-//     it; every other leg keeps the zero policy. Each leg's interval and
-//     error taxonomy are its channel's.
+//     carrying a Defense, samples with Retry on so injected faults and
+//     defense denials degrade the result instead of failing it; every
+//     other leg keeps it off. Each leg's interval and error taxonomy are
+//     its channel's.
 //   - Observability: Obs traces the primary leg end to end — fault plane,
 //     sampler and engine; secondary legs run untraced. Classify hooks the
 //     engine of single-leg runs only.
@@ -77,7 +77,7 @@ type StackLeg struct {
 	// Stats count what was injected.
 	Fault *fault.File
 	// Attack is the single-leg engine configured for the probe: the leg's
-	// model, its channel's interval and taxonomy, the derived retry policy
+	// model, its channel's interval and taxonomy, the derived retry switch
 	// and the hooks the leg receives.
 	Attack *Attack
 }
@@ -142,7 +142,7 @@ func (p Pipeline) Build(sess *victim.Session) (*Stack, error) {
 			probe = p.Defense.WrapProbe(ch.Name, probe)
 		}
 		if sl.Fault != nil || p.Defense != nil {
-			a.Retry = DefaultRetryPolicy()
+			a.Retry = true
 		}
 		if primary {
 			a.Obs = p.Obs

@@ -23,7 +23,7 @@ func typedSession(text string) *victim.Session {
 }
 
 // TestPipelineBuildRules pins the stack rules Build applies: wrap order,
-// fault scope, the derived retry policy, and which leg receives Obs and
+// fault scope, the derived retry switch, and which leg receives Obs and
 // the Classify hook.
 func TestPipelineBuildRules(t *testing.T) {
 	m := sharedModel(t)
@@ -76,11 +76,8 @@ func TestPipelineBuildRules(t *testing.T) {
 				if got := reflect.TypeOf(l.Probe).Elem().PkgPath() == "gpuleak/internal/defense"; got != w.wrapped {
 					t.Errorf("leg %d: defense-wrapped = %v, want %v", i, got, w.wrapped)
 				}
-				if got := l.Attack.Retry == DefaultRetryPolicy(); got != w.retry {
-					t.Errorf("leg %d: default retry = %v, want %v", i, got, w.retry)
-				}
-				if !w.retry && l.Attack.Retry != (RetryPolicy{}) {
-					t.Errorf("leg %d: retry %+v, want the zero policy", i, l.Attack.Retry)
+				if l.Attack.Retry != w.retry {
+					t.Errorf("leg %d: retry = %v, want %v", i, l.Attack.Retry, w.retry)
 				}
 				if got := l.Attack.Obs == tr; got != w.traced {
 					t.Errorf("leg %d: traced = %v, want %v", i, got, w.traced)

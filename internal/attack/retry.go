@@ -57,104 +57,55 @@ func (e *SampleError) Unwrap() error { return e.Err }
 
 // Retryable reports whether the wrapped driver error is in the transient
 // family (EBUSY, EINVAL, lost reservation, transient closure) — the
-// errors a RetryPolicy recovers from. Permission errors (EPERM, EACCES:
-// an active mitigation) and protocol errors are fatal.
+// errors a retrying sampler recovers from. Permission errors (EPERM,
+// EACCES: an active mitigation) and protocol errors are fatal.
 func (e *SampleError) Retryable() bool { return Retryable(e.Err) }
 
-// Retryable classifies a driver error as transient under the default
-// (KGSL) taxonomy. It is sentinel-based (errors.Is), never string-based:
+// Retryable classifies a driver error as transient under the KGSL
+// taxonomy. It is sentinel-based (errors.Is), never string-based:
 // ErrBusy, ErrInval, ErrNotReserved and ErrClosed are the transient
 // family a real KGSL consumer sees under contention, and ErrWrappedRead
 // clears on re-read; everything else is fatal. Channel-aware callers use
 // RetryableIn with the channel's own taxonomy instead.
 func Retryable(err error) bool {
-	return RetryableIn(err, fault.Taxonomy{})
+	return RetryableIn(err, fault.KGSL())
 }
 
 // RetryableIn classifies a driver error as transient under a channel's
-// error taxonomy (an invalid/zero taxonomy means KGSL, the default
-// channel). ErrWrappedRead is retryable on every channel: cumulative
-// counters clearing on re-read is a property of the sampler, not the
-// driver.
+// error taxonomy. ErrWrappedRead is retryable on every channel:
+// cumulative counters clearing on re-read is a property of the sampler,
+// not the driver.
 func RetryableIn(err error, tax fault.Taxonomy) bool {
-	if !tax.Valid() {
-		tax = fault.KGSL()
-	}
 	return tax.Retryable(err) || errors.Is(err, ErrWrappedRead)
 }
 
-// RetryPolicy bounds how hard the sampler fights transient device
-// errors. All waits are sim-time: backoff advances the simulated clock
-// deterministically and never sleeps a wall clock, so retried runs
-// replay bit-identically.
-//
-// The zero value disables retrying — any device error is fatal, the
-// pre-fault-plane behavior. DefaultRetryPolicy is tuned to absorb every
-// predefined fault profile.
-type RetryPolicy struct {
-	// MaxAttempts is the per-operation attempt budget (first try
-	// included). 0 disables retrying entirely.
-	MaxAttempts int
-	// Backoff is the wait before the first retry; each further retry
-	// multiplies it by BackoffFactor (default 2) up to MaxBackoff.
-	Backoff       sim.Time
-	BackoffFactor int
-	MaxBackoff    sim.Time
-	// MaxBadTicks bounds how many consecutive polling ticks may fail
+// The retry schedule of a sampler with Retry set, tuned to absorb every
+// predefined fault profile. All waits are sim-time: backoff advances the
+// simulated clock deterministically and never sleeps a wall clock, so
+// retried runs replay bit-identically.
+const (
+	// retryAttempts is the per-operation attempt budget, first try
+	// included.
+	retryAttempts = 4
+	// retryBackoff is the wait before the first retry; each further retry
+	// doubles it, up to retryMaxBackoff.
+	retryBackoff    = 250 * sim.Microsecond
+	retryMaxBackoff = 2 * sim.Millisecond
+	// maxBadTicks bounds how many consecutive polling ticks may fail
 	// (after per-tick retries) before the collection is abandoned as
 	// fatal; a failed tick within the budget becomes a trace gap instead.
-	MaxBadTicks int
-	// WrapCheck re-reads when a counter value regresses below its
-	// previous sample — the signature of a saturated/wrapped 32-bit
-	// register read. Opt-in because heavy CPU-load scenarios legitimately
-	// reorder effective read times (kgsl.Device.ReadLatency), which a
-	// wrap check would misfire on.
-	WrapCheck bool
-}
+	maxBadTicks = 32
+)
 
-// DefaultRetryPolicy returns the policy the serving layer and the chaos
-// experiments use: 4 attempts per operation with 250 µs → 2 ms
-// exponential backoff, up to 32 consecutive bad ticks, wrap re-reads on.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:   4,
-		Backoff:       250 * sim.Microsecond,
-		BackoffFactor: 2,
-		MaxBackoff:    2 * sim.Millisecond,
-		MaxBadTicks:   32,
-		WrapCheck:     true,
+// backoffAt returns the sim-time wait before retry number retry (0 is
+// the wait after the first failure): retryBackoff·2^retry, capped at
+// retryMaxBackoff.
+func backoffAt(retry int) sim.Time {
+	w := retryBackoff
+	for i := 0; i < retry && w < retryMaxBackoff; i++ {
+		w *= 2
 	}
-}
-
-// Enabled reports whether the policy retries at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 0 }
-
-// BackoffAt returns the sim-time wait before retry number retry (0 is
-// the wait after the first failure): Backoff·BackoffFactor^retry, capped
-// at MaxBackoff.
-func (p RetryPolicy) BackoffAt(retry int) sim.Time {
-	w := p.Backoff
-	if w <= 0 {
-		w = 250 * sim.Microsecond
-	}
-	factor := p.BackoffFactor
-	if factor < 2 {
-		factor = 2
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 2 * sim.Millisecond
-	}
-	for i := 0; i < retry; i++ {
-		w *= sim.Time(factor)
-		if w >= max {
-			return max
-		}
-	}
-	if w > max {
-		w = max
-	}
-	return w
+	return min(w, retryMaxBackoff)
 }
 
 // CollectStats counts the recovery work one collection performed. All

@@ -12,38 +12,31 @@ import (
 	"gpuleak/internal/sim"
 )
 
-// TestBackoffAt pins the sim-time backoff schedule: exponential from
-// Backoff by BackoffFactor, capped at MaxBackoff, with zero fields
-// falling back to the documented defaults. Every wait is a sim.Time —
-// the schedule never touches a wall clock.
+// TestBackoffAt pins the sim-time backoff schedule: 250 µs doubling up
+// to a 2 ms cap. Every wait is a sim.Time — the schedule never touches a
+// wall clock.
 func TestBackoffAt(t *testing.T) {
-	def := DefaultRetryPolicy()
-	custom := RetryPolicy{
-		MaxAttempts: 5, Backoff: 100 * sim.Microsecond,
-		BackoffFactor: 3, MaxBackoff: sim.Millisecond,
-	}
-	cases := []struct {
-		name   string
-		policy RetryPolicy
-		retry  int
-		want   sim.Time
+	for _, tc := range []struct {
+		retry int
+		want  sim.Time
 	}{
-		{"default first", def, 0, 250 * sim.Microsecond},
-		{"default doubles", def, 1, 500 * sim.Microsecond},
-		{"default doubles again", def, 2, sim.Millisecond},
-		{"default hits cap", def, 3, 2 * sim.Millisecond},
-		{"default stays capped", def, 10, 2 * sim.Millisecond},
-		{"zero policy defaults first", RetryPolicy{}, 0, 250 * sim.Microsecond},
-		{"zero policy defaults cap", RetryPolicy{}, 7, 2 * sim.Millisecond},
-		{"custom factor first", custom, 0, 100 * sim.Microsecond},
-		{"custom factor triples", custom, 1, 300 * sim.Microsecond},
-		{"custom factor triples again", custom, 2, 900 * sim.Microsecond},
-		{"custom factor capped", custom, 3, sim.Millisecond},
-	}
-	for _, tc := range cases {
-		if got := tc.policy.BackoffAt(tc.retry); got != tc.want {
-			t.Errorf("%s: BackoffAt(%d) = %v, want %v", tc.name, tc.retry, got, tc.want)
+		{0, 250 * sim.Microsecond},
+		{1, 500 * sim.Microsecond},
+		{2, sim.Millisecond},
+		{3, 2 * sim.Millisecond},
+		{10, 2 * sim.Millisecond},
+	} {
+		if got := backoffAt(tc.retry); got != tc.want {
+			t.Errorf("backoffAt(%d) = %v, want %v", tc.retry, got, tc.want)
 		}
+	}
+	// A tick fits every attempt: the budget, not the deadline, ends it.
+	var waits sim.Time
+	for i := 0; i < retryAttempts-1; i++ {
+		waits += backoffAt(i)
+	}
+	if waits >= DefaultInterval {
+		t.Errorf("%d attempts wait %v, not inside one %v tick", retryAttempts, waits, DefaultInterval)
 	}
 }
 
@@ -151,7 +144,7 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 		2: kgsl.ErrBusy,
 		7: kgsl.ErrInval,
 	}}
-	s, err := NewSamplerTaxonomy(f, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, true, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +172,7 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 // is taken from the re-read values, not the regressed ones.
 func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 	f := &flakyFile{wrapReads: map[int]bool{3: true}}
-	policy := DefaultRetryPolicy()
-	s, err := NewSamplerTaxonomy(f, DefaultInterval, policy, fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, true, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +191,7 @@ func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 	// Had the regressed read (all 0) been kept, tick 3's delta would be
 	// negative and tick 4's would jump by 45…55.
 	d := ds[2]
-	if want := 3*DefaultInterval + policy.BackoffAt(0); d.At != want || d.Gap != want-2*DefaultInterval {
+	if want := 3*DefaultInterval + backoffAt(0); d.At != want || d.Gap != want-2*DefaultInterval {
 		t.Errorf("tick 3's delta at %v with gap %v, want %v after one backoff, gap %v",
 			d.At, d.Gap, want, want-2*DefaultInterval)
 	}
@@ -217,15 +209,19 @@ func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 // read, not even a partly written one, and the next delta's Gap spans
 // the lost tick.
 func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
+	// Reads 3 to 3+retryAttempts-1 are tick 3's attempts.
+	busy, wrapped := map[int]error{}, map[int]bool{}
+	for i := 3; i < 3+retryAttempts; i++ {
+		busy[i], wrapped[i] = kgsl.ErrBusy, true
+	}
 	for _, c := range []struct {
 		name string
 		f    *flakyFile
 	}{
-		{"busy", &flakyFile{failReads: map[int]error{3: kgsl.ErrBusy, 4: kgsl.ErrBusy}}},
-		{"wrapped", &flakyFile{wrapReads: map[int]bool{3: true, 4: true}}},
+		{"busy", &flakyFile{failReads: busy}},
+		{"wrapped", &flakyFile{wrapReads: wrapped}},
 	} {
-		s, err := NewSamplerTaxonomy(c.f, DefaultInterval,
-			RetryPolicy{MaxAttempts: 2, MaxBadTicks: 4, WrapCheck: true}, fault.Taxonomy{})
+		s, err := NewSamplerTaxonomy(c.f, DefaultInterval, true, fault.Taxonomy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,17 +229,17 @@ func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: collect: %v", c.name, err)
 		}
-		if s.Stats.DroppedTicks != 1 || tr.Reads != s.Stats.Ticks-1 {
-			t.Fatalf("%s: %d reads, %d dropped of %d ticks; want tick 3 alone dropped",
-				c.name, tr.Reads, s.Stats.DroppedTicks, s.Stats.Ticks)
+		if s.Stats.DroppedTicks != 1 || tr.Reads != s.Stats.Ticks-1 || s.Stats.Retries != retryAttempts-1 {
+			t.Fatalf("%s: %d reads, %d dropped of %d ticks, %+v; want tick 3 alone dropped after %d attempts",
+				c.name, tr.Reads, s.Stats.DroppedTicks, s.Stats.Ticks, s.Stats, retryAttempts)
 		}
 		ds := tr.Deltas()
 		if len(ds) != tr.Reads-1 {
 			t.Fatalf("%s: %d deltas from %d reads", c.name, len(ds), tr.Reads)
 		}
-		// Reads 3 and 4 were tick 3's two attempts; read 5 is tick 4's,
-		// 34…44, and its delta is taken against tick 2's 23…33. A failed
-		// attempt's counters (all 0) kept as the base would make it 34…44.
+		// The read after tick 3's attempts is tick 4's, 34…44, and its
+		// delta is taken against tick 2's 23…33. A failed attempt's
+		// counters (all 0) kept as the base would make it 34…44.
 		if d := ds[2]; d.At != 4*DefaultInterval {
 			t.Errorf("%s: the delta after the gap is at %v, want tick 4 at %v", c.name, d.At, 4*DefaultInterval)
 		}
@@ -266,7 +262,7 @@ func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 // sampler re-issues PERFCOUNTER_GET and resumes reading.
 func TestSamplerReReservesAfterRevocation(t *testing.T) {
 	f := &flakyFile{revokeAt: 4}
-	s, err := NewSamplerTaxonomy(f, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, true, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +277,12 @@ func TestSamplerReReservesAfterRevocation(t *testing.T) {
 	}
 }
 
-// TestSamplerZeroPolicyIsFatal pins the legacy contract: without a retry
-// policy the first device error aborts the collection with a typed
-// *SampleError wrapping the sentinel.
+// TestSamplerZeroPolicyIsFatal pins the legacy contract: with Retry off
+// the first device error aborts the collection with a typed *SampleError
+// wrapping the sentinel.
 func TestSamplerZeroPolicyIsFatal(t *testing.T) {
 	f := &flakyFile{failReads: map[int]error{2: kgsl.ErrBusy}}
-	s, err := NewSamplerTaxonomy(f, DefaultInterval, RetryPolicy{}, fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, false, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,21 +298,19 @@ func TestSamplerZeroPolicyIsFatal(t *testing.T) {
 
 // TestSamplerMaxBadTicksAbandons pins the give-up bound: when every tick
 // exhausts its retry budget, the collection fails fatally after
-// MaxBadTicks consecutive losses instead of silently returning a trace
+// maxBadTicks consecutive losses instead of silently returning a trace
 // of gaps.
 func TestSamplerMaxBadTicksAbandons(t *testing.T) {
-	f := &flakyFile{failReserve: nil}
-	// Every read after the first tick fails.
-	f.failReads = map[int]error{}
-	for i := 1; i < 200; i++ {
+	// Every read after the first tick's fails.
+	f := &flakyFile{failReads: map[int]error{}}
+	for i := 1; i <= (maxBadTicks+2)*retryAttempts; i++ {
 		f.failReads[i] = kgsl.ErrBusy
 	}
-	s, err := NewSamplerTaxonomy(f, DefaultInterval,
-		RetryPolicy{MaxAttempts: 2, MaxBadTicks: 3}, fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(f, DefaultInterval, true, fault.Taxonomy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Collect(0, 400*sim.Millisecond)
+	_, err = s.Collect(0, (maxBadTicks+2)*DefaultInterval)
 	if err == nil {
 		t.Fatal("collection succeeded though every tick failed")
 	}
@@ -327,25 +321,29 @@ func TestSamplerMaxBadTicksAbandons(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Errorf("fatal error %v does not wrap a *SampleError", err)
 	}
+	if s.Stats.DroppedTicks != maxBadTicks+1 || f.reads != 1+(maxBadTicks+1)*retryAttempts {
+		t.Errorf("gave up after %d dropped ticks and %d reads, want %d and %d",
+			s.Stats.DroppedTicks, f.reads, maxBadTicks+1, 1+(maxBadTicks+1)*retryAttempts)
+	}
 }
 
 // TestSamplerReserveRetries pins start-up recovery: a busy initial
-// PERFCOUNTER_GET is retried under the policy, and without one it fails
+// PERFCOUNTER_GET is retried with Retry on, and with it off it fails
 // with a typed reserve error.
 func TestSamplerReserveRetries(t *testing.T) {
 	f := &flakyFile{failReserve: kgsl.ErrBusy}
-	_, err := NewSamplerTaxonomy(f, DefaultInterval, RetryPolicy{}, fault.Taxonomy{})
+	_, err := NewSamplerTaxonomy(f, DefaultInterval, false, fault.Taxonomy{})
 	var se *SampleError
 	if !errors.As(err, &se) || se.Op != "reserve" {
-		t.Fatalf("zero-policy reserve failure = %v, want *SampleError{Op: reserve}", err)
+		t.Fatalf("no-retry reserve failure = %v, want *SampleError{Op: reserve}", err)
 	}
 
-	// With a policy, the reservation succeeds once the device frees up.
+	// With retry, the reservation succeeds once the device frees up.
 	n := 0
 	g := &gatedReserveFile{flakyFile: &flakyFile{}, failures: 2, count: &n}
-	s, err := NewSamplerTaxonomy(g, DefaultInterval, DefaultRetryPolicy(), fault.Taxonomy{})
+	s, err := NewSamplerTaxonomy(g, DefaultInterval, true, fault.Taxonomy{})
 	if err != nil {
-		t.Fatalf("reserve with retry policy: %v", err)
+		t.Fatalf("reserve with retry: %v", err)
 	}
 	if n != 3 {
 		t.Errorf("device saw %d reservation attempts, want 3", n)

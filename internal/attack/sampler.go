@@ -26,25 +26,29 @@ var ErrWrappedRead = errors.New("attack: wrapped counter read (value regressed)"
 // polling interval should be at most half the screen refresh interval so
 // every frame is covered by at least one reading. The sampler is channel
 // generic: File is any probe, and Errors carries the channel's transient
-// -error taxonomy (zero value = KGSL, the original channel).
+// -error taxonomy.
 //
-// With the zero-value Retry policy any device error aborts the
-// collection; with a policy enabled the sampler retries transient errors
-// with sim-time exponential backoff inside the tick budget,
-// re-reserves revoked counters, and converts exhausted ticks into trace
-// gaps — recovery work it accounts in Stats. The retry clock is
-// simulated time only, so retried runs replay bit-identically.
+// Without Retry any device error aborts the collection; with it the
+// sampler retries transient errors with sim-time exponential backoff
+// inside the tick budget, re-reserves revoked counters, and converts
+// exhausted ticks into trace gaps — recovery work it accounts in Stats.
+// The retry clock is simulated time only, so retried runs replay
+// bit-identically.
 type Sampler struct {
 	File     Probe
 	Interval sim.Time
-	// Errors is the channel's transient-error taxonomy, governing what the
-	// retry policy recovers and which sentinel triggers re-reservation.
-	// The zero value means the KGSL taxonomy, keeping every legacy call
-	// site byte-identical.
+	// Errors is the channel's transient-error taxonomy, governing what
+	// retries recover and which sentinel triggers re-reservation.
+	// NewSamplerTaxonomy sets it, to KGSL's when given the zero value.
 	Errors fault.Taxonomy
-	// Retry bounds recovery from transient device errors. The zero value
-	// disables retrying (any error is fatal).
-	Retry RetryPolicy
+	// Retry turns on recovery from transient device errors: up to
+	// retryAttempts tries per tick with sim-time backoff, re-reservation
+	// after a revocation, re-reads of a counter that regressed, and a gap
+	// for a tick that exhausts them, up to maxBadTicks in a row. Off, any
+	// device error is fatal and a regressed read is kept: heavy CPU-load
+	// scenarios legitimately reorder effective read times
+	// (kgsl.Device.ReadLatency), which the wrap check would misfire on.
+	Retry bool
 	// Stats reports the recovery work of the most recent collection; it
 	// is reset at the start of every Collect/CollectContext.
 	Stats CollectStats
@@ -59,48 +63,42 @@ type Sampler struct {
 // PERFCOUNTER_GET) is reported as a *SampleError wrapping the driver
 // sentinel.
 func NewSampler(f Probe, interval sim.Time) (*Sampler, error) {
-	return NewSamplerTaxonomy(f, interval, RetryPolicy{}, fault.Taxonomy{})
+	return NewSamplerTaxonomy(f, interval, false, fault.Taxonomy{})
 }
 
-// NewSamplerTaxonomy is NewSampler with a retry policy and an explicit
-// channel error taxonomy (zero value = KGSL). The initial reservation
-// itself is retried with sim-time backoff (a fault plane can make even
-// PERFCOUNTER_GET fail transiently), the policy governs every subsequent
-// collection, and reservation retries, per-tick retry classification and
-// the re-reservation trigger all follow the given channel's sentinels.
-func NewSamplerTaxonomy(f Probe, interval sim.Time, policy RetryPolicy, tax fault.Taxonomy) (*Sampler, error) {
+// NewSamplerTaxonomy is NewSampler with retries switched on or off and
+// an explicit channel error taxonomy; the zero taxonomy means KGSL, the
+// original channel. With retry the initial reservation itself is retried
+// with sim-time backoff (a fault plane can make even PERFCOUNTER_GET fail
+// transiently), and reservation retries, per-tick retry classification
+// and the re-reservation trigger all follow the channel's sentinels.
+func NewSamplerTaxonomy(f Probe, interval sim.Time, retry bool, tax fault.Taxonomy) (*Sampler, error) {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
+	if !tax.Valid() {
+		tax = fault.KGSL()
+	}
 	at := sim.Time(0)
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = f.ReserveSelected(at)
+		err := f.ReserveSelected(at)
 		if err == nil {
 			break
 		}
-		if !policy.Enabled() || !RetryableIn(err, tax) || attempt+1 >= policy.MaxAttempts {
+		if !retry || !RetryableIn(err, tax) || attempt+1 >= retryAttempts {
 			return nil, &SampleError{At: at, Op: "reserve", Attempts: attempt + 1, Err: err}
 		}
-		at += policy.BackoffAt(attempt)
+		at += backoffAt(attempt)
 	}
-	return &Sampler{File: f, Interval: interval, Retry: policy, Errors: tax}, nil
-}
-
-// taxonomy resolves the sampler's error taxonomy, defaulting to KGSL.
-func (s *Sampler) taxonomy() fault.Taxonomy {
-	if s.Errors.Valid() {
-		return s.Errors
-	}
-	return fault.KGSL()
+	return &Sampler{File: f, Interval: interval, Retry: retry, Errors: tax}, nil
 }
 
 // retryable classifies a driver error under the sampler's taxonomy.
 func (s *Sampler) retryable(err error) bool { return RetryableIn(err, s.Errors) }
 
 // Collect polls the counters over [start, end] and returns the trace.
-// Device errors abort the collection unless the Retry policy recovers
-// them — on a mitigated device the attack fails here.
+// Device errors abort the collection unless Retry recovers them — on a
+// mitigated device the attack fails here.
 func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 	return s.CollectContext(context.Background(), start, end)
 }
@@ -112,7 +110,10 @@ func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
 // for every read that moved a counter; a flat read is only counted.
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
 	tr := s.newTrace(start, end)
-	if err := s.poll(ctx, start, end, tr, tr.Append); err != nil {
+	if err := s.poll(ctx, start, end, tr, func(d trace.Delta) bool {
+		tr.Append(d)
+		return true
+	}); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -130,13 +131,15 @@ func (s *Sampler) newTrace(start, end sim.Time) *trace.Trace {
 	return tr
 }
 
-// poll is the polling loop behind CollectContext and the online phase.
-// It reads the counters at every tick of [start, end], records the first
-// successful read and the read count in tr, and hands yield the change
-// point of every later read that moved a counter as soon as it lands.
-// The previous successful read is the wrap check's reference and the
-// base of the next delta, so a flat read costs no storage.
-func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace, yield func(trace.Delta)) error {
+// poll is the one polling loop: CollectContext, the online phase and the
+// launch monitor all read the counters through it. It reads them at
+// every tick of [start, end], records the first successful read and the
+// read count in tr, and hands yield the change point of every later read
+// that moved a counter as soon as it lands; polling stops early, without
+// error, after the tick at which yield answers false. The previous
+// successful read is the wrap check's reference and the base of the next
+// delta, so a flat read costs no storage.
+func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace, yield func(trace.Delta) bool) error {
 	// The field slice escapes into the tracer: build it only when tracing.
 	var sp *obs.Span
 	if s.Obs.Enabled() {
@@ -151,8 +154,9 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 	var prevAt sim.Time
 	var d trace.Delta
 	badTicks := 0
+	more := true
 	t := start
-	for tick := 0; t <= end; t, tick = t+s.Interval, tick+1 {
+	for tick := 0; more && t <= end; t, tick = t+s.Interval, tick+1 {
 		if err := ctx.Err(); err != nil {
 			if s.Obs != nil {
 				s.Obs.Emit(t, evSamplerReadError, obs.Str("err", err.Error()))
@@ -183,7 +187,7 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 		}
 		at, serr := s.readTick(readAt, t+s.Interval, cur, ref)
 		if serr != nil {
-			if !s.Retry.Enabled() || !s.retryable(serr.Err) {
+			if !s.Retry || !s.retryable(serr.Err) {
 				if s.Obs != nil {
 					s.Obs.Emit(at, evSamplerReadError, obs.Str("err", serr.Err.Error()))
 					sp.AddField(obs.Int("samples", tr.Reads))
@@ -194,7 +198,7 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 			s.Stats.DroppedTicks++
 			badTicks++
 			s.emitGap(at, "retry_exhausted")
-			if s.Retry.MaxBadTicks > 0 && badTicks > s.Retry.MaxBadTicks {
+			if badTicks > maxBadTicks {
 				if s.Obs != nil {
 					s.Obs.Emit(at, evSamplerReadError, obs.Str("err", serr.Err.Error()))
 					sp.AddField(obs.Int("samples", tr.Reads))
@@ -209,7 +213,7 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 			tr.First = trace.Sample{At: at, Values: *cur}
 		} else if trace.Change(&d.V, cur, prev) {
 			d.At, d.Gap = at, at-prevAt
-			yield(d)
+			more = yield(d)
 		}
 		tr.Reads++
 		cur, prev = prev, cur
@@ -238,7 +242,7 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 // returned time is when the read actually landed (after any backoff). On
 // failure dst holds no valid read, and readTick returns a *SampleError
 // carrying the last driver error; the caller classifies it as a
-// droppable gap (retryable, policy enabled) or fatal.
+// droppable gap (retryable, Retry on) or fatal.
 func (s *Sampler) readTick(readAt, deadline sim.Time, dst, prev *trace.Raw) (sim.Time, *SampleError) {
 	tryAt := readAt
 	var lastErr error
@@ -246,9 +250,8 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, dst, prev *trace.Raw) (sim
 		if attempt > 0 {
 			// Transient failure: back off within the tick, give the driver
 			// sim-time to clear, and retry.
-			wait := s.Retry.BackoffAt(attempt - 1)
-			next := tryAt + wait
-			if attempt >= s.Retry.MaxAttempts || next >= deadline {
+			next := tryAt + backoffAt(attempt-1)
+			if attempt >= retryAttempts || next >= deadline {
 				return tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt, Err: lastErr}
 			}
 			tryAt = next
@@ -257,7 +260,7 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, dst, prev *trace.Raw) (sim
 				s.Obs.Emit(tryAt, evSamplerRetry,
 					obs.Int("attempt", attempt), obs.Str("err", lastErr.Error()))
 			}
-			if errors.Is(lastErr, s.taxonomy().NotReserved) {
+			if errors.Is(lastErr, s.Errors.NotReserved) {
 				// The counter group was revoked mid-session (another process
 				// issued PERFCOUNTER_PUT/GET); re-reserve before re-reading.
 				if rerr := s.File.ReserveSelected(tryAt); rerr != nil {
@@ -275,13 +278,13 @@ func (s *Sampler) readTick(readAt, deadline sim.Time, dst, prev *trace.Raw) (sim
 		}
 		var err error
 		if *dst, err = s.File.ReadSelected(tryAt); err != nil {
-			if !s.Retry.Enabled() || !s.retryable(err) {
+			if !s.Retry || !s.retryable(err) {
 				return tryAt, &SampleError{At: tryAt, Op: "read", Attempts: attempt + 1, Err: err}
 			}
 			lastErr = err
 			continue
 		}
-		if s.Retry.WrapCheck && prev != nil && regressed(dst, prev) {
+		if s.Retry && prev != nil && regressed(dst, prev) {
 			// Cumulative counters never decrease; a regression is a
 			// truncated register read. Re-read rather than poison the delta.
 			s.Stats.WrappedRetries++

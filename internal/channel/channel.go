@@ -80,8 +80,8 @@ type Channel struct {
 	Dims int
 	// Interval is the channel's default polling period.
 	Interval sim.Time
-	// Taxonomy is the channel's transient-error vocabulary: what the fault
-	// plane injects for it and what the sampler's retry policy recovers.
+	// Taxonomy is the channel's transient-error vocabulary: what the
+	// sampler's retries recover and which sentinel makes it re-reserve.
 	Taxonomy fault.Taxonomy
 	// Open returns a fresh probe on a materialized victim session, as the
 	// attacker's unprivileged process would acquire it.

@@ -89,7 +89,7 @@ func (p Profile) Rate() float64 {
 }
 
 // Predefined profiles, in increasing severity. Rates are chosen so that
-// the bounded retry policy (attack.DefaultRetryPolicy) recovers every
+// the sampler's bounded retries (attack.Sampler.Retry) recover every
 // profile — accuracy degrades monotonically, availability does not fail —
 // which the chaos experiments pin.
 var (

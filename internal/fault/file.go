@@ -90,7 +90,6 @@ type File struct {
 
 	dev Device
 	p   Profile
-	tax Taxonomy
 	rng *sim.Rand
 
 	revoked    bool // reservation revoked; reads fail until ReserveSelected
@@ -100,21 +99,11 @@ type File struct {
 }
 
 // NewFile wraps dev in a fault plane driven by profile p and the given
-// seed, injecting the KGSL errno taxonomy — the historical behavior.
-// Burst-shape fields are defaulted (BusyBurst≥1, CloseOps≥3, LateMax
-// 2 ms). A zero/None profile is a pure passthrough that never touches
-// the RNG.
+// seed, injecting KGSL's errno sentinels: a Device is KGSL-shaped (it
+// has Ioctl), so no other channel can carry a fault plane. Burst-shape
+// fields are defaulted (BusyBurst≥1, CloseOps≥3, LateMax 2 ms). A
+// zero/None profile is a pure passthrough that never touches the RNG.
 func NewFile(dev Device, p Profile, seed int64) *File {
-	return NewFileTaxonomy(dev, p, seed, KGSL())
-}
-
-// NewFileTaxonomy is NewFile with an explicit error taxonomy: injections
-// surface the given channel's sentinels instead of KGSL errnos, so a
-// retry policy classifying with the same taxonomy recovers them. Invalid
-// taxonomies fall back to KGSL. The draw schedule is taxonomy-independent
-// — only the returned error values differ — and a zero/None profile stays
-// a byte-identical passthrough on every channel.
-func NewFileTaxonomy(dev Device, p Profile, seed int64, tax Taxonomy) *File {
 	if p.BusyBurst < 1 {
 		p.BusyBurst = 1
 	}
@@ -124,10 +113,7 @@ func NewFileTaxonomy(dev Device, p Profile, seed int64, tax Taxonomy) *File {
 	if p.LateMax <= 0 {
 		p.LateMax = 2 * sim.Millisecond
 	}
-	if !tax.Valid() {
-		tax = KGSL()
-	}
-	return &File{dev: dev, p: p, tax: tax, rng: sim.NewRand(seed)}
+	return &File{dev: dev, p: p, rng: sim.NewRand(seed)}
 }
 
 // faultMetric maps an injected fault kind onto its counter name. The
@@ -171,30 +157,30 @@ func (f *File) opFault(t sim.Time, op string) error {
 	if f.closedLeft > 0 {
 		f.closedLeft--
 		f.emitOp(t, op, "closed")
-		return f.tax.Closed
+		return kgsl.ErrClosed
 	}
 	if f.busyLeft > 0 {
 		f.busyLeft--
 		f.Stats.Busy++
 		f.emitOp(t, op, "busy")
-		return f.tax.Busy
+		return kgsl.ErrBusy
 	}
 	if f.p.PClose > 0 && f.rng.Bool(f.p.PClose) {
 		f.closedLeft = f.p.CloseOps - 1
 		f.Stats.Closures++
 		f.emitOp(t, op, "closed")
-		return f.tax.Closed
+		return kgsl.ErrClosed
 	}
 	if f.p.PBusy > 0 && f.rng.Bool(f.p.PBusy) {
 		f.busyLeft = f.p.BusyBurst - 1
 		f.Stats.Busy++
 		f.emitOp(t, op, "busy")
-		return f.tax.Busy
+		return kgsl.ErrBusy
 	}
 	if f.p.PInval > 0 && f.rng.Bool(f.p.PInval) {
 		f.Stats.Inval++
 		f.emitOp(t, op, "inval")
-		return f.tax.Inval
+		return kgsl.ErrInval
 	}
 	return nil
 }
@@ -207,14 +193,14 @@ func (f *File) Ioctl(t sim.Time, request uint32, arg any) error {
 		return err
 	}
 	if f.revoked && request == kgsl.IoctlPerfcounterRead {
-		return f.tax.NotReserved
+		return kgsl.ErrNotReserved
 	}
 	return f.dev.Ioctl(t, request, arg)
 }
 
 // ReserveSelected injects per-operation faults, then delegates; on
 // success it clears any outstanding revocation (the re-reservation path
-// the sampler's retry policy exercises).
+// the sampler's retries exercise).
 func (f *File) ReserveSelected(t sim.Time) error {
 	if err := f.opFault(t, "reserve"); err != nil {
 		return err
@@ -238,13 +224,13 @@ func (f *File) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, error) {
 		return zero, err
 	}
 	if f.revoked {
-		return zero, f.tax.NotReserved
+		return zero, kgsl.ErrNotReserved
 	}
 	if f.p.PRevoke > 0 && f.rng.Bool(f.p.PRevoke) {
 		f.revoked = true
 		f.Stats.Revocations++
 		f.emitOp(t, "read", "revoked")
-		return zero, f.tax.NotReserved
+		return zero, kgsl.ErrNotReserved
 	}
 	vals, err := f.dev.ReadSelected(t)
 	if err != nil {

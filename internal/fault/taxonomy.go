@@ -7,14 +7,12 @@ import (
 )
 
 // Taxonomy is the transient-error vocabulary of one side channel: the
-// sentinel each injected fault class surfaces as, and the family the
-// sampler's retry policy classifies as recoverable. The fault plane was
-// born KGSL-shaped — its injections returned kgsl errno sentinels
-// unconditionally — but a /proc-file channel fails with its own errno
-// family (EAGAIN on a contended read, ESTALE on a rotated file), so the
-// plane now carries the taxonomy as a value and every channel supplies
-// its own. The zero value is not usable; construct with KGSL() or a
-// channel's taxonomy and check with Valid.
+// family the sampler's retries classify as recoverable, and the sentinel
+// that makes it re-reserve. A /proc-file channel fails with its own errno
+// family (EAGAIN on a contended read, ESTALE on a rotated file), so every
+// channel supplies its own. The fault plane injects KGSL's only: a Device
+// is KGSL-shaped, so no other channel can carry one. The zero value is
+// not usable; the sampler reads it as KGSL(), and Valid tells it apart.
 type Taxonomy struct {
 	// Busy is the transient contention sentinel (EBUSY for KGSL).
 	Busy error
@@ -28,8 +26,8 @@ type Taxonomy struct {
 }
 
 // KGSL returns the taxonomy of the KGSL perf-counter channel — the
-// original, and the default everywhere a Taxonomy is absent, which keeps
-// every pre-channel-plane call site byte-identical.
+// original, the sentinels the fault plane injects, and the sampler's
+// default where a Taxonomy is absent.
 func KGSL() Taxonomy {
 	return Taxonomy{
 		Busy:        kgsl.ErrBusy,

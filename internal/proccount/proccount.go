@@ -74,8 +74,9 @@ var (
 	ErrClosed = errors.New("proccount: EBADF: /proc handle closed")
 )
 
-// Taxonomy is the channel's fault taxonomy: the sentinels the fault
-// plane injects for it and the sampler's retry policy recovers.
+// Taxonomy is the channel's fault taxonomy: the sentinels the sampler's
+// retries recover. The fault plane does not inject them: it wraps KGSL
+// files only.
 func Taxonomy() fault.Taxonomy {
 	return fault.Taxonomy{Busy: ErrAgain, Inval: ErrInval, NotReserved: ErrStale, Closed: ErrClosed}
 }

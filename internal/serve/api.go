@@ -60,7 +60,7 @@ type EavesdropRequest struct {
 	// FaultProfile names a predefined fault-injection profile
 	// (none|mild|moderate|severe) to run the request under; empty disables
 	// the fault plane entirely. With a profile set, the sampler runs with
-	// the default retry policy and a partially recovered run is answered
+	// retries on and a partially recovered run is answered
 	// 200 with "degraded":true instead of a 5xx.
 	FaultProfile string `json:"fault_profile,omitempty"`
 	// FaultSeed seeds the fault schedule; 0 derives it from Seed, so the
@@ -79,7 +79,7 @@ type EavesdropRequest struct {
 	// to arm on the victim device before sampling, mirroring fault_profile
 	// on the other side of the arms race; empty arms nothing. GET /healthz
 	// advertises the registered names; unknown ones answer 400. With a
-	// defense armed, the sampler runs with the default retry policy so
+	// defense armed, the sampler runs with retries on so
 	// rate-limit denials degrade the result instead of failing the request.
 	Defense string `json:"defense,omitempty"`
 	// DefenseStrength is the armed defense's knob in [0, 1]; 0 (the

@@ -32,6 +32,9 @@ type Registry struct {
 	cap    int
 	train  TrainFunc
 	m      *obs.Metrics
+	// evictions counts this registry's LRU evictions; the serving layer
+	// snapshots it into /metrics.
+	evictions atomic.Int64
 }
 
 // regShard is one lock domain of the registry. seq is a logical clock for
@@ -111,6 +114,15 @@ func (r *Registry) Shards() int { return len(r.shards) }
 // other keys proceed independently. A failed training is not cached —
 // the entry is removed so a later request retries.
 func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, error) {
+	m, _, err := r.get(ctx, cfg, channel)
+	return m, err
+}
+
+// get is GetChannel that also reports whether the model was resident and
+// trained when asked — what LookupChannel would have found — so a caller
+// learns it from the one lookup it counts. A hit on a training still in
+// flight is not cached.
+func (r *Registry) get(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, bool, error) {
 	key := ChannelKey(cfg, channel)
 	sh := r.shards[r.ShardFor(key)]
 
@@ -118,20 +130,21 @@ func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel st
 	if e, ok := sh.entries[key]; ok {
 		sh.seq++
 		e.lastUse = sh.seq
+		cached := !e.training
 		sh.mu.Unlock()
 		r.m.Add(mRegistryHits, 1)
 		select {
 		case <-e.ready:
-			return e.m, e.err
+			return e.m, cached, e.err
 		case <-ctx.Done():
-			return nil, fmt.Errorf("serve: waiting for model %s: %w", key, ctx.Err())
+			return nil, false, fmt.Errorf("serve: waiting for model %s: %w", key, ctx.Err())
 		}
 	}
 	e := &regEntry{ready: make(chan struct{}), training: true}
 	sh.seq++
 	e.lastUse = sh.seq
 	sh.entries[key] = e
-	sh.evict(r.cap)
+	sh.evict(r.cap, &r.evictions)
 	sh.mu.Unlock()
 	r.m.Add(mRegistryMisses, 1)
 
@@ -148,14 +161,14 @@ func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel st
 	}
 	// The insert-time eviction skipped every entry still training, so a
 	// shard can sit above its cap until trainings land; trim it now.
-	sh.evict(r.cap)
+	sh.evict(r.cap, &r.evictions)
 	sh.mu.Unlock()
 	close(e.ready)
 	if err != nil {
-		return nil, fmt.Errorf("serve: training %s: %w", key, err)
+		return nil, false, fmt.Errorf("serve: training %s: %w", key, err)
 	}
 	r.m.Add(mRegistryTrained, 1)
-	return m, nil
+	return m, false, nil
 }
 
 // Lookup returns the model for a configuration only if it is already
@@ -189,8 +202,9 @@ func (r *Registry) LookupChannel(cfg victim.Config, channel string) (*attack.Mod
 // hold the entry anyway); a shard may therefore exceed cap by its number
 // of concurrent trainings until they land, which the serving layer's
 // bounded queues keep finite. Get calls it on every insert and every
-// landing, so a quiescent shard is within capacity.
-func (sh *regShard) evict(cap int) {
+// landing, so a quiescent shard is within capacity. n counts what it
+// removes.
+func (sh *regShard) evict(cap int, n *atomic.Int64) {
 	//gpuvet:ignore lockcheck -- held by caller (Get locks sh.mu)
 	for len(sh.entries) > cap {
 		victimKey, oldest := "", ^uint64(0)
@@ -207,13 +221,9 @@ func (sh *regShard) evict(cap int) {
 			return
 		}
 		delete(sh.entries, victimKey)
-		evictions.Add(1)
+		n.Add(1)
 	}
 }
-
-// evictions counts LRU evictions across all registries; the serving layer
-// snapshots it into /metrics.
-var evictions atomic.Int64
 
 // Stats reports the registry's resident and in-flight entry counts.
 func (r *Registry) Stats() (models, training int) {
@@ -230,6 +240,3 @@ func (r *Registry) Stats() (models, training int) {
 	}
 	return models, training
 }
-
-// Evictions returns the process-wide LRU eviction count.
-func Evictions() int64 { return evictions.Load() }

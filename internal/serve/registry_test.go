@@ -114,7 +114,7 @@ func TestRegistryRaceHammer(t *testing.T) {
 	if models > 2 {
 		t.Fatalf("models resident = %d, above shard cap 2", models)
 	}
-	if Evictions() == 0 {
+	if r.evictions.Load() == 0 {
 		t.Fatal("hammering 8 keys through a cap-2 shard evicted nothing")
 	}
 }

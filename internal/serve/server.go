@@ -528,8 +528,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	trainCfg := TrainConfig(scen.Cfg)
 	chTag := scen.Primary()
 	err = s.do(ctx, s.reg.ShardFor(ChannelKey(trainCfg, chTag)), func(ctx context.Context) error {
-		_, cachedErr := s.reg.LookupChannel(trainCfg, chTag)
-		m, err := s.reg.GetChannel(ctx, trainCfg, chTag)
+		m, cached, err := s.reg.get(ctx, trainCfg, chTag)
 		if err != nil {
 			return err
 		}
@@ -538,7 +537,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 			Model:  ChannelKey(trainCfg, chTag),
 			Keys:   len(m.Keys),
 			Noise:  len(m.Noise),
-			Cached: cachedErr == nil,
+			Cached: cached,
 		}
 		return nil
 	})
@@ -662,7 +661,7 @@ func (s *Server) gauges() map[string]float64 {
 	g := map[string]float64{
 		"registry.models_resident": float64(models),
 		"registry.training":        float64(training),
-		"registry.evictions":       float64(Evictions()),
+		"registry.evictions":       float64(s.reg.evictions.Load()),
 		"serve.inflight":           float64(inflight),
 		"serve.sessions.resident":  float64(resident),
 		"serve.sessions.streaming": float64(streaming),

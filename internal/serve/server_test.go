@@ -317,6 +317,68 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestTrainCountsOneLookup pins the registry accounting of POST
+// /v1/train: one lookup per request, a miss that trains and then a hit
+// that reports cached.
+func TestTrainCountsOneLookup(t *testing.T) {
+	s, release := blockedServer(t, Options{Shards: 1})
+	close(release)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for i, want := range []struct {
+		cached                bool
+		misses, hits, trained float64
+	}{
+		{false, 1, 0, 1},
+		{true, 1, 1, 1},
+	} {
+		tr := decodeBody[TrainResponse](t, postJSON(t, ts.URL+"/v1/train", `{}`))
+		snap := s.m.Snapshot()
+		if tr.Cached != want.cached || snap[mRegistryMisses] != want.misses ||
+			snap[mRegistryHits] != want.hits || snap[mRegistryTrained] != want.trained {
+			t.Fatalf("training %d: cached %v, misses %v, hits %v, trained %v; want %+v", i+1,
+				tr.Cached, snap[mRegistryMisses], snap[mRegistryHits], snap[mRegistryTrained], want)
+		}
+	}
+}
+
+// TestEvictionsPerServer pins registry.evictions to the server's own
+// registry: another server in the process evicting leaves it at 0.
+func TestEvictionsPerServer(t *testing.T) {
+	evictions := func(url string) float64 {
+		t.Helper()
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := decodeBody[map[string]float64](t, resp)
+		v, ok := snap["registry.evictions"]
+		if !ok {
+			t.Fatal("/metrics missing registry.evictions")
+		}
+		return v
+	}
+	var urls []string
+	for range 2 {
+		s, release := blockedServer(t, Options{Shards: 1, CachePerShard: 1})
+		close(release)
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	for _, body := range []string{`{}`, `{"app":"Amex"}`} {
+		postJSON(t, urls[0]+"/v1/train", body).Body.Close()
+	}
+	postJSON(t, urls[1]+"/v1/train", `{}`).Body.Close()
+	if got := evictions(urls[0]); got != 1 {
+		t.Errorf("the evicting server reads registry.evictions %v, want 1", got)
+	}
+	if got := evictions(urls[1]); got != 0 {
+		t.Errorf("a server that never evicted reads registry.evictions %v, want 0", got)
+	}
+}
+
 // TestMetricsContentNegotiation pins both renderings of /metrics over
 // one registry state: the default JSON snapshot (explicit Content-Type,
 // cumulative histogram bucket keys in the flat map) and the Prometheus

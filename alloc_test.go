@@ -66,7 +66,7 @@ func TestWarmPathAllocs(t *testing.T) {
 		runs int
 		run  func()
 	}{
-		{"eavesdrop", 42, 25500, 10, func() {
+		{"eavesdrop", 36, 25500, 10, func() {
 			sess := NewVictim(cfg)
 			sess.Run(script)
 			f, err := sess.Open()
@@ -77,7 +77,7 @@ func TestWarmPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"victim session", 27, 22700, 10, func() { NewVictim(cfg).Run(script) }},
+		{"victim session", 21, 22700, 10, func() { NewVictim(cfg).Run(script) }},
 		{"Sampler.Collect", 2, 7300, 10, func() {
 			if _, err := s.Collect(0, sess.End); err != nil {
 				t.Fatal(err)

@@ -15,8 +15,10 @@ import (
 	"testing"
 
 	"gpuleak/internal/attack"
+	"gpuleak/internal/channel"
 	"gpuleak/internal/exp"
 	"gpuleak/internal/input"
+	"gpuleak/internal/proccount"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/trace"
 	"gpuleak/internal/victim"
@@ -183,24 +185,76 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyDenoised measures the merged-delta decomposition path:
-// it cycles through only the deltas Classify leaves unresolved, each of
-// which takes the noise-subtracting key scan.
+// BenchmarkClassifyDenoised measures the per-delta inference on each of
+// its paths, over the benchmark session read through each channel:
+// "unresolved" cycles through the deltas Classify leaves unresolved,
+// each of which takes the noise-subtracting key scan, and "noise"
+// through the deltas Classify calls noise, which the noise-first rule
+// answers before any key scan where it can. On the proccount model whole
+// key families share a centroid, so both scans run once per family.
 func BenchmarkClassifyDenoised(b *testing.B) {
-	m, tr := benchSetup(b)
-	var vs []trace.Vec
-	for _, d := range tr.Deltas() {
-		if v := m.Classify(d.V); !v.IsKey && !v.IsNoise {
-			vs = append(vs, d.V)
+	for _, c := range []struct {
+		name  string
+		setup func(*testing.B) (*Model, *trace.Trace)
+	}{{"kgsl", benchSetup}, {"proccount", benchProcSetup}} {
+		for _, path := range []string{"unresolved", "noise"} {
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				m, tr := c.setup(b)
+				var vs []trace.Vec
+				for _, d := range tr.Deltas() {
+					v := m.Classify(d.V)
+					if (path == "noise") == v.IsNoise && !v.IsKey {
+						vs = append(vs, d.V)
+					}
+				}
+				if len(vs) == 0 {
+					b.Fatalf("no delta takes the %s path", path)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = m.ClassifyDenoised(vs[i%len(vs)])
+				}
+			})
 		}
 	}
-	if len(vs) == 0 {
-		b.Fatal("no delta reaches the denoising path")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.ClassifyDenoised(vs[i%len(vs)])
-	}
+}
+
+var (
+	benchProcOnce  sync.Once
+	benchProcModel *Model
+	benchProcTrace *trace.Trace
+)
+
+// benchProcSetup is benchSetup on the proccount channel: a model trained
+// on it, and the benchmark session read through it.
+func benchProcSetup(b *testing.B) (*Model, *trace.Trace) {
+	b.Helper()
+	benchSetup(b)
+	benchProcOnce.Do(func() {
+		cfg := VictimConfig{Device: OnePlus8Pro, Seed: 1}
+		m, err := TrainWith(cfg, CollectOptions{Repeats: 2, Channel: proccount.Name})
+		if err != nil {
+			panic(err)
+		}
+		ch, err := channel.Get(proccount.Name)
+		if err != nil {
+			panic(err)
+		}
+		p, err := ch.Open(benchSession)
+		if err != nil {
+			panic(err)
+		}
+		s, err := attack.NewSamplerTaxonomy(p, ch.Interval, false, ch.Taxonomy)
+		if err != nil {
+			panic(err)
+		}
+		tr, err := s.Collect(0, benchSession.End)
+		if err != nil {
+			panic(err)
+		}
+		benchProcModel, benchProcTrace = m, tr
+	})
+	return benchProcModel, benchProcTrace
 }
 
 // BenchmarkEngineTrace measures the full online engine over a complete

@@ -151,6 +151,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	leg := st.Legs[0]
 	var res *attack.Result
+	var idle *attack.CollectStats
 	if *monitor {
 		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End)
 		if err != nil {
@@ -161,7 +162,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		log.Printf("monitor: target launch detected at %v after %d low-duty reads",
 			mr.LaunchDetectedAt, mr.IdleReads)
-		res = mr.Result
+		res, idle = mr.Result, &mr.IdleRecovery
 	} else {
 		out, err := st.Run(ctx, 0, sess.End, nil)
 		if err != nil {
@@ -196,6 +197,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  ioctl calls  : %d\n", sess.Device.IoctlCount())
 	if leg.Fault != nil {
 		fmt.Fprintf(stdout, "  injected     : %+v (total %d)\n", leg.Fault.Stats, leg.Fault.Stats.Total())
+		if idle != nil {
+			fmt.Fprintf(stdout, "  idle recovery: %+v\n", *idle)
+		}
 		fmt.Fprintf(stdout, "  recovery     : %+v (degraded=%v)\n", res.Recovery, res.Degraded)
 	}
 

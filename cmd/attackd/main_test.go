@@ -166,7 +166,8 @@ func TestRunPreloadsCollectedModel(t *testing.T) {
 
 // TestRunMonitors runs the Figure-4 monitoring service: the victim uses
 // another app for 6 s, and the attack waits at low duty for the target
-// launch before it eavesdrops, with and without a fault plane.
+// launch before it eavesdrops, with and without a fault plane. Under a
+// fault plane it reports the recovery of both phases.
 func TestRunMonitors(t *testing.T) {
 	for _, extra := range [][]string{nil, {"-faults", "moderate"}} {
 		var stdout bytes.Buffer
@@ -178,8 +179,10 @@ func TestRunMonitors(t *testing.T) {
 		if !strings.Contains(out, "exact match  : true") {
 			t.Errorf("%v: output lacks an exact match:\n%s", args, out)
 		}
-		if got := strings.Contains(out, "recovery     :"); got != (extra != nil) {
-			t.Errorf("%v: recovery line printed = %v:\n%s", args, got, out)
+		for _, line := range []string{"idle recovery:", "recovery     :"} {
+			if got := strings.Contains(out, line); got != (extra != nil) {
+				t.Errorf("%v: %q printed = %v:\n%s", args, line, got, out)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"gpuleak/internal/sim"
@@ -119,7 +121,7 @@ func Fuse(pm *Model, pds []trace.Delta, pres *Result, sm *Model, sres *Result, i
 		}
 	}
 
-	sort.SliceStable(fused, func(i, j int) bool { return fused[i].At < fused[j].At })
+	slices.SortStableFunc(fused, func(a, b InferredKey) int { return cmp.Compare(a.At, b.At) })
 	rs := make([]rune, len(fused))
 	for i, k := range fused {
 		rs[i] = k.R

@@ -56,7 +56,8 @@ var (
 
 // classifyModels are FuzzClassifyMatchesMapScan's models: the trained
 // KGSL model, the proccount model (key families share centroids, so
-// distances tie exactly) and the negative-weight model.
+// distances tie exactly), the negative-weight model and the near-noise
+// model.
 func classifyModels(t testing.TB) []*Model {
 	procModelOnce.Do(func() {
 		procModel, procModelErr = Collect(baseVictimConfig(), CollectOptions{Repeats: 1, Channel: proccount.Name})
@@ -64,7 +65,19 @@ func classifyModels(t testing.TB) []*Model {
 	if procModelErr != nil {
 		t.Fatal(procModelErr)
 	}
-	return []*Model{sharedModel(t), procModel, negWeightModel(t)}
+	return []*Model{sharedModel(t), procModel, negWeightModel(t), nearNoiseModel()}
+}
+
+// nearNoiseModel is tinyModel with a third key, 'c', two noise
+// tolerances from the cursor-blink signature along dimension 0 alone:
+// the delta halfway between them is a key at exactly the noise distance,
+// and that key sits on the edge of Classify's noise-first window.
+func nearNoiseModel() *Model {
+	m := tinyModel()
+	c := m.Noise[3].V
+	c[0] += 2 * m.NoiseTol
+	m.Keys["c"] = c
+	return m
 }
 
 // sameVerdict compares verdicts field by field, floats by their bits.
@@ -134,6 +147,27 @@ func FuzzClassifyMatchesMapScan(f *testing.F) {
 			f.Fatalf("model %d: no key plus noise centroid is an accepted merged delta", mi)
 		}
 	}
+	// Noise-first ties: a delta whose nearest noise centroid lies within
+	// NoiseTol with a key centroid at exactly the same distance must not
+	// be answered as noise before the key scan. On the near-noise model
+	// the tie lies along dimension 0, on the edge of the window; on the
+	// KGSL model the reference picks a midpoint of a key and a noise
+	// centroid that it accepts as a key, which ties whatever the weights.
+	blink := tiny.Noise[3].V
+	f.Add(uint8(3), uint8(2), uint16(0b1111), bits(blink[0]+tiny.NoiseTol, blink[1], blink[2], blink[3]))
+	if !seedNoiseTie(f, models[0], 0, bits) {
+		f.Fatal("KGSL model: no midpoint of a key and a noise centroid is a key at the noise distance")
+	}
+	// Proccount families: the midpoint of two family centroids ties the
+	// two families exactly; a key plus a noise centroid that equals
+	// another family's key plus another noise centroid ties their
+	// residuals exactly, at 0; and the runner-up is the best family's
+	// second rune both in the denoising scan, where it rejects an offset
+	// merge, and at a family's centroid, where another family's first
+	// rune lies between the two.
+	if !seedFamilyTies(f, models[1], 1, bits) {
+		f.Fatal("proccount model: not every kind of family tie was seeded")
+	}
 	f.Fuzz(func(t *testing.T, model, key uint8, replace uint16, raw []byte) {
 		m := models[int(model)%len(models)]
 		runes := m.Runes()
@@ -157,4 +191,121 @@ func FuzzClassifyMatchesMapScan(f *testing.F) {
 			t.Fatalf("ClassifyDenoised(%v) = %+v, map scan gives %+v", v, got, want)
 		}
 	})
+}
+
+// seedNoiseTie adds one delta of model mi on which the reference gives a
+// key verdict at exactly the nearest noise centroid's distance, within
+// NoiseTol: a midpoint of a key and a noise centroid. It reports whether
+// there was one.
+func seedNoiseTie(f *testing.F, m *Model, mi uint8, bits func(...float64) []byte) bool {
+	for ki, r := range m.Runes() {
+		for _, n := range m.Noise {
+			v := m.Keys[string(r)].Add(n.V).Scale(0.5)
+			nd := bruteNearestNoise(m, v)
+			if out := refClassify(m, v); out.IsKey && out.Dist == nd && nd <= m.noiseTol() {
+				f.Add(mi, uint8(ki), uint16(0x7ff), bits(v[:]...))
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// seedFamilyTies adds four deltas of model mi, whose key families share
+// centroids: a midpoint of two family centroids, on which the reference
+// finds both at the same distance; a delta that is two families' keys
+// plus two different noise centroids, which the reference's denoising
+// scan accepts at distance 0; a key plus a noise centroid 0.1 sigma off
+// in every dimension, which the denoising scan rejects only because the best family's
+// second key is the runner-up; and a family centroid whose key verdict's
+// runner-up is the family's second rune while another family's first
+// rune lies between the two. It reports whether it found all four.
+func seedFamilyTies(f *testing.F, m *Model, mi uint8, bits func(...float64) []byte) bool {
+	runes := m.Runes()
+	keyIndex := map[rune]int{}
+	var firsts []rune // each family's first rune, ascending
+	famOf := map[trace.Vec]rune{}
+	for i, r := range runes {
+		keyIndex[r] = i
+		c := m.Keys[string(r)]
+		if _, ok := famOf[c]; !ok {
+			famOf[c] = r
+			firsts = append(firsts, r)
+		}
+	}
+	found := 0
+midpoint:
+	for i, a := range firsts {
+		ca := m.Keys[string(a)]
+		for _, b := range firsts[i+1:] {
+			cb := m.Keys[string(b)]
+			v := ca.Add(cb).Scale(0.5)
+			if d := v.Dist(ca, m.Weights); d == v.Dist(cb, m.Weights) && refClassify(m, v).Dist == d {
+				f.Add(mi, uint8(keyIndex[a]), uint16(0x7ff), bits(v[:]...))
+				found++
+				break midpoint
+			}
+		}
+	}
+residual:
+	for i, a := range firsts {
+		for _, b := range firsts[i+1:] {
+			for _, na := range m.Noise {
+				for _, nb := range m.Noise {
+					v := m.Keys[string(a)].Add(na.V)
+					if v != m.Keys[string(b)].Add(nb.V) || na.V == nb.V {
+						continue
+					}
+					if out := refClassify(m, v); out.IsKey || out.IsNoise || !refClassifyDenoised(m, v).IsKey {
+						continue
+					}
+					f.Add(mi, uint8(keyIndex[a]), uint16(0x7ff), bits(v[:]...))
+					found++
+					break residual
+				}
+			}
+		}
+	}
+	// The same reference over the families' first keys alone accepts an
+	// offset merge that the full reference rejects only because the best
+	// family's second key ties the first.
+	firstsOnly := m.Clone()
+	for s, c := range m.Keys {
+		if famOf[c] != firstRune(s) {
+			delete(firstsOnly.Keys, s)
+		}
+	}
+	w := m.Weights.Clamped()
+offset:
+	for _, r := range firsts {
+		for _, n := range m.Noise {
+			x := n.V
+			for i := range x {
+				x[i] += 0.1 / w[i]
+			}
+			v := m.Keys[string(r)].Add(x)
+			if out := refClassify(m, v); out.IsKey || out.IsNoise || refClassifyDenoised(m, v).IsKey || !refClassifyDenoised(firstsOnly, v).IsKey {
+				continue
+			}
+			f.Add(mi, uint8(keyIndex[r]), uint16(0), bits(x[:]...))
+			found++
+			break offset
+		}
+	}
+	for ki, r := range runes {
+		out := refClassify(m, m.Keys[string(r)])
+		if !out.IsKey || famOf[m.Keys[string(out.Alt)]] != out.R {
+			continue
+		}
+		between := false
+		for _, first := range firsts {
+			between = between || (first > out.R && first < out.Alt)
+		}
+		if between {
+			f.Add(mi, uint8(ki), uint16(0), []byte(nil))
+			found++
+			break
+		}
+	}
+	return found == 4
 }

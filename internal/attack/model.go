@@ -7,6 +7,7 @@
 package attack
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -65,6 +66,14 @@ type NoiseCentroid struct {
 // Model is the per-configuration classifier: nearest-centroid over the
 // 11-dimensional delta space with a rejection threshold Cth, plus learned
 // noise signatures and the launch fingerprint used for device recognition.
+//
+// The classify scans work on key families: keys whose centroids are
+// bit-identical, as whole rows of keys are on a narrow OS-counter
+// channel. A family's distance is computed once and shared by its keys,
+// so a proccount model's 95 keys cost 11 distance sums, not 95. Classify
+// also measures the noise signatures first: when the nearest lies
+// within NoiseTol and no key centroid can lie within that distance, the
+// delta is noise and the key scan is skipped. Neither changes a verdict.
 type Model struct {
 	Key ModelKey `json:"key"`
 	// Keys maps each typable rune to its popup delta centroid.
@@ -85,24 +94,29 @@ type Model struct {
 	// Launch is the app-launch frame fingerprint for device recognition.
 	Launch trace.Vec `json:"launch"`
 
-	// keysByRune flattens Keys in rune order, so the classify scans range
-	// over a slice and decode no map keys; noiseByDim0 sorts the noise
-	// centroids by their first weighted dimension, which the denoising
-	// scan binary-searches for each residual's window; weights is
-	// Weights.Clamped(), the weights every scan multiplies by. All three
-	// are built lazily (so also after deserialization) at the first
+	// families holds each key family's centroid once, with its runes
+	// ascending, so the classify scans range over a slice and decode no
+	// map keys; the families run in order of their first rune, and their
+	// runes share one array. famByDim0 lists the family numbers by their
+	// centroid's first weighted dimension, which Classify binary-searches
+	// for the noise-first rule; noiseByDim0 sorts the noise centroids the
+	// same way for the denoising scan's residual windows; weights is
+	// Weights.Clamped(), the weights every scan multiplies by. All are
+	// built lazily (so also after deserialization) at the first
 	// classification, which freezes Weights, Keys and Noise for this
 	// model: derive variants with Clone. indexOnce makes the build safe
 	// under concurrent classification.
 	indexOnce   sync.Once
-	keysByRune  []keyEntry
+	families    []family
+	famByDim0   []int
 	noiseByDim0 []noiseEntry
 	weights     trace.Vec
 }
 
-type keyEntry struct {
-	r rune
-	v trace.Vec
+// family is a set of keys whose centroids are bit-identical.
+type family struct {
+	c     trace.Vec
+	runes []rune
 }
 
 type noiseEntry struct {
@@ -136,31 +150,6 @@ type Verdict struct {
 // is unknown (typically a fragment of a split change).
 func (m *Model) Classify(v trace.Vec) Verdict {
 	m.buildIndex()
-	bestKey, altKey, d1, d2 := rune(0), rune(0), math.Inf(1), math.Inf(1)
-	for i := range m.keysByRune {
-		k := &m.keysByRune[i]
-		// A centroid whose partial sum reaches the runner-up's squared
-		// distance cannot displace either verdict: the sum only grows,
-		// Sqrt is monotone and maps d2*d2 back to d2, and scanning in
-		// rune order means a later key never wins a tie.
-		ss, ok := trace.DistSqWithin(&v, &k.v, &m.weights, d2*d2)
-		if !ok {
-			continue
-		}
-		d := math.Sqrt(ss)
-		// Exact distance ties break toward the smaller rune: on narrow
-		// channels whole key families share a centroid, and the scan
-		// order must never decide the verdict.
-		if d < d1 || (d <= d1 && k.r < bestKey) {
-			d2 = d1
-			altKey = bestKey
-			d1 = d
-			bestKey = k.r
-		} else if d < d2 || (d <= d2 && k.r < altKey) {
-			d2 = d
-			altKey = k.r
-		}
-	}
 	bestNoise, bestNoiseDist := NoiseClass(""), math.Inf(1)
 	for i := range m.Noise {
 		n := &m.Noise[i]
@@ -173,6 +162,44 @@ func (m *Model) Classify(v trace.Vec) Verdict {
 			bestNoise = n.Class
 		}
 	}
+	// Noise first: a key verdict needs a key centroid at least as close
+	// as the nearest noise centroid, so when none can lie that close a
+	// noise match within NoiseTol is the verdict whatever the keys say.
+	if bestNoiseDist <= m.noiseTol() && !m.keyMayLieWithin(&v, bestNoiseDist) {
+		return Verdict{IsNoise: true, Noise: bestNoise, Dist: bestNoiseDist}
+	}
+	bestKey, altKey, d1, d2 := rune(0), rune(0), math.Inf(1), math.Inf(1)
+	bound := math.Inf(1)
+	fams := m.families
+	for i := range fams {
+		fam := &fams[i]
+		// A family whose partial sum reaches bound lies strictly farther
+		// than the runner-up, so it can displace neither verdict. A tie
+		// with the runner-up must still be scanned: the families run in
+		// order of their first rune, so this one's may precede a runner-up
+		// that is an earlier family's second rune.
+		ss, ok := trace.DistSqWithin(&v, &fam.c, &m.weights, bound)
+		if !ok {
+			continue
+		}
+		d := math.Sqrt(ss)
+		// Exact distance ties break toward the smaller rune: within a
+		// family every key ties, and the scan order must never decide
+		// the verdict.
+		for _, r := range fam.runes {
+			if d < d1 || (d <= d1 && r < bestKey) {
+				d2 = d1
+				altKey = bestKey
+				d1 = d
+				bestKey = r
+				bound = beyond(d2)
+			} else if d < d2 || (d <= d2 && r < altKey) {
+				d2 = d
+				altKey = r
+				bound = beyond(d2)
+			}
+		}
+	}
 	if d1 <= m.Cth && d1 <= 0.65*d2 && d1 <= bestNoiseDist {
 		return Verdict{IsKey: true, R: bestKey, Dist: d1, Alt: altKey, AltDist: d2}
 	}
@@ -182,33 +209,77 @@ func (m *Model) Classify(v trace.Vec) Verdict {
 	return Verdict{Dist: math.Min(d1, bestNoiseDist)}
 }
 
+// beyond returns a squared-distance bound that only a distance strictly
+// greater than d reaches: the square of the next float above d. Sqrt is
+// monotone and maps a rounded square back to its root while the square
+// is a normal float; the 2⁻¹⁰⁰⁰ floor covers a d so small that it is not,
+// since every sum of at least 2⁻¹⁰⁰⁰ has a root of at least 2⁻⁵⁰⁰.
+func beyond(d float64) float64 {
+	next := math.Nextafter(d, math.Inf(1))
+	return max(next*next, 0x1p-1000)
+}
+
+// keyMayLieWithin reports whether some key centroid may lie within
+// distance r of v. It is false only when no family's first weighted
+// dimension falls in a window around v's: r wide, plus 2⁻⁴⁰ of the
+// magnitudes, which covers the rounding of both products, of their
+// difference and of the distance sum (a sum is at least its first term,
+// whose rounded square Sqrt maps back to it), plus 2⁻⁵⁰⁰ for a first
+// term too small to square. A window that is not finite shows nothing.
+func (m *Model) keyMayLieWithin(v *trace.Vec, r float64) bool {
+	t := v[0] * m.weights[0]
+	slack := r + 0x1p-40*(math.Abs(t)+r) + 0x1p-500
+	lo, hi := t-slack, t+slack
+	if !(hi-lo < math.Inf(1)) {
+		return true
+	}
+	// The first family whose first weighted dimension is >= lo, by
+	// sort.Search's rule; cmp.Less sorted any NaN first, and it fails the
+	// test like a value below lo.
+	idx := m.famByDim0
+	i, j := 0, len(idx)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(m.famKey0(idx[h]) >= lo) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i < len(idx) && m.famKey0(idx[i]) <= hi
+}
+
 // ClassifyDenoised extends Classify for deltas in which a key press
 // merged with a system event inside one sampling window: it retries the
 // classification after subtracting each learned noise signature and
 // accepts the best resulting key verdict. Only key verdicts are promoted
 // this way — declaring compound noise from a subtraction would swallow
-// split key fragments. Each residual's noise search is windowed on the
-// first weighted dimension and bounded by the runner-up found so far,
-// keeping the fallback within the paper's §7.6 sub-0.1 ms inference
-// budget.
+// split key fragments. Each family's residual is searched once, its
+// noise search windowed on the first weighted dimension and bounded by
+// the runner-up found so far, keeping the fallback within the paper's
+// §7.6 sub-0.1 ms inference budget.
 func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	out := m.Classify(v)
 	if out.IsKey || out.IsNoise {
 		return out
 	}
 	bestKey, d1, d2 := rune(0), math.Inf(1), math.Inf(1)
-	for i := range m.keysByRune {
-		k := &m.keysByRune[i]
-		// Each search starts from the runner-up: a key whose residual
-		// cannot beat d2 changes neither d1 nor d2, because the scan runs
-		// in rune order, so a later key never wins a tie.
-		d := m.nearestNoiseTo(&v, &k.v, min(m.Cth+1, d2))
-		if d < d1 || (d <= d1 && k.r < bestKey) {
-			d2 = d1
-			d1 = d
-			bestKey = k.r
-		} else if d < d2 {
-			d2 = d
+	fams := m.families
+	for i := range fams {
+		fam := &fams[i]
+		// Each search starts from the runner-up: a family whose residual
+		// cannot beat d2 changes neither d1 nor d2, because the families
+		// run in order of their first rune, so a later family's key never
+		// wins a tie.
+		d := m.nearestNoiseTo(&v, &fam.c, min(m.Cth+1, d2))
+		for _, r := range fam.runes {
+			if d < d1 || (d <= d1 && r < bestKey) {
+				d2 = d1
+				d1 = d
+				bestKey = r
+			} else if d < d2 {
+				d2 = d
+			}
 		}
 	}
 	if d1 <= m.Cth && d1 <= 0.65*d2 {
@@ -217,19 +288,60 @@ func (m *Model) ClassifyDenoised(v trace.Vec) Verdict {
 	return out
 }
 
-// buildIndex sorts key centroids by rune, and noise centroids by their
-// first weighted dimension so residual lookups can window instead of
-// scanning, and clamps the weights once. Safe for concurrent callers.
+// buildIndex groups the key centroids into families, orders the
+// families by first rune and by first weighted dimension, sorts the noise
+// centroids by their first weighted dimension so residual lookups can
+// window instead of scanning, and clamps the weights once. Safe for
+// concurrent callers.
 func (m *Model) buildIndex() {
 	m.indexOnce.Do(func() {
-		keys := make([]keyEntry, 0, len(m.Keys))
+		type key struct {
+			r rune
+			f int
+			v trace.Vec
+		}
+		keys := make([]key, 0, len(m.Keys))
 		for s, c := range m.Keys {
-			keys = append(keys, keyEntry{r: firstRune(s), v: c})
+			keys = append(keys, key{r: firstRune(s), v: c})
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i].r < keys[j].r })
-		m.keysByRune = keys
+		// Families are numbered as their first rune comes up. They are
+		// told apart by bit pattern, so a NaN or a signed zero joins only
+		// its exact twin.
+		var first []int // each family's first key, an index into keys
+		for i := range keys {
+			f := 0
+			for f < len(first) && !sameBits(&keys[first[f]].v, &keys[i].v) {
+				f++
+			}
+			if f == len(first) {
+				first = append(first, i)
+			}
+			keys[i].f = f
+		}
+		// Lay the keys out family by family, each family's runes still
+		// ascending, and give every family its stretch of one rune array.
+		sort.SliceStable(keys, func(i, j int) bool { return keys[i].f < keys[j].f })
+		runes := make([]rune, len(keys))
+		m.families = make([]family, len(first))
+		lo := 0
+		for i, k := range keys {
+			runes[i] = k.r
+			if i+1 == len(keys) || keys[i+1].f != k.f {
+				m.families[k.f] = family{c: k.v, runes: runes[lo : i+1 : i+1]}
+				lo = i + 1
+			}
+		}
 
 		m.weights = m.Weights.Clamped()
+		m.famByDim0 = make([]int, len(m.families))
+		for f := range m.famByDim0 {
+			m.famByDim0[f] = f
+		}
+		sort.Slice(m.famByDim0, func(i, j int) bool {
+			return cmp.Less(m.famKey0(m.famByDim0[i]), m.famKey0(m.famByDim0[j]))
+		})
+
 		idx := make([]noiseEntry, 0, len(m.Noise))
 		for _, n := range m.Noise {
 			idx = append(idx, noiseEntry{key0: n.V[0] * m.weights[0], v: n.V})
@@ -237,6 +349,22 @@ func (m *Model) buildIndex() {
 		sort.Slice(idx, func(i, j int) bool { return idx[i].key0 < idx[j].key0 })
 		m.noiseByDim0 = idx
 	})
+}
+
+// sameBits reports whether a and b are bit-identical.
+func sameBits(a, b *trace.Vec) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// famKey0 returns family f's centroid's first weighted dimension, the
+// order of famByDim0.
+func (m *Model) famKey0(f int) float64 {
+	return m.families[f].c[0] * m.weights[0]
 }
 
 // nearestNoiseTo returns the distance from the residual v − k to the

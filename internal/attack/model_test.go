@@ -289,8 +289,9 @@ func TestProcCountKeysCollapseIntoRowFamilies(t *testing.T) {
 }
 
 // TestClassifyExactTiesPickSmallestRune crafts exact distance ties: three
-// keys sharing one centroid, and two keys whose residuals after removing
-// a noise signature coincide. The verdicts must name the smallest rune
+// keys sharing one centroid, two keys whose residuals after removing a
+// noise signature coincide, and two families whose centroids differ only
+// by a signed zero. The verdicts must name the smallest rune
 // (and the next one as runner-up), as the map-scan reference does, for
 // every map iteration order.
 func TestClassifyExactTiesPickSmallestRune(t *testing.T) {
@@ -308,6 +309,18 @@ func TestClassifyExactTiesPickSmallestRune(t *testing.T) {
 		v = m.ClassifyDenoised(merged)
 		if !v.IsKey || v.R != 'x' || v != refClassifyDenoised(m, merged) {
 			t.Fatalf("denoised tie: %+v, want key 'x' (reference %+v)", v, refClassifyDenoised(m, merged))
+		}
+		// 'b' differs from the family {a, e} only by a signed zero: a
+		// family of its own, scanned after {a, e}, at the same distance.
+		// The runner-up is 'b', which an equal-distance bound on the
+		// family scan would skip in favour of 'e'.
+		twin := shared
+		twin[5] = math.Copysign(0, -1)
+		m = tinyModel()
+		m.Keys = map[string]trace.Vec{"a": shared, "e": shared, "b": twin}
+		v = m.Classify(shared)
+		if !v.IsKey || v.R != 'a' || v.Alt != 'b' || v != refClassify(m, shared) {
+			t.Fatalf("signed-zero twin: %+v, want key 'a' with runner-up 'b' (reference %+v)", v, refClassify(m, shared))
 		}
 	}
 }

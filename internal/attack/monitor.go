@@ -34,6 +34,10 @@ type MonitorResult struct {
 	// IdleReads counts the successful low-duty reads after the first one
 	// spent waiting.
 	IdleReads int
+	// IdleRecovery is the recovery work of the low-duty wait: its
+	// retries, re-reservations and dropped ticks. Result.Recovery covers
+	// the full-rate phase only, whose trace the inference ran on.
+	IdleRecovery CollectStats
 	// Result is the credential inference from the detection point on
 	// (nil when no launch was detected).
 	Result *Result
@@ -95,7 +99,7 @@ func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*Mo
 	if err := s.poll(ctx, start, end, &tr, watch); err != nil {
 		return nil, err
 	}
-	out := &MonitorResult{IdleReads: max(tr.Reads-1, 0)}
+	out := &MonitorResult{IdleReads: max(tr.Reads-1, 0), IdleRecovery: s.Stats}
 	idle.AddField(obs.Int("idle_reads", out.IdleReads))
 	a.Obs.Metrics().Add(mMonitorIdleReads, int64(out.IdleReads))
 	if detected == nil {

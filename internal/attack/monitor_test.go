@@ -8,6 +8,7 @@ import (
 	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
 	"gpuleak/internal/kgsl"
+	"gpuleak/internal/obs"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/victim"
 )
@@ -105,6 +106,39 @@ func TestMonitorUnderFaults(t *testing.T) {
 				t.Fatalf("%s with retry: %v", p.Name, err)
 			}
 			checkMonitored(t, sess, res)
+		}
+	}
+}
+
+// TestMonitorRecoveryCountsBothPhases pins that a monitored run reports
+// the idle wait's recovery work beside the full-rate phase's: under a
+// severe fault plane the two phases' retries, re-reservations and
+// dropped ticks add up to the sampler's telemetry counters, which count
+// every poll of the run.
+func TestMonitorRecoveryCountsBothPhases(t *testing.T) {
+	sess, f := monitoredSession(t)
+	atk := New(sharedModel(t))
+	atk.Retry = true
+	atk.Obs = obs.New()
+	res, err := atk.MonitorAndEavesdrop(fault.NewFile(f, fault.Severe, 7), 0, sess.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMonitored(t, sess, res)
+	idle, full := res.IdleRecovery, res.Result.Recovery
+	for _, c := range []struct {
+		counter    string
+		idle, full int
+	}{
+		{mSamplerRetries, idle.Retries, full.Retries},
+		{mSamplerRereservations, idle.ReReservations, full.ReReservations},
+		{mSamplerDroppedTicks, idle.DroppedTicks, full.DroppedTicks},
+	} {
+		if c.idle == 0 {
+			t.Errorf("%s: the idle phase recovered nothing, so the sum checks nothing", c.counter)
+		}
+		if got := atk.Obs.Metrics().Counter(c.counter); got != int64(c.idle+c.full) {
+			t.Errorf("%s = %d, want idle %d + full rate %d", c.counter, got, c.idle, c.full)
 		}
 	}
 }

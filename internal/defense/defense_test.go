@@ -243,6 +243,59 @@ func TestQuantizeFloorsToTheGrid(t *testing.T) {
 	}
 }
 
+// scriptedProbe returns its reads in turn, each with its error.
+type scriptedProbe struct {
+	vals []trace.Raw
+	errs []error
+	next int
+}
+
+func (p *scriptedProbe) ReserveSelected(t sim.Time) error { return nil }
+
+func (p *scriptedProbe) ReadSelected(t sim.Time) (trace.Raw, error) {
+	i := p.next
+	p.next++
+	return p.vals[i], p.errs[i]
+}
+
+// TestQuantizeMemoMatchesFloor replays reads that start at zero,
+// repeat, change, fail and come back to earlier values: the memoised
+// probe must return the floor of every successful read and pass every
+// error through. The failed read carries counter values of its own, and
+// the next read returns the same values successfully, so a failed read
+// that reached the memo would be answered with the floor before it.
+func TestQuantizeMemoMatchesFloor(t *testing.T) {
+	scale, _ := quantizeScale(channel.DefaultName)
+	raw := func(base uint64) trace.Raw {
+		var r trace.Raw
+		for i := range r {
+			r[i] = base*uint64(i+1) + scale[i]/3
+		}
+		return r
+	}
+	a, b, x := raw(1000003), raw(2000029), raw(3000017)
+	errBusy := errors.New("busy")
+	inner := &scriptedProbe{
+		vals: []trace.Raw{{}, {}, a, a, b, x, x, a, b, b, {}},
+		errs: []error{nil, nil, nil, nil, nil, errBusy, nil, nil, nil, nil, nil},
+	}
+	wrapped := armWrap(t, "quantize", 0.5, inner)
+	q := wrapped.(*quantizedProbe).quantum
+	for i, v := range inner.vals {
+		want := v
+		for j, c := range want {
+			want[j] = c - c%q[j]
+		}
+		got, err := wrapped.ReadSelected(sim.Time(i))
+		if err != inner.errs[i] {
+			t.Fatalf("read %d: error %v, want %v", i, err, inner.errs[i])
+		}
+		if err == nil && got != want {
+			t.Errorf("read %d: %v, want the floor %v", i, got, want)
+		}
+	}
+}
+
 func TestRBACMasksRestrictedDims(t *testing.T) {
 	inner := &fakeProbe{}
 	for i := range inner.vals {

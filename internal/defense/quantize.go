@@ -84,6 +84,11 @@ func (d quantize) Arm(sess *victim.Session, strength float64, seed int64) (Insta
 type quantizedProbe struct {
 	inner   channel.Probe
 	quantum trace.Raw
+	// last is the last successful inner read and floored its floor.
+	// Counters hold still between frames, so most reads repeat the one
+	// before and are answered without dividing; the zero values agree,
+	// since zero floors to zero.
+	last, floored trace.Raw
 }
 
 func (p *quantizedProbe) ReserveSelected(t sim.Time) error { return p.inner.ReserveSelected(t) }
@@ -93,9 +98,14 @@ func (p *quantizedProbe) ReadSelected(t sim.Time) (trace.Raw, error) {
 	if err != nil {
 		return vals, err
 	}
+	if vals == p.last {
+		return p.floored, nil
+	}
+	p.last = vals
 	for i, v := range vals {
 		vals[i] = v - v%p.quantum[i]
 	}
+	p.floored = vals
 	return vals, nil
 }
 

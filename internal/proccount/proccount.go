@@ -30,7 +30,9 @@
 package proccount
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"gpuleak/internal/fault"
@@ -112,7 +114,7 @@ func NewProbe(sess *victim.Session) *Probe {
 			}},
 		)
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	slices.SortStableFunc(evs, func(a, b event) int { return cmp.Compare(a.at, b.at) })
 
 	p := &Probe{}
 	var base [Dims]uint64

@@ -7,8 +7,9 @@
 package victim
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"gpuleak/internal/adreno"
 	"gpuleak/internal/android"
@@ -393,7 +394,7 @@ func (s *Session) Run(script input.Script) {
 	}
 
 	// Submit chronologically, applying render jitter.
-	sort.SliceStable(frames, func(i, j int) bool { return frames[i].at < frames[j].at })
+	slices.SortStableFunc(frames, func(a, b frameReq) int { return cmp.Compare(a.at, b.at) })
 	jitterRng := s.rng.Split()
 	s.GPU.Grow(len(frames))
 	for _, f := range frames {
@@ -414,7 +415,7 @@ func (s *Session) Run(script input.Script) {
 		}
 		s.GPU.Submit(adreno.Frame{Start: f.at, End: f.at + dur, PID: victimUIPID, Stats: st})
 	}
-	sort.SliceStable(s.Truth, func(i, j int) bool { return s.Truth[i].At < s.Truth[j].At })
+	slices.SortStableFunc(s.Truth, func(a, b TruthEvent) int { return cmp.Compare(a.At, b.At) })
 	s.End = end
 	if le := s.GPU.LastEnd(); le > s.End {
 		s.End = le

@@ -12,8 +12,8 @@ import (
 // every histogram in the registry. Fixed global boundaries (rather than
 // per-histogram config) keep snapshots pure functions of the observed
 // values — two processes that observe the same samples emit the same
-// bucket counts — which is what lets benchcmp's -metrics-only gate treat
-// bucket series as deterministic data.
+// bucket counts — which is what lets tests treat bucket series as
+// deterministic data.
 // The boundaries are tuned for sim-time latencies in milliseconds but
 // apply to every histogram; an implicit +Inf bucket catches overflow.
 var DefaultBuckets = []float64{

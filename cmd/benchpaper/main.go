@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -56,43 +57,52 @@ type experimentReport struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchpaper: ")
-
-	full := flag.Bool("full", false, "paper-scale trial counts (slow)")
-	run := flag.String("run", "", "run a single experiment by ID (e.g. fig17, table2)")
-	seed := flag.Int64("seed", 20260705, "experiment seed")
-	listOnly := flag.Bool("list", false, "list experiment IDs and exit")
-	metrics := flag.Bool("metrics", false, "also print raw metrics")
-	markdown := flag.Bool("md", false, "emit GitHub-flavored markdown tables")
-	workers := flag.Int("workers", 0, "worker pool size (1 = serial, 0 = one per CPU); results are identical at any value")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout instead of tables")
-	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
-
-	stopProfiles, err := obsFlags.StartProfiles()
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	tracer := obsFlags.Tracer()
-	if tracer != nil {
-		parallel.ObserveWith(tracer.Metrics())
-	}
+}
+
+// run executes the experiments the flags in args select and prints their
+// tables, or the -json report, to stdout. It fails on an unknown
+// experiment ID and when any experiment failed.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchpaper", flag.ExitOnError)
+	full := fs.Bool("full", false, "paper-scale trial counts (slow)")
+	runID := fs.String("run", "", "run a single experiment by ID (e.g. fig17, table2)")
+	seed := fs.Int64("seed", 20260705, "experiment seed")
+	listOnly := fs.Bool("list", false, "list experiment IDs and exit")
+	metrics := fs.Bool("metrics", false, "also print raw metrics")
+	markdown := fs.Bool("md", false, "emit GitHub-flavored markdown tables")
+	workers := fs.Int("workers", 0, "worker pool size (1 = serial, 0 = one per CPU); results are identical at any value")
+	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report on stdout instead of tables")
+	var obsFlags obs.Flags
+	obsFlags.Register(fs)
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits with the usage
 
 	if *listOnly {
 		for _, e := range exp.All {
-			fmt.Printf("%-22s %s\n", e.ID, e.Paper)
+			fmt.Fprintf(stdout, "%-22s %s\n", e.ID, e.Paper)
 		}
-		return
+		return nil
 	}
 
 	opts := exp.Options{Quick: !*full, Seed: *seed, Workers: *workers}
 	todo := exp.All
-	if *run != "" {
-		e, ok := exp.ByID(*run)
+	if *runID != "" {
+		e, ok := exp.ByID(*runID)
 		if !ok {
-			log.Fatalf("unknown experiment %q (use -list)", *run)
+			return fmt.Errorf("unknown experiment %q (use -list)", *runID)
 		}
 		todo = []exp.Experiment{e}
+	}
+
+	stopProfiles, err := obsFlags.StartProfiles()
+	if err != nil {
+		return err
+	}
+	tracer := obsFlags.Tracer()
+	if tracer != nil {
+		parallel.ObserveWith(tracer.Metrics())
 	}
 
 	// Experiments are independent, so the suite itself fans out across the
@@ -153,58 +163,57 @@ func main() {
 			Experiments: reports,
 			Telemetry:   tracer.Metrics().Snapshot(),
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		finish(&obsFlags, tracer, stopProfiles, *jsonOut)
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	for i, e := range todo {
-		r := results[i]
-		if r == nil {
-			continue
-		}
-		if *markdown {
-			fmt.Printf("\n%s", r.Table.Markdown())
-			fmt.Printf("\n*Paper: %s.*\n", e.Paper)
-		} else {
-			fmt.Printf("\n%s", r.Table.String())
-			fmt.Printf("[paper: %s]  (%.1fs)\n", e.Paper, reports[i].Seconds)
-		}
-		if *metrics {
-			keys := make([]string, 0, len(r.Metrics))
-			for k := range r.Metrics {
-				keys = append(keys, k)
+	} else {
+		for i, e := range todo {
+			r := results[i]
+			if r == nil {
+				continue
 			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Printf("  metric %-32s %.4f\n", k, r.Metrics[k])
+			if *markdown {
+				fmt.Fprintf(stdout, "\n%s", r.Table.Markdown())
+				fmt.Fprintf(stdout, "\n*Paper: %s.*\n", e.Paper)
+			} else {
+				fmt.Fprintf(stdout, "\n%s", r.Table.String())
+				fmt.Fprintf(stdout, "[paper: %s]  (%.1fs)\n", e.Paper, reports[i].Seconds)
+			}
+			if *metrics {
+				keys := make([]string, 0, len(r.Metrics))
+				for k := range r.Metrics {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				for _, k := range keys {
+					fmt.Fprintf(stdout, "  metric %-32s %.4f\n", k, r.Metrics[k])
+				}
 			}
 		}
 	}
-	finish(&obsFlags, tracer, stopProfiles, *jsonOut)
+	if err := finish(&obsFlags, tracer, stopProfiles, *jsonOut); err != nil {
+		return err
+	}
 	if failures > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d experiments failed", failures, len(todo))
 	}
+	return nil
 }
 
 // finish writes the telemetry stream and profile dumps before exit.
-func finish(fl *obs.Flags, tracer *obs.Tracer, stopProfiles func() error, quiet bool) {
+func finish(fl *obs.Flags, tracer *obs.Tracer, stopProfiles func() error, quiet bool) error {
 	if tracer != nil {
 		if err := fl.Write(tracer); err != nil {
-			log.Fatalf("writing telemetry: %v", err)
+			return fmt.Errorf("writing telemetry: %w", err)
 		}
 		if !quiet {
 			log.Printf("wrote telemetry to %s (%d events)", fl.Path, tracer.Len())
 		}
 	}
 	if err := stopProfiles(); err != nil {
-		log.Fatalf("writing profiles: %v", err)
+		return fmt.Errorf("writing profiles: %w", err)
 	}
+	return nil
 }

@@ -26,10 +26,12 @@ import (
 //     drops the context on the floor mid-chain: the callee runs
 //     uncancellable even though the caller could have threaded it.
 //
-// Only this check catches calling atk.Eavesdrop instead of
-// atk.EavesdropContext in exp's eavesdropOnce, so that a canceled
-// experiment samples each in-flight trial to its end: TestRepoClean
-// (which runs this suite) is the one test that fails.
+// Only this check catches calling st.Run with context.Background()
+// instead of its ctx parameter in exp's trial runner (trial.run), so
+// that a canceled experiment samples each in-flight trial to its end:
+// TestRepoClean (which runs this suite) is the one test that fails. A
+// function that holds no context is outside this check, which is why
+// every experiment eavesdrops through that runner.
 var CtxFlow = &Analyzer{
 	Name:    "ctxflow",
 	Doc:     "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",

@@ -8,7 +8,6 @@ import (
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // RunAblationDedup sweeps the §5.1 duplication window Ti. The paper picks
@@ -35,16 +34,22 @@ func RunAblationDedup(o Options) (*Result, error) {
 		{"75ms (paper)", attack.OnlineOptions{}},
 		{"150ms", attack.OnlineOptions{DedupWindow: 150 * sim.Millisecond}},
 	}
+	var trials []trial
 	for ci, c := range cases {
+		base := kgslTrial(cfg, m)
+		base.opts = c.opts
 		// Fast typists stress the window the most.
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[3], input.SpeedFast, attack.DefaultInterval,
-			c.opts, o.Seed+int64(ci)*81799)
-		if err != nil {
-			return nil, err
-		}
-		res.Table.AddRow(c.label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
-		res.Metrics["text_"+c.label] = b.TextAccuracy()
+		trials = append(trials, typing(base, LowerDigits, 10, per,
+			input.Volunteers[3], input.SpeedFast, o.Seed+int64(ci)*81799)...)
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	for ci, b := range blocks(recs, per) {
+		ta := stats.TextAccuracy(texts(b))
+		res.Table.AddRow(cases[ci].label, stats.Pct(ta), stats.Pct(stats.CharAccuracy(texts(b))))
+		res.Metrics["text_"+cases[ci].label] = ta
 	}
 	return res, nil
 }
@@ -60,21 +65,28 @@ func RunAblationSplit(o Options) (*Result, error) {
 		return nil, err
 	}
 	per := o.Trials(120)
+	var trials []trial
 	for ci, disabled := range []bool{false, true} {
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[0], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{DisableSplitCombine: disabled}, o.Seed+int64(ci)*91493)
-		if err != nil {
-			return nil, err
+		base := kgslTrial(cfg, m)
+		base.opts.DisableSplitCombine = disabled
+		trials = append(trials, typing(base, LowerDigits, 10, per,
+			input.Volunteers[0], input.SpeedAny, o.Seed+int64(ci)*91493)...)
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	for ci, b := range blocks(recs, per) {
+		label := []string{"on", "off"}[ci]
+		splits := 0
+		for _, r := range b {
+			splits += r.out.Result.Stats.Splits
 		}
-		label := "on"
-		if disabled {
-			label = "off"
-		}
-		res.Table.AddRow(label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()),
-			fmt.Sprintf("%d", b.Stats.Splits))
-		res.Metrics["text_"+label] = b.TextAccuracy()
-		res.Metrics["splits_"+label] = float64(b.Stats.Splits)
+		ta := stats.TextAccuracy(texts(b))
+		res.Table.AddRow(label, stats.Pct(ta), stats.Pct(stats.CharAccuracy(texts(b))),
+			fmt.Sprintf("%d", splits))
+		res.Metrics["text_"+label] = ta
+		res.Metrics["splits_"+label] = float64(splits)
 	}
 	return res, nil
 }
@@ -92,18 +104,23 @@ func RunAblationThreshold(o Options) (*Result, error) {
 		return nil, err
 	}
 	per := o.Trials(120)
-	for si, scale := range []float64{0.1, 0.5, 1.0, 3.0, 10.0} {
+	scales := []float64{0.1, 0.5, 1.0, 3.0, 10.0}
+	var trials []trial
+	for si, scale := range scales {
 		m := base.Clone()
 		m.Cth = base.Cth * scale
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[1], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(si)*10007)
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("%.1fx", scale)
-		res.Table.AddRow(label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
-		res.Metrics["text_"+label] = b.TextAccuracy()
+		trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, per,
+			input.Volunteers[1], input.SpeedAny, o.Seed+int64(si)*10007)...)
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	for si, b := range blocks(recs, per) {
+		label := fmt.Sprintf("%.1fx", scales[si])
+		ta := stats.TextAccuracy(texts(b))
+		res.Table.AddRow(label, stats.Pct(ta), stats.Pct(stats.CharAccuracy(texts(b))))
+		res.Metrics["text_"+label] = ta
 	}
 	return res, nil
 }
@@ -130,6 +147,7 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 		{"VPC only", []int{8, 9, 10}},
 		{"all 11", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
 	}
+	var trials []trial
 	for mi, msk := range masks {
 		m := base.Clone()
 		w := base.Weights
@@ -146,14 +164,17 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 			}
 		}
 		m.Weights = w
-		b, err := RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[2], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(mi)*11003)
-		if err != nil {
-			return nil, err
-		}
-		res.Table.AddRow(msk.label, stats.Pct(b.TextAccuracy()), stats.Pct(b.CharAccuracy()))
-		res.Metrics["char_"+msk.label] = b.CharAccuracy()
+		trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, per,
+			input.Volunteers[2], input.SpeedAny, o.Seed+int64(mi)*11003)...)
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	for mi, b := range blocks(recs, per) {
+		ca := stats.CharAccuracy(texts(b))
+		res.Table.AddRow(masks[mi].label, stats.Pct(stats.TextAccuracy(texts(b))), stats.Pct(ca))
+		res.Metrics["char_"+masks[mi].label] = ca
 	}
 	return res, nil
 }
@@ -175,50 +196,29 @@ func RunAblationCorrections(o Options) (*Result, error) {
 	opts.NotifViewProb = 0
 	opts.BackspaceProb = 0.15
 
-	for ci, disabled := range []bool{false, true} {
-		inferred := make([]string, 0, per)
-		truths := make([]string, 0, per)
-		for si := 0; si < per; si++ {
-			// Paired comparison: both arms replay identical sessions.
-			seed := o.Seed + int64(si)*517
-			_ = ci
-			rng := sim.NewRand(seed)
-			text := input.RandomText(rng, LowerDigits, 10)
-			c := cfg
-			c.Seed = seed
-			inf, truth, err := eavesdropScript(c, m,
-				input.Practical(text, input.Volunteers[si%5], opts, rng, 700*sim.Millisecond),
-				attack.OnlineOptions{DisableCorrections: disabled})
-			if err != nil {
-				return nil, err
-			}
-			inferred = append(inferred, inf)
-			truths = append(truths, truth)
-		}
-		label := "on"
-		if disabled {
-			label = "off"
-		}
-		ta := stats.TextAccuracy(inferred, truths)
-		res.Table.AddRow(label, stats.Pct(ta), stats.Pct(stats.CharAccuracy(inferred, truths)))
+	// Paired comparison: both arms replay identical sessions.
+	trials := make([]trial, 2*per)
+	for si := 0; si < per; si++ {
+		t := kgslTrial(cfg, m)
+		t.cfg.Seed = o.Seed + int64(si)*517
+		rng := sim.NewRand(t.cfg.Seed)
+		text := input.RandomText(rng, LowerDigits, 10)
+		t.script = input.Practical(text, input.Volunteers[si%5], opts, rng, 700*sim.Millisecond)
+		trials[si] = t
+		t.opts.DisableCorrections = true
+		trials[per+si] = t
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	for ci, b := range blocks(recs, per) {
+		label := []string{"on", "off"}[ci]
+		ta := stats.TextAccuracy(texts(b))
+		res.Table.AddRow(label, stats.Pct(ta), stats.Pct(stats.CharAccuracy(texts(b))))
 		res.Metrics["trace_"+label] = ta
 	}
 	return res, nil
-}
-
-func eavesdropScript(cfg victim.Config, m *attack.Model, script input.Script, opts attack.OnlineOptions) (string, string, error) {
-	sess := victim.New(cfg)
-	sess.Run(script)
-	f, err := sess.Open()
-	if err != nil {
-		return "", "", err
-	}
-	atk := &attack.Attack{Models: []*attack.Model{m}, Interval: attack.DefaultInterval, Options: opts}
-	r, err := atk.Eavesdrop(f, 0, sess.End)
-	if err != nil {
-		return "", "", err
-	}
-	return r.Text, sess.TypedText(), nil
 }
 
 // RunAblationGreedyVsOffline quantifies the §5.1 accuracy/timeliness
@@ -231,58 +231,44 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 
 	cfg := DefaultConfig()
 	// Stress splits: a slower GPU fragments more frames.
-	cfg.Device = androidLGV30()
+	cfg.Device = android.LGV30
 	m, err := TrainModel(cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
 	per := o.Trials(150)
 
-	var onI, onT, offI, offT []string
 	rng := sim.NewRand(o.Seed + 777)
-	for si := 0; si < per; si++ {
-		text := input.RandomText(rng, LowerDigits, 10)
-		seed := o.Seed + int64(si)*919
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[si%5], input.SpeedAny,
-			sim.NewRand(seed^0x77), 700*sim.Millisecond))
-		f, err := sess.Open()
-		if err != nil {
-			return nil, err
-		}
-		atk := attack.New(m)
-		smp, err := attack.NewSampler(f, attack.DefaultInterval)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := smp.Collect(0, sess.End)
-		if err != nil {
-			return nil, err
-		}
-		online, err := atk.EavesdropTrace(tr)
-		if err != nil {
-			return nil, err
-		}
-		offline, err := atk.EavesdropTraceOffline(tr)
-		if err != nil {
-			return nil, err
-		}
-		truth := sess.TypedText()
-		onI, onT = append(onI, online.Text), append(onT, truth)
-		offI, offT = append(offI, offline.Text), append(offT, truth)
+	trials := make([]trial, per)
+	for si := range trials {
+		t := kgslTrial(cfg, m)
+		t.cfg.Seed = o.Seed + int64(si)*919
+		t.script = input.Typing(input.RandomText(rng, LowerDigits, 10), input.Volunteers[si%5],
+			input.SpeedAny, sim.NewRand(t.cfg.Seed^0x77), 700*sim.Millisecond)
+		trials[si] = t
 	}
-	res.Table.AddRow("greedy (online)", stats.Pct(stats.TextAccuracy(onI, onT)),
-		stats.Pct(stats.CharAccuracy(onI, onT)), "real-time")
-	res.Table.AddRow("whole-trace (offline)", stats.Pct(stats.TextAccuracy(offI, offT)),
-		stats.Pct(stats.CharAccuracy(offI, offT)), "after input ends")
-	res.Metrics["text_online"] = stats.TextAccuracy(onI, onT)
-	res.Metrics["text_offline"] = stats.TextAccuracy(offI, offT)
-	res.Metrics["char_online"] = stats.CharAccuracy(onI, onT)
-	res.Metrics["char_offline"] = stats.CharAccuracy(offI, offT)
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	// The online engine ran inside the sampling loop; whole-trace
+	// segmentation reruns on the trace it kept.
+	onI, truth := texts(recs)
+	offI := make([]string, len(recs))
+	for i, r := range recs {
+		offline, err := attack.New(m).EavesdropTraceOffline(r.out.Legs[0].Trace)
+		if err != nil {
+			return nil, err
+		}
+		offI[i] = offline.Text
+	}
+	res.Table.AddRow("greedy (online)", stats.Pct(stats.TextAccuracy(onI, truth)),
+		stats.Pct(stats.CharAccuracy(onI, truth)), "real-time")
+	res.Table.AddRow("whole-trace (offline)", stats.Pct(stats.TextAccuracy(offI, truth)),
+		stats.Pct(stats.CharAccuracy(offI, truth)), "after input ends")
+	res.Metrics["text_online"] = stats.TextAccuracy(onI, truth)
+	res.Metrics["text_offline"] = stats.TextAccuracy(offI, truth)
+	res.Metrics["char_online"] = stats.CharAccuracy(onI, truth)
+	res.Metrics["char_offline"] = stats.CharAccuracy(offI, truth)
 	return res, nil
 }
-
-// androidLGV30 avoids an import cycle nuisance in this file's header.
-func androidLGV30() android.DeviceModel { return android.LGV30 }

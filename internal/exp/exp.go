@@ -14,11 +14,8 @@ import (
 
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
-	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
 	"gpuleak/internal/obs"
-	"gpuleak/internal/parallel"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
 	"gpuleak/internal/victim"
 )
@@ -30,21 +27,24 @@ type Options struct {
 	Quick bool
 	// Seed drives every random choice in the experiment.
 	Seed int64
-	// Workers caps the worker pool each experiment fans its independent
-	// trials, configurations and training sessions across: 1 is fully
-	// serial, 0 (the default) uses one worker per CPU. Results are
-	// byte-identical at any worker count — every trial derives its seed
-	// from its index, never from scheduling.
+	// Workers caps the pool an experiment fans its trials across, and
+	// the pool of each model training: 1 is fully serial, 0 (the default)
+	// uses one worker per CPU. Results are byte-identical at any worker
+	// count — every trial derives its seed from its index, never from
+	// scheduling.
 	Workers int
-	// Obs, when non-nil, records per-trial telemetry (one child track per
-	// RunBatch trial, created in index order so the stream is independent
-	// of scheduling). Model training stays uninstrumented: the cache's
-	// singleflight makes who-trains scheduling-dependent.
+	// Obs, when non-nil, records per-trial telemetry: every eavesdrop of
+	// an experiment gets its own child track, trial/i for the i-th trial
+	// in the experiment's trial list, created in that order before the
+	// trials fan out, so the stream is independent of scheduling. Model
+	// training stays uninstrumented: the cache's singleflight makes
+	// who-trains scheduling-dependent.
 	Obs *obs.Tracer
-	// Ctx, when non-nil, cancels the experiment cooperatively: batches
-	// stop issuing trials and in-flight eavesdrops abort at the next
-	// sampler tick. A run that completes is byte-identical to an
-	// uncanceled one.
+	// Ctx, when non-nil, cancels the experiment cooperatively: no trial
+	// starts once it ends, in-flight eavesdrops abort at the next sampler
+	// tick, and every experiment that eavesdrops returns its error. Model
+	// training runs to completion. A run that completes is byte-identical
+	// to an uncanceled one.
 	Ctx context.Context
 }
 
@@ -165,124 +165,6 @@ var CredAlphabet = []rune("abcdefghijklmnopqrstuvwxyz" +
 // LowerDigits restricts credentials to lowercase plus digits (used where
 // the experiment wants minimal page switching).
 var LowerDigits = []rune("abcdefghijklmnopqrstuvwxyz0123456789")
-
-// EavesdropOnce runs a full victim session typing text and returns the
-// attack's inference.
-func EavesdropOnce(cfg victim.Config, m *attack.Model, text string,
-	vol input.Volunteer, speed input.Speed, interval sim.Time,
-	opts attack.OnlineOptions, seed int64) (inferred, truth string, st attack.EngineStats, err error) {
-	return eavesdropOnce(context.Background(), cfg, m, text, vol, speed, interval, opts, seed, nil)
-}
-
-// eavesdropOnce is EavesdropOnce with a cancellation context and a
-// telemetry track attached: the sampler span and every engine verdict of
-// the run land on obsTr.
-func eavesdropOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text string,
-	vol input.Volunteer, speed input.Speed, interval sim.Time,
-	opts attack.OnlineOptions, seed int64, obsTr *obs.Tracer) (inferred, truth string, st attack.EngineStats, err error) {
-
-	cfg.Seed = seed
-	sess := victim.New(cfg)
-	script := input.Typing(text, vol, speed, sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond)
-	sess.Run(script)
-	sess.Device.SetMetrics(obsTr.Metrics())
-	f, err := sess.Open()
-	if err != nil {
-		return "", "", attack.EngineStats{}, err
-	}
-	atk := &attack.Attack{Models: []*attack.Model{m}, Interval: interval, Options: opts, Obs: obsTr}
-	res, err := atk.EavesdropContext(ctx, f, 0, sess.End)
-	if err != nil {
-		return "", "", attack.EngineStats{}, err
-	}
-	return res.Text, sess.TypedText(), res.Stats, nil
-}
-
-// BatchResult aggregates a batch of eavesdropping runs.
-type BatchResult struct {
-	Inferred []string
-	Truth    []string
-	Stats    attack.EngineStats
-}
-
-// TextAccuracy returns the exact-match accuracy (§7.1).
-func (b *BatchResult) TextAccuracy() float64 { return stats.TextAccuracy(b.Inferred, b.Truth) }
-
-// CharAccuracy returns the per-key accuracy (§7.1).
-func (b *BatchResult) CharAccuracy() float64 { return stats.CharAccuracy(b.Inferred, b.Truth) }
-
-// MeanErrors returns the mean number of wrong keys per text (Fig 17b).
-func (b *BatchResult) MeanErrors() float64 { return stats.MeanErrors(b.Inferred, b.Truth) }
-
-// RunBatch eavesdrops n random credentials of the given length. Sessions
-// are independent simulations, so they fan out across o.Workers; texts
-// and seeds are assigned by index, keeping results identical to a serial
-// run.
-func RunBatch(o Options, cfg victim.Config, m *attack.Model, alphabet []rune, length, n int,
-	vol input.Volunteer, speed input.Speed, interval sim.Time,
-	opts attack.OnlineOptions, seed int64) (*BatchResult, error) {
-
-	rng := sim.NewRand(seed)
-	texts := make([]string, n)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, alphabet, length)
-	}
-
-	// Trial tracks are pre-created in index order by this goroutine, so
-	// the merged telemetry stream is identical at any worker count.
-	var children []*obs.Tracer
-	if o.Obs != nil {
-		children = make([]*obs.Tracer, n)
-		for i := range children {
-			children[i] = o.Obs.Child(fmt.Sprintf("trial/%03d", i))
-		}
-	}
-
-	type slot struct {
-		inferred, truth string
-		stats           attack.EngineStats
-	}
-	slots := make([]slot, n)
-	err := parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		var tr *obs.Tracer
-		if children != nil {
-			tr = children[i]
-		}
-		inf, truth, st, err := eavesdropOnce(o.Context(), cfg, m, texts[i], vol, speed,
-			interval, opts, seed+int64(i)*101, tr)
-		if err != nil {
-			return err
-		}
-		slots[i] = slot{inferred: inf, truth: truth, stats: st}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &BatchResult{}
-	for _, s := range slots {
-		out.Inferred = append(out.Inferred, s.inferred)
-		out.Truth = append(out.Truth, s.truth)
-		accumulate(&out.Stats, s.stats)
-	}
-	return out, nil
-}
-
-func accumulate(dst *attack.EngineStats, s attack.EngineStats) {
-	dst.Deltas += s.Deltas
-	dst.Keys += s.Keys
-	dst.Duplicates += s.Duplicates
-	dst.Splits += s.Splits
-	dst.Noise += s.Noise
-	dst.NoiseSplits += s.NoiseSplits
-	dst.Recombined += s.Recombined
-	dst.Unknown += s.Unknown
-	dst.Corrections += s.Corrections
-	dst.Switches += s.Switches
-	dst.Gaps += s.Gaps
-	dst.Resyncs += s.Resyncs
-}
 
 // GroupAccuracies computes per-character-group accuracy (Fig 17c/21c)
 // using the same greedy edit alignment as the per-key confusion scoring,

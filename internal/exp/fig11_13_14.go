@@ -25,26 +25,34 @@ func RunFig11(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every lowercase-and-digit press is typed, so each text adds perText
+	// presses: the census types the fewest texts that reach the target.
 	target := o.Trials(3485)
 	perText := 20
-	var presses, dups, splits int
-	var texts int
 	rng := sim.NewRand(o.Seed + 11)
-	var agg attack.EngineStats
-	for presses < target {
-		text := input.RandomText(rng, LowerDigits, perText)
-		_, truth, st, err := EavesdropOnce(cfg, m, text, input.Volunteers[texts%5], input.SpeedAny,
-			attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+int64(texts)*977)
-		if err != nil {
-			return nil, err
-		}
-		presses += len([]rune(truth))
+	trials := make([]trial, (target+perText-1)/perText)
+	for i := range trials {
+		t := kgslTrial(cfg, m)
+		t.cfg.Seed = o.Seed + int64(i)*977
+		t.script = typeText(input.RandomText(rng, LowerDigits, perText), input.Volunteers[i%5],
+			input.SpeedAny, t.cfg.Seed)
+		trials[i] = t
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	var presses, dups, splits int
+	var unexplained attack.EngineStats // Unknown and Recombined over every trial
+	for _, r := range recs {
+		st := r.out.Result.Stats
+		presses += len([]rune(r.truth))
 		dups += st.Duplicates
 		splits += st.Splits
-		accumulate(&agg, st)
-		texts++
+		unexplained.Unknown += st.Unknown
+		unexplained.Recombined += st.Recombined
 	}
-	noise := agg.Residual() // §5.1 system noise: changes never explained
+	noise := unexplained.Residual() // §5.1 system noise: changes never explained
 	affected := float64(dups+splits+noise) / float64(presses)
 	res.Table.AddRow(fmt.Sprintf("%d", presses), fmt.Sprintf("%d", dups),
 		fmt.Sprintf("%d", splits), fmt.Sprintf("%d", noise),
@@ -88,8 +96,9 @@ func RunFig13(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	atk := attack.New(m)
-	r, err := atk.Eavesdrop(f, 0, sess.End)
+	// Fig 13 reads the session's frame timeline, which a trial record
+	// does not keep, so it eavesdrops outside the trial runner.
+	r, err := attack.New(m).EavesdropContext(o.Context(), f, 0, sess.End)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
@@ -62,30 +61,33 @@ func RunFig17(o Options) (*Result, error) {
 		lengths = []int{8, 12, 16}
 	}
 
-	all := &BatchResult{}
-	var textAccs []float64
+	var trials []trial
 	for li, L := range lengths {
-		b, err := RunBatch(o, cfg, m, CredAlphabet, L, perLength,
-			input.Volunteers[li%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(L)*7919)
-		if err != nil {
-			return nil, err
-		}
-		ta, ca, me := b.TextAccuracy(), b.CharAccuracy(), b.MeanErrors()
-		res.Table.AddRow(fmt.Sprintf("%d", L), stats.Pct(ta), stats.Pct(ca), stats.Fmt(me))
-		res.Metrics[fmt.Sprintf("text_acc_len%d", L)] = ta
-		textAccs = append(textAccs, ta)
-		all.Inferred = append(all.Inferred, b.Inferred...)
-		all.Truth = append(all.Truth, b.Truth...)
+		trials = append(trials, typing(kgslTrial(cfg, m), CredAlphabet, L, perLength,
+			input.Volunteers[li%5], input.SpeedAny, o.Seed+int64(L)*7919)...)
 	}
-	res.Table.AddRow("all", stats.Pct(all.TextAccuracy()), stats.Pct(all.CharAccuracy()), stats.Fmt(all.MeanErrors()))
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	var textAccs []float64
+	for li, b := range blocks(recs, perLength) {
+		inf, truth := texts(b)
+		ta, ca, me := stats.TextAccuracy(inf, truth), stats.CharAccuracy(inf, truth), stats.MeanErrors(inf, truth)
+		res.Table.AddRow(fmt.Sprintf("%d", lengths[li]), stats.Pct(ta), stats.Pct(ca), stats.Fmt(me))
+		res.Metrics[fmt.Sprintf("text_acc_len%d", lengths[li])] = ta
+		textAccs = append(textAccs, ta)
+	}
+	inf, truth := texts(recs)
+	ca, me := stats.CharAccuracy(inf, truth), stats.MeanErrors(inf, truth)
+	res.Table.AddRow("all", stats.Pct(stats.TextAccuracy(inf, truth)), stats.Pct(ca), stats.Fmt(me))
 
 	res.Metrics["avg_text_acc"] = stats.Mean(textAccs)
 	res.Metrics["min_text_acc"] = stats.Percentile(textAccs, 0)
-	res.Metrics["char_acc"] = all.CharAccuracy()
-	res.Metrics["mean_errors"] = all.MeanErrors()
+	res.Metrics["char_acc"] = ca
+	res.Metrics["mean_errors"] = me
 
-	groups := GroupAccuracies(all.Inferred, all.Truth)
+	groups := GroupAccuracies(inf, truth)
 	for _, g := range []string{"lower", "upper", "number", "symbol"} {
 		if acc, ok := groups[g]; ok {
 			res.Table.AddRow("group:"+g, stats.Pct(acc), "", "")
@@ -111,32 +113,33 @@ func RunFig18(o Options) (*Result, error) {
 	charset := []rune("abcdefghijklmnopqrstuvwxyz1234567890,." +
 		"ABCDEFGHIJKLMNOPQRSTUVWXYZ" + `@#$&-+()/*"':;!?`)
 
-	conf := stats.NewConfusion()
 	rng := sim.NewRand(o.Seed + 18)
+	var trials []trial
 	// Type keys in shuffled blocks so every key sees varied context.
 	for rep := 0; rep < repeats; rep += 8 {
 		perm := rng.Perm(len(charset))
 		var text []rune
 		for _, idx := range perm {
-			for k := 0; k < min2(8, repeats-rep); k++ {
+			for k := 0; k < min(8, repeats-rep); k++ {
 				text = append(text, charset[idx])
 			}
 		}
 		// Split into sessions of 24 presses.
 		for start := 0; start < len(text); start += 24 {
-			end := start + 24
-			if end > len(text) {
-				end = len(text)
-			}
-			chunk := string(text[start:end])
-			inf, truth, _, err := EavesdropOnce(cfg, m, chunk, input.Volunteers[start%5],
-				input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{},
-				o.Seed+int64(rep)*131071+int64(start))
-			if err != nil {
-				return nil, err
-			}
-			scoreConfusion(conf, inf, truth)
+			t := kgslTrial(cfg, m)
+			t.cfg.Seed = o.Seed + int64(rep)*131071 + int64(start)
+			t.script = typeText(string(text[start:min(start+24, len(text))]),
+				input.Volunteers[start%5], input.SpeedAny, t.cfg.Seed)
+			trials = append(trials, t)
 		}
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	conf := stats.NewConfusion()
+	for _, r := range recs {
+		scoreConfusion(conf, r.out.Result.Text, r.truth)
 	}
 
 	var worst float64 = 1
@@ -193,11 +196,4 @@ func scoreConfusion(conf *stats.Confusion, inferred, truth string) {
 			j++
 		}
 	}
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,10 +2,8 @@ package exp
 
 import (
 	"gpuleak/internal/android"
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
 	"gpuleak/internal/keyboard"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/stats"
 )
 
@@ -17,25 +15,25 @@ func RunFig19(o Options) (*Result, error) {
 		"app", "text acc", "char acc")
 
 	perApp := o.Trials(100)
-	// The nine apps are independent configurations; run them through the
-	// pool and assemble rows in app order afterwards.
-	batches, err := parallel.Map(o.Workers, len(android.TargetApps), func(ai int) (*BatchResult, error) {
+	var trials []trial
+	for ai, app := range android.TargetApps {
 		cfg := DefaultConfig()
-		cfg.App = android.TargetApps[ai]
+		cfg.App = app
 		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, perApp,
-			input.Volunteers[ai%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ai)*19391)
-	})
+		trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, perApp,
+			input.Volunteers[ai%5], input.SpeedAny, o.Seed+int64(ai)*19391)...)
+	}
+	recs, err := runAll(o, trials)
 	if err != nil {
 		return nil, err
 	}
 	var minText float64 = 1
-	for ai, app := range android.TargetApps {
-		ta, ca := batches[ai].TextAccuracy(), batches[ai].CharAccuracy()
+	for ai, b := range blocks(recs, perApp) {
+		app := android.TargetApps[ai]
+		ta, ca := stats.TextAccuracy(texts(b)), stats.CharAccuracy(texts(b))
 		res.Table.AddRow(app.Name, stats.Pct(ta), stats.Pct(ca))
 		res.Metrics["text_"+app.Name] = ta
 		res.Metrics["char_"+app.Name] = ca
@@ -55,23 +53,25 @@ func RunFig20(o Options) (*Result, error) {
 		"keyboard", "text acc", "char acc")
 
 	perKb := o.Trials(100)
-	batches, err := parallel.Map(o.Workers, len(keyboard.All), func(ki int) (*BatchResult, error) {
+	var trials []trial
+	for ki, kb := range keyboard.All {
 		cfg := DefaultConfig()
-		cfg.Keyboard = keyboard.All[ki]
+		cfg.Keyboard = kb
 		m, err := TrainModel(cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
-		return RunBatch(o, cfg, m, LowerDigits, 10, perKb,
-			input.Volunteers[ki%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ki)*26407)
-	})
+		trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, perKb,
+			input.Volunteers[ki%5], input.SpeedAny, o.Seed+int64(ki)*26407)...)
+	}
+	recs, err := runAll(o, trials)
 	if err != nil {
 		return nil, err
 	}
 	var lo, hi float64 = 1, 0
-	for ki, kb := range keyboard.All {
-		ta, ca := batches[ki].TextAccuracy(), batches[ki].CharAccuracy()
+	for ki, b := range blocks(recs, perKb) {
+		kb := keyboard.All[ki]
+		ta, ca := stats.TextAccuracy(texts(b)), stats.CharAccuracy(texts(b))
 		res.Table.AddRow(kb.Name, stats.Pct(ta), stats.Pct(ca))
 		res.Metrics["text_"+kb.Name] = ta
 		res.Metrics["char_"+kb.Name] = ca
@@ -103,19 +103,21 @@ func RunFig21(o Options) (*Result, error) {
 	}
 	per := o.Trials(300)
 	speeds := []input.Speed{input.SpeedSlow, input.SpeedMedium, input.SpeedFast}
-	batches, err := parallel.Map(o.Workers, len(speeds), func(si int) (*BatchResult, error) {
-		return RunBatch(o, cfg, m, LowerDigits, 10, per,
-			input.Volunteers[si%5], speeds[si], attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(si)*31357)
-	})
+	var trials []trial
+	for si, sp := range speeds {
+		trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, per,
+			input.Volunteers[si%5], sp, o.Seed+int64(si)*31357)...)
+	}
+	recs, err := runAll(o, trials)
 	if err != nil {
 		return nil, err
 	}
 	var fastText, slowText float64
 	var charAccs []float64
-	for si, sp := range speeds {
-		b := batches[si]
-		ta, ca, me := b.TextAccuracy(), b.CharAccuracy(), b.MeanErrors()
+	for si, b := range blocks(recs, per) {
+		sp := speeds[si]
+		inf, truth := texts(b)
+		ta, ca, me := stats.TextAccuracy(inf, truth), stats.CharAccuracy(inf, truth), stats.MeanErrors(inf, truth)
 		res.Table.AddRow(sp.String(), stats.Pct(ta), stats.Pct(ca), stats.Fmt(me))
 		res.Metrics["text_"+sp.String()] = ta
 		res.Metrics["char_"+sp.String()] = ca

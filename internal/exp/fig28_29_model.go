@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"gpuleak/internal/android"
-	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // RunFig28 reproduces §8 (Figures 27/28): practical usage sessions where
@@ -24,11 +22,8 @@ func RunFig28(o Options) (*Result, error) {
 	apps := []*android.App{android.Chase, android.Amex, android.Fidelity,
 		android.Schwab, android.MyFICO, android.Experian}
 
-	var traceAccs, charAccs []float64
+	var trials []trial
 	for vi, vol := range input.Volunteers {
-		inferred := make([]string, 0, per)
-		truths := make([]string, 0, per)
-		corrections := 0
 		for si := 0; si < per; si++ {
 			cfg := DefaultConfig()
 			cfg.App = apps[(vi*per+si)%len(apps)]
@@ -36,29 +31,27 @@ func RunFig28(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			seed := o.Seed + int64(vi)*70001 + int64(si)*733
-			rng := sim.NewRand(seed)
+			t := kgslTrial(cfg, m)
+			t.cfg.Seed = o.Seed + int64(vi)*70001 + int64(si)*733
+			rng := sim.NewRand(t.cfg.Seed)
 			text := input.RandomText(rng, LowerDigits, 8+rng.Intn(9))
-			cfg.Seed = seed
-			sess := victim.New(cfg)
-			script := input.Practical(text, vol, input.DefaultPracticalOptions(), rng, 700*sim.Millisecond)
-			sess.Run(script)
-			f, err := sess.Open()
-			if err != nil {
-				return nil, err
-			}
-			atk := attack.New(m)
-			r, err := atk.Eavesdrop(f, 0, sess.End)
-			if err != nil {
-				return nil, err
-			}
-			inferred = append(inferred, r.Text)
-			truths = append(truths, sess.TypedText())
-			corrections += r.Stats.Corrections
+			t.script = input.Practical(text, vol, input.DefaultPracticalOptions(), rng, 700*sim.Millisecond)
+			trials = append(trials, t)
 		}
-		ta := stats.TextAccuracy(inferred, truths)
-		ca := stats.CharAccuracy(inferred, truths)
-		res.Table.AddRow(input.Volunteers[vi].Name, stats.Pct(ta), stats.Pct(ca), fmt.Sprintf("%d", corrections))
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+	var traceAccs, charAccs []float64
+	for vi, b := range blocks(recs, per) {
+		vol := input.Volunteers[vi]
+		corrections := 0
+		for _, r := range b {
+			corrections += r.out.Result.Stats.Corrections
+		}
+		ta, ca := stats.TextAccuracy(texts(b)), stats.CharAccuracy(texts(b))
+		res.Table.AddRow(vol.Name, stats.Pct(ta), stats.Pct(ca), fmt.Sprintf("%d", corrections))
 		res.Metrics["trace_"+vol.Name] = ta
 		res.Metrics["char_"+vol.Name] = ca
 		traceAccs = append(traceAccs, ta)
@@ -85,14 +78,6 @@ func RunFig29(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bb, err := RunBatch(o, base, mBase, LowerDigits, 10, per, input.Volunteers[0],
-		input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+291)
-	if err != nil {
-		return nil, err
-	}
-	res.Table.AddRow("none (Chase)", stats.Pct(bb.TextAccuracy()), stats.Pct(bb.CharAccuracy()), "")
-	res.Metrics["baseline_text"] = bb.TextAccuracy()
-
 	// PNC: decorative login animation. The attacker trains on PNC too —
 	// the animation still interferes because its frames continuously
 	// perturb the counters.
@@ -102,14 +87,22 @@ func RunFig29(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb, err := RunBatch(o, pnc, mPNC, LowerDigits, 10, per, input.Volunteers[1],
-		input.SpeedAny, attack.DefaultInterval, attack.OnlineOptions{}, o.Seed+292)
+	trials := append(typing(kgslTrial(base, mBase), LowerDigits, 10, per, input.Volunteers[0],
+		input.SpeedAny, o.Seed+291),
+		typing(kgslTrial(pnc, mPNC), LowerDigits, 10, per, input.Volunteers[1],
+			input.SpeedAny, o.Seed+292)...)
+	recs, err := runAll(o, trials)
 	if err != nil {
 		return nil, err
 	}
-	res.Table.AddRow("PNC login animation", stats.Pct(pb.TextAccuracy()), stats.Pct(pb.CharAccuracy()), "app-side")
-	res.Metrics["pnc_text"] = pb.TextAccuracy()
-	res.Metrics["pnc_char"] = pb.CharAccuracy()
+	cells := blocks(recs, per)
+	bt, bc := stats.TextAccuracy(texts(cells[0])), stats.CharAccuracy(texts(cells[0]))
+	res.Table.AddRow("none (Chase)", stats.Pct(bt), stats.Pct(bc), "")
+	res.Metrics["baseline_text"] = bt
+	pt, pc := stats.TextAccuracy(texts(cells[1])), stats.CharAccuracy(texts(cells[1]))
+	res.Table.AddRow("PNC login animation", stats.Pct(pt), stats.Pct(pc), "app-side")
+	res.Metrics["pnc_text"] = pt
+	res.Metrics["pnc_char"] = pc
 	return res, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"gpuleak/internal/input"
 	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // RunGuessing quantifies §7.1's remark that "such single errors in
@@ -26,25 +25,23 @@ func RunGuessing(o Options) (*Result, error) {
 	per := o.Trials(300)
 	rng := sim.NewRand(o.Seed + 71)
 
+	trials := make([]trial, per)
+	for si := range trials {
+		t := kgslTrial(cfg, m)
+		t.cfg.Seed = o.Seed + int64(si)*607
+		t.script = input.Typing(input.RandomText(rng, LowerDigits, 12), input.Volunteers[si%5],
+			input.SpeedAny, sim.NewRand(t.cfg.Seed^0xAB), 700*sim.Millisecond)
+		trials[si] = t
+	}
+	recs, err := runAll(o, trials)
+	if err != nil {
+		return nil, err
+	}
+
 	ks := []int{1, 2, 5, 10, 20, 50}
 	hits := make([]int, len(ks))
-	for si := 0; si < per; si++ {
-		text := input.RandomText(rng, LowerDigits, 12)
-		seed := o.Seed + int64(si)*607
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[si%5], input.SpeedAny,
-			sim.NewRand(seed^0xAB), 700*sim.Millisecond))
-		f, err := sess.Open()
-		if err != nil {
-			return nil, err
-		}
-		r, err := attack.New(m).Eavesdrop(f, 0, sess.End)
-		if err != nil {
-			return nil, err
-		}
-		rank := attack.GuessRank(r.Keys, sess.TypedText(), ks[len(ks)-1])
+	for _, r := range recs {
+		rank := attack.GuessRank(r.out.Result.Keys, r.truth, ks[len(ks)-1])
 		for ki, k := range ks {
 			if rank > 0 && rank <= k {
 				hits[ki]++

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"math"
 	"testing"
 
 	"gpuleak/internal/stats"
@@ -72,21 +71,5 @@ func TestTrainModelCacheStable(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("model cache miss for identical config")
-	}
-}
-
-func TestBatchMetrics(t *testing.T) {
-	b := &BatchResult{
-		Inferred: []string{"abcd", "abxd"},
-		Truth:    []string{"abcd", "abcd"},
-	}
-	if b.TextAccuracy() != 0.5 {
-		t.Fatalf("text accuracy %v", b.TextAccuracy())
-	}
-	if math.Abs(b.CharAccuracy()-7.0/8) > 1e-9 {
-		t.Fatalf("char accuracy %v", b.CharAccuracy())
-	}
-	if b.MeanErrors() != 0.5 {
-		t.Fatalf("mean errors %v", b.MeanErrors())
 	}
 }

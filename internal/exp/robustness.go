@@ -1,16 +1,13 @@
 package exp
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"gpuleak/internal/attack"
 	"gpuleak/internal/fault"
 	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
-	"gpuleak/internal/sim"
 	"gpuleak/internal/stats"
-	"gpuleak/internal/victim"
 )
 
 // ChaosSchema identifies the wire format of a chaos report.
@@ -66,84 +63,27 @@ type ChaosProfileResult struct {
 	Resyncs  int                 `json:"resyncs"`
 }
 
-// chaosTrial is one (profile, trial) outcome.
-type chaosTrial struct {
-	inferred, truth string
-	degraded        bool
-	fatal           bool
-	injected        fault.InjectedStats
-	recovery        attack.CollectStats
-	gaps, resyncs   int
-	baselineOK      bool
+// underFaults replays sessions once per profile, in profile order: the
+// (profile, trial) pair at index i of the result draws its fault
+// schedule from fault.Seed(seed, i).
+func underFaults(sessions []trial, profiles []fault.Profile, seed int64) []trial {
+	var out []trial
+	for _, p := range profiles {
+		for _, t := range sessions {
+			t.fault, t.faultSeed = p, fault.Seed(seed, len(out))
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
-// chaosOnce eavesdrops one victim session through a fault plane. For the
-// "none" profile it additionally replays the identical session through
-// the raw device with the legacy no-retry policy and verifies the two
-// results agree — the passthrough byte-identity the golden tests pin.
-func chaosOnce(ctx context.Context, cfg victim.Config, m *attack.Model, text string,
-	p fault.Profile, faultSeed, seed int64) (chaosTrial, error) {
-
-	session := func() *victim.Session {
-		c := cfg
-		c.Seed = seed
-		sess := victim.New(c)
-		sess.Run(input.Typing(text, input.Volunteers[0], input.SpeedAny,
-			sim.NewRand(seed^0x5DEECE66D), 700*sim.Millisecond))
-		return sess
-	}
-
-	sess := session()
-	out := chaosTrial{baselineOK: true, truth: sess.TypedText()}
-	run, err := attack.Pipeline{Legs: []attack.Leg{{Model: m}}, Fault: p, FaultSeed: faultSeed}.
-		Run(ctx, sess, 0, sess.End, nil)
-	if run == nil {
-		return out, err
-	}
-	out.injected = run.Legs[0].Injected
-	if err != nil {
-		if ctx.Err() != nil {
-			return out, err
-		}
-		// The fault plane beat the retry policy: record the loss, keep the
-		// experiment going — availability failures are a result, not an
-		// experiment error.
-		out.fatal = true
-		return out, nil
-	}
-	res := run.Result
-	out.inferred = res.Text
-	out.degraded = res.Degraded
-	out.recovery = res.Recovery
-	out.gaps = res.Stats.Gaps
-	out.resyncs = res.Stats.Resyncs
-
-	if p.IsZero() {
-		// Passthrough check: the wrapped run must equal the raw legacy run
-		// in every observable.
-		rawSess := session()
-		f, err := rawSess.Open()
-		if err != nil {
-			return out, err
-		}
-		raw, err := attack.New(m).EavesdropContext(ctx, f, 0, rawSess.End)
-		if err != nil {
-			return out, fmt.Errorf("exp: chaos baseline raw run: %w", err)
-		}
-		out.baselineOK = res.Text == raw.Text &&
-			res.Stats == raw.Stats &&
-			len(res.Keys) == len(raw.Keys) &&
-			res.EstimatedLength == raw.EstimatedLength &&
-			!res.Degraded && !raw.Degraded
-	}
-	return out, nil
-}
-
-// runChaosProfiles eavesdrops trials×len(profiles) sessions and builds
-// the gpuleak-chaos/v1 report. The model is trained (or fetched) once;
-// trials fan out across o.Workers with per-trial seeds derived from
-// (o.Seed, profile index, trial index), so the report is bit-identical
-// at any worker count.
+// runChaosProfiles eavesdrops trials sessions under every profile and
+// builds the gpuleak-chaos/v1 report. The model is trained (or fetched)
+// once; every seed derives from o.Seed and the trial's index, so the
+// report is bit-identical at any worker count. When a profile has a zero
+// rate, the same sessions also run once unfaulted, through the plain
+// library path, and BaselineMatch compares that block with the
+// profile's.
 func runChaosProfiles(o Options, profiles []fault.Profile, trials int) (*ChaosReport, error) {
 	const textLen = 8
 	cfg := DefaultConfig()
@@ -152,60 +92,68 @@ func runChaosProfiles(o Options, profiles []fault.Profile, trials int) (*ChaosRe
 		return nil, err
 	}
 
-	// Same texts for every profile: trial i types texts[i] under each
-	// profile, so per-profile accuracy is comparable.
-	rng := sim.NewRand(o.Seed)
-	texts := make([]string, trials)
-	for i := range texts {
-		texts[i] = input.RandomText(rng, LowerDigits, textLen)
+	// Same texts and victims for every profile: trial i types the same
+	// credential under each profile, so per-profile accuracy is
+	// comparable.
+	sessions := typing(kgslTrial(cfg, m), LowerDigits, textLen, trials, input.Volunteers[0], input.SpeedAny, o.Seed)
+	all := underFaults(sessions, profiles, o.Seed)
+	sawNone := slices.ContainsFunc(profiles, fault.Profile.IsZero)
+	if sawNone {
+		all = append(all, sessions...)
 	}
-
-	n := len(profiles) * trials
-	slots := make([]chaosTrial, n)
-	err = parallel.ForEachCtx(o.Context(), o.Workers, n, func(i int) error {
-		pIdx, trial := i/trials, i%trials
-		t, err := chaosOnce(o.Context(), cfg, m, texts[trial], profiles[pIdx],
-			fault.Seed(o.Seed, i), o.Seed+int64(trial)*101)
-		if err != nil {
-			return err
-		}
-		slots[i] = t
-		return nil
-	})
+	recs, err := runTrials(o, all)
 	if err != nil {
 		return nil, err
 	}
+	raw := recs[len(profiles)*trials:]
 
 	rep := &ChaosReport{
 		Schema: ChaosSchema, Seed: o.Seed, Trials: trials, TextLen: textLen,
 	}
-	sawNone := false
 	baselineOK := true
-	for pIdx, p := range profiles {
+	for pIdx, b := range blocks(recs[:len(profiles)*trials], trials) {
+		p := profiles[pIdx]
 		pr := ChaosProfileResult{Profile: p.Name, Rate: p.Rate(), Trials: trials}
 		var inferred, truth []string
 		levSum := 0
-		for trial := 0; trial < trials; trial++ {
-			t := slots[pIdx*trials+trial]
-			inferred = append(inferred, t.inferred)
-			truth = append(truth, t.truth)
-			levSum += stats.Levenshtein(t.inferred, t.truth)
-			if t.inferred == t.truth {
-				pr.Exact++
+		for i, r := range b {
+			if r.out == nil {
+				return nil, r.err
 			}
-			if t.degraded {
-				pr.Degraded++
-			}
-			if t.fatal {
+			pr.Injected.Add(r.out.Legs[0].Injected)
+			inf := ""
+			if r.err != nil {
+				// The fault plane beat the retry policy: availability
+				// failures are a result, not an experiment error.
 				pr.Fatal++
+			} else {
+				res := r.out.Result
+				inf = res.Text
+				if res.Degraded {
+					pr.Degraded++
+				}
+				pr.Recovery.Add(res.Recovery)
+				pr.Gaps += res.Stats.Gaps
+				pr.Resyncs += res.Stats.Resyncs
+				if p.IsZero() {
+					// Passthrough check: the wrapped run must equal the
+					// raw library run in every observable.
+					if raw[i].err != nil {
+						return nil, fmt.Errorf("exp: chaos baseline raw run: %w", raw[i].err)
+					}
+					rr := raw[i].out.Result
+					baselineOK = baselineOK && res.Text == rr.Text &&
+						res.Stats == rr.Stats &&
+						len(res.Keys) == len(rr.Keys) &&
+						res.EstimatedLength == rr.EstimatedLength &&
+						!res.Degraded && !rr.Degraded
+				}
 			}
-			pr.Injected.Add(t.injected)
-			pr.Recovery.Add(t.recovery)
-			pr.Gaps += t.gaps
-			pr.Resyncs += t.resyncs
-			if p.IsZero() {
-				sawNone = true
-				baselineOK = baselineOK && t.baselineOK
+			inferred = append(inferred, inf)
+			truth = append(truth, r.truth)
+			levSum += stats.Levenshtein(inf, r.truth)
+			if inf == r.truth {
+				pr.Exact++
 			}
 		}
 		pr.TextAccuracy = stats.TextAccuracy(inferred, truth)

@@ -4,8 +4,8 @@ import (
 	"gpuleak/internal/android"
 	"gpuleak/internal/attack"
 	"gpuleak/internal/input"
-	"gpuleak/internal/parallel"
 	"gpuleak/internal/stats"
+	"gpuleak/internal/victim"
 )
 
 // RunTransfer justifies the paper's §3.2 design decision to build "a
@@ -20,38 +20,37 @@ func RunTransfer(o Options) (*Result, error) {
 	devices := []android.DeviceModel{android.Pixel2, android.OnePlus8Pro, android.OnePlus9}
 	per := o.Trials(60)
 
-	models, err := parallel.Map(o.Workers, len(devices), func(i int) (*attack.Model, error) {
-		cfg := DefaultConfig()
-		cfg.Device = devices[i]
-		return TrainModel(cfg, o.Workers, "")
-	})
-	if err != nil {
-		return nil, err
+	cfgs := make([]victim.Config, len(devices))
+	models := make([]*attack.Model, len(devices))
+	for i, dev := range devices {
+		cfgs[i] = DefaultConfig()
+		cfgs[i].Device = dev
+		m, err := TrainModel(cfgs[i], o.Workers, "")
+		if err != nil {
+			return nil, err
+		}
+		models[i] = m
 	}
 
-	// The full train × attack matrix is independent cell-wise.
-	n := len(devices)
-	accs, err := parallel.Map(o.Workers, n*n, func(i int) (float64, error) {
-		ti, ai := i/n, i%n
-		cfg := DefaultConfig()
-		cfg.Device = devices[ai]
-		b, err := RunBatch(o, cfg, models[ti], LowerDigits, 10, per,
-			input.Volunteers[(ti+ai)%5], input.SpeedAny, attack.DefaultInterval,
-			attack.OnlineOptions{}, o.Seed+int64(ti)*7753+int64(ai)*131)
-		if err != nil {
-			return 0, err
+	// One block of trials per (train, attack) cell of the matrix.
+	var trials []trial
+	for ti, m := range models {
+		for ai, cfg := range cfgs {
+			trials = append(trials, typing(kgslTrial(cfg, m), LowerDigits, 10, per,
+				input.Volunteers[(ti+ai)%5], input.SpeedAny, o.Seed+int64(ti)*7753+int64(ai)*131)...)
 		}
-		return b.CharAccuracy(), nil
-	})
+	}
+	recs, err := runAll(o, trials)
 	if err != nil {
 		return nil, err
 	}
+	cells := blocks(recs, per)
 
 	var diag, offdiag []float64
 	for ti, trainDev := range devices {
 		row := []string{trainDev.Name}
 		for ai, attackDev := range devices {
-			ca := accs[ti*n+ai]
+			ca := stats.CharAccuracy(texts(cells[ti*len(devices)+ai]))
 			row = append(row, stats.Pct(ca))
 			res.Metrics[trainDev.Name+"->"+attackDev.Name] = ca
 			if ti == ai {

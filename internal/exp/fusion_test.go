@@ -7,10 +7,7 @@ import "testing"
 // beat the best single channel, and it must never be worse than KGSL on
 // any profile.
 func TestFusionBeatsBestSingleChannel(t *testing.T) {
-	res, err := RunFusion(Options{Quick: true, Seed: 20260705})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t, "fusion")
 	win := res.Metric("fusion.win")
 	if win <= 0.01 {
 		t.Fatalf("fusion.win = %.4f; fusion must beat the best single channel by more than 1%% char accuracy on the starve profile", win)

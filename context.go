@@ -29,10 +29,10 @@ func TrainContext(ctx context.Context, cfg VictimConfig, opts ...Option) (*Model
 }
 
 // RunExperimentContext executes one experiment by figure/table ID with
-// cancellation (trial-granular: batches stop issuing new eavesdrops and
-// in-flight ones abort at the next sampler tick) and functional options
-// (WithWorkers, WithObs). Unknown IDs fail with an error matching
-// ErrUnknownExperiment.
+// cancellation (trial-granular: no eavesdrop starts once ctx ends,
+// in-flight ones abort at the next sampler tick, and the experiment
+// returns ctx's error) and functional options (WithWorkers, WithObs).
+// Unknown IDs fail with an error matching ErrUnknownExperiment.
 func RunExperimentContext(ctx context.Context, id string, quick bool, seed int64, opts ...Option) (*exp.Result, error) {
 	e, ok := exp.ByID(id)
 	if !ok {

@@ -22,7 +22,7 @@ import (
 // stage to no allocation at all.
 func TestWarmPathAllocs(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 13}
-	m, err := TrainWith(cfg, CollectOptions{Repeats: 1})
+	m, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestWarmPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Collect(0, sess.End)
+	tr, err := s.CollectContext(context.Background(), 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestWarmPathAllocs(t *testing.T) {
 			}
 		}},
 		{"victim session", 21, 22700, 10, func() { NewVictim(cfg).Run(script) }},
-		{"Sampler.Collect", 2, 7300, 10, func() {
-			if _, err := s.Collect(0, sess.End); err != nil {
+		{"Sampler.CollectContext", 2, 7300, 10, func() {
+			if _, err := s.CollectContext(context.Background(), 0, sess.End); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -10,6 +10,7 @@
 package gpuleak
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func benchSetup(b *testing.B) (*Model, *trace.Trace) {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := VictimConfig{Device: OnePlus8Pro, Seed: 1}
-		m, err := TrainWith(cfg, CollectOptions{Repeats: 2})
+		m, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 2})
 		if err != nil {
 			panic(err)
 		}
@@ -54,7 +55,7 @@ func benchSetup(b *testing.B) (*Model, *trace.Trace) {
 		if err != nil {
 			panic(err)
 		}
-		tr, err := s.Collect(0, sess.End)
+		tr, err := s.CollectContext(context.Background(), 0, sess.End)
 		if err != nil {
 			panic(err)
 		}
@@ -232,7 +233,7 @@ func benchProcSetup(b *testing.B) (*Model, *trace.Trace) {
 	benchSetup(b)
 	benchProcOnce.Do(func() {
 		cfg := VictimConfig{Device: OnePlus8Pro, Seed: 1}
-		m, err := TrainWith(cfg, CollectOptions{Repeats: 2, Channel: proccount.Name})
+		m, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 2, Channel: proccount.Name})
 		if err != nil {
 			panic(err)
 		}
@@ -248,7 +249,7 @@ func benchProcSetup(b *testing.B) (*Model, *trace.Trace) {
 		if err != nil {
 			panic(err)
 		}
-		tr, err := s.Collect(0, benchSession.End)
+		tr, err := s.CollectContext(context.Background(), 0, benchSession.End)
 		if err != nil {
 			panic(err)
 		}
@@ -286,7 +287,7 @@ func BenchmarkVictimSession(b *testing.B) {
 func BenchmarkOfflineCollect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := VictimConfig{Device: OnePlus8Pro, Seed: int64(i + 1)}
-		if _, err := TrainWith(cfg, CollectOptions{Repeats: 1}); err != nil {
+		if _, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +302,7 @@ func BenchmarkOfflineCollectWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := VictimConfig{Device: OnePlus8Pro, Seed: int64(i + 1)}
-				if _, err := TrainWith(cfg, CollectOptions{Repeats: 1, Workers: w}); err != nil {
+				if _, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -340,7 +341,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := NewAttack(m).Eavesdrop(f, 0, sess.End); err != nil {
+		if _, err := NewAttack(m).EavesdropContext(context.Background(), f, 0, sess.End); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ package gpuleak_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -29,7 +30,7 @@ func TestKGSLModelByteIdenticalToPreChannelGolden(t *testing.T) {
 	want := goldenBytes(t, "kgsl_model.json")
 	for _, workers := range []int{1, 8} {
 		cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 7}
-		m, err := gpuleak.TrainWith(cfg, attack.CollectOptions{Repeats: 2, Workers: workers})
+		m, err := gpuleak.TrainContext(context.Background(), cfg, attack.CollectOptions{Repeats: 2, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,7 +50,7 @@ func TestKGSLModelByteIdenticalToPreChannelGolden(t *testing.T) {
 func TestKGSLEavesdropByteIdenticalToPreChannelGolden(t *testing.T) {
 	want := goldenBytes(t, "kgsl_result.json")
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 7}
-	m, err := gpuleak.TrainWith(cfg, attack.CollectOptions{Repeats: 2, Workers: 8})
+	m, err := gpuleak.TrainContext(context.Background(), cfg, attack.CollectOptions{Repeats: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestKGSLEavesdropByteIdenticalToPreChannelGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gpuleak.NewAttack(m).Eavesdrop(f, 0, sess.End)
+	res, err := gpuleak.NewAttack(m).EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var res *attack.Result
 	var idle *attack.CollectStats
 	if *monitor {
-		mr, err := leg.Attack.MonitorAndEavesdrop(leg.Probe, 0, sess.End)
+		mr, err := leg.Attack.MonitorAndEavesdrop(ctx, leg.Probe, 0, sess.End)
 		if err != nil {
 			return fmt.Errorf("monitoring failed: %w", err)
 		}

@@ -116,7 +116,7 @@ func TestRunPreloadsCollectedModel(t *testing.T) {
 	write := func(name string, dev android.DeviceModel, ch string) string {
 		t.Helper()
 		cfg := victim.Config{Device: dev, Keyboard: keyboard.GBoard, App: android.Chase, Seed: 7}
-		m, err := attack.Collect(cfg, attack.CollectOptions{Repeats: 2, Channel: ch})
+		m, err := attack.CollectContext(context.Background(), cfg, attack.CollectOptions{Repeats: 2, Channel: ch})
 		if err != nil {
 			t.Fatal(err)
 		}

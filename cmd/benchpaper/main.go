@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -57,15 +58,15 @@ type experimentReport struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchpaper: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run executes the experiments the flags in args select and prints their
 // tables, or the -json report, to stdout. It fails on an unknown
-// experiment ID and when any experiment failed.
-func run(args []string, stdout io.Writer) error {
+// experiment ID, when any experiment failed, and when ctx ends.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchpaper", flag.ExitOnError)
 	full := fs.Bool("full", false, "paper-scale trial counts (slow)")
 	runID := fs.String("run", "", "run a single experiment by ID (e.g. fig17, table2)")
@@ -86,7 +87,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	opts := exp.Options{Quick: !*full, Seed: *seed, Workers: *workers}
+	opts := exp.Options{Quick: !*full, Seed: *seed, Workers: *workers, Ctx: ctx}
 	todo := exp.All
 	if *runID != "" {
 		e, ok := exp.ByID(*runID)
@@ -122,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 	wallStart := time.Now()
 	results := make([]*exp.Result, len(todo))
 	reports := make([]experimentReport, len(todo))
-	parallel.ForEach(*workers, len(todo), func(i int) error {
+	if err := parallel.ForEachCtx(ctx, *workers, len(todo), func(i int) error {
 		start := time.Now()
 		o := opts
 		if expTracers != nil {
@@ -137,7 +138,9 @@ func run(args []string, stdout io.Writer) error {
 		results[i] = r
 		reports[i].Metrics = r.Metrics
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
 	wall := time.Since(wallStart).Seconds()
 
 	failures := 0

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // and the experiment's metrics.
 func TestRunJSONReport(t *testing.T) {
 	var stdout bytes.Buffer
-	if err := run([]string{"-json", "-seed", "7", "-run", "fig16", "-workers", "1"}, &stdout); err != nil {
+	if err := run(context.Background(), []string{"-json", "-seed", "7", "-run", "fig16", "-workers", "1"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
@@ -35,7 +36,7 @@ func TestRunJSONReport(t *testing.T) {
 // metric on a line of its own.
 func TestRunMetricsTable(t *testing.T) {
 	var stdout bytes.Buffer
-	if err := run([]string{"-metrics", "-run", "fig16"}, &stdout); err != nil {
+	if err := run(context.Background(), []string{"-metrics", "-run", "fig16"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 16", "volunteer-1", "  metric interval_spread_ratio"} {
@@ -49,7 +50,7 @@ func TestRunMetricsTable(t *testing.T) {
 // anything runs.
 func TestRunUnknownExperiment(t *testing.T) {
 	var stdout bytes.Buffer
-	err := run([]string{"-run", "fig99"}, &stdout)
+	err := run(context.Background(), []string{"-run", "fig99"}, &stdout)
 	if err == nil || !strings.Contains(err.Error(), `unknown experiment "fig99"`) {
 		t.Fatalf("run -run fig99 = %v, want an unknown-experiment error", err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,15 +25,15 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("collect: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run trains the classifier for the configuration the flags in args
 // describe, writes it to the output file, and reports what it wrote on
-// stdout.
-func run(args []string, stdout io.Writer) error {
+// stdout. The training stops when ctx ends.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("collect", flag.ExitOnError)
 	device := fs.String("device", "OnePlus 8 Pro", "victim device model")
 	kb := fs.String("keyboard", "gboard", "on-screen keyboard (gboard, swift, sogou, pinyin, go, grammarly)")
@@ -73,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cfg := victim.Config{Device: dev, Keyboard: layout, App: target, Seed: 1}
 	log.Printf("emulating all key presses on %s / %s / %s ...", dev.Name, layout.Name, target.Name)
-	m, err := attack.Collect(cfg, attack.CollectOptions{Repeats: *repeats, Workers: *workers, Channel: *chName, Obs: tracer})
+	m, err := attack.CollectContext(ctx, cfg, attack.CollectOptions{Repeats: *repeats, Workers: *workers, Channel: *chName, Obs: tracer})
 	if err != nil {
 		return fmt.Errorf("offline phase failed: %w", err)
 	}

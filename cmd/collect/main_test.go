@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,12 +15,12 @@ import (
 )
 
 // TestRunWritesTrainedModel pins the offline phase's artifact: the file
-// collect writes is byte-identical to attack.Collect plus Model.WriteJSON
-// for the same configuration, so attackd -model preloads exactly the
-// classifier the library trains.
+// collect writes is byte-identical to attack.CollectContext plus
+// Model.WriteJSON for the same configuration, so attackd -model preloads
+// exactly the classifier the library trains.
 func TestRunWritesTrainedModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := run([]string{"-repeats", "2", "-o", path}, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-repeats", "2", "-o", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -28,7 +29,7 @@ func TestRunWritesTrainedModel(t *testing.T) {
 	}
 
 	cfg := victim.Config{Device: android.OnePlus8Pro, Keyboard: keyboard.GBoard, App: android.Chase, Seed: 1}
-	m, err := attack.Collect(cfg, attack.CollectOptions{Repeats: 2})
+	m, err := attack.CollectContext(context.Background(), cfg, attack.CollectOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +38,6 @@ func TestRunWritesTrainedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("collect wrote %d bytes, attack.Collect+WriteJSON gives %d; the files differ", len(got), want.Len())
+		t.Fatalf("collect wrote %d bytes, attack.CollectContext+WriteJSON gives %d; the files differ", len(got), want.Len())
 	}
 }

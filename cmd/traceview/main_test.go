@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func TestRunReplaysAtRecordedInterval(t *testing.T) {
 	// attackd's training configuration: its victim without render
 	// jitter, two presses per key.
 	cfg := victim.Config{Device: android.OnePlus8Pro, Keyboard: keyboard.GBoard, App: android.Chase, Seed: 42}
-	m, err := attack.Collect(cfg, attack.CollectOptions{Repeats: 2})
+	m, err := attack.CollectContext(context.Background(), cfg, attack.CollectOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

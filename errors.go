@@ -21,7 +21,7 @@ import (
 // text carries the errno, and the serving layer maps them onto HTTP 403.
 var (
 	// ErrUnknownExperiment reports an experiment ID absent from the
-	// registry (RunExperiment, RunExperimentContext, POST /v1/experiment).
+	// registry (RunExperimentContext, POST /v1/experiment).
 	ErrUnknownExperiment error = exp.ErrUnknownExperiment
 	// ErrModelNotTrained reports an attack attempted without a classifier
 	// for the victim configuration: no models preloaded into an Attack, or
@@ -40,8 +40,9 @@ var (
 	// first GET that claims it (HTTP 409).
 	ErrSessionConsumed error = serve.ErrSessionConsumed
 	// ErrUnknownChannel reports a side-channel name absent from the
-	// registry (WithChannel/WithChannels, the "channel"/"channels" request
-	// fields). See Channels for the registered names (HTTP 400).
+	// registry (CollectOptions.Channel, EavesdropSession's channels, the
+	// "channel"/"channels" request fields). See Channels for the
+	// registered names (HTTP 400).
 	ErrUnknownChannel error = channel.ErrUnknownChannel
 	// ErrUnknownDefense reports a defense name absent from the registry
 	// (DefenseByName, the "defense" request field). See Defenses for the

@@ -15,9 +15,10 @@ import (
 // The complete attack pipeline: offline training, a victim typing a
 // credential, and online eavesdropping through the GPU counters.
 func Example() {
+	ctx := context.Background()
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 1}
 
-	model, err := gpuleak.Train(cfg)
+	model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -29,7 +30,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	result, err := gpuleak.NewAttack(model).Eavesdrop(file, 0, session.End)
+	result, err := gpuleak.NewAttack(model).EavesdropContext(ctx, file, 0, session.End)
 	if err != nil {
 		panic(err)
 	}
@@ -40,8 +41,9 @@ func Example() {
 // Installing the post-disclosure SELinux policy blocks the global counter
 // read and with it the whole attack.
 func Example_mitigated() {
+	ctx := context.Background()
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 2}
-	model, err := gpuleak.Train(cfg)
+	model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -54,7 +56,7 @@ func Example_mitigated() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := gpuleak.NewAttack(model).Eavesdrop(file, 0, session.End); err != nil {
+	if _, err := gpuleak.NewAttack(model).EavesdropContext(ctx, file, 0, session.End); err != nil {
 		fmt.Println("attack blocked")
 	}
 	// Output: attack blocked
@@ -64,8 +66,9 @@ func Example_mitigated() {
 // absorbs EBUSY bursts, revocations and missed ticks, the result is
 // flagged degraded instead of failing.
 func Example_faultInjection() {
+	ctx := context.Background()
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 1}
-	model, err := gpuleak.Train(cfg)
+	model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -82,7 +85,7 @@ func Example_faultInjection() {
 
 	atk := gpuleak.NewAttack(model)
 	atk.Retry = true
-	result, err := atk.Eavesdrop(plane, 0, session.End)
+	result, err := atk.EavesdropContext(ctx, plane, 0, session.End)
 	if err != nil {
 		panic(err)
 	}
@@ -96,8 +99,9 @@ func Example_faultInjection() {
 // half a percent of overhead. The arms experiment sweeps every defense
 // over a strength grid this way and charts the frontier.
 func Example_defenseTournament() {
+	ctx := context.Background()
 	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 1}
-	model, err := gpuleak.Train(cfg)
+	model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -120,7 +124,7 @@ func Example_defenseTournament() {
 	}
 	probe := inst.WrapProbe("kgsl", file)
 
-	result, err := gpuleak.NewAttack(model).EavesdropContext(context.Background(), probe, 0, session.End)
+	result, err := gpuleak.NewAttack(model).EavesdropContext(ctx, probe, 0, session.End)
 	if err != nil {
 		panic(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	apps := []*gpuleak.App{gpuleak.Chase, gpuleak.Amex, gpuleak.Fidelity, gpuleak.Schwab}
@@ -29,7 +31,7 @@ func main() {
 		}
 		// One classifier per (device, configuration); the attacker ships
 		// them all preloaded (§3.2).
-		model, err := gpuleak.Train(cfg)
+		model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 		if err != nil {
 			log.Fatalf("training for %s: %v", app.Name, err)
 		}
@@ -43,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := gpuleak.NewAttack(model).Eavesdrop(file, 0, session.End)
+		res, err := gpuleak.NewAttack(model).EavesdropContext(ctx, file, 0, session.End)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// A session is recorded on a test device: the user logs into Chase.
@@ -30,14 +32,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	capture, err := sampler.Collect(0, sess.End)
+	capture, err := sampler.CollectContext(ctx, 0, sess.End)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("captured trace: %d reads, %d changes over %v\n", capture.Reads, len(capture.Deltas()), sess.End)
 
 	// The auditor replays the attacker's pipeline over the capture.
-	model, err := gpuleak.Train(cfg)
+	model, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if _, err := attack.NewSampler(pf, 8*sim.Millisecond); err == nil {
-		if _, err := atk.Eavesdrop(pf, 0, patched.End); err != nil {
+		if _, err := atk.EavesdropContext(ctx, pf, 0, patched.End); err != nil {
 			fmt.Println("\nwith the SELinux whitelist installed: counter reads are denied — channel closed")
 		}
 	} else {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,10 +16,11 @@ import (
 const credential = "s3cretpass"
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	base := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 5}
-	model, err := gpuleak.Train(base)
+	model, err := gpuleak.TrainContext(ctx, base, gpuleak.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,11 +29,11 @@ func main() {
 	fmt.Println("-----------------------------  -------------------------------")
 
 	// No defense.
-	report("none", attackOnce(base, model, nil, 0))
+	report("none", attackOnce(ctx, base, model, nil, 0))
 
 	// §9.2 RBAC: untrusted apps may not read global counters.
 	rbac := func(s *gpuleak.Session) { s.Device.SetPolicy(gpuleak.NewRBACPolicy()) }
-	report("RBAC (SELinux whitelist)", attackOnce(base, model, rbac, 0))
+	report("RBAC (SELinux whitelist)", attackOnce(ctx, base, model, rbac, 0))
 
 	// §9.3 obfuscation at increasing amplitude: accuracy falls while the
 	// injected GPU workload cost rises.
@@ -42,17 +44,17 @@ func main() {
 			s.Device.SetObfuscator(o)
 		}
 		label := fmt.Sprintf("obfuscation amp=%.2f", amp)
-		report(label, attackOnce(base, model, obf, 0))
+		report(label, attackOnce(ctx, base, model, obf, 0))
 	}
 
 	// §9.1 popup disabling: no popups, no per-key overdraw — but the
 	// input length still leaks through the echo redraws.
 	noPopup := base
 	noPopup.DisablePopups = true
-	report("popups disabled", attackOnce(noPopup, model, nil, 0))
+	report("popups disabled", attackOnce(ctx, noPopup, model, nil, 0))
 }
 
-func attackOnce(cfg gpuleak.VictimConfig, m *gpuleak.Model,
+func attackOnce(ctx context.Context, cfg gpuleak.VictimConfig, m *gpuleak.Model,
 	defend func(*gpuleak.Session), seed int64) string {
 
 	sess := gpuleak.NewVictim(cfg)
@@ -64,7 +66,7 @@ func attackOnce(cfg gpuleak.VictimConfig, m *gpuleak.Model,
 	if err != nil {
 		return "blocked at open: " + err.Error()
 	}
-	res, err := gpuleak.NewAttack(m).Eavesdrop(file, 0, sess.End)
+	res, err := gpuleak.NewAttack(m).EavesdropContext(ctx, file, 0, sess.End)
 	if err != nil {
 		return "blocked: counter read denied"
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	devices := []gpuleak.DeviceModel{
@@ -24,7 +26,7 @@ func main() {
 	var models []*gpuleak.Model
 	for _, dev := range devices {
 		cfg := gpuleak.VictimConfig{Device: dev, Seed: 1}
-		m, err := gpuleak.Train(cfg)
+		m, err := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{})
 		if err != nil {
 			log.Fatalf("training %s: %v", dev.Name, err)
 		}
@@ -47,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := atk.Eavesdrop(file, 0, sess.End)
+		res, err := atk.EavesdropContext(ctx, file, 0, sess.End)
 		if err != nil {
 			log.Fatal(err)
 		}

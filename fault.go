@@ -51,7 +51,7 @@ func FaultProfileByName(name string) (FaultProfile, bool) { return fault.ByName(
 
 // InjectFaults wraps a device file in a fault plane driven by the
 // profile and seed. Pass the result anywhere a DeviceFile is accepted —
-// Attack.Eavesdrop, NewSamplerOn — and set Attack.Retry so injected
+// Attack.EavesdropContext, NewSamplerOn — and set Attack.Retry so injected
 // faults are recovered rather than fatal. For a fixed (profile, seed) the
 // schedule replays bit-identically.
 func InjectFaults(f DeviceFile, p FaultProfile, seed int64) *FaultPlane {

@@ -1,6 +1,7 @@
 package gpuleak
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func fig25Pool(tb testing.TB) (*attack.Model, []trace.Delta) {
 	tb.Helper()
 	const seed = 20260705 // the quick experiment suite's seed
 	cfg := exp.DefaultConfig()
-	m, err := exp.TrainModel(cfg, 0, "")
+	m, err := exp.TrainModel(context.Background(), cfg, 0, "")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func fig25Pool(tb testing.TB) (*attack.Model, []trace.Delta) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr, err := smp.Collect(0, sess.End)
+	tr, err := smp.CollectContext(context.Background(), 0, sess.End)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -23,23 +23,24 @@
 //
 // # Quick start
 //
+//	ctx := context.Background()
 //	cfg := gpuleak.VictimConfig{Device: gpuleak.OnePlus8Pro, Seed: 1}
-//	model, _ := gpuleak.Train(cfg)                  // offline phase
-//	session := gpuleak.NewVictim(cfg)               // victim device
-//	session.Run(gpuleak.TypeText("hunter2", 1))     // user types
-//	file, _ := session.Open()                       // /dev/kgsl-3d0
-//	result, _ := gpuleak.NewAttack(model).Eavesdrop(file, 0, session.End)
-//	fmt.Println(result.Text)                        // "hunter2"
+//	model, _ := gpuleak.TrainContext(ctx, cfg, gpuleak.CollectOptions{}) // offline phase
+//	session := gpuleak.NewVictim(cfg)                                    // victim device
+//	session.Run(gpuleak.TypeText("hunter2", 1))                          // user types
+//	file, _ := session.Open()                                            // /dev/kgsl-3d0
+//	result, _ := gpuleak.NewAttack(model).EavesdropContext(ctx, file, 0, session.End)
+//	fmt.Println(result.Text)                                             // "hunter2"
 //
 // # Contexts, options, errors
 //
-// Every phase has a context-aware variant that honors cancellation
-// without ever changing a completed result: TrainContext (stops between
-// per-key collection tasks), Attack.EavesdropContext (checks at every
-// sampler tick), Sampler.CollectContext, and RunExperimentContext. The
-// context-free signatures remain as context.Background wrappers. The
-// context entry points take functional options — WithWorkers, WithObs,
-// WithRepeats — layered over the existing option structs.
+// Every phase has one entry point, and it takes the caller's context:
+// TrainContext (stops between per-key collection tasks and at their
+// sampler ticks), Attack.EavesdropContext and Attack.MonitorAndEavesdrop
+// (check at every sampler tick), Sampler.CollectContext,
+// RunExperimentContext and EavesdropSession. Cancellation never changes
+// a completed result. Options are plain: CollectOptions for the offline
+// phase, Attack's fields for the online one, parameters elsewhere.
 // Failures match the stable taxonomy ErrUnknownExperiment, ErrBusy and
 // ErrModelNotTrained under errors.Is.
 //
@@ -101,8 +102,8 @@ type (
 	// Model is a trained per-configuration classifier.
 	Model = attack.Model
 	// Attack is the attacking application: preloaded models + sampler +
-	// online engine. Eavesdrop runs the full online phase;
-	// EavesdropContext adds sampler-tick-granular cancellation.
+	// online engine. EavesdropContext runs the full online phase,
+	// cancellable at every sampler tick.
 	Attack = attack.Attack
 	// Result is an eavesdropping outcome.
 	Result = attack.Result
@@ -172,20 +173,6 @@ var Volunteers = input.Volunteers
 // Script, then Session.Open to obtain the device file the attacker reads.
 func NewVictim(cfg VictimConfig) *Session { return victim.New(cfg) }
 
-// Train runs the offline phase on a controlled device of the given
-// configuration and returns the classifier to preload into the attack.
-// See TrainContext for cancellation and functional options.
-func Train(cfg VictimConfig) (*Model, error) {
-	return attack.Collect(cfg, attack.CollectOptions{})
-}
-
-// TrainWith runs the offline phase with an explicit options struct;
-// TrainContext(ctx, cfg, WithWorkers(...), ...) is the functional-option
-// equivalent.
-func TrainWith(cfg VictimConfig, opts CollectOptions) (*Model, error) {
-	return attack.Collect(cfg, opts)
-}
-
 // NewAttack builds an attacking application from preloaded models.
 func NewAttack(models ...*Model) *Attack { return attack.New(models...) }
 
@@ -251,13 +238,6 @@ type Experiment = exp.Experiment
 // Experiments lists every reproducible table and figure.
 func Experiments() []Experiment { return exp.All }
 
-// RunExperiment executes one experiment by figure/table ID ("fig17",
-// "table2", ...). quick shrinks trial counts for fast runs. See
-// RunExperimentContext for cancellation and worker/telemetry options.
-func RunExperiment(id string, quick bool, seed int64) (*exp.Result, error) {
-	return RunExperimentContext(context.Background(), id, quick, seed)
-}
-
 // UnknownExperimentError reports a bad experiment ID. It matches
 // ErrUnknownExperiment under errors.Is.
 type UnknownExperimentError struct{ ID string }
@@ -286,36 +266,35 @@ func NewSamplerOn(f *KGSLFile) (*attack.Sampler, error) {
 // channel it samples: "kgsl" (the paper's GPU perf counters, the
 // default everywhere a channel is not named) and "proccount" (an
 // EavesDroid-style OS-counter channel) ship registered. Select one with
-// WithChannel on TrainContext, or several with WithChannels on
-// EavesdropSession to fuse their detections.
+// CollectOptions.Channel on TrainContext, or two in EavesdropSession's
+// channels to fuse their detections.
 
 // FusionResult is the outcome of a multi-channel eavesdropping run: the
 // per-channel results plus the fused one, with recovery/flip counts.
 type FusionResult = attack.FusionResult
 
 // Channels lists the registered side-channel names, sorted. Unknown
-// names passed to WithChannel/WithChannels surface as ErrUnknownChannel.
+// names passed to TrainContext or EavesdropSession surface as
+// ErrUnknownChannel.
 func Channels() []string { return channel.Names() }
 
 // EavesdropSession runs the online phase on a completed victim session
-// over the configured side channels. With no channel options (or
-// WithChannel) it samples one channel and Fused aliases Primary; with
-// WithChannels(primary, secondary) it runs both and fuses the
-// secondary's detections into the primary's result — see
-// attack.Fuse for the flip/recover rules. models must hold one
-// classifier per requested channel (trained via TrainContext with the
-// matching WithChannel); a missing one fails with ErrModelNotTrained.
-func EavesdropSession(ctx context.Context, sess *Session, models []*Model, start, end Time, opts ...Option) (*FusionResult, error) {
-	o := buildOptions(opts)
-	names := o.channels
-	if len(names) == 0 {
-		names = []string{""}
+// over the named side channels. With no channel (or one) it samples one
+// channel and Fused aliases Primary; with two (primary, secondary) it
+// runs both and fuses the secondary's detections into the primary's
+// result — see attack.Fuse for the flip/recover rules. models must hold
+// one classifier per requested channel (trained via TrainContext with the
+// matching CollectOptions.Channel); a missing one fails with
+// ErrModelNotTrained. tr, when non-nil, traces the primary channel.
+func EavesdropSession(ctx context.Context, sess *Session, models []*Model, channels []string, start, end Time, tr *Tracer) (*FusionResult, error) {
+	if len(channels) == 0 {
+		channels = []string{""}
 	}
-	if len(names) > 2 {
-		return nil, fmt.Errorf("gpuleak: EavesdropSession fuses at most two channels, got %d", len(names))
+	if len(channels) > 2 {
+		return nil, fmt.Errorf("gpuleak: EavesdropSession fuses at most two channels, got %d", len(channels))
 	}
-	p := attack.Pipeline{Obs: o.obs}
-	for _, name := range names {
+	p := attack.Pipeline{Obs: tr}
+	for _, name := range channels {
 		ch, err := channel.Get(name)
 		if err != nil {
 			return nil, err

@@ -1,12 +1,13 @@
 package gpuleak
 
 import (
+	"context"
 	"testing"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 7}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +17,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewAttack(model).Eavesdrop(f, 0, sess.End)
+	res, err := NewAttack(model).EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeRBACBlocksAttack(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 8}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +39,14 @@ func TestFacadeRBACBlocksAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewAttack(model).Eavesdrop(f, 0, sess.End); err == nil {
+	if _, err := NewAttack(model).EavesdropContext(context.Background(), f, 0, sess.End); err == nil {
 		t.Fatal("attack succeeded despite RBAC policy")
 	}
 }
 
 func TestFacadeObfuscatorDegradesAttack(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 9}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestFacadeObfuscatorDegradesAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewAttack(model).Eavesdrop(f, 0, sess.End)
+	res, err := NewAttack(model).EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +70,10 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(Experiments()) < 25 {
 		t.Fatalf("only %d experiments exposed", len(Experiments()))
 	}
-	if _, err := RunExperiment("nope", true, 1); err == nil {
+	if _, err := RunExperimentContext(context.Background(), "nope", true, 1, 0, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	r, err := RunExperiment("fig5", true, 1)
+	r, err := RunExperimentContext(context.Background(), "fig5", true, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFacadePracticalSession(t *testing.T) {
 
 func TestFacadeMonitorPipeline(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 21, PreLaunch: 3_000_000}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFacadeMonitorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewAttack(model).MonitorAndEavesdrop(f, 0, sess.End)
+	res, err := NewAttack(model).MonitorAndEavesdrop(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFacadeMonitorPipeline(t *testing.T) {
 
 func TestFacadeOfflineSegmentation(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 22}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFacadeOfflineSegmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Collect(0, sess.End)
+	tr, err := s.CollectContext(context.Background(), 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestFacadeSELinuxPolicy(t *testing.T) {
 		t.Fatal("malformed policy accepted")
 	}
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 23}
-	model, err := Train(cfg)
+	model, err := TrainContext(context.Background(), cfg, CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestFacadeSELinuxPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewAttack(model).Eavesdrop(f, 0, sess.End); err == nil {
+	if _, err := NewAttack(model).EavesdropContext(context.Background(), f, 0, sess.End); err == nil {
 		t.Fatal("attack survived the Google patch policy")
 	}
 }

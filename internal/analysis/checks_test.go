@@ -2,22 +2,37 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// fixtureStd is the stdlib source importer, with its file set, that
+// every fixture's loader shares: type-checking the standard library from
+// source is most of a fixture's cost, and it is the same for every
+// fixture. The first loadFixture sets it; fixture tests run serially.
+var fixtureStd struct {
+	fset *token.FileSet
+	imp  types.Importer
+}
+
 // loadFixture type-checks one testdata directory under an explicit import
 // path (so path-scoped analyzers apply). A fresh loader per fixture keeps
 // the loader's per-path memoization from colliding with the real module
-// packages of the same import path.
+// packages of the same import path; only the stdlib importer is shared.
 func loadFixture(t *testing.T, rel, pkgPath string) *Package {
 	t.Helper()
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
+	if fixtureStd.imp == nil {
+		fixtureStd.fset, fixtureStd.imp = l.Fset, l.std
+	}
+	l.Fset, l.std = fixtureStd.fset, fixtureStd.imp
 	dir, err := filepath.Abs(filepath.Join("testdata", rel))
 	if err != nil {
 		t.Fatal(err)

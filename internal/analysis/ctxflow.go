@@ -13,13 +13,12 @@ import (
 //
 //  1. context.Background()/context.TODO() in library code silently
 //     detaches everything below it from cancellation. Both are forbidden
-//     in internal/ outside _test.go files; Background is additionally
-//     allowed in exactly two documented legacy shapes — a single-
-//     statement wrapper that delegates to a context-aware callee (the
-//     "legacy signature as context.Background wrapper" pattern the
-//     facade documents), and a documented resolver whose result type is
-//     context.Context (Options.Context-style defaulting). TODO is never
-//     allowed: it is a marker for unfinished plumbing.
+//     in internal/ outside _test.go files; Background is allowed in one
+//     documented shape only, a resolver whose result type is
+//     context.Context (Options.Context-style defaulting). A context-free
+//     wrapper around a context-aware entry point is a finding: every
+//     entry point takes its caller's context. TODO is never allowed: it
+//     is a marker for unfinished plumbing.
 //
 //  2. A function already holding a context.Context that calls the
 //     context-free variant of a callee with a *Context/*Ctx sibling
@@ -34,7 +33,7 @@ import (
 // every experiment eavesdrops through that runner.
 var CtxFlow = &Analyzer{
 	Name:    "ctxflow",
-	Doc:     "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented legacy wrappers; context holders must call *Context variants",
+	Doc:     "context.Context must thread end-to-end: no Background/TODO in internal/ outside tests and documented context resolvers; context holders must call *Context variants",
 	Applies: isInternalPath,
 	Run:     runCtxFlow,
 }
@@ -77,57 +76,25 @@ func contextParams(p *Pass, fn *ast.FuncDecl) []types.Object {
 	return out
 }
 
-// checkRootContext reports context.Background()/TODO() calls outside the
-// two sanctioned legacy shapes.
+// checkRootContext reports context.Background()/TODO() calls outside a
+// documented context resolver.
 func checkRootContext(p *Pass, fn *ast.FuncDecl, call *ast.CallExpr, callee *types.Func, holdsCtx bool) {
 	if callee.Pkg() == nil || callee.Pkg().Path() != "context" {
 		return
 	}
 	switch callee.Name() {
 	case "TODO":
-		p.Reportf(call.Pos(), "context.TODO marks unfinished plumbing: thread the caller's context (or use a documented context.Background legacy wrapper)")
+		p.Reportf(call.Pos(), "context.TODO marks unfinished plumbing: thread the caller's context")
 	case "Background":
 		if holdsCtx {
 			p.Reportf(call.Pos(), "context.Background inside a function that already holds a context detaches the callee from cancellation: pass the context parameter instead")
 			return
 		}
-		if isLegacyWrapper(p, fn, call) || isContextResolver(p, fn) {
+		if isContextResolver(p, fn) {
 			return
 		}
-		p.Reportf(call.Pos(), "context.Background in library code detaches everything below from cancellation: accept a context.Context, or shape this as a documented single-statement legacy wrapper")
+		p.Reportf(call.Pos(), "context.Background in library code detaches everything below from cancellation: accept a context.Context")
 	}
-}
-
-// isLegacyWrapper recognizes the documented legacy-signature shape: a
-// function with a doc comment whose body is a single statement passing
-// context.Background() straight into a context-aware callee, e.g.
-//
-//	// Collect is CollectContext with a background context.
-//	func (s *Sampler) Collect(a, b sim.Time) (*trace.Trace, error) {
-//		return s.CollectContext(context.Background(), a, b)
-//	}
-func isLegacyWrapper(p *Pass, fn *ast.FuncDecl, bg *ast.CallExpr) bool {
-	if fn.Doc == nil || len(fn.Body.List) != 1 {
-		return false
-	}
-	var outer *ast.CallExpr
-	switch st := fn.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(st.Results) == 1 {
-			outer, _ = ast.Unparen(st.Results[0]).(*ast.CallExpr)
-		}
-	case *ast.ExprStmt:
-		outer, _ = ast.Unparen(st.X).(*ast.CallExpr)
-	}
-	if outer == nil || len(outer.Args) == 0 || ast.Unparen(outer.Args[0]) != bg {
-		return false
-	}
-	callee := calledFunc(p, outer)
-	if callee == nil {
-		return false
-	}
-	sig, _ := callee.Type().(*types.Signature)
-	return firstParamIsContext(sig)
 }
 
 // isContextResolver recognizes the documented defaulting-resolver shape:

@@ -18,7 +18,7 @@ import (
 // quickly and their contracts live in tests; the facade and the serving
 // layer are the API whose docs are the contract.
 //
-// Only this check catches deleting gpuleak.Train's doc comment:
+// Only this check catches deleting gpuleak.TrainContext's doc comment:
 // TestRepoClean (which runs this suite) is the one test that fails.
 var DocCheck = &Analyzer{
 	Name:    "doccheck",

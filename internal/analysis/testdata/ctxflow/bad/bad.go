@@ -4,8 +4,8 @@ import "context"
 
 func doCtx(ctx context.Context) error { _ = ctx; return nil }
 
-// Work is documented but multi-statement, so it is not a legacy wrapper:
-// the Background call detaches doCtx from cancellation.
+// Work mints a root context in library code: the Background call
+// detaches doCtx from cancellation.
 func Work() error {
 	ctx := context.Background() // WANT
 	return doCtx(ctx)
@@ -18,6 +18,10 @@ func todo() error {
 func undocumentedWrapper() error {
 	return doCtx(context.Background()) // WANT
 }
+
+// Do is a documented single-statement wrapper that passes Background
+// straight into a context-aware callee: it still detaches the callee.
+func Do() error { return doCtx(context.Background()) } // WANT
 
 // Fetch is the context-free variant.
 func Fetch() error { return nil }

@@ -4,10 +4,6 @@ import "context"
 
 func doCtx(ctx context.Context) error { _ = ctx; return nil }
 
-// Do is the documented legacy wrapper: single statement, Background
-// passed straight into a context-aware callee.
-func Do() error { return doCtx(context.Background()) }
-
 // Options carries an optional context, resolved by Context below.
 type Options struct {
 	// Ctx, when non-nil, cancels the run.

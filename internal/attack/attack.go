@@ -61,8 +61,8 @@ type Attack struct {
 	// from its channel.
 	Errors fault.Taxonomy
 	// Classify, when non-nil, overrides per-delta classification for every
-	// engine this attack builds (Eavesdrop, EavesdropTrace, the streaming
-	// variants and MonitorAndEavesdrop's full-rate phase). It must agree
+	// engine this attack builds (EavesdropContext, EavesdropTrace,
+	// Stack.Run and MonitorAndEavesdrop's full-rate phase). It must agree
 	// with m.ClassifyDenoised(v) for every input — the hook exists so a
 	// serving tier can coalesce classification work across requests
 	// (micro-batching), never to change verdicts. at is the sim-time of
@@ -158,23 +158,23 @@ func (a *Attack) EavesdropTrace(tr *trace.Trace) (*Result, error) {
 	return a.resultFrom(m, eng), nil
 }
 
-// Eavesdrop opens the sampling loop on a victim's probe over [start, end]
-// and infers the typed credential. This is the full online phase: poll
-// counters, recognize the device, classify deltas. f is any Probe — a raw
-// *kgsl.File, a *fault.File when the run should face an injected fault
-// schedule, or a defense-wrapped probe. Pipeline assembles such stacks
-// for any channel, with the retry switch and taxonomy they need.
-func (a *Attack) Eavesdrop(f Probe, start, end sim.Time) (*Result, error) {
-	return a.EavesdropContext(context.Background(), f, start, end)
-}
-
-// EavesdropContext is Eavesdrop with cancellation: the sampling loop
-// checks ctx at every polling tick, and the engine run is skipped when
-// the context dies between sampling and inference. The result for a
-// completed run is byte-identical to Eavesdrop — the context is a control
+// EavesdropContext opens the sampling loop on a victim's probe over
+// [start, end] and infers the typed credential. This is the full online
+// phase: poll counters, recognize the device, classify deltas. f is any
+// Probe — a raw *kgsl.File, a *fault.File when the run should face an
+// injected fault schedule, or a defense-wrapped probe. Pipeline
+// assembles such stacks for any channel, with the retry switch and
+// taxonomy they need, and its Stack.Run taps the same loop for
+// streaming. The loop checks ctx at every polling tick; a completed
+// run's result does not depend on it — the context is a control
 // channel, never an input to the inference.
 func (a *Attack) EavesdropContext(ctx context.Context, f Probe, start, end sim.Time) (*Result, error) {
-	return a.EavesdropStreamContext(ctx, f, start, end, nil)
+	res, _, stats, err := a.run(ctx, f, start, end, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	res.addRecovery(stats)
+	return res, nil
 }
 
 // StreamEvent is one incremental online-phase notification: the §5
@@ -193,25 +193,6 @@ type StreamEvent struct {
 	// Keys is the number of keys the engine stands behind after this
 	// event; after a retraction it is smaller than the event count so far.
 	Keys int
-}
-
-// EavesdropStreamContext is EavesdropContext with live notification:
-// emit, when non-nil, is invoked synchronously for every key the online
-// engine commits and every retraction it performs, in delta order, from
-// inside the sampling loop — the paper's real-time notification-bar
-// display as an API. A run that fails mid-way has emitted the keys it
-// committed before the failure. A non-nil error from emit stops the
-// engine (a streaming client went away) and the run returns it, unless
-// sampling fails or ctx ends first. The returned Result is byte-identical
-// to EavesdropContext over the same inputs: the emission is a tap on
-// Algorithm 1, never a fork of it.
-func (a *Attack) EavesdropStreamContext(ctx context.Context, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, error) {
-	res, _, stats, err := a.run(ctx, f, start, end, emit, false)
-	if err != nil {
-		return nil, err
-	}
-	res.addRecovery(stats)
-	return res, nil
 }
 
 // addRecovery folds a run's sampler recovery work into its result.

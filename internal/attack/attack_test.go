@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func baseVictimConfig() victim.Config {
 func sharedModel(t testing.TB) *Model {
 	t.Helper()
 	modelOnce.Do(func() {
-		oneModel, modelErr = Collect(baseVictimConfig(), CollectOptions{Repeats: 2})
+		oneModel, modelErr = CollectContext(context.Background(), baseVictimConfig(), CollectOptions{Repeats: 2})
 	})
 	if modelErr != nil {
 		t.Fatalf("offline collection failed: %v", modelErr)
@@ -112,7 +113,7 @@ func eavesdropText(t *testing.T, text string, cfgMut func(*victim.Config), seed 
 		t.Fatal(err)
 	}
 	atk := New(sharedModel(t))
-	res, err := atk.Eavesdrop(f, 0, sess.End)
+	res, err := atk.EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestBackspaceCorrectionTracked(t *testing.T) {
 	sess.Run(script)
 	f, _ := sess.Open()
 	atk := New(sharedModel(t))
-	res, err := atk.Eavesdrop(f, 0, sess.End)
+	res, err := atk.EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestAppSwitchSuppressed(t *testing.T) {
 	sess.Run(script)
 	f, _ := sess.Open()
 	atk := New(sharedModel(t))
-	res, err := atk.Eavesdrop(f, 0, sess.End)
+	res, err := atk.EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestAppSwitchSuppressed(t *testing.T) {
 func TestRecognizePicksRightModel(t *testing.T) {
 	m8 := sharedModel(t)
 	cfg9 := victim.Config{Device: android.OnePlus9, Seed: 5}
-	m9, err := Collect(cfg9, CollectOptions{Repeats: 1})
+	m9, err := CollectContext(context.Background(), cfg9, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestRecognizePicksRightModel(t *testing.T) {
 	r := sim.NewRand(6)
 	sess.Run(input.Typing("hello", input.Volunteers[0], input.SpeedAny, r, 700*sim.Millisecond))
 	f, _ := sess.Open()
-	res, err := atk.Eavesdrop(f, 0, sess.End)
+	res, err := atk.EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestEavesdropNoModels(t *testing.T) {
 	sess := victim.New(baseVictimConfig())
 	sess.Run(input.Script{})
 	f, _ := sess.Open()
-	if _, err := atk.Eavesdrop(f, 0, sess.End); err == nil {
+	if _, err := atk.EavesdropContext(context.Background(), f, 0, sess.End); err == nil {
 		t.Fatal("no-model attack should error")
 	}
 }

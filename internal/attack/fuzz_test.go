@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -60,7 +61,7 @@ var (
 // model.
 func classifyModels(t testing.TB) []*Model {
 	procModelOnce.Do(func() {
-		procModel, procModelErr = Collect(baseVictimConfig(), CollectOptions{Repeats: 1, Channel: proccount.Name})
+		procModel, procModelErr = CollectContext(context.Background(), baseVictimConfig(), CollectOptions{Repeats: 1, Channel: proccount.Name})
 	})
 	if procModelErr != nil {
 		t.Fatal(procModelErr)

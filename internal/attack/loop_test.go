@@ -37,6 +37,16 @@ func (p *failingProbe) ReadSelected(t sim.Time) ([adreno.NumSelected]uint64, err
 	return p.Probe.ReadSelected(t)
 }
 
+// stream runs a's online loop over f as a one-leg Stack, with emit as
+// its streaming tap: the path the serving layer's sessions take.
+func stream(ctx context.Context, a *Attack, f Probe, start, end sim.Time, emit func(StreamEvent) error) (*Result, error) {
+	out, err := (&Stack{Legs: []StackLeg{{Probe: f, Attack: a}}}).Run(ctx, start, end, emit)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
+}
+
 // replayEvents runs a fresh engine over a collected trace and records
 // what a stream taps: a retraction whenever the key count drops, then
 // every new key, stamped with the delta that caused it.
@@ -81,7 +91,7 @@ type loopRun struct {
 // when replayed over the collected trace.
 func TestOneLoopMatchesTwoPasses(t *testing.T) {
 	m8 := sharedModel(t)
-	m9, err := Collect(victim.Config{Device: android.OnePlus9, Seed: 5}, CollectOptions{Repeats: 1})
+	m9, err := CollectContext(context.Background(), victim.Config{Device: android.OnePlus9, Seed: 5}, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +138,7 @@ func TestOneLoopMatchesTwoPasses(t *testing.T) {
 						}
 					}
 				} else {
-					out.res, out.err = a.EavesdropStreamContext(ctx, probe, 0, sess.End, func(ev StreamEvent) error {
+					out.res, out.err = stream(ctx, a, probe, 0, sess.End, func(ev StreamEvent) error {
 						out.events = append(out.events, ev)
 						return nil
 					})
@@ -179,7 +189,7 @@ func TestEavesdropStreamFailsMidRun(t *testing.T) {
 		}
 		p.Probe = f
 		var evs []StreamEvent
-		_, err = New(m).EavesdropStreamContext(ctx, p, 0, sess.End, func(ev StreamEvent) error {
+		_, err = stream(ctx, New(m), p, 0, sess.End, func(ev StreamEvent) error {
 			evs = append(evs, ev)
 			return nil
 		})
@@ -269,7 +279,7 @@ func TestOneLoopErrorPrecedence(t *testing.T) {
 				return c.emitErr
 			}
 		}
-		_, err = (&Attack{Models: c.models, Interval: DefaultInterval}).EavesdropStreamContext(ctx, p, 0, sess.End, emit)
+		_, err = stream(ctx, &Attack{Models: c.models, Interval: DefaultInterval}, p, 0, sess.End, emit)
 		cancel()
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: run returns %v, want %v", c.name, err, c.want)
@@ -325,7 +335,7 @@ func TestOneLoopRecognizesOverLaunchWindow(t *testing.T) {
 	p.step(ms(60), keyA())
 	p.step(ms(300), keyB())
 	a := New(mA, mB)
-	res, err := a.Eavesdrop(p, 0, ms(400))
+	res, err := a.EavesdropContext(context.Background(), p, 0, ms(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +343,7 @@ func TestOneLoopRecognizesOverLaunchWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Collect(0, ms(400))
+	tr, err := s.CollectContext(context.Background(), 0, ms(400))
 	if err != nil {
 		t.Fatal(err)
 	}

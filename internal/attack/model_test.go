@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -199,7 +200,7 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 	}
 	denoised, accepted := 0, 0
 	for _, c := range cases {
-		m, err := Collect(c.cfg, CollectOptions{Repeats: 1, Channel: c.channel})
+		m, err := CollectContext(context.Background(), c.cfg, CollectOptions{Repeats: 1, Channel: c.channel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := s.Collect(0, sess.End)
+		tr, err := s.CollectContext(context.Background(), 0, sess.End)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestClassifyMatchesMapScan(t *testing.T) {
 // families that share one centroid. The KGSL model of the same
 // configuration keeps every key apart.
 func TestProcCountKeysCollapseIntoRowFamilies(t *testing.T) {
-	pm, err := Collect(baseVictimConfig(), CollectOptions{Repeats: 2, Channel: proccount.Name})
+	pm, err := CollectContext(context.Background(), baseVictimConfig(), CollectOptions{Repeats: 2, Channel: proccount.Name})
 	if err != nil {
 		t.Fatal(err)
 	}

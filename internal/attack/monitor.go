@@ -48,13 +48,9 @@ type MonitorResult struct {
 // fingerprint appears, then full-rate eavesdropping until end. f is any
 // Probe. Both phases poll through one sampler, so with a.Retry on a
 // transient device error during the idle wait is retried, re-reserved
-// and at worst turned into a missed tick, exactly as at full rate.
-func (a *Attack) MonitorAndEavesdrop(f Probe, start, end sim.Time) (*MonitorResult, error) {
-	return a.monitor(context.Background(), f, start, end)
-}
-
-// monitor is MonitorAndEavesdrop with ctx bounding both phases.
-func (a *Attack) monitor(ctx context.Context, f Probe, start, end sim.Time) (*MonitorResult, error) {
+// and at worst turned into a missed tick, exactly as at full rate; ctx
+// is checked at every tick of both.
+func (a *Attack) MonitorAndEavesdrop(ctx context.Context, f Probe, start, end sim.Time) (*MonitorResult, error) {
 	interval := a.Interval
 	if interval <= 0 {
 		interval = DefaultInterval

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -45,9 +46,37 @@ func checkMonitored(t *testing.T, sess *victim.Session, res *MonitorResult) {
 	}
 }
 
+// TestMonitorStopsWithContext pins that the monitoring service stops at
+// the first tick after its context ends, in the idle wait and in the
+// full-rate phase alike.
+func TestMonitorStopsWithContext(t *testing.T) {
+	for _, c := range []struct {
+		phase string
+		// from is when the context ends, relative to the launch.
+		from sim.Time
+	}{
+		{"idle wait", -2 * sim.Second},
+		{"full rate", sim.Second},
+	} {
+		sess, f := monitoredSession(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		from := sess.LaunchAt + c.from
+		p := &failingProbe{Probe: f, onRead: func(at sim.Time) {
+			if at >= from {
+				cancel()
+			}
+		}}
+		_, err := New(sharedModel(t)).MonitorAndEavesdrop(ctx, p, 0, sess.End)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: context ended at %v, monitor returns %v; want context.Canceled", c.phase, from, err)
+		}
+	}
+}
+
 func TestMonitorDetectsLaunchAndEavesdrops(t *testing.T) {
 	sess, f := monitoredSession(t)
-	res, err := New(sharedModel(t)).MonitorAndEavesdrop(f, 0, sess.End)
+	res, err := New(sharedModel(t)).MonitorAndEavesdrop(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +103,7 @@ func TestMonitorDoesNotFireOnForeignUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	atk := New(m)
-	res, err := atk.MonitorAndEavesdrop(f, 0, sess.End)
+	res, err := atk.MonitorAndEavesdrop(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +123,7 @@ func TestMonitorUnderFaults(t *testing.T) {
 			sess, f := monitoredSession(t)
 			atk := New(m)
 			atk.Retry = retry
-			res, err := atk.MonitorAndEavesdrop(fault.NewFile(f, p, 7), 0, sess.End)
+			res, err := atk.MonitorAndEavesdrop(context.Background(), fault.NewFile(f, p, 7), 0, sess.End)
 			if !retry {
 				var se *SampleError
 				if !errors.As(err, &se) {
@@ -120,7 +149,7 @@ func TestMonitorRecoveryCountsBothPhases(t *testing.T) {
 	atk := New(sharedModel(t))
 	atk.Retry = true
 	atk.Obs = obs.New()
-	res, err := atk.MonitorAndEavesdrop(fault.NewFile(f, fault.Severe, 7), 0, sess.End)
+	res, err := atk.MonitorAndEavesdrop(context.Background(), fault.NewFile(f, fault.Severe, 7), 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,8 +157,9 @@ func labelWindows(sess *victim.Session, script input.Script, wlen sim.Time) []wi
 // earliest-starting window containing it; a delta belonging to no window
 // (e.g. a popup-animation duplication) is discarded — it replays a
 // signature that is already labeled. Sampling stops shortly after the
-// last window since later deltas could not be labeled anyway.
-func sampleWindows(ch channel.Channel, sess *victim.Session, interval sim.Time, wins []window, obsTr *obs.Tracer) ([]trace.Vec, []bool, error) {
+// last window since later deltas could not be labeled anyway. ctx is
+// checked at every tick.
+func sampleWindows(ctx context.Context, ch channel.Channel, sess *victim.Session, interval sim.Time, wins []window, obsTr *obs.Tracer) ([]trace.Vec, []bool, error) {
 	f, err := ch.Open(sess)
 	if err != nil {
 		return nil, nil, fmt.Errorf("attack: offline phase: %w", err)
@@ -180,7 +181,7 @@ func sampleWindows(ch channel.Channel, sess *victim.Session, interval sim.Time, 
 			end = trunc
 		}
 	}
-	tr, err := sampler.Collect(0, end)
+	tr, err := sampler.CollectContext(ctx, 0, end)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,7 +224,7 @@ type taskOut struct {
 // directions (the trailing press switches symbol→lower) and cursor
 // blinks. Its key windows are labeled so press deltas cannot pollute
 // adjacent noise windows, then discarded.
-func collectSweep(ch channel.Channel, interval sim.Time, sess *victim.Session, alphabet []rune, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
+func collectSweep(ctx context.Context, ch channel.Channel, interval sim.Time, sess *victim.Session, alphabet []rune, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
 	var script input.Script
 	t := 600 * sim.Millisecond
 	press := func(r rune) {
@@ -244,7 +245,7 @@ func collectSweep(ch channel.Channel, interval sim.Time, sess *victim.Session, a
 	}
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
-	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)
+	sums, got, err := sampleWindows(ctx, ch, sess, interval, wins, obsTr)
 	if err != nil {
 		return taskOut{}, err
 	}
@@ -277,7 +278,7 @@ func collectSweep(ch channel.Channel, interval sim.Time, sess *victim.Session, a
 // single key with nothing else on screen, yielding one candidate centroid
 // for that key. Cursor blink is disabled — the sweep task learns blink
 // signatures — so the key window is as clean as the hardware allows.
-func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune, repeat int, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
+func collectKey(ctx context.Context, ch channel.Channel, cfg victim.Config, interval sim.Time, r rune, repeat int, wlen sim.Time, obsTr *obs.Tracer) (taskOut, error) {
 	cfg.DisableCursorBlink = true
 	sess := victim.New(cfg)
 	script := input.Script{Events: []input.Event{{
@@ -291,7 +292,7 @@ func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune
 	}
 	sess.Device.SetMetrics(obsTr.Metrics())
 	wins := labelWindows(sess, script, wlen)
-	sums, got, err := sampleWindows(ch, sess, interval, wins, obsTr)
+	sums, got, err := sampleWindows(ctx, ch, sess, interval, wins, obsTr)
 	if err != nil {
 		return taskOut{}, err
 	}
@@ -306,9 +307,9 @@ func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune
 	return out, nil
 }
 
-// Collect runs the offline phase (§3.2, §6): a bot emulates every typable
-// key on a controlled device of the given configuration, the resulting
-// counter trace is labeled with the known press times, and a
+// CollectContext runs the offline phase (§3.2, §6): a bot emulates every
+// typable key on a controlled device of the given configuration, the
+// resulting counter trace is labeled with the known press times, and a
 // nearest-centroid classifier with noise signatures is constructed.
 //
 // The work is decomposed into 1 + len(alphabet)*Repeats independent
@@ -318,15 +319,11 @@ func collectKey(ch channel.Channel, cfg victim.Config, interval sim.Time, r rune
 // process-wide frame-stats memo (package android), so the model depends
 // only on (cfg, opts minus Workers), never on the worker count,
 // scheduling or what earlier calls rendered.
-func Collect(cfg victim.Config, opts CollectOptions) (*Model, error) {
-	return CollectContext(context.Background(), cfg, opts)
-}
-
-// CollectContext is Collect with cancellation honored at per-(key,repeat)
-// granularity: once ctx is done no further collection tasks start, the
-// ones already running finish, and the call returns the context's error
-// instead of a partial model. A run that completes is byte-identical to
-// Collect — cancellation can only abort, never skew.
+//
+// Once ctx is done no further task starts, the running ones stop at
+// their sampler's next tick, and the call returns the context's error
+// instead of a partial model. A run that completes does not depend on
+// ctx — cancellation can only abort, never skew.
 func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions) (*Model, error) {
 	ch, err := channel.Get(opts.Channel)
 	if err != nil {
@@ -384,9 +381,9 @@ func CollectContext(ctx context.Context, cfg victim.Config, opts CollectOptions)
 
 	outs, err := parallel.MapCtx(ctx, opts.Workers, nTasks, func(i int) (taskOut, error) {
 		if i == 0 {
-			return collectSweep(ch, interval, sweepSess, alphabet, wlen, child(0))
+			return collectSweep(ctx, ch, interval, sweepSess, alphabet, wlen, child(0))
 		}
-		return collectKey(ch, taskCfg(i), interval, alphabet[(i-1)%nKeys], (i-1)/nKeys, wlen, child(i))
+		return collectKey(ctx, ch, taskCfg(i), interval, alphabet[(i-1)%nKeys], (i-1)/nKeys, wlen, child(i))
 	})
 	if err != nil {
 		return nil, err

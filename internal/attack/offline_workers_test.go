@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gpuleak/internal/android"
@@ -29,7 +30,7 @@ func TestCollectBitIdenticalAcrossWorkers(t *testing.T) {
 	cfg := victim.Config{Device: android.OnePlus8Pro, Seed: 42, RenderJitter: 0.004}
 	var want []byte
 	for _, workers := range []int{1, 4, 8} {
-		m, err := Collect(cfg, CollectOptions{Repeats: 2, Workers: workers})
+		m, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 2, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,7 +52,7 @@ func TestCollectBitIdenticalAcrossWorkers(t *testing.T) {
 func TestCollectSeedSensitivity(t *testing.T) {
 	mk := func(seed int64) []byte {
 		cfg := victim.Config{Device: android.OnePlus8Pro, Seed: seed, RenderJitter: 0.004}
-		m, err := Collect(cfg, CollectOptions{Repeats: 1, Workers: 2})
+		m, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 1, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,15 +66,15 @@ func TestCollectSeedSensitivity(t *testing.T) {
 // TestCollectWarmMemoMatchesCold verifies that the process-wide
 // frame-stats memo cannot change the trained model: rendering is pure, so
 // hits and misses are indistinguishable. No other test of this package
-// uses the configuration, so the first Collect renders every frame and
-// the second reads every frame from the memo.
+// uses the configuration, so the first CollectContext renders every frame
+// and the second reads every frame from the memo.
 func TestCollectWarmMemoMatchesCold(t *testing.T) {
 	cfg := victim.Config{Device: android.Pixel2, App: android.Schwab, Keyboard: keyboard.Grammarly, Seed: 7, RenderJitter: 0.004}
-	cold, err := Collect(cfg, CollectOptions{Repeats: 1})
+	cold, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Collect(cfg, CollectOptions{Repeats: 1})
+	warm, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,12 @@ func TestCollectWarmMemoMatchesCold(t *testing.T) {
 // PreLaunch must train exactly the model of the same one without it.
 func TestCollectIgnoresPreLaunch(t *testing.T) {
 	cfg := victim.Config{Device: android.OnePlus8Pro, Seed: 42}
-	want, err := Collect(cfg, CollectOptions{Repeats: 2})
+	want, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PreLaunch = 6 * sim.Second
-	got, err := Collect(cfg, CollectOptions{Repeats: 2})
+	got, err := CollectContext(context.Background(), cfg, CollectOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

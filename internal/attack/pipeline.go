@@ -33,8 +33,8 @@ import (
 //     sampler and engine; secondary legs run untraced. Classify hooks the
 //     engine of single-leg runs only.
 //
-// A single-leg run is exactly Attack.EavesdropStreamContext on the built
-// probe. Two legs run independently and merge with Fuse.
+// A single-leg run gives exactly Attack.EavesdropContext's result on the
+// built probe. Two legs run independently and merge with Fuse.
 type Pipeline struct {
 	// Legs are the side channels to sample, primary first; at most two.
 	Legs []Leg
@@ -168,10 +168,19 @@ func (p Pipeline) Run(ctx context.Context, sess *victim.Session, start, end sim.
 
 // Run samples every leg over [start, end], running Algorithm 1 inside
 // each leg's sampling loop and keeping its trace, then fuses two legs
-// over the primary's stored deltas. emit taps a single-leg engine; fused
-// runs emit nothing. The outcome is always returned, with every leg's
-// result or failure; the error is the first leg's failure in pipeline
-// order.
+// over the primary's stored deltas. The outcome is always returned, with
+// every leg's result or failure; the error is the first leg's failure in
+// pipeline order.
+//
+// emit, when non-nil, is the streaming tap of a single-leg run (fused
+// runs emit nothing): it is invoked synchronously for every key the
+// engine commits and every retraction it performs, in delta order, from
+// inside the sampling loop — the paper's real-time notification-bar
+// display as an API. A run that fails mid-way has emitted the keys it
+// committed before the failure. A non-nil error from emit stops the
+// engine (a streaming client went away) and the run returns it, unless
+// sampling fails or ctx ends first. The result does not depend on emit:
+// the emission is a tap on Algorithm 1, never a fork of it.
 func (st *Stack) Run(ctx context.Context, start, end sim.Time, emit func(StreamEvent) error) (*Outcome, error) {
 	out := &Outcome{Legs: make([]LegOutcome, len(st.Legs))}
 	single := len(st.Legs) == 1

@@ -103,12 +103,12 @@ func TestPipelineBuildRules(t *testing.T) {
 	}
 }
 
-// TestPipelineRunShapes pins the result shapes: a single-leg run is
-// exactly EavesdropStreamContext on the raw device file, and a two-leg
+// TestPipelineRunShapes pins the result shapes: a single-leg run gives
+// exactly EavesdropContext's result on the raw device file, and a two-leg
 // run is exactly Fuse over the legs' engine-only results.
 func TestPipelineRunShapes(t *testing.T) {
 	m := sharedModel(t)
-	sm, err := Collect(baseVictimConfig(), CollectOptions{Repeats: 1, Channel: proccount.Name})
+	sm, err := CollectContext(context.Background(), baseVictimConfig(), CollectOptions{Repeats: 1, Channel: proccount.Name})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -148,7 +149,7 @@ func TestSamplerRetriesTransientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Collect(0, 80*sim.Millisecond)
+	tr, err := s.CollectContext(context.Background(), 0, 80*sim.Millisecond)
 	if err != nil {
 		t.Fatalf("collect with retries: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestSamplerWrapCheckStoresReRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Collect(0, 80*sim.Millisecond)
+	tr, err := s.CollectContext(context.Background(), 0, 80*sim.Millisecond)
 	if err != nil {
 		t.Fatalf("collect across a wrapped read: %v", err)
 	}
@@ -225,7 +226,7 @@ func TestSamplerExhaustedTickLeavesGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := s.Collect(0, 80*sim.Millisecond)
+		tr, err := s.CollectContext(context.Background(), 0, 80*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", c.name, err)
 		}
@@ -266,7 +267,7 @@ func TestSamplerReReservesAfterRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Collect(0, 80*sim.Millisecond); err != nil {
+	if _, err := s.CollectContext(context.Background(), 0, 80*sim.Millisecond); err != nil {
 		t.Fatalf("collect across a revocation: %v", err)
 	}
 	if s.Stats.ReReservations != 1 {
@@ -286,7 +287,7 @@ func TestSamplerZeroPolicyIsFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Collect(0, 80*sim.Millisecond)
+	_, err = s.CollectContext(context.Background(), 0, 80*sim.Millisecond)
 	var se *SampleError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %v is not a *SampleError", err)
@@ -310,7 +311,7 @@ func TestSamplerMaxBadTicksAbandons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Collect(0, (maxBadTicks+2)*DefaultInterval)
+	_, err = s.CollectContext(context.Background(), 0, (maxBadTicks+2)*DefaultInterval)
 	if err == nil {
 		t.Fatal("collection succeeded though every tick failed")
 	}

@@ -50,7 +50,7 @@ type Sampler struct {
 	// (kgsl.Device.ReadLatency), which the wrap check would misfire on.
 	Retry bool
 	// Stats reports the recovery work of the most recent collection; it
-	// is reset at the start of every Collect/CollectContext.
+	// is reset at the start of every CollectContext.
 	Stats CollectStats
 	// Obs, when non-nil, records a sampler.collect span per polling loop
 	// plus read-error events, and counts polls in the metrics registry.
@@ -96,18 +96,13 @@ func NewSamplerTaxonomy(f Probe, interval sim.Time, retry bool, tax fault.Taxono
 // retryable classifies a driver error under the sampler's taxonomy.
 func (s *Sampler) retryable(err error) bool { return RetryableIn(err, s.Errors) }
 
-// Collect polls the counters over [start, end] and returns the trace.
-// Device errors abort the collection unless Retry recovers them — on a
-// mitigated device the attack fails here.
-func (s *Sampler) Collect(start, end sim.Time) (*trace.Trace, error) {
-	return s.CollectContext(context.Background(), start, end)
-}
-
-// CollectContext is Collect with cancellation honored at sampler-tick
-// granularity: the polling loop checks ctx before every counter read and
-// aborts with the context's error, so a canceled request never completes
-// a sweep it no longer needs. The trace keeps the first read and a Delta
-// for every read that moved a counter; a flat read is only counted.
+// CollectContext polls the counters over [start, end] and returns the
+// trace: the first read and a Delta for every read that moved a counter;
+// a flat read is only counted. Device errors abort the collection unless
+// Retry recovers them — on a mitigated device the attack fails here. The
+// polling loop checks ctx before every counter read and aborts with the
+// context's error, so a canceled request never completes a sweep it no
+// longer needs.
 func (s *Sampler) CollectContext(ctx context.Context, start, end sim.Time) (*trace.Trace, error) {
 	tr := s.newTrace(start, end)
 	if err := s.poll(ctx, start, end, tr, func(d trace.Delta) bool {
@@ -156,14 +151,21 @@ func (s *Sampler) poll(ctx context.Context, start, end sim.Time, tr *trace.Trace
 	badTicks := 0
 	more := true
 	t := start
+	// The tick reads the done channel, which is lock-free, not Err, which
+	// locks the context: a training's workers share one context and poll
+	// it at every tick of every task.
+	done := ctx.Done()
 	for tick := 0; more && t <= end; t, tick = t+s.Interval, tick+1 {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
+			err := ctx.Err()
 			if s.Obs != nil {
 				s.Obs.Emit(t, evSamplerReadError, obs.Str("err", err.Error()))
 				sp.AddField(obs.Int("samples", tr.Reads))
 				sp.End(t)
 			}
 			return fmt.Errorf("attack: sampling canceled at %v: %w", t, err)
+		default:
 		}
 		s.Stats.Ticks++
 		readAt := t

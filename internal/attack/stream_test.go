@@ -10,9 +10,9 @@ import (
 	"gpuleak/internal/victim"
 )
 
-// TestEavesdropStreamMatchesOneShot pins the streaming API's identity
-// contract: EavesdropStreamContext over a device file produces the exact
-// Result of EavesdropContext, and replaying its key/retract events
+// TestEavesdropStreamMatchesOneShot pins the streaming tap's identity
+// contract: a one-leg Stack.Run with emit over a device file produces the
+// exact Result of EavesdropContext, and replaying its key/retract events
 // reconstructs the final key sequence.
 func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 	cfg := baseVictimConfig()
@@ -39,7 +39,7 @@ func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 
 	sess2, f2 := open()
 	var events []StreamEvent
-	got, err := New(m).EavesdropStreamContext(context.Background(), f2, 0, sess2.End,
+	got, err := stream(context.Background(), New(m), f2, 0, sess2.End,
 		func(ev StreamEvent) error {
 			events = append(events, ev)
 			return nil
@@ -75,7 +75,7 @@ func TestEavesdropStreamMatchesOneShot(t *testing.T) {
 	// An emit error must abort the run.
 	sess3, f3 := open()
 	boom := errors.New("client went away")
-	if _, err := New(m).EavesdropStreamContext(context.Background(), f3, 0, sess3.End,
+	if _, err := stream(context.Background(), New(m), f3, 0, sess3.End,
 		func(StreamEvent) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("emit error not propagated: %v", err)
 	}

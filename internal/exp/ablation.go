@@ -19,7 +19,7 @@ func RunAblationDedup(o Options) (*Result, error) {
 		"Ti", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func RunAblationSplit(o Options) (*Result, error) {
 		"combining", "text acc", "char acc", "splits recovered")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func RunAblationThreshold(o Options) (*Result, error) {
 		"Cth scale", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	base, err := TrainModel(cfg, o.Workers, "")
+	base, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func RunAblationCounterSet(o Options) (*Result, error) {
 		"counters", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	base, err := TrainModel(cfg, o.Workers, "")
+	base, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func RunAblationCorrections(o Options) (*Result, error) {
 		"corrections", "trace acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 	cfg := DefaultConfig()
 	// Stress splits: a slower GPU fragments more frames.
 	cfg.Device = android.LGV30
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +242,7 @@ func RunAblationGreedyVsOffline(o Options) (*Result, error) {
 	trials := make([]trial, per)
 	for si := range trials {
 		t := kgslTrial(cfg, m)
+		t.keepTrace = true
 		t.cfg.Seed = o.Seed + int64(si)*919
 		t.script = input.Typing(input.RandomText(rng, LowerDigits, 10), input.Volunteers[si%5],
 			input.SpeedAny, sim.NewRand(t.cfg.Seed^0x77), 700*sim.Millisecond)

@@ -100,11 +100,11 @@ func runArmsTournament(o Options, trials int) (*ArmsReport, error) {
 	}
 
 	cfg := DefaultConfig()
-	pm, err := TrainModel(cfg, o.Workers, "")
+	pm, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
-	sm, err := TrainModel(cfg, o.Workers, proccount.Name)
+	sm, err := TrainModel(o.Context(), cfg, o.Workers, proccount.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -41,10 +42,10 @@ type Options struct {
 	// who-trains scheduling-dependent.
 	Obs *obs.Tracer
 	// Ctx, when non-nil, cancels the experiment cooperatively: no trial
-	// starts once it ends, in-flight eavesdrops abort at the next sampler
-	// tick, and every experiment that eavesdrops returns its error. Model
-	// training runs to completion. A run that completes is byte-identical
-	// to an uncanceled one.
+	// or model training starts once it ends, in-flight eavesdrops and
+	// trainings abort at the next sampler tick, and every experiment that
+	// trains, samples or eavesdrops returns its error. A run that
+	// completes is byte-identical to an uncanceled one.
 	Ctx context.Context
 }
 
@@ -106,16 +107,21 @@ func DefaultConfig() victim.Config {
 // a singleflight: the first caller of a configuration trains while the
 // lock is released, so concurrent experiments training DIFFERENT
 // configurations proceed in parallel and concurrent callers of the SAME
-// configuration wait for one training instead of duplicating it.
+// configuration wait for one training instead of duplicating it. ready is
+// closed once m and err are final; a failed entry leaves the cache before
+// that.
 type modelEntry struct {
-	once sync.Once
-	m    *attack.Model
-	err  error
+	ready chan struct{}
+	m     *attack.Model
+	err   error
 }
 
 var (
 	modelMu    sync.Mutex
 	modelCache = map[string]*modelEntry{}
+	// collect is TrainModel's offline phase, a variable so that tests
+	// can count and fake its trainings.
+	collect = attack.CollectContext
 )
 
 // TrainModel returns the (cached) classifier for a configuration on a
@@ -123,27 +129,50 @@ var (
 // the given collection worker count (1 = serial, 0 = one per CPU).
 // Models of different channels cache under different keys. The worker
 // count never changes the trained model — collection is byte-identical at
-// any worker count — so it is not part of the cache key. Training takes
-// no context: the cache keeps an entry's error for good, so a canceled
-// caller must not be able to store one.
-func TrainModel(cfg victim.Config, workers int, channel string) (*attack.Model, error) {
+// any worker count — so it is not part of the cache key.
+//
+// ctx bounds the call: a dead context returns its error without training,
+// and a training stops at its collection tasks' next sampler tick. The
+// cache keeps no failed training, and a caller that waited on a training
+// canceled by its trainer's context retrains under its own.
+func TrainModel(ctx context.Context, cfg victim.Config, workers int, channel string) (*attack.Model, error) {
 	train := cfg
 	train.RenderJitter = 0
 	train.CPULoad = 0
 	train.GPULoad = 0
 	train.Seed = 12345
 	key := attack.ModelKeyForChannel(train, channel).String() + fmt.Sprintf("/app=%s", appName(train))
-	modelMu.Lock()
-	e, ok := modelCache[key]
-	if !ok {
-		e = &modelEntry{}
-		modelCache[key] = e
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		modelMu.Lock()
+		e, ok := modelCache[key]
+		if !ok {
+			e = &modelEntry{ready: make(chan struct{})}
+			modelCache[key] = e
+		}
+		modelMu.Unlock()
+		if !ok {
+			e.m, e.err = collect(ctx, train, attack.CollectOptions{Repeats: 2, Workers: workers, Channel: channel})
+			if e.err != nil {
+				modelMu.Lock()
+				delete(modelCache, key)
+				modelMu.Unlock()
+			}
+			close(e.ready)
+			return e.m, e.err
+		}
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		trainerCanceled := errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
+		if !trainerCanceled {
+			return e.m, e.err
+		}
 	}
-	modelMu.Unlock()
-	e.once.Do(func() {
-		e.m, e.err = attack.Collect(train, attack.CollectOptions{Repeats: 2, Workers: workers, Channel: channel})
-	})
-	return e.m, e.err
 }
 
 func appName(cfg victim.Config) string {

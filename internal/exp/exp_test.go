@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -431,11 +432,11 @@ func TestFig27Shape(t *testing.T) {
 // count.
 func TestRunTrialsDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultConfig()
-	pm, err := TrainModel(cfg, 0, "")
+	pm, err := TrainModel(context.Background(), cfg, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := TrainModel(cfg, 0, proccount.Name)
+	sm, err := TrainModel(context.Background(), cfg, 0, proccount.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +503,7 @@ func TestRunTrialsDeterministicAcrossWorkers(t *testing.T) {
 // paper's regime.
 func TestCalibrationRobustAcrossSeeds(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, 0, "")
+	m, err := TrainModel(context.Background(), cfg, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func RunFig5(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.Collect(0, sess.End)
+	tr, err := s.CollectContext(o.Context(), 0, sess.End)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func RunFig6(o Options) (*Result, error) {
 		"key", "lrz_full_8x8", "ras_supertile_cycles")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func RunFig11(o Options) (*Result, error) {
 		"presses", "duplication", "split", "noise-affected", "affected%")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func RunFig13(o Options) (*Result, error) {
 		"scenario", "switch-bursts-detected", "keys-inferred", "keys-true")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

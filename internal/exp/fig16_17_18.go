@@ -51,7 +51,7 @@ func RunFig17(o Options) (*Result, error) {
 		"length", "text acc", "char acc", "mean errors")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func RunFig18(o Options) (*Result, error) {
 		"key", "accuracy", "trials")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func RunFig19(o Options) (*Result, error) {
 	for ai, app := range android.TargetApps {
 		cfg := DefaultConfig()
 		cfg.App = app
-		m, err := TrainModel(cfg, o.Workers, "")
+		m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +57,7 @@ func RunFig20(o Options) (*Result, error) {
 	for ki, kb := range keyboard.All {
 		cfg := DefaultConfig()
 		cfg.Keyboard = kb
-		m, err := TrainModel(cfg, o.Workers, "")
+		m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +97,7 @@ func RunFig21(o Options) (*Result, error) {
 	cfg := DefaultConfig()
 	// Speed sensitivity comes from noise accumulating over the longer
 	// trace; keep the default notification rate.
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func RunFig22(o Options) (*Result, error) {
 		"load", "level", "text acc", "char acc")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func RunFig23(o Options) (*Result, error) {
 	for _, hz := range refreshes {
 		cfg := DefaultConfig()
 		cfg.RefreshHz = hz
-		m, err := TrainModel(cfg, o.Workers, "")
+		m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +150,7 @@ func RunFig24(o Options) (*Result, error) {
 
 	var trials []trial
 	for i, sc := range cfgs {
-		m, err := TrainModel(sc.cfg, o.Workers, "")
+		m, err := TrainModel(o.Context(), sc.cfg, o.Workers, "")
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func RunFig28(o Options) (*Result, error) {
 		for si := 0; si < per; si++ {
 			cfg := DefaultConfig()
 			cfg.App = apps[(vi*per+si)%len(apps)]
-			m, err := TrainModel(cfg, o.Workers, "")
+			m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 			if err != nil {
 				return nil, err
 			}
@@ -74,7 +74,7 @@ func RunFig29(o Options) (*Result, error) {
 
 	// Baseline: Chase (no animation).
 	base := DefaultConfig()
-	mBase, err := TrainModel(base, o.Workers, "")
+	mBase, err := TrainModel(o.Context(), base, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func RunFig29(o Options) (*Result, error) {
 	// perturb the counters.
 	pnc := DefaultConfig()
 	pnc.App = android.PNC
-	mPNC, err := TrainModel(pnc, o.Workers, "")
+	mPNC, err := TrainModel(o.Context(), pnc, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func RunModelSize(o Options) (*Result, error) {
 	res := newResult("modelsize", "§7.6: classification model storage",
 		"quantity", "value")
 
-	m, err := TrainModel(DefaultConfig(), o.Workers, "")
+	m, err := TrainModel(o.Context(), DefaultConfig(), o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

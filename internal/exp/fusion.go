@@ -25,11 +25,11 @@ import (
 // TestFusionBeatsBestSingleChannel requires it to exceed 0.01.
 func RunFusion(o Options) (*Result, error) {
 	cfg := DefaultConfig()
-	pm, err := TrainModel(cfg, o.Workers, "")
+	pm, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}
-	sm, err := TrainModel(cfg, o.Workers, proccount.Name)
+	sm, err := TrainModel(o.Context(), cfg, o.Workers, proccount.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func RunGuessing(o Options) (*Result, error) {
 		"k", "accuracy@k")
 
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func underFaults(sessions []trial, profiles []fault.Profile, seed int64) []trial
 func runChaosProfiles(o Options, profiles []fault.Profile, trials int) (*ChaosReport, error) {
 	const textLen = 8
 	cfg := DefaultConfig()
-	m, err := TrainModel(cfg, o.Workers, "")
+	m, err := TrainModel(o.Context(), cfg, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func RunSec9Defenses(o Options) (*Result, error) {
 		"defense", "text acc", "char acc", "length leak", "note")
 
 	base := DefaultConfig()
-	m, err := TrainModel(base, o.Workers, "")
+	m, err := TrainModel(o.Context(), base, o.Workers, "")
 	if err != nil {
 		return nil, err
 	}

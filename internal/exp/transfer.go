@@ -25,7 +25,7 @@ func RunTransfer(o Options) (*Result, error) {
 	for i, dev := range devices {
 		cfgs[i] = DefaultConfig()
 		cfgs[i].Device = dev
-		m, err := TrainModel(cfgs[i], o.Workers, "")
+		m, err := TrainModel(o.Context(), cfgs[i], o.Workers, "")
 		if err != nil {
 			return nil, err
 		}

@@ -43,6 +43,10 @@ type trial struct {
 	// instance, which leaves the stack undefended and its retry switch
 	// off.
 	arm func(*victim.Session) (defense.Instance, error)
+	// keepTrace keeps every leg's counter trace in the record, for a
+	// reduction that reruns inference on it; without it the record
+	// drops them.
+	keepTrace bool
 }
 
 // record is what one trial produced.
@@ -109,6 +113,11 @@ func (t trial) run(ctx context.Context, tr *obs.Tracer) record {
 	}
 	a.Options = t.opts
 	rec.out, rec.err = st.Run(ctx, 0, sess.End, nil)
+	if !t.keepTrace {
+		for i := range rec.out.Legs {
+			rec.out.Legs[i].Trace = nil
+		}
+	}
 	return rec
 }
 

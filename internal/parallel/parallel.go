@@ -53,22 +53,19 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// (0 = one per CPU) and blocks until all tasks finish. Tasks are handed
-// out in index order but may complete in any order; fn must confine its
-// writes to per-index state. All tasks run even when one fails, and the
-// error of the lowest-indexed failing task is returned, so the outcome —
-// results and error alike — is independent of scheduling.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// no further tasks are handed out (tasks already running finish). Errors
-// of completed tasks keep their index-order precedence; when the batch was
-// cut short and no task failed, the context's error is returned. Note
-// that WHICH tasks ran after a cancellation depends on timing — the
-// determinism contract only covers runs that complete.
+// ForEachCtx runs fn(i) for every i in [0, n) on at most workers
+// goroutines (0 = one per CPU) and blocks until all tasks finish. Tasks
+// are handed out in index order but may complete in any order; fn must
+// confine its writes to per-index state. All tasks run even when one
+// fails, and the error of the lowest-indexed failing task is returned, so
+// the outcome — results and error alike — is independent of scheduling.
+//
+// Cancellation is cooperative: once ctx is done, no further tasks are
+// handed out (tasks already running finish). Errors of completed tasks
+// keep their index-order precedence; when the batch was cut short and no
+// task failed, the context's error is returned. Note that WHICH tasks ran
+// after a cancellation depends on timing — the determinism contract only
+// covers runs that complete.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -142,14 +139,9 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	return nil
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
-// returns the results in index order. On failure it returns the error of
-// the lowest-indexed failing task (see ForEach).
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation (see ForEachCtx).
+// MapCtx runs fn(i) for every i in [0, n) on at most workers goroutines
+// and returns the results in index order. On failure or cancellation it
+// returns the error ForEachCtx would.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachCtx(ctx, workers, n, func(i int) error {

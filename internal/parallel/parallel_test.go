@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,7 +13,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		const n = 100
 		counts := make([]int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -28,7 +29,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,7 +40,7 @@ func TestForEachLowestIndexedError(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		const n = 64
 		var ran atomic.Int32
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			ran.Add(1)
 			if i == 7 || i == 31 || i == 63 {
 				return fmt.Errorf("task %d failed", i)
@@ -59,7 +60,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
 	var mu sync.Mutex
-	err := ForEach(workers, 50, func(i int) error {
+	err := ForEachCtx(context.Background(), workers, 50, func(i int) error {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > peak.Load() {
@@ -79,7 +80,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} {
-		out, err := Map(workers, 40, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), workers, 40, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	_, err := Map(4, 10, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, 10, func(i int) (int, error) {
 		if i%2 == 1 {
 			return 0, fmt.Errorf("odd %d", i)
 		}

@@ -9,8 +9,8 @@
 //
 // Determinism is inherited from the layers below: for a fixed request
 // (configuration, text, seed) the response is byte-identical to the
-// library path (gpuleak.Train + NewAttack().Eavesdrop) at any request
-// concurrency, which the root-level serving tests pin.
+// library path (gpuleak.TrainContext + NewAttack().EavesdropContext) at
+// any request concurrency, which the root-level serving tests pin.
 //
 // The package deliberately never reads the wall clock (the gpuvet
 // simtime gate applies here too): deadlines come from request contexts,

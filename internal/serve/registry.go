@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -121,13 +122,18 @@ func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel st
 // get is GetChannel that also reports whether the model was resident and
 // trained when asked — what LookupChannel would have found — so a caller
 // learns it from the one lookup it counts. A hit on a training still in
-// flight is not cached.
+// flight is not cached. A waiter whose trainer's context ended while its
+// own is alive trains the key itself.
 func (r *Registry) get(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, bool, error) {
 	key := ChannelKey(cfg, channel)
 	sh := r.shards[r.ShardFor(key)]
 
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
+	for {
+		e, ok := sh.entries[key]
+		if !ok {
+			break
+		}
 		sh.seq++
 		e.lastUse = sh.seq
 		cached := !e.training
@@ -135,10 +141,14 @@ func (r *Registry) get(ctx context.Context, cfg victim.Config, channel string) (
 		r.m.Add(mRegistryHits, 1)
 		select {
 		case <-e.ready:
-			return e.m, cached, e.err
 		case <-ctx.Done():
 			return nil, false, fmt.Errorf("serve: waiting for model %s: %w", key, ctx.Err())
 		}
+		trainerCanceled := errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
+		if !trainerCanceled || ctx.Err() != nil {
+			return e.m, cached, e.err
+		}
+		sh.mu.Lock()
 	}
 	e := &regEntry{ready: make(chan struct{}), training: true}
 	sh.seq++

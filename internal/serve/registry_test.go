@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,6 +177,52 @@ func TestRegistryFailureNotCached(t *testing.T) {
 	}
 	if _, err := r.GetChannel(context.Background(), cfg, ""); err != nil {
 		t.Fatalf("second Get should retrain after a failure: %v", err)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("train attempts = %d, want 2", got)
+	}
+}
+
+// TestRegistryWaiterRetrainsAfterTrainerCancel pins that a waiter does
+// not inherit its trainer's cancellation: one request starts a training
+// and is canceled mid-training while a second, whose context is alive,
+// waits on it. The second trains the key itself.
+func TestRegistryWaiterRetrainsAfterTrainerCancel(t *testing.T) {
+	started := make(chan struct{})
+	var attempts atomic.Int64
+	met := obs.NewMetrics()
+	r := NewRegistry(1, 4, func(ctx context.Context, cfg victim.Config, _ string) (*attack.Model, error) {
+		if attempts.Add(1) == 1 {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &attack.Model{}, nil
+	}, met)
+	cfg := cfgForApp("abandoned")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	trainer := make(chan error, 1)
+	go func() {
+		_, err := r.GetChannel(ctx, cfg, "")
+		trainer <- err
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := r.GetChannel(context.Background(), cfg, "")
+		waiter <- err
+	}()
+	// The waiter counts its hit on the in-flight entry before it waits.
+	for met.Snapshot()[mRegistryHits] < 1 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-trainer; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled trainer: %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("live waiter: %v, want a model", err)
 	}
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("train attempts = %d, want 2", got)

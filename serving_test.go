@@ -58,7 +58,7 @@ func TestServedEavesdropMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := TrainWith(serve.TrainConfig(scen.Cfg), CollectOptions{Repeats: 2})
+	model, err := TrainContext(context.Background(), serve.TrainConfig(scen.Cfg), CollectOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServedEavesdropMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAttack(model).Eavesdrop(f, 0, sess.End)
+	want, err := NewAttack(model).EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestEavesdropSessionMatchesServed(t *testing.T) {
 			}
 			sess := NewVictim(scen.Cfg)
 			sess.Run(scen.Script())
-			fr, err := EavesdropSession(context.Background(), sess, models, 0, sess.End, WithChannels(names...))
+			fr, err := EavesdropSession(context.Background(), sess, models, names, 0, sess.End, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package gpuleak
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden telemetry fixtures
 func goldenRun(t *testing.T, workers int) []byte {
 	t.Helper()
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 7}
-	m, err := TrainWith(cfg, CollectOptions{Repeats: 1, Workers: workers})
+	m, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func goldenRun(t *testing.T, workers int) []byte {
 	}
 	atk := NewAttack(m)
 	atk.Obs = tracer
-	res, err := atk.Eavesdrop(f, 0, sess.End)
+	res, err := atk.EavesdropContext(context.Background(), f, 0, sess.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestTelemetryTrainWorkersIdentical(t *testing.T) {
 	stream := func(workers int) []byte {
 		tracer := NewTracer()
 		cfg := VictimConfig{Device: OnePlus8Pro, Seed: 99}
-		if _, err := TrainWith(cfg, CollectOptions{Repeats: 1, Workers: workers, Obs: tracer}); err != nil {
+		if _, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1, Workers: workers, Obs: tracer}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var buf bytes.Buffer

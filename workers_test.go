@@ -2,16 +2,17 @@ package gpuleak
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
-// TestTrainWithWorkersIdentical pins the public-API determinism contract:
-// TrainWith produces bit-identical models no matter how many collection
-// workers fan out the offline phase.
-func TestTrainWithWorkersIdentical(t *testing.T) {
+// TestTrainContextWorkersIdentical pins the public-API determinism
+// contract: TrainContext produces bit-identical models no matter how many
+// collection workers fan out the offline phase.
+func TestTrainContextWorkersIdentical(t *testing.T) {
 	cfg := VictimConfig{Device: OnePlus8Pro, Seed: 99}
 	encode := func(workers int) []byte {
-		m, err := TrainWith(cfg, CollectOptions{Repeats: 1, Workers: workers})
+		m, err := TrainContext(context.Background(), cfg, CollectOptions{Repeats: 1, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

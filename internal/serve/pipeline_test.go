@@ -19,7 +19,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/pipeline_golden.jsonl")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // matrixCase is one request of the matrix: a stable name and its body.
 type matrixCase struct {

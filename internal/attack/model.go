@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"gpuleak/internal/trace"
@@ -33,12 +34,19 @@ type ModelKey struct {
 	Channel string `json:"channel,omitempty"`
 }
 
+// String formats the key as device/resolution/keyboard@hz, with
+// ":channel" appended for a non-default channel. It appends into one
+// stack buffer, so the string is its only allocation.
 func (k ModelKey) String() string {
-	s := fmt.Sprintf("%s/%s/%s@%d", k.Device, k.Resolution, k.Keyboard, k.RefreshHz)
+	var buf [96]byte
+	b := append(buf[:0], k.Device...)
+	b = append(append(b, '/'), k.Resolution...)
+	b = append(append(b, '/'), k.Keyboard...)
+	b = strconv.AppendInt(append(b, '@'), int64(k.RefreshHz), 10)
 	if k.Channel != "" {
-		s += ":" + k.Channel
+		b = append(append(b, ':'), k.Channel...)
 	}
-	return s
+	return string(b)
 }
 
 // NoiseClass labels the non-keypress delta families the offline phase

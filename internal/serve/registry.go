@@ -105,6 +105,19 @@ func (r *Registry) ShardFor(key string) int {
 	return int(h.Sum32() % uint32(len(r.shards)))
 }
 
+// modelRef names one registry entry: its key, ChannelKey of the
+// configuration and channel, and the shard ShardFor maps the key to.
+type modelRef struct {
+	key   string
+	shard int
+}
+
+// ref derives the registry reference of a configuration and a channel.
+func (r *Registry) ref(cfg victim.Config, channel string) modelRef {
+	key := ChannelKey(cfg, channel)
+	return modelRef{key: key, shard: r.ShardFor(key)}
+}
+
 // Shards returns the number of shards.
 func (r *Registry) Shards() int { return len(r.shards) }
 
@@ -115,18 +128,19 @@ func (r *Registry) Shards() int { return len(r.shards) }
 // other keys proceed independently. A failed training is not cached —
 // the entry is removed so a later request retries.
 func (r *Registry) GetChannel(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, error) {
-	m, _, err := r.get(ctx, cfg, channel)
+	m, _, err := r.get(ctx, r.ref(cfg, channel), cfg, channel)
 	return m, err
 }
 
-// get is GetChannel that also reports whether the model was resident and
-// trained when asked — what LookupChannel would have found — so a caller
-// learns it from the one lookup it counts. A hit on a training still in
-// flight is not cached. A waiter whose trainer's context ended while its
-// own is alive trains the key itself.
-func (r *Registry) get(ctx context.Context, cfg victim.Config, channel string) (*attack.Model, bool, error) {
-	key := ChannelKey(cfg, channel)
-	sh := r.shards[r.ShardFor(key)]
+// get is GetChannel for the entry ref names, the reference of cfg and
+// channel, that also reports whether the model was resident and trained
+// when asked — what LookupChannel would have found — so a caller learns
+// it from the one lookup it counts. A hit on a training still in flight
+// is not cached. A waiter whose trainer's context ended while its own is
+// alive trains the key itself.
+func (r *Registry) get(ctx context.Context, ref modelRef, cfg victim.Config, channel string) (*attack.Model, bool, error) {
+	key := ref.key
+	sh := r.shards[ref.shard]
 
 	sh.mu.Lock()
 	for {
@@ -190,8 +204,13 @@ func (r *Registry) Lookup(cfg victim.Config) (*attack.Model, error) {
 
 // LookupChannel is Lookup for a model trained on a named side channel.
 func (r *Registry) LookupChannel(cfg victim.Config, channel string) (*attack.Model, error) {
-	key := ChannelKey(cfg, channel)
-	sh := r.shards[r.ShardFor(key)]
+	return r.lookup(r.ref(cfg, channel))
+}
+
+// lookup is LookupChannel for the entry ref names.
+func (r *Registry) lookup(ref modelRef) (*attack.Model, error) {
+	key := ref.key
+	sh := r.shards[ref.shard]
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	if ok && !e.training {

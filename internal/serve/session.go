@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"gpuleak/internal/obs"
@@ -35,6 +36,9 @@ const (
 // single-use lifecycle plus the server's own per-session data.
 type session[T any] struct {
 	id string
+	// stream is the path of the session's one stream attach,
+	// GET /v1/sessions/{id}/stream.
+	stream string
 	// seq is the table's logical creation clock; the oldest never-attached
 	// session is evicted first when the table is full.
 	seq      uint64
@@ -103,9 +107,26 @@ func (t *sessionTable[T]) create(data T) (sess *session[T], evicted bool, reside
 		evicted = true
 	}
 	t.seq++
-	sess = &session[T]{id: fmt.Sprintf("%s%08d", t.prefix, t.seq), seq: t.seq, data: data}
+	sess = &session[T]{seq: t.seq, data: data}
+	sess.id, sess.stream = sessionPath(t.prefix, t.seq)
 	t.byID[sess.id] = sess
 	return sess, evicted, len(t.byID)
+}
+
+// sessionPath formats a session's id, prefix and the creation count
+// zero-padded to 8 digits, and its stream path around it, in one string:
+// the id is a slice of the path.
+func sessionPath(prefix string, seq uint64) (id, stream string) {
+	const head, tail = "/v1/sessions/", "/stream"
+	var buf [64]byte
+	b := append(append(buf[:0], head...), prefix...)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	for i := len(d); i < 8; i++ {
+		b = append(b, '0')
+	}
+	stream = string(append(append(b, d...), tail...))
+	return stream[len(head) : len(stream)-len(tail)], stream
 }
 
 // armIdle hands sess the stop function of its idle timer. The timer may
@@ -236,11 +257,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}))
 	}
 	s.m.Add(mSessionsCreated, 1)
-	writeJSON(w, http.StatusCreated, SessionResponse{
-		Schema: Schema,
-		ID:     sess.id,
-		Stream: "/v1/sessions/" + sess.id + "/stream",
-	})
+	writeJSON(w, http.StatusCreated, SessionResponse{Schema: Schema, ID: sess.id, Stream: sess.stream})
 }
 
 // handleSessionDelete serves DELETE /v1/sessions/{id}: cancel a session
@@ -277,16 +294,13 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	tc := run.trace
 	ctx = obs.WithTraceContext(ctx, tc)
 
-	st := &sseStream{w: w, sessionID: sess.id, trace: tc.Local()}
-	if f, ok := w.(http.Flusher); ok {
-		st.flush = f
-	}
-	err = s.do(ctx, s.reg.ShardFor(ChannelKey(TrainConfig(run.scen.Cfg), run.scen.Primary())), func(ctx context.Context) error {
+	st := newSSEStream(w, sess.id, tc.Local())
+	err = s.do(ctx, s.ref(TrainConfig(run.scen.Cfg), run.scen.Primary()).shard, func(ctx context.Context) error {
 		resp, err := s.runEavesdrop(ctx, run.scen, run.req, st.event, mLatencyStream)
 		if err != nil {
 			return err
 		}
-		return st.result(resp)
+		return st.result(&resp)
 	})
 	if err != nil {
 		if !st.started {

@@ -75,13 +75,13 @@ func TestEavesdropContextCanceled(t *testing.T) {
 }
 
 // TestRunExperimentContextCanceled pins cancellation on every experiment
-// that trains a model, samples counters or eavesdrops: with a dead
-// context, each returns an error matching context.Canceled instead of
-// doing that work. The exempt experiments do none of it: they read frame
-// timelines, script statistics, power models or desktop baselines only.
+// that trains a model or a classifier, samples counters or eavesdrops:
+// with a dead context, each returns an error matching context.Canceled
+// instead of doing that work. The exempt experiments do none of it: they
+// read frame timelines, script statistics or power models only.
 func TestRunExperimentContextCanceled(t *testing.T) {
 	exempt := map[string]bool{
-		"fig14": true, "fig16": true, "fig26": true, "fig27": true, "table2": true,
+		"fig14": true, "fig16": true, "fig26": true, "fig27": true,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -12,7 +12,8 @@ import (
 // polling) with three classifiers over three victim applications. The
 // paper reports 8.7-14.2% — workload-level counters cannot resolve
 // per-key overdraw, which motivates the paper's pixel-granularity
-// counters.
+// counters. A canceled context stops it before the next workload's
+// datasets are built or the next classifier is fit.
 func RunTable2(o Options) (*Result, error) {
 	res := newResult("table2", "Table 2: accuracy of prior work [37] on desktop Nvidia counters",
 		"classifier", "gedit", "Gmail web", "Dropbox client")
@@ -32,7 +33,11 @@ func RunTable2(o Options) (*Result, error) {
 		accs[ci] = make([]float64, len(cupti.Workloads))
 	}
 
+	ctx := o.Context()
 	for wi, w := range cupti.Workloads {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		rng := sim.NewRand(o.Seed + int64(wi)*17)
 		build := func(per int) *baseline.Dataset {
 			d := &baseline.Dataset{}
@@ -46,6 +51,9 @@ func RunTable2(o Options) (*Result, error) {
 		train := build(trainPer)
 		test := build(testPer)
 		for ci, mk := range clfs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			c := mk()
 			if err := c.Fit(train); err != nil {
 				return nil, err

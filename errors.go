@@ -28,8 +28,9 @@ var (
 	// a pretrained-only serving request missing its registry entry.
 	ErrModelNotTrained error = attack.ErrModelNotTrained
 	// ErrBusy reports backpressure from the serving layer: a shard work
-	// queue was full and the request was rejected (HTTP 429) instead of
-	// queued unboundedly.
+	// queue was full, or every resident streaming session was streaming,
+	// and the request was rejected (HTTP 429) instead of queued
+	// unboundedly.
 	ErrBusy error = serve.ErrBusy
 	// ErrSessionNotFound reports a streaming-session ID with no resident
 	// state: never created, already finished, evicted under MaxSessions

@@ -488,6 +488,12 @@ func TestSessionTableBounded(t *testing.T) {
 			t.Errorf("create with the only session streaming: status %d, Retry-After %q; want 429 with Retry-After",
 				resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
+		// Shed load, not an error.
+		snap := f.rt.m.Snapshot()
+		if snap[mRouterRejected] != 1 || snap[mRouterErrors] != 0 {
+			t.Errorf("%s = %v and %s = %v, want 1 and 0",
+				mRouterRejected, snap[mRouterRejected], mRouterErrors, snap[mRouterErrors])
+		}
 		if code := <-done; code != http.StatusOK {
 			t.Errorf("streaming session: status %d, want 200", code)
 		}

@@ -125,6 +125,53 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
+// TestShedLoadIsNotAnError pins the backpressure accounting: a one-shot
+// refused by a full shard queue and a session refused by a session table
+// whose every session is streaming both answer 429 and count in
+// serve.rejected, and in neither serve.errors nor an endpoint's error
+// counter.
+func TestShedLoadIsNotAnError(t *testing.T) {
+	s, release := blockedServer(t, Options{
+		Shards: 1, WorkersPerShard: 1, QueuePerShard: 1, MaxSessions: 2,
+	})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// Two streaming sessions fill the session table and the shard: one
+	// runs (parked in the blocked training), one waits for the run slot.
+	done := make(chan int, 2)
+	for _, body := range []string{`{"text":"one"}`, `{"text":"two"}`} {
+		sr := createSession(t, ts.URL, body)
+		go func() {
+			resp := doReq(t, http.MethodGet, ts.URL+sr.Stream)
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+	}
+	waitCounter(t, s.m, mAdmitted, 2)
+	for _, path := range []string{"/v1/eavesdrop", "/v1/sessions"} {
+		resp := postJSON(t, ts.URL+path, `{"text":"three"}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("POST %s with the shard and the session table full: status %d, want 429", path, resp.StatusCode)
+		}
+	}
+	snap := s.m.Snapshot()
+	for metric, want := range map[string]float64{
+		mRejected: 2, mErrors: 0, mErrorsEavesdrop: 0, mErrorsSession: 0,
+	} {
+		if snap[metric] != want {
+			t.Errorf("%s = %v, want %v", metric, snap[metric], want)
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("parked stream finished with %d, want 200", code)
+		}
+	}
+}
+
 // TestServerQueueWaitHonorsContext pins that an admitted request waiting
 // for a run slot gives up when its context dies instead of hanging.
 func TestServerQueueWaitHonorsContext(t *testing.T) {
